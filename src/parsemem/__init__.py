@@ -12,11 +12,9 @@ from .errors import (EmptyInputError, IndexFormatError, ItemKindMismatch,
 from .filters import (BloomFilter, CountingBloomFilter, ExactFilter,
                       FilterParams, MembershipFilter, expected_fpr,
                       filter_build, size_for)
-from .oracle import (OracleConfig, brute_force_count, brute_force_f_mems,
-                     brute_force_parse_f_mems)
+from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
-                      RollingHasher, char_span, minimizer_parse, pfp_parse,
-                      roll_windows)
+                      RollingHasher, minimizer_parse, pfp_parse)
 from .pseudomem import (CoarseSets, PseudoMem, coarse_sets, compute_lower_bound,
                         find_long_mems, kebab_pseudo_mems, parse_pseudo_mems,
                         refine, safe_discard)

@@ -83,7 +83,8 @@ def load_bundle(path: str) -> IndexBundle:
         raise IndexFormatError(
             f"index format version {version} is not supported (expected {FORMAT_VERSION})")
     off = len(MAGIC) + 8
-    sections: dict[str, bytes] = {}
+    view = memoryview(data)  # section payloads are checked and read in place
+    sections: dict[str, memoryview] = {}
     for _ in range(n_sections):
         try:
             (name_len,) = struct.unpack_from("<H", data, off)
@@ -94,7 +95,7 @@ def load_bundle(path: str) -> IndexBundle:
             off += 8
             digest = data[off:off + 32]
             off += 32
-            payload = data[off:off + payload_len]
+            payload = view[off:off + payload_len]
             off += payload_len
         except (struct.error, UnicodeDecodeError) as exc:
             raise IndexFormatError("truncated or corrupt index file") from exc
@@ -105,7 +106,7 @@ def load_bundle(path: str) -> IndexBundle:
         sections[name] = payload
     if "params" not in sections or "payload" not in sections:
         raise IndexFormatError("index file is missing required sections")
-    params = json.loads(sections["params"].decode("utf-8"))
+    params = json.loads(bytes(sections["params"]).decode("utf-8"))
     parts = pickle.loads(sections["payload"])
     return IndexBundle(
         params=params,

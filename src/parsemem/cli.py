@@ -23,8 +23,9 @@ from .bundle import IndexBundle, check_integrity, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
 from .parsing import PhraseDictionary, RollingHasher, pfp_parse
-from .seqindex import (OccurrenceIndex, StepCounter, SymbolSequence, bml_mems,
-                       bml_top_t, find_f_mems)
+from .seqindex import OccurrenceIndex, StepCounter, SymbolSequence
+# Not called here; bench/tracing.py wraps these names on this module.
+from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
 from .verify import run_all
 
 SEPARATOR = 0  # joins multi-record texts; outside every sequence alphabet
@@ -33,8 +34,6 @@ ENV_INDEX = "PARSEMEM_INDEX"
 DEFAULT_W = 10
 DEFAULT_P = 50
 DEFAULT_KEBAB_K = 20
-DEFAULT_MIN_K = 4
-DEFAULT_MIN_W = 12
 DEFAULT_FPR = 0.01
 
 EXIT_OK = 0
@@ -112,8 +111,6 @@ def cmd_build(args) -> int:
         "base": hasher.base,
         "modulus": hasher.modulus,
         "kebab_k": k,
-        "minimizer_k": args.min_k,
-        "minimizer_w": args.min_w,
         "seed": args.seed,
         "filter_fpr": args.filter_fpr,
         "text_length": len(text),
@@ -145,39 +142,45 @@ def _check_params(bundle: IndexBundle, args):
 
 def _query_one(bundle: IndexBundle, name: str, pattern: bytes, args,
                char_counter: StepCounter, parse_counter: StepCounter):
-    """Run one pattern in one mode; returns (pms, retained, mems, parse_len)."""
+    """Run one pattern in one mode; returns (pms, retained, mems, parse_len).
+
+    Every mode ends in the same find_long_mems search and differs only in
+    the windows it searches: exact searches the whole pattern, parse and
+    combined the pseudo-MEMs that survive safe discarding.  KeBaB runs hold
+    every f-MEM of length >= k and certify nothing shorter, so kebab
+    searches them only while the cutoff (L, or the t-th longest length they
+    yield) is at least k, and otherwise the whole pattern.
+    """
     mode, f, t, L = args.mode, args.f, args.t, args.L
-    if mode == "exact":
-        if L is not None:
-            mems = bml_mems(bundle.text_index, pattern, L, f, char_counter)
-        elif t is not None:
-            mems = bml_top_t(bundle.text_index, pattern, t, f, char_counter)
-        else:
-            mems = find_f_mems(bundle.text_index, pattern, f, char_counter)
-        return [], [], mems, 0
+    whole = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
+    pms: list[pmm.PseudoMem] = []
+    retained, windows, parse_len = pms, whole, 0
+    k = bundle.params["kebab_k"]
     if mode == "kebab":
-        if L is not None and L <= bundle.params["kebab_k"]:
-            print(f"# warning: L={L} not above k={bundle.params['kebab_k']}; "
-                  "KeBaB only guarantees MEMs of length >= k", file=sys.stderr)
-        pms = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f, char_counter)
-        retained = pms  # KeBaB certifies no lower bounds, so nothing is discardable
-        mems = pmm.find_long_mems(bundle.text_index, retained, pattern, f,
-                                  t=t, L=L, counter=char_counter)
-        return pms, retained, mems, 0
-    hasher = RollingHasher(window=bundle.params["w"],
-                           trigger_modulus=bundle.params["p"],
-                           base=bundle.params["base"],
-                           modulus=bundle.params["modulus"])
-    parse_p = pfp_parse(pattern, hasher, bundle.dictionary)
-    if mode == "parse":
-        pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f, parse_counter)
-    else:  # combined
-        coarse = pmm.coarse_sets(parse_p, bundle.phrase_filter, f, parse_counter)
-        pms = pmm.refine(coarse, parse_p, bundle.parse_index, f, parse_counter)
-    retained = pmm.safe_discard(pms, t) if t is not None else pms
-    mems = pmm.find_long_mems(bundle.text_index, retained, pattern, f,
+        pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f,
+                                               char_counter)
+        if t is not None or (L is not None and L >= k):
+            windows = retained
+    elif mode != "exact":
+        hasher = RollingHasher(window=bundle.params["w"],
+                               trigger_modulus=bundle.params["p"],
+                               base=bundle.params["base"],
+                               modulus=bundle.params["modulus"])
+        parse_p = pfp_parse(pattern, hasher, bundle.dictionary)
+        if mode == "parse":
+            pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f, parse_counter)
+        else:  # combined
+            coarse = pmm.coarse_sets(parse_p, bundle.phrase_filter, f, parse_counter)
+            pms = pmm.refine(coarse, parse_p, bundle.parse_index, f, parse_counter)
+        windows = retained = pmm.safe_discard(pms, t) if t is not None else pms
+        parse_len = len(parse_p)
+    mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f,
                               t=t, L=L, counter=char_counter)
-    return pms, retained, mems, len(parse_p)
+    if mode == "kebab" and t is not None and (
+            len(mems) < t or min(m.length for m in mems) < k):
+        mems = pmm.find_long_mems(bundle.text_index, whole, pattern, f,
+                                  t=t, counter=char_counter)
+    return pms, retained, mems, parse_len
 
 
 def _load_for_query(args) -> tuple[IndexBundle, list[tuple[str, bytes]]]:
@@ -185,6 +188,7 @@ def _load_for_query(args) -> tuple[IndexBundle, list[tuple[str, bytes]]]:
     if not index_path:
         raise ParameterMismatch("no index given (use --index or PARSEMEM_INDEX)")
     bundle = load_bundle(index_path)
+    bundle.dictionary.freeze()  # pattern phrases the text lacks get no new IDs
     _check_params(bundle, args)
     if args.t is not None and args.L is not None:
         raise ParameterMismatch("-t and -L are mutually exclusive")
@@ -277,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix-free parsing trigger modulus")
     b.add_argument("-k", "--kmer", type=int, default=DEFAULT_KEBAB_K,
                    help="k-mer length for the KeBaB filter")
-    b.add_argument("--min-k", type=int, default=DEFAULT_MIN_K,
-                   help="minimizer k recorded for minimizer parsing")
-    b.add_argument("--min-w", type=int, default=DEFAULT_MIN_W,
-                   help="minimizer window recorded for minimizer parsing")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--filter-fpr", type=float, default=DEFAULT_FPR)
     b.add_argument("--format", choices=("auto", "fasta", "raw"), default="auto")

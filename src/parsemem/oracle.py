@@ -8,20 +8,8 @@ the overlapping-occurrence scan can lean on str.find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import EmptyInputError
 from .seqindex import Mem
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Size limits for instances the quadratic scans can handle comfortably."""
-
-    max_text_len: int = 2000
-    max_pattern_len: int = 200
-    alphabet: bytes = b"ACGT"
 
 
 def _as_text(seq) -> str:
@@ -80,13 +68,9 @@ def brute_force_f_mems(text, pattern, f: int = 1) -> list[Mem]:
     return mems
 
 
-def brute_force_parse_f_mems(parse_text: Sequence[int], parse_pattern: Sequence[int],
-                             f: int = 1) -> list[Mem]:
-    """f-MEMs of one phrase-ID sequence with respect to another.
-
-    Identical to brute_force_f_mems, just over the phrase alphabet; intervals
-    are in phrase coordinates.
-    """
-    t = getattr(parse_text, "symbols", parse_text)
-    p = getattr(parse_pattern, "symbols", parse_pattern)
-    return brute_force_f_mems(tuple(t), tuple(p), f)
+def top_t_cut(mems: list[Mem], t: int) -> list[Mem]:
+    """The t longest of ``mems``, ties included: every one at least as long
+    as the t-th longest, or all of them when there are fewer than t."""
+    lengths = sorted((m.length for m in mems), reverse=True)
+    cutoff = lengths[t - 1] if len(lengths) >= t else 0
+    return [m for m in mems if m.length >= cutoff]

@@ -75,15 +75,6 @@ class RollingHasher:
         return window_hash % self.trigger_modulus == 0
 
 
-def roll_windows(text: bytes, hasher: RollingHasher) -> list[int]:
-    """One hash per complete window of ``text``, position-aligned.
-
-    Raises WindowError when the text is shorter than the window, so callers
-    can tell "no windows" apart from a legitimate empty stream.
-    """
-    return hasher.roll(text)
-
-
 class PhraseDictionary:
     """Content-keyed store mapping phrase strings to dense integer IDs.
 
@@ -105,12 +96,17 @@ class PhraseDictionary:
         return phrase in self._id_of
 
     def id_for(self, phrase: bytes) -> int:
-        """ID of ``phrase``, inserting it if unseen."""
+        """ID of ``phrase``, inserting it if unseen.
+
+        A frozen dictionary inserts nothing and gives every unseen phrase
+        the one reserved ID ``len(self)``, which no parse made before the
+        freeze contains.
+        """
         pid = self._id_of.get(phrase)
         if pid is None:
-            if self._frozen:
-                raise KeyError("dictionary is frozen; unknown phrase cannot be added")
             pid = len(self._phrases)
+            if self._frozen:
+                return pid
             self._id_of[phrase] = pid
             self._phrases.append(phrase)
         return pid
@@ -122,7 +118,7 @@ class PhraseDictionary:
         return self._phrases[pid]
 
     def freeze(self):
-        """Make the dictionary read-only; lookups stay valid, inserts fail."""
+        """Make the dictionary read-only; lookups stay valid, inserts stop."""
         self._frozen = True
 
     @property
@@ -183,11 +179,6 @@ class ParsedString:
     def _check_index(self, i: int):
         if not 1 <= i <= len(self.symbols):
             raise IndexError(f"phrase index {i} out of range 1..{len(self.symbols)}")
-
-
-def char_span(parsed: ParsedString, i: int, j: int) -> tuple[int, int]:
-    """Character interval of phrases ``i..j`` of ``parsed`` (1-based, inclusive)."""
-    return parsed.char_span(i, j)
 
 
 def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) -> ParsedString:

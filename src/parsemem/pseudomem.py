@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from .errors import EmptyInputError
 from .filters import KIND_BLOOM, ITEMS_KMER, ITEMS_PHRASE, MembershipFilter
 from .parsing import ParsedString
-from .seqindex import Mem, OccurrenceIndex, StepCounter, bml_mems, find_f_mems
+from .seqindex import (Mem, OccurrenceIndex, StepCounter, bml_mems, bml_top_t,
+                       find_f_mems)
 
 log = logging.getLogger(__name__)
 
@@ -262,13 +263,18 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     return _emit_parse_pms(parsed_pattern, matches, sorted(pairs))
 
 
-def _is_genuine(text_index: OccurrenceIndex, pattern: bytes, mem: Mem, f: int,
-                counter: StepCounter | None) -> bool:
-    """Whether an interval that is maximal inside a pseudo-MEM is maximal in P."""
-    if mem.start > 1:
+def _is_genuine(text_index: OccurrenceIndex, pattern: bytes, mem: Mem,
+                window: PseudoMem, f: int, counter: StepCounter | None) -> bool:
+    """Whether a match that is maximal inside ``window`` is maximal in P.
+
+    Only an end on the window's edge is checked: an end inside the window is
+    already maximal, because the scan tried that extension and it fell below
+    f occurrences.  The whole-pattern window therefore costs no count calls.
+    """
+    if mem.start == window.char_start > 1:
         if text_index.count(pattern[mem.start - 2:mem.end], counter) >= f:
             return False
-    if mem.end < len(pattern):
+    if mem.end == window.char_end < len(pattern):
         if text_index.count(pattern[mem.start - 1:mem.end + 1], counter) >= f:
             return False
     return True
@@ -278,14 +284,24 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
                    pattern: bytes, f: int = 1, t: int | None = None,
                    L: int | None = None,
                    counter: StepCounter | None = None) -> list[Mem]:
-    """Character-level f-MEM search inside retained pseudo-MEMs.
+    """The character-level f-MEM search of every query mode, inside windows.
 
-    Each pseudo-MEM substring is searched against the text; results are
-    mapped back to pattern coordinates, filtered to intervals that are
-    maximal in the whole pattern (a match clipped by a pseudo-MEM edge is
-    found intact in the pseudo-MEM that fully contains it), and deduplicated
-    across overlapping pseudo-MEMs.  With ``t`` the t longest are returned
-    (ties included); with ``L`` all of length at least L; with neither, all.
+    Each window (a pseudo-MEM's characters, or the whole pattern) is scanned
+    against the text on its own: with ``L`` by bml_mems, with ``t`` by
+    bml_top_t, with neither by find_f_mems.  Matches are mapped back to
+    pattern coordinates, kept only when maximal in the whole pattern (a
+    match clipped by a window edge is found intact in a window that holds
+    it), and deduplicated across overlapping windows.  Of the f-MEMs of P
+    that lie inside some window, the result holds with ``L`` those of length
+    at least L; with ``t`` the t longest, ties included; with neither, all.
+
+    Scanning each window for only its own t longest is safe.  Each match
+    maximal inside a window is the window's slice of an f-MEM of P at least
+    as long, and distinct matches come from distinct f-MEMs (two slices of
+    one f-MEM would join into a longer match inside the window).  A window
+    that dropped a member M of the overall t longest would have kept t
+    matches longer than M, so P would hold t f-MEMs longer than M, which
+    contradicts M being among the t longest.
     """
     if t is not None and L is not None:
         raise ValueError("pass at most one of t and L")
@@ -296,6 +312,8 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
             continue
         if L is not None:
             hits = bml_mems(text_index, sub, L, f, counter)
+        elif t is not None:
+            hits = bml_top_t(text_index, sub, t, f, counter)
         else:
             hits = find_f_mems(text_index, sub, f, counter)
         for mem in hits:
@@ -304,7 +322,7 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
             key = (shifted.start, shifted.end)
             if key in found:
                 continue
-            if _is_genuine(text_index, pattern, shifted, f, counter):
+            if _is_genuine(text_index, pattern, shifted, pm, f, counter):
                 found[key] = shifted
     mems = sorted(found.values(), key=lambda mm: (mm.start, mm.end))
     if t is not None:

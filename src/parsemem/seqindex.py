@@ -5,7 +5,7 @@ reverse, each supporting occurrence counts and one-symbol extension of a
 match interval.  On top of them sit the forward-backward scan (all f-MEMs),
 its thresholded variant (only f-MEMs of length >= L, with Boyer-Moore-style
 skipping), and the adaptive top-t variant that keeps raising the threshold to
-1 plus the length of the t-th longest match found so far.
+the length of the t-th longest match found so far.
 
 Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID sequences alike.  At the scale this package targets a
@@ -265,7 +265,8 @@ def _bml_scan(index: OccurrenceIndex, pat: tuple[int, ...], f: int,
     of its symbols, no valid match can contain the failing stretch, so j can
     jump ahead by L - s.  A fully matching window is grown to the longest
     match ending at j, then right-extended to a maximal match.  In top-t mode
-    L is reset to 1 plus the t-th longest length found so far.
+    L is raised to the t-th longest length found so far, so matches tying
+    with it are still found, and those left below the final L are dropped.
     """
     m = len(pat)
     mems: list[Mem] = []
@@ -304,11 +305,11 @@ def _bml_scan(index: OccurrenceIndex, pat: tuple[int, ...], f: int,
             lengths.append(mem.length)
             lengths.sort(reverse=True)
             if len(lengths) >= top_t:
-                threshold = lengths[top_t - 1] + 1
+                threshold = lengths[top_t - 1]
         j = end + 1
         if j < threshold:
             j = threshold
-    return mems
+    return [mem for mem in mems if mem.length >= threshold]
 
 
 def bml_mems(index: OccurrenceIndex, pattern, L: int, f: int = 1,
@@ -327,12 +328,12 @@ def bml_mems(index: OccurrenceIndex, pattern, L: int, f: int = 1,
 
 def bml_top_t(index: OccurrenceIndex, pattern, t: int, f: int = 1,
               counter: StepCounter | None = None) -> list[Mem]:
-    """f-MEMs found while adaptively raising the length threshold.
+    """The t longest f-MEMs, ties included, by adaptively raising the
+    length threshold.
 
-    The result contains every f-MEM strictly longer than the t-th longest;
-    f-MEMs exactly at the cutoff length may or may not appear, but the
-    multiset of the t longest lengths is exact.  With t at least the total
-    number of f-MEMs this is identical to find_f_mems.
+    The result is exactly the f-MEMs at least as long as the t-th longest.
+    With t at least the total number of f-MEMs this is identical to
+    find_f_mems.
     """
     pat = _as_symbols(pattern)
     if len(pat) == 0:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from parsemem import cli
 from parsemem.bundle import (FORMAT_VERSION, MAGIC, check_integrity,
                              load_bundle)
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
+from parsemem.oracle import brute_force_f_mems, top_t_cut
 
 
 def rand_dna(rng, n):
@@ -74,16 +76,38 @@ class TestBuildQuery:
             assert int(cols[5]) >= 0
             assert cols[6] in ("0", "1")
 
-    def test_modes_agree_on_long_mems(self, corpus, capsys):
+    @pytest.mark.parametrize("flags", [("-L", "25"), ("-L", "5"), ("-t", "1"),
+                                       ("-t", "3"), ()],
+                             ids=["L25", "L5", "t1", "t3", "none"])
+    def test_modes_agree_on_long_mems(self, corpus, capsys, flags):
+        # -L 5 sits below k=8, where KeBaB runs need not hold every match
         build(corpus)
-        results = {}
+        want = brute_force_f_mems(corpus["text"], corpus["pattern"])
+        if flags and flags[0] == "-L":
+            want = [m for m in want if m.length >= int(flags[1])]
+        elif flags:
+            want = top_t_cut(want, int(flags[1]))
+        want_rows = sorted(("q1", str(m.start), str(m.end), str(m.length),
+                            str(m.freq)) for m in want)
         for mode in ("exact", "kebab", "parse", "combined"):
-            rc, out = query(corpus, capsys, "--mode", mode, "-L", "25")
+            rc, out = query(corpus, capsys, "--mode", mode, *flags)
             assert rc == 0
-            results[mode] = mem_rows(out)
-        assert results["exact"] == results["parse"]
-        assert results["exact"] == results["combined"]
-        assert results["exact"] == results["kebab"]
+            assert mem_rows(out) == want_rows, mode
+
+    def test_queries_do_not_grow_the_dictionary(self, corpus, capsys,
+                                                monkeypatch):
+        build(corpus)
+        size = len(load_bundle(corpus["index"]).dictionary)
+        loaded = []
+
+        def spy(path):
+            loaded.append(load_bundle(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_bundle", spy)
+        for mode in ("parse", "combined"):
+            assert query(corpus, capsys, "--mode", mode)[0] == 0
+        assert [len(bundle.dictionary) for bundle in loaded] == [size, size]
 
     def test_exact_mode_top_t(self, corpus, capsys):
         build(corpus)

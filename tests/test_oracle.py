@@ -3,8 +3,7 @@ import random
 import pytest
 
 from parsemem.errors import EmptyInputError
-from parsemem.oracle import (OracleConfig, brute_force_count,
-                             brute_force_f_mems, brute_force_parse_f_mems)
+from parsemem.oracle import brute_force_count, brute_force_f_mems
 
 
 def definitional_f_mems(text: str, pattern: str, f: int):
@@ -100,24 +99,19 @@ class TestFMems:
 class TestParseLevel:
     def test_identical_parses(self):
         seq = (3, 1, 4, 1, 5)
-        mems = brute_force_parse_f_mems(seq, seq)
+        mems = brute_force_f_mems(seq, seq)
         assert [(m.start, m.end) for m in mems] == [(1, 5)]
 
     def test_disjoint_alphabets(self):
-        assert brute_force_parse_f_mems((1, 2, 3), (7, 8, 9)) == []
+        assert brute_force_f_mems((1, 2, 3), (7, 8, 9)) == []
 
     def test_same_as_char_level_logic(self):
         rng = random.Random(97)
         for _ in range(30):
             t = tuple(rng.randrange(1000, 1005) for _ in range(rng.randint(5, 60)))
             p = tuple(rng.randrange(1000, 1005) for _ in range(rng.randint(1, 15)))
-            got = [(m.start, m.end) for m in brute_force_parse_f_mems(t, p, 2)]
+            got = [(m.start, m.end) for m in brute_force_f_mems(t, p, 2)]
             text = "".join(map(chr, t))
             pattern = "".join(map(chr, p))
             assert got == definitional_f_mems(text, pattern, 2)
 
-
-def test_config_defaults_cover_acceptance_sizes():
-    cfg = OracleConfig()
-    assert cfg.max_text_len >= 2000
-    assert cfg.max_pattern_len >= 200

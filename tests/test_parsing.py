@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from parsemem.errors import EmptyInputError, WindowError
 from parsemem.parsing import (MinimizerParams, PhraseDictionary, RollingHasher,
-                              char_span, minimizer_parse, pfp_parse,
-                              roll_windows)
+                              minimizer_parse, pfp_parse)
 
 MOD = (1 << 61) - 1
 
@@ -32,22 +31,22 @@ def naive_pfp_starts(text: bytes, hasher: RollingHasher) -> list[int]:
 class TestRollWindows:
     def test_rolled_equals_direct(self):
         hasher = RollingHasher(window=2, trigger_modulus=7)
-        assert roll_windows(b"ABCD", hasher) == [
+        assert hasher.roll(b"ABCD") == [
             direct_hash(b"AB"), direct_hash(b"BC"), direct_hash(b"CD")]
 
     def test_too_short_is_an_error(self):
         with pytest.raises(WindowError):
-            roll_windows(b"A", RollingHasher(window=2, trigger_modulus=7))
+            RollingHasher(window=2, trigger_modulus=7).roll(b"A")
 
     def test_single_window(self):
         hasher = RollingHasher(window=3, trigger_modulus=7)
-        assert roll_windows(b"ACG", hasher) == [direct_hash(b"ACG")]
+        assert hasher.roll(b"ACG") == [direct_hash(b"ACG")]
 
     @given(st.binary(min_size=6, max_size=200), st.integers(2, 6))
     @settings(max_examples=60, deadline=None)
     def test_rolling_identity(self, text, w):
         hasher = RollingHasher(window=w, trigger_modulus=13)
-        got = roll_windows(text, hasher)
+        got = hasher.roll(text)
         assert got == [direct_hash(text[i:i + w]) for i in range(len(text) - w + 1)]
 
 
@@ -137,8 +136,9 @@ class TestPfpParse:
         d.id_for(b"AAA")
         d.freeze()
         assert d.id_for(b"AAA") == 0
-        with pytest.raises(KeyError):
-            d.id_for(b"CCC")
+        # every unseen phrase gets the one reserved ID and nothing is stored
+        assert d.id_for(b"CCC") == d.id_for(b"GGG") == 1
+        assert len(d) == 1 and b"CCC" not in d
 
 
 class TestCharSpan:
@@ -147,12 +147,12 @@ class TestCharSpan:
         text = bytes(rng.choice(b"ACGT") for _ in range(200))
         parse = pfp_parse(text, RollingHasher(window=4, trigger_modulus=3),
                           PhraseDictionary())
-        assert char_span(parse, 1, len(parse)) == (1, len(text))
+        assert parse.char_span(1, len(parse)) == (1, len(text))
 
     def test_single_phrase(self):
         parse = pfp_parse(b"ACG", RollingHasher(window=8, trigger_modulus=5),
                           PhraseDictionary())
-        assert char_span(parse, 1, 1) == (1, 3)
+        assert parse.char_span(1, 1) == (1, 3)
 
     def test_spans_match_phrase_bytes(self):
         rng = random.Random(9)
@@ -160,16 +160,16 @@ class TestCharSpan:
         parse = pfp_parse(text, RollingHasher(window=3, trigger_modulus=3),
                           PhraseDictionary())
         for i in range(1, len(parse) + 1):
-            lo, hi = char_span(parse, i, i)
+            lo, hi = parse.char_span(i, i)
             assert text[lo - 1:hi] == parse.phrase_bytes(i)
 
     def test_out_of_range(self):
         parse = pfp_parse(b"ACG", RollingHasher(window=8, trigger_modulus=5),
                           PhraseDictionary())
         with pytest.raises(IndexError):
-            char_span(parse, 0, 1)
+            parse.char_span(0, 1)
         with pytest.raises(IndexError):
-            char_span(parse, 1, 2)
+            parse.char_span(1, 2)
 
 
 def naive_minimizer_boundaries(text: bytes, params: MinimizerParams) -> list[int]:
