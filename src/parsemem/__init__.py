@@ -2,7 +2,7 @@
 
 Public surface: parsing (prefix-free and minimizer parses over a shared
 phrase dictionary), seqindex (occurrence counting and f-MEM search over
-generic symbol sequences), filters (Bloom / counting / exact membership),
+integer sequences), filters (Bloom / counting / exact membership),
 pseudomem (pseudo-MEM construction, lower bounds, discarding, final search),
 oracle (brute-force ground truth), and the command-line interface in cli.
 """
@@ -18,7 +18,6 @@ from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
 from .pseudomem import (CoarseSets, PseudoMem, coarse_sets, compute_lower_bound,
                         find_long_mems, kebab_pseudo_mems, parse_pseudo_mems,
                         refine, safe_discard)
-from .seqindex import (Mem, OccurrenceIndex, StepCounter, SymbolSequence,
-                       bml_mems, bml_top_t, find_f_mems)
+from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
 
 __version__ = "0.1.0"

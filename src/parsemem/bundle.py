@@ -24,7 +24,7 @@ from .parsing import ParsedString, PhraseDictionary
 from .seqindex import OccurrenceIndex
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: OccurrenceIndex holds plain tuples and step counts
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .bundle import IndexBundle, check_integrity, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
 from .parsing import PhraseDictionary, RollingHasher, pfp_parse
-from .seqindex import OccurrenceIndex, StepCounter, SymbolSequence
+from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
 from .verify import run_all
@@ -79,6 +79,7 @@ def _check_alphabet(records: list[tuple[str, bytes]], dna: bool):
 
 
 def cmd_build(args) -> int:
+    _check_ranges(args)
     records = _read_records(args.text, args.format)
     records = [(n, s) for n, s in records if s]
     if not records:
@@ -89,9 +90,8 @@ def cmd_build(args) -> int:
     hasher = RollingHasher(window=args.window, trigger_modulus=args.trigger)
     dictionary = PhraseDictionary()
     parse_text = pfp_parse(text, hasher, dictionary)
-    text_index = OccurrenceIndex(SymbolSequence.from_bytes(text))
-    parse_index = OccurrenceIndex(
-        SymbolSequence.from_ids(parse_text.symbols, len(dictionary)))
+    text_index = OccurrenceIndex(text)
+    parse_index = OccurrenceIndex(parse_text.symbols)
 
     k = args.kmer
     kmers = [text[i:i + k] for i in range(len(text) - k + 1)
@@ -131,6 +131,23 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# The least value each integer flag accepts; float flags are checked apart.
+_LEAST = {"f": 1, "t": 1, "L": 1, "window": 1, "trigger": 2, "kmer": 1}
+
+
+def _check_ranges(args):
+    """Reject flag values the index or the search cannot take, as usage errors."""
+    for dest, least in _LEAST.items():
+        given = getattr(args, dest, None)
+        if given is not None and given < least:
+            flag = f"-{dest}" if len(dest) == 1 else f"--{dest}"
+            raise ParameterMismatch(f"{flag}={given} must be at least {least}")
+    fpr = getattr(args, "filter_fpr", None)
+    if fpr is not None and not 0.0 < fpr < 1.0:
+        raise ParameterMismatch(
+            f"--filter-fpr={fpr} must be strictly between 0 and 1")
+
+
 def _check_params(bundle: IndexBundle, args):
     for flag, key in (("window", "w"), ("trigger", "p"), ("kmer", "kebab_k")):
         given = getattr(args, flag, None)
@@ -140,8 +157,7 @@ def _check_params(bundle: IndexBundle, args):
                 "rebuild the index or drop the flag")
 
 
-def _query_one(bundle: IndexBundle, name: str, pattern: bytes, args,
-               char_counter: StepCounter, parse_counter: StepCounter):
+def _query_one(bundle: IndexBundle, pattern: bytes, args):
     """Run one pattern in one mode; returns (pms, retained, mems, parse_len).
 
     Every mode ends in the same find_long_mems search and differs only in
@@ -157,8 +173,7 @@ def _query_one(bundle: IndexBundle, name: str, pattern: bytes, args,
     retained, windows, parse_len = pms, whole, 0
     k = bundle.params["kebab_k"]
     if mode == "kebab":
-        pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f,
-                                               char_counter)
+        pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
         if t is not None or (L is not None and L >= k):
             windows = retained
     elif mode != "exact":
@@ -168,30 +183,29 @@ def _query_one(bundle: IndexBundle, name: str, pattern: bytes, args,
                                modulus=bundle.params["modulus"])
         parse_p = pfp_parse(pattern, hasher, bundle.dictionary)
         if mode == "parse":
-            pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f, parse_counter)
+            pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
         else:  # combined
-            coarse = pmm.coarse_sets(parse_p, bundle.phrase_filter, f, parse_counter)
-            pms = pmm.refine(coarse, parse_p, bundle.parse_index, f, parse_counter)
+            coarse = pmm.coarse_sets(parse_p, bundle.phrase_filter, f)
+            pms = pmm.refine(coarse, parse_p, bundle.parse_index, f)
         windows = retained = pmm.safe_discard(pms, t) if t is not None else pms
         parse_len = len(parse_p)
-    mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f,
-                              t=t, L=L, counter=char_counter)
+    mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f, t=t, L=L)
     if mode == "kebab" and t is not None and (
             len(mems) < t or min(m.length for m in mems) < k):
-        mems = pmm.find_long_mems(bundle.text_index, whole, pattern, f,
-                                  t=t, counter=char_counter)
+        mems = pmm.find_long_mems(bundle.text_index, whole, pattern, f, t=t)
     return pms, retained, mems, parse_len
 
 
 def _load_for_query(args) -> tuple[IndexBundle, list[tuple[str, bytes]]]:
+    _check_ranges(args)
+    if args.t is not None and args.L is not None:
+        raise ParameterMismatch("-t and -L are mutually exclusive")
     index_path = args.index or os.environ.get(ENV_INDEX)
     if not index_path:
         raise ParameterMismatch("no index given (use --index or PARSEMEM_INDEX)")
     bundle = load_bundle(index_path)
     bundle.dictionary.freeze()  # pattern phrases the text lacks get no new IDs
     _check_params(bundle, args)
-    if args.t is not None and args.L is not None:
-        raise ParameterMismatch("-t and -L are mutually exclusive")
     return bundle, _read_records(args.patterns, args.format)
 
 
@@ -207,8 +221,7 @@ def cmd_query(args) -> int:
         if SEPARATOR in pattern:
             out.write(f"status\t{name}\tpattern contains the reserved NUL byte\n")
             continue
-        pms, retained, mems, _ = _query_one(
-            bundle, name, pattern, args, StepCounter(), StepCounter())
+        pms, retained, mems, _ = _query_one(bundle, pattern, args)
         kept = {(pm.char_start, pm.char_end) for pm in retained}
         for pm in pms:
             out.write("pmem\t%s\t%s\t%d\t%d\t%d\t%d\n" % (
@@ -222,6 +235,12 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+def _work(bundle: IndexBundle) -> tuple[int, int, int]:
+    """Search work so far: parse-index steps, text-index steps, filter probes."""
+    return (bundle.parse_index.steps, bundle.text_index.steps,
+            bundle.kmer_filter.probes + bundle.phrase_filter.probes)
+
+
 def cmd_stats(args) -> int:
     bundle, records = _load_for_query(args)
     out = sys.stdout
@@ -230,17 +249,14 @@ def cmd_stats(args) -> int:
     for name, pattern in records:
         if not pattern or SEPARATOR in pattern:
             continue
-        char_counter, parse_counter = StepCounter(), StepCounter()
-        pms, retained, mems, parse_len = _query_one(
-            bundle, name, pattern, args, char_counter, parse_counter)
+        before = _work(bundle)
+        pms, retained, _, parse_len = _query_one(bundle, pattern, args)
+        work = [now - then for now, then in zip(_work(bundle), before)]
         out.write("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" % (
             name, len(pattern),
             sum(pm.length for pm in pms),
             sum(pm.length for pm in retained),
-            parse_len,
-            parse_counter.backward_steps,
-            char_counter.backward_steps,
-            parse_counter.filter_probes + char_counter.filter_probes))
+            parse_len, *work))
     return EXIT_OK
 
 

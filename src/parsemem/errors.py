@@ -22,4 +22,4 @@ class IndexFormatError(ParsememError, ValueError):
 
 
 class ParameterMismatch(ParsememError, ValueError):
-    """Query-time parsing parameters differ from the ones the index was built with."""
+    """A flag is missing, out of range, or conflicts with the index or another flag."""

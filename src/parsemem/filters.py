@@ -72,7 +72,10 @@ def expected_fpr(params: FilterParams, n_items: int) -> float:
 
 
 class MembershipFilter:
-    """Common surface of the three filter kinds."""
+    """Common surface of the three filter kinds.
+
+    ``probes`` counts the calls to ``at_least`` made so far.
+    """
 
     kind: str
 
@@ -84,6 +87,7 @@ class MembershipFilter:
         self.params = params
         self.item_kind = item_kind
         self.k = k if item_kind == ITEMS_KMER else None
+        self.probes = 0
 
     def _encode(self, item) -> bytes:
         if self.item_kind == ITEMS_KMER:
@@ -123,6 +127,7 @@ class MembershipFilter:
         """Whether the filter reports ``item`` present at least ``f`` times."""
         if f < 1:
             raise ValueError("f must be at least 1")
+        self.probes += 1
         return self.min_count(item) >= f
 
 
@@ -144,11 +149,9 @@ class BloomFilter(MembershipFilter):
         return 1 if self.query(item) else 0
 
     def at_least(self, item, f: int) -> bool:
-        if f < 1:
-            raise ValueError("f must be at least 1")
         if f > 1:
             raise ValueError("a plain Bloom filter cannot answer thresholds above 1")
-        return self.query(item)
+        return super().at_least(item, f)
 
 
 class CountingBloomFilter(MembershipFilter):

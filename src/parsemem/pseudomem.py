@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 from .errors import EmptyInputError
 from .filters import KIND_BLOOM, ITEMS_KMER, ITEMS_PHRASE, MembershipFilter
 from .parsing import ParsedString
-from .seqindex import (Mem, OccurrenceIndex, StepCounter, bml_mems, bml_top_t,
-                       find_f_mems)
+from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +51,6 @@ class PseudoMem:
     lower_bound: int = 0
     phrase_start: int | None = None
     phrase_end: int | None = None
-    freq: int | None = None  # occurrence count of the underlying parse match
 
     @property
     def length(self) -> int:
@@ -75,7 +73,7 @@ class CoarseSets:
 
 
 def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
-                      f: int = 1, counter: StepCounter | None = None) -> list[PseudoMem]:
+                      f: int = 1) -> list[PseudoMem]:
     """Maximal runs of consecutive k-mer positions the filter reports >= f.
 
     The run of k-mer positions a..b covers characters a..b+k-1.  Two runs
@@ -94,8 +92,6 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
     out = []
     run_start = None
     for i in range(1, m - k + 2):
-        if counter is not None:
-            counter.filter_probes += 1
         present = filt.at_least(pattern[i - 1:i - 1 + k], f)
         if present and run_start is None:
             run_start = i
@@ -126,11 +122,6 @@ def compute_lower_bound(pm: PseudoMem, parsed_pattern: ParsedString) -> int:
     return hi - lo + 1
 
 
-def _phrase_occurs(parse_index: OccurrenceIndex, sym: int, f: int,
-                   counter: StepCounter | None) -> bool:
-    return parse_index.count((sym,), counter) >= f
-
-
 def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
                     s2_pairs: list[tuple[int, int]]) -> list[PseudoMem]:
     """Extend parse matches, clip, deduplicate, and map to characters."""
@@ -143,8 +134,7 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
             continue
         seen.add((lo, hi))
         cs, ce = parsed_pattern.char_span(lo, hi)
-        pm = PseudoMem(cs, ce, ORIGIN_S1, phrase_start=lo, phrase_end=hi,
-                       freq=mem.freq)
+        pm = PseudoMem(cs, ce, ORIGIN_S1, phrase_start=lo, phrase_end=hi)
         out.append(replace(pm, lower_bound=compute_lower_bound(pm, parsed_pattern)))
     for lo, hi in s2_pairs:
         if (lo, hi) in seen:
@@ -157,7 +147,7 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
 
 
 def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
-                      f: int = 1, counter: StepCounter | None = None) -> list[PseudoMem]:
+                      f: int = 1) -> list[PseudoMem]:
     """Pseudo-MEMs of the pattern from its parse against the text's parse.
 
     A single-phrase parse makes all of the pattern one WHOLE pseudo-MEM.
@@ -172,9 +162,8 @@ def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex
     if n == 1:
         return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
                           phrase_start=1, phrase_end=1)]
-    matches = find_f_mems(parse_index, parsed_pattern.symbols, f, counter)
-    occurs = [_phrase_occurs(parse_index, sym, f, counter)
-              for sym in parsed_pattern.symbols]
+    matches = find_f_mems(parse_index, parsed_pattern.symbols, f)
+    occurs = [parse_index.count((sym,)) >= f for sym in parsed_pattern.symbols]
     pairs = [(i, i + 1) for i in range(1, n) if not occurs[i - 1] and not occurs[i]]
     return _emit_parse_pms(parsed_pattern, matches, pairs)
 
@@ -194,7 +183,7 @@ def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
 
 
 def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
-                f: int = 1, counter: StepCounter | None = None) -> CoarseSets:
+                f: int = 1) -> CoarseSets:
     """Filter-level S3/S4 regions of the pattern's parse.
 
     S3 extends each maximal run of filter-positive phrases by one phrase each
@@ -207,8 +196,6 @@ def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
     n = len(parsed_pattern)
     if n == 0:
         raise EmptyInputError("parsed pattern is empty")
-    if counter is not None:
-        counter.filter_probes += n
     present = [phrase_filter.at_least(sym, f) for sym in parsed_pattern.symbols]
     runs = []
     start = None
@@ -227,8 +214,7 @@ def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
 
 
 def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
-           parse_index: OccurrenceIndex, f: int = 1,
-           counter: StepCounter | None = None) -> list[PseudoMem]:
+           parse_index: OccurrenceIndex, f: int = 1) -> list[PseudoMem]:
     """Recover the exact parse pseudo-MEMs from the coarse regions.
 
     Because the filter has no false negatives, every true parse f-MEM lies
@@ -247,7 +233,7 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     matches: list[Mem] = []
     for run_lo, run_hi in coarse.runs:
         window = parsed_pattern.symbols[run_lo - 1:run_hi]
-        for mem in find_f_mems(parse_index, window, f, counter):
+        for mem in find_f_mems(parse_index, window, f):
             matches.append(replace(mem, start=mem.start + run_lo - 1,
                                    end=mem.end + run_lo - 1))
     pairs = set(coarse.s4)
@@ -255,8 +241,8 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     for lo, hi in coarse.s3:
         for i in range(lo, hi + 1):
             if i not in occurs:
-                occurs[i] = _phrase_occurs(parse_index, parsed_pattern.symbols[i - 1],
-                                           f, counter)
+                sym = parsed_pattern.symbols[i - 1]
+                occurs[i] = parse_index.count((sym,)) >= f
         for i in range(lo, hi):
             if not occurs[i] and not occurs[i + 1]:
                 pairs.add((i, i + 1))
@@ -264,7 +250,7 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
 
 
 def _is_genuine(text_index: OccurrenceIndex, pattern: bytes, mem: Mem,
-                window: PseudoMem, f: int, counter: StepCounter | None) -> bool:
+                window: PseudoMem, f: int) -> bool:
     """Whether a match that is maximal inside ``window`` is maximal in P.
 
     Only an end on the window's edge is checked: an end inside the window is
@@ -272,18 +258,17 @@ def _is_genuine(text_index: OccurrenceIndex, pattern: bytes, mem: Mem,
     f occurrences.  The whole-pattern window therefore costs no count calls.
     """
     if mem.start == window.char_start > 1:
-        if text_index.count(pattern[mem.start - 2:mem.end], counter) >= f:
+        if text_index.count(pattern[mem.start - 2:mem.end]) >= f:
             return False
     if mem.end == window.char_end < len(pattern):
-        if text_index.count(pattern[mem.start - 1:mem.end + 1], counter) >= f:
+        if text_index.count(pattern[mem.start - 1:mem.end + 1]) >= f:
             return False
     return True
 
 
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
                    pattern: bytes, f: int = 1, t: int | None = None,
-                   L: int | None = None,
-                   counter: StepCounter | None = None) -> list[Mem]:
+                   L: int | None = None) -> list[Mem]:
     """The character-level f-MEM search of every query mode, inside windows.
 
     Each window (a pseudo-MEM's characters, or the whole pattern) is scanned
@@ -311,18 +296,18 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
         if not sub:
             continue
         if L is not None:
-            hits = bml_mems(text_index, sub, L, f, counter)
+            hits = bml_mems(text_index, sub, L, f)
         elif t is not None:
-            hits = bml_top_t(text_index, sub, t, f, counter)
+            hits = bml_top_t(text_index, sub, t, f)
         else:
-            hits = find_f_mems(text_index, sub, f, counter)
+            hits = find_f_mems(text_index, sub, f)
         for mem in hits:
             shifted = replace(mem, start=mem.start + pm.char_start - 1,
                               end=mem.end + pm.char_start - 1)
             key = (shifted.start, shifted.end)
             if key in found:
                 continue
-            if _is_genuine(text_index, pattern, shifted, pm, f, counter):
+            if _is_genuine(text_index, pattern, shifted, pm, f):
                 found[key] = shifted
     mems = sorted(found.values(), key=lambda mm: (mm.start, mm.end))
     if t is not None:

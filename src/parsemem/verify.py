@@ -17,8 +17,7 @@ from . import pseudomem as pmm
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
                       RollingHasher, minimizer_parse, pfp_parse)
-from .seqindex import (Mem, OccurrenceIndex, SymbolSequence, bml_mems,
-                       bml_top_t, find_f_mems)
+from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
 
 DNA = b"ACGT"
 
@@ -72,7 +71,7 @@ def make_instance(rng: random.Random, max_text: int, max_pattern: int,
 
 
 def build_char_index(text: bytes) -> OccurrenceIndex:
-    return OccurrenceIndex(SymbolSequence.from_bytes(text))
+    return OccurrenceIndex(text)
 
 
 def build_parse_pair(text: bytes, pattern: bytes, w: int, p: int
@@ -82,8 +81,7 @@ def build_parse_pair(text: bytes, pattern: bytes, w: int, p: int
     dictionary = PhraseDictionary()
     parse_t = pfp_parse(text, hasher, dictionary)
     parse_p = pfp_parse(pattern, hasher, dictionary)
-    parse_index = OccurrenceIndex(
-        SymbolSequence.from_ids(parse_t.symbols, len(dictionary)))
+    parse_index = OccurrenceIndex(parse_t.symbols)
     return parse_t, parse_p, parse_index
 
 

@@ -246,6 +246,23 @@ class TestParameterChecks:
                    "-t", "3", "-L", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("query", "-t", "0"), ("query", "-L", "0"), ("query", "-f", "0"),
+        ("build", "-w", "0"), ("build", "-p", "1"), ("build", "-k", "0"),
+        ("build", "--filter-fpr", "1.5")],
+        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5"])
+    def test_out_of_range_flag_is_usage_error(self, corpus, tmp_path, capsys,
+                                              argv):
+        build(corpus)
+        capsys.readouterr()
+        if argv[0] == "query":
+            args = ["query", corpus["pat_path"], "--index", corpus["index"]]
+        else:
+            args = ["build", corpus["text_path"], "-o", str(tmp_path / "i.pmidx")]
+        rc = main([*args, *argv[1:]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestStatsAndVerify:
     def test_stats_rows(self, corpus, capsys):
@@ -261,6 +278,21 @@ class TestStatsAndVerify:
         assert int(cols[1]) == len(corpus["pattern"])
         assert int(cols[4]) > 1  # parse length
         assert int(cols[5]) > 0  # parse-level backward steps
+
+    def test_stats_rows_are_per_pattern(self, corpus, tmp_path, capsys):
+        # the counts of a pattern must not include the work of the one before
+        build(corpus)
+        twice = tmp_path / "twice.fa"
+        twice.write_bytes(b">a\n%s\n>b\n%s\n" % (corpus["pattern"],
+                                                    corpus["pattern"]))
+        for mode in ("exact", "kebab", "parse", "combined"):
+            rc = main(["stats", str(twice), "--index", corpus["index"],
+                       "--mode", mode, "-t", "1"])
+            assert rc == 0
+            first, second = (line.split("\t")[1:] for line in
+                             capsys.readouterr().out.splitlines()[1:])
+            assert first == second, mode
+            assert int(first[5]) > 0, mode  # character-level backward steps
 
     def test_verify_small_run_passes(self, capsys):
         rc = main(["verify", "--instances", "2", "--max-text", "200",

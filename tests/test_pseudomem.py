@@ -11,8 +11,7 @@ from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 compute_lower_bound, find_long_mems,
                                 kebab_pseudo_mems, parse_pseudo_mems, refine,
                                 safe_discard)
-from parsemem.seqindex import (OccurrenceIndex, StepCounter, SymbolSequence,
-                               find_f_mems)
+from parsemem.seqindex import OccurrenceIndex, find_f_mems
 
 DNA = b"ACGT"
 
@@ -22,7 +21,7 @@ def rand_dna(rng, n):
 
 
 def char_index(text):
-    return OccurrenceIndex(SymbolSequence.from_bytes(text))
+    return OccurrenceIndex(text)
 
 
 def parse_pair(text, pattern, w=4, p=5):
@@ -30,7 +29,7 @@ def parse_pair(text, pattern, w=4, p=5):
     d = PhraseDictionary()
     parse_t = pfp_parse(text, hasher, d)
     parse_p = pfp_parse(pattern, hasher, d)
-    pidx = OccurrenceIndex(SymbolSequence.from_ids(parse_t.symbols, len(d)))
+    pidx = OccurrenceIndex(parse_t.symbols)
     return parse_t, parse_p, pidx
 
 
@@ -91,10 +90,9 @@ class TestKebab:
             kebab_pseudo_mems(b"ACGTACGT", filt)
 
     def test_probe_counter(self):
-        counter = StepCounter()
-        kebab_pseudo_mems(b"ACGTACGT", exact_kmer_filter(b"ACGTACGT", 4),
-                          counter=counter)
-        assert counter.filter_probes == 5  # one per k-mer position
+        filt = exact_kmer_filter(b"ACGTACGT", 4)
+        kebab_pseudo_mems(b"ACGTACGT", filt)
+        assert filt.probes == 5  # one per k-mer position
 
 
 class TestParsePseudoMems:

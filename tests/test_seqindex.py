@@ -4,13 +4,12 @@ import pytest
 
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
-from parsemem.seqindex import (Mem, OccurrenceIndex, StepCounter,
-                               SymbolSequence, bml_mems, bml_top_t,
+from parsemem.seqindex import (Mem, OccurrenceIndex, bml_mems, bml_top_t,
                                find_f_mems)
 
 
 def index_of(text: bytes) -> OccurrenceIndex:
-    return OccurrenceIndex(SymbolSequence.from_bytes(text))
+    return OccurrenceIndex(text)
 
 
 def intervals(mems):
@@ -39,9 +38,9 @@ class TestCount:
             self.banana.count(b"")
 
     def test_counter_increments(self):
-        counter = StepCounter()
-        self.banana.count(b"ANA", counter)
-        assert counter.backward_steps == 3
+        before = self.banana.steps
+        self.banana.count(b"ANA")
+        assert self.banana.steps - before == 3
 
     def test_matches_oracle(self):
         rng = random.Random(21)
@@ -120,7 +119,7 @@ class TestFindFMems:
         rng = random.Random(47)
         syms = tuple(rng.randrange(1000, 1010) for _ in range(200))
         pat = syms[40:70] + tuple(rng.randrange(1000, 1010) for _ in range(10))
-        index = OccurrenceIndex(SymbolSequence.from_ids(syms, 2000))
+        index = OccurrenceIndex(syms)
         got = find_f_mems(index, pat, 1)
         want = brute_force_f_mems(syms, pat, 1)
         assert intervals(got) == intervals(want)
@@ -186,7 +185,7 @@ class TestBml:
 
 def test_empty_sequence_not_indexable():
     with pytest.raises(EmptyInputError):
-        OccurrenceIndex(SymbolSequence.from_bytes(b""))
+        OccurrenceIndex(b"")
 
 
 def test_mem_length():
