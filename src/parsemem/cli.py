@@ -247,11 +247,11 @@ def cmd_stats(args) -> int:
     out.write("pattern_id\tm\tpseudo_total\tretained_total\tparse_len\t"
               "parse_backward_steps\tchar_backward_steps\tfilter_probes\n")
     for name, pattern in records:
-        if not pattern or SEPARATOR in pattern:
-            continue
-        before = _work(bundle)
-        pms, retained, _, parse_len = _query_one(bundle, pattern, args)
-        work = [now - then for now, then in zip(_work(bundle), before)]
+        pms, retained, parse_len, work = [], [], 0, [0, 0, 0]
+        if pattern and SEPARATOR not in pattern:
+            before = _work(bundle)
+            pms, retained, _, parse_len = _query_one(bundle, pattern, args)
+            work = [now - then for now, then in zip(_work(bundle), before)]
         out.write("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" % (
             name, len(pattern),
             sum(pm.length for pm in pms),

@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 from .errors import EmptyInputError
 from .filters import KIND_BLOOM, ITEMS_KMER, ITEMS_PHRASE, MembershipFilter
 from .parsing import ParsedString
-from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
+from .seqindex import Mem, OccurrenceIndex, find_f_mems, threshold_scan
+# Not called here; bench/tracing.py wraps this name on this module.
+from .seqindex import bml_mems  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -218,10 +220,11 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     """Recover the exact parse pseudo-MEMs from the coarse regions.
 
     Because the filter has no false negatives, every true parse f-MEM lies
-    inside a filter-positive run, so the parse-level search only needs to run
-    there.  S4 pairs are definitively absent phrases and become S2 elements
-    directly; false positives inside S3 regions are weeded out by rechecking
-    phrase counts against the real index.  The output equals
+    inside a filter-positive run, so one parse-level scan with the runs as
+    its windows finds them all.  S4 pairs are definitively absent phrases
+    and become S2 elements directly; false positives inside S3 regions are
+    weeded out by rechecking phrase counts against the real index.  The
+    output equals
     parse_pseudo_mems applied to the whole parse.
     """
     if coarse.f != f:
@@ -230,12 +233,8 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     if n == 1:
         return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
                           phrase_start=1, phrase_end=1)]
-    matches: list[Mem] = []
-    for run_lo, run_hi in coarse.runs:
-        window = parsed_pattern.symbols[run_lo - 1:run_hi]
-        for mem in find_f_mems(parse_index, window, f):
-            matches.append(replace(mem, start=mem.start + run_lo - 1,
-                                   end=mem.end + run_lo - 1))
+    matches = threshold_scan(parse_index, parsed_pattern.symbols,
+                             coarse.runs, f)
     pairs = set(coarse.s4)
     occurs: dict[int, bool] = {}
     for lo, hi in coarse.s3:
@@ -249,70 +248,23 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     return _emit_parse_pms(parsed_pattern, matches, sorted(pairs))
 
 
-def _is_genuine(text_index: OccurrenceIndex, pattern: bytes, mem: Mem,
-                window: PseudoMem, f: int) -> bool:
-    """Whether a match that is maximal inside ``window`` is maximal in P.
-
-    Only an end on the window's edge is checked: an end inside the window is
-    already maximal, because the scan tried that extension and it fell below
-    f occurrences.  The whole-pattern window therefore costs no count calls.
-    """
-    if mem.start == window.char_start > 1:
-        if text_index.count(pattern[mem.start - 2:mem.end]) >= f:
-            return False
-    if mem.end == window.char_end < len(pattern):
-        if text_index.count(pattern[mem.start - 1:mem.end + 1]) >= f:
-            return False
-    return True
-
-
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
                    pattern: bytes, f: int = 1, t: int | None = None,
                    L: int | None = None) -> list[Mem]:
     """The character-level f-MEM search of every query mode, inside windows.
 
-    Each window (a pseudo-MEM's characters, or the whole pattern) is scanned
-    against the text on its own: with ``L`` by bml_mems, with ``t`` by
-    bml_top_t, with neither by find_f_mems.  Matches are mapped back to
-    pattern coordinates, kept only when maximal in the whole pattern (a
-    match clipped by a window edge is found intact in a window that holds
-    it), and deduplicated across overlapping windows.  Of the f-MEMs of P
-    that lie inside some window, the result holds with ``L`` those of length
-    at least L; with ``t`` the t longest, ties included; with neither, all.
-
-    Scanning each window for only its own t longest is safe.  Each match
-    maximal inside a window is the window's slice of an f-MEM of P at least
-    as long, and distinct matches come from distinct f-MEMs (two slices of
-    one f-MEM would join into a longer match inside the window).  A window
-    that dropped a member M of the overall t longest would have kept t
-    matches longer than M, so P would hold t f-MEMs longer than M, which
-    contradicts M being among the t longest.
+    The windows (pseudo-MEMs' characters, or the whole pattern) are merged
+    where they overlap or touch and scanned against the text in one
+    threshold scan, longest first.  Of the f-MEMs of P that lie inside a
+    merged window, the result holds with ``L`` those of length at least L;
+    with ``t`` the t longest, ties included; with neither, all.  Output is
+    sorted by start.
     """
-    if t is not None and L is not None:
-        raise ValueError("pass at most one of t and L")
-    found: dict[tuple[int, int], Mem] = {}
-    for pm in pms:
-        sub = pattern[pm.char_start - 1:pm.char_end]
-        if not sub:
-            continue
-        if L is not None:
-            hits = bml_mems(text_index, sub, L, f)
-        elif t is not None:
-            hits = bml_top_t(text_index, sub, t, f)
+    runs: list[tuple[int, int]] = []
+    for lo, hi in sorted((pm.char_start, pm.char_end) for pm in pms):
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
         else:
-            hits = find_f_mems(text_index, sub, f)
-        for mem in hits:
-            shifted = replace(mem, start=mem.start + pm.char_start - 1,
-                              end=mem.end + pm.char_start - 1)
-            key = (shifted.start, shifted.end)
-            if key in found:
-                continue
-            if _is_genuine(text_index, pattern, shifted, pm, f):
-                found[key] = shifted
-    mems = sorted(found.values(), key=lambda mm: (mm.start, mm.end))
-    if t is not None:
-        lengths = sorted((mm.length for mm in mems), reverse=True)
-        if len(lengths) > t:
-            cutoff = lengths[t - 1]
-            mems = [mm for mm in mems if mm.length >= cutoff]
-    return mems
+            runs.append((lo, hi))
+    runs.sort(key=lambda run: run[0] - run[1])
+    return threshold_scan(text_index, pattern, runs, f, L=L, t=t)

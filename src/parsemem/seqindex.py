@@ -2,10 +2,12 @@
 
 The index is a pair of suffix arrays, one over the sequence and one over its
 reverse, each supporting occurrence counts and one-symbol extension of a
-match interval.  On top of them sits one threshold scan: with threshold L it
-finds exactly the f-MEMs of length >= L, with Boyer-Moore-style skipping;
-at L=1 it finds all f-MEMs; in top-t mode it keeps raising the threshold to
-the length of the t-th longest match found so far.
+match interval.  On top of them sits one threshold scan over a list of
+windows of the pattern: with threshold L it finds exactly the f-MEMs of
+length >= L that lie inside a window, with Boyer-Moore-style skipping; at
+L=1 it finds all of them; in top-t mode it keeps raising the threshold to
+the length of the t-th longest match found so far.  The named entry points
+scan the whole pattern as one window.
 
 Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID tuples alike.  Each direction of the index counts its
@@ -80,30 +82,23 @@ class _SuffixView:
         self.steps += 1
         seq, sa, d = self.seq, self.sa, m.depth
         n = len(seq)
-
-        def sym_at(pos: int) -> int:
-            p = sa[pos] + d
-            return seq[p] if p < n else -1  # exhausted suffixes sort first
-
         lo, hi = m.lo, m.hi
-        # lower bound for sym
-        a, b = lo, hi
-        while a < b:
-            mid = (a + b) // 2
-            if sym_at(mid) < sym:
+        while lo < hi:  # first suffix whose next symbol is >= sym
+            mid = (lo + hi) >> 1
+            p = sa[mid] + d
+            if p >= n or seq[p] < sym:  # exhausted suffixes sort first
+                lo = mid + 1
+            else:
+                hi = mid
+        a, b = lo, m.hi
+        while a < b:  # first suffix whose next symbol is > sym
+            mid = (a + b) >> 1
+            p = sa[mid] + d
+            if p >= n or seq[p] <= sym:
                 a = mid + 1
             else:
                 b = mid
-        new_lo = a
-        # upper bound for sym
-        a, b = new_lo, hi
-        while a < b:
-            mid = (a + b) // 2
-            if sym_at(mid) <= sym:
-                a = mid + 1
-            else:
-                b = mid
-        return MatchInterval(new_lo, a, d + 1)
+        return MatchInterval(lo, a, d + 1)
 
     def locate(self, query: Sequence[int]) -> MatchInterval:
         m = self.whole()
@@ -161,87 +156,106 @@ class OccurrenceIndex:
         return self.forward.locate(query).count
 
 
-def _bml_scan(index: OccurrenceIndex, pat: Sequence[int], f: int,
-              initial_threshold: int, top_t: int | None) -> list[Mem]:
-    """The threshold scan behind find_f_mems, bml_mems and bml_top_t.
+def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
+                   windows: Sequence[tuple[int, int]], f: int = 1,
+                   L: int | None = None, t: int | None = None) -> list[Mem]:
+    """The f-MEMs of ``pattern`` that lie inside one of ``windows``: with
+    ``L`` those of length at least L, with ``t`` the t longest, ties
+    included, and with neither all of them.
 
-    Slides a candidate window end j over the pattern.  If the length-L
-    substring ending at j has fewer than f occurrences after matching only s
-    of its symbols, no valid match can contain the failing stretch, so j can
-    jump ahead by L - s.  A fully matching window is grown to the longest
-    match ending at j, then right-extended to a maximal match.  In top-t mode
-    L is raised to the t-th longest length found so far, so matches tying
-    with it are still found, and those left below the final L are dropped.
+    ``windows`` are disjoint 1-based inclusive (lo, hi) character ranges of
+    the pattern.  In each, a candidate end j slides from left to right.  If
+    the length-L substring ending at j has fewer than f occurrences after
+    matching only s of its symbols, no valid match can contain the failing
+    stretch, so j can jump ahead by L - s.  A fully matching candidate is
+    grown left to the longest match ending at j, then right to a maximal
+    match, neither past the window's edges.  A match that reaches an edge is
+    kept only if it cannot cross it: on the right one more extension
+    decides; on the left one backward extension of the match ending at j,
+    and only if that succeeds a count of the whole match with the symbol
+    before the window.  In top-t mode the threshold L rises to the t-th
+    longest length found so far, across windows, so matches tying with it
+    are still found, matches left below the final threshold are dropped,
+    and windows shorter than the threshold are not scanned.  Passing the
+    windows longest first raises it soonest.  Output is sorted by start.
     """
-    m = len(pat)
-    mems: list[Mem] = []
-    lengths: list[int] = []  # lengths found so far, kept sorted descending
-    threshold = initial_threshold
-    j = threshold
-    while j <= m:
-        bwd = index.backward.whole()
-        s = 0
-        while s < threshold:
-            nxt = index.backward.extend(bwd, pat[j - s - 1])
-            if nxt.count < f:
-                break
-            bwd = nxt
-            s += 1
-        if s < threshold:
-            j += threshold - s
-            continue
-        start = j - threshold + 1
-        while start > 1:
-            nxt = index.backward.extend(bwd, pat[start - 2])
-            if nxt.count < f:
-                break
-            bwd = nxt
-            start -= 1
-        fwd = index.forward.locate(pat[start - 1:j])
-        end = j
-        while end < m:
-            nxt = index.forward.extend(fwd, pat[end])
-            if nxt.count < f:
-                break
-            fwd, end = nxt, end + 1
-        mem = Mem(start=start, end=end, freq=fwd.count, f=f)
-        mems.append(mem)
-        if top_t is not None:
-            lengths.append(mem.length)
-            lengths.sort(reverse=True)
-            if len(lengths) >= top_t:
-                threshold = lengths[top_t - 1]
-        j = end + 1
-        if j < threshold:
-            j = threshold
-    return [mem for mem in mems if mem.length >= threshold]
-
-
-def _check_pattern(pattern: Sequence[int], f: int) -> None:
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
     if f < 1:
         raise ValueError("f must be at least 1")
+    if t is not None and L is not None:
+        raise ValueError("pass at most one of t and L")
+    if L is not None and L < 1:
+        raise ValueError("L must be at least 1")
+    if t is not None and t < 1:
+        raise ValueError("t must be at least 1")
+    m = len(pattern)
+    mems: list[Mem] = []
+    lengths: list[int] = []  # lengths found so far, kept sorted descending
+    threshold = L or 1
+    for lo, hi in windows:
+        j = lo + threshold - 1
+        while j <= hi:
+            bwd = index.backward.whole()
+            s = 0
+            while s < threshold:
+                nxt = index.backward.extend(bwd, pattern[j - s - 1])
+                if nxt.count < f:
+                    break
+                bwd = nxt
+                s += 1
+            if s < threshold:
+                j += threshold - s
+                continue
+            start = j - threshold + 1
+            while start > lo:
+                nxt = index.backward.extend(bwd, pattern[start - 2])
+                if nxt.count < f:
+                    break
+                bwd = nxt
+                start -= 1
+            fwd = index.forward.locate(pattern[start - 1:j])
+            end = j
+            while end < hi:
+                nxt = index.forward.extend(fwd, pattern[end])
+                if nxt.count < f:
+                    break
+                fwd, end = nxt, end + 1
+            crosses = (
+                end == hi < m
+                and index.forward.extend(fwd, pattern[hi]).count >= f
+            ) or (
+                start == lo > 1
+                and index.backward.extend(bwd, pattern[lo - 2]).count >= f
+                and index.count(pattern[lo - 2:end]) >= f
+            )
+            if not crosses:
+                mem = Mem(start=start, end=end, freq=fwd.count, f=f)
+                mems.append(mem)
+                if t is not None:
+                    lengths.append(mem.length)
+                    lengths.sort(reverse=True)
+                    if len(lengths) >= t:
+                        threshold = lengths[t - 1]
+            j = max(end + 1, lo + threshold - 1)
+    return sorted((mem for mem in mems if mem.length >= threshold),
+                  key=lambda mem: mem.start)
 
 
 def find_f_mems(index: OccurrenceIndex, pattern: Sequence[int],
                 f: int = 1) -> list[Mem]:
     """All f-MEMs of ``pattern`` with respect to the indexed sequence: the
-    threshold scan at L=1.
+    threshold scan at L=1 over the whole pattern.
 
     Output is sorted by start; starts and ends are strictly increasing.
     """
-    _check_pattern(pattern, f)
-    return _bml_scan(index, pattern, f, 1, None)
+    return threshold_scan(index, pattern, ((1, len(pattern)),), f)
 
 
 def bml_mems(index: OccurrenceIndex, pattern: Sequence[int], L: int,
              f: int = 1) -> list[Mem]:
     """Exactly the f-MEMs of length at least ``L``."""
-    _check_pattern(pattern, f)
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    return _bml_scan(index, pattern, f, L, None)
+    return threshold_scan(index, pattern, ((1, len(pattern)),), f, L=L)
 
 
 def bml_top_t(index: OccurrenceIndex, pattern: Sequence[int], t: int,
@@ -253,7 +267,4 @@ def bml_top_t(index: OccurrenceIndex, pattern: Sequence[int], t: int,
     With t at least the total number of f-MEMs this is identical to
     find_f_mems.
     """
-    _check_pattern(pattern, f)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    return _bml_scan(index, pattern, f, 1, t)
+    return threshold_scan(index, pattern, ((1, len(pattern)),), f, t=t)

@@ -70,10 +70,6 @@ def make_instance(rng: random.Random, max_text: int, max_pattern: int,
     return text, pattern
 
 
-def build_char_index(text: bytes) -> OccurrenceIndex:
-    return OccurrenceIndex(text)
-
-
 def build_parse_pair(text: bytes, pattern: bytes, w: int, p: int
                      ) -> tuple[ParsedString, ParsedString, OccurrenceIndex]:
     """Shared-dictionary PFP of text and pattern, plus an index of the text parse."""
@@ -103,7 +99,7 @@ def suite_oracle_equivalence(rng: random.Random, instances: int,
         text, pattern = make_instance(
             rng, max_text, max_pattern,
             plant=(20, 100) if rng.random() < 0.5 else None)
-        index = build_char_index(text)
+        index = OccurrenceIndex(text)
         f = rng.choice(fs)
         got = find_f_mems(index, pattern, f)
         want = brute_force_f_mems(text, pattern, f)
@@ -120,7 +116,7 @@ def suite_bml(rng: random.Random, instances: int,
     checked = violations = 0
     for _ in range(instances):
         text, pattern = make_instance(rng, max_text, max_pattern, plant=(15, 60))
-        index = build_char_index(text)
+        index = OccurrenceIndex(text)
         f = rng.choice((1, 2))
         want = brute_force_f_mems(text, pattern, f)
         for L in (1, 3, rng.randint(4, 30)):
@@ -508,19 +504,26 @@ def _central_breaks(text: bytes, offset: int, ell: int, w: int,
 
 def suite_pipeline(rng: random.Random, instances: int,
                    max_text: int = 800, max_pattern: int = 200) -> SuiteResult:
-    """find_long_mems over retained pseudo-MEMs returns the oracle's top t."""
+    """find_long_mems returns the oracle's top t over the pseudo-MEMs that
+    survive discarding, and its f-MEMs of length >= L, or all of them, over
+    every pseudo-MEM."""
     checked = violations = 0
     for _ in range(instances):
         text, pattern, parse_t, parse_p, parse_index, f, mems, pms = \
             _parse_instance(rng, max_text, max_pattern)
-        index = build_char_index(text)
+        index = OccurrenceIndex(text)
         for t in (1, 10):
             retained = pmm.safe_discard(pms, t)
             got = pmm.find_long_mems(index, retained, pattern, f, t=t)
             checked += 1
             if not _mems_equal(got, top_t_cut(mems, t)):
                 violations += 1
-    return SuiteResult("pipeline top-t matches the oracle", instances,
+        for L in (None, rng.randint(2, 30)):
+            got = pmm.find_long_mems(index, pms, pattern, f, L=L)
+            checked += 1
+            if not _mems_equal(got, [m for m in mems if m.length >= (L or 1)]):
+                violations += 1
+    return SuiteResult("pipeline matches the oracle", instances,
                        checked, violations)
 
 

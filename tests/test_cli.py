@@ -294,6 +294,19 @@ class TestStatsAndVerify:
             assert first == second, mode
             assert int(first[5]) > 0, mode  # character-level backward steps
 
+    def test_stats_has_a_row_for_every_pattern(self, corpus, tmp_path, capsys):
+        # rows join with query's by pattern id, so skipped patterns get one too
+        build(corpus)
+        raw = tmp_path / "pats.txt"
+        raw.write_bytes(b"ACGTACGTACGTACGT\n\nACGTACGTACGTACGT\n")
+        rc = main(["stats", str(raw), "--index", corpus["index"],
+                   "--format", "raw"])
+        rows = [line.split("\t") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert rc == 0
+        assert [row[0] for row in rows] == ["p1", "p2", "p3"]
+        assert rows[1][1:] == ["0"] * 7
+
     def test_verify_small_run_passes(self, capsys):
         rc = main(["verify", "--instances", "2", "--max-text", "200",
                    "--max-pattern", "60", "--seed", "5"])

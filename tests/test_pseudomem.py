@@ -4,7 +4,7 @@ import random
 import pytest
 
 from parsemem import filters as flt
-from parsemem.oracle import brute_force_f_mems
+from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, RollingHasher, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 ORIGIN_WHOLE, PseudoMem, coarse_sets,
@@ -322,6 +322,54 @@ class TestFindLongMems:
         got = find_long_mems(index, pms, pattern, L=20)
         want = [m for m in find_f_mems(index, pattern) if m.length >= 20]
         assert [(m.start, m.end) for m in got] == [(m.start, m.end) for m in want]
+
+    def test_inside_merged_windows_equals_oracle(self):
+        # windows overlap, touch and come in any order; a MEM spanning two
+        # of them lies inside their merged window and must be found
+        rng = random.Random(179)
+        for _ in range(300):
+            alphabet = rng.choice((b"AC", DNA))
+            text = bytes(rng.choice(alphabet) for _ in range(rng.randint(20, 300)))
+            a = rng.randrange(len(text))
+            pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 20))) \
+                + text[a:a + rng.randint(5, 60)] \
+                + bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+            m = len(pattern)
+            windows = []
+            for _ in range(rng.randint(1, 5)):
+                lo = rng.randint(1, m)
+                windows.append((lo, rng.randint(lo, min(m, lo + 40))))
+            rng.shuffle(windows)
+            covered = set()
+            for lo, hi in windows:
+                covered.update(range(lo, hi + 1))
+            f = rng.choice((1, 1, 2, 3))
+            inside = [mem for mem in brute_force_f_mems(text, pattern, f)
+                      if set(range(mem.start, mem.end + 1)) <= covered]
+            index = char_index(text)
+            pms = [PseudoMem(lo, hi, ORIGIN_KEBAB) for lo, hi in windows]
+            L, t = rng.randint(1, 20), rng.randint(1, 6)
+            for got, want in (
+                    (find_long_mems(index, pms, pattern, f), inside),
+                    (find_long_mems(index, pms, pattern, f, L=L),
+                     [mem for mem in inside if mem.length >= L]),
+                    (find_long_mems(index, pms, pattern, f, t=t),
+                     top_t_cut(inside, t))):
+                assert [(mem.start, mem.end, mem.freq) for mem in got] == \
+                    [(mem.start, mem.end, mem.freq) for mem in want]
+
+    def test_overlapping_windows_are_scanned_once(self):
+        rng = random.Random(181)
+        text = rand_dna(rng, 400)
+        pattern = text[100:180]
+        index = char_index(text)
+        steps = []
+        for windows in (((1, 40), (20, 60)), ((1, 60),)):
+            before = index.steps
+            find_long_mems(index, [PseudoMem(lo, hi, ORIGIN_KEBAB)
+                                   for lo, hi in windows], pattern, t=1)
+            steps.append(index.steps - before)
+        assert steps[0] == steps[1]
 
     def test_t_and_l_are_exclusive(self):
         index = char_index(b"BANANA")

@@ -141,7 +141,7 @@ class TestBml:
             f = rng.choice((1, 2))
             index = index_of(text)
             assert intervals(bml_mems(index, pattern, 1, f)) == \
-                intervals(find_f_mems(index, pattern, f))
+                intervals(brute_force_f_mems(text, pattern, f))
 
     def test_exactly_the_long_ones(self):
         rng = random.Random(59)
