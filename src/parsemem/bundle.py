@@ -1,30 +1,37 @@
 """On-disk index bundle: everything a query needs, in one checksummed file.
 
-Layout: an 8-byte magic, a little-endian u32 format version, and a u32
-section count, followed by sections of (u16 name length, name, u64 payload
-length, 32-byte SHA-256 of the payload, payload).  Section "params" is JSON;
-section "payload" is a pickle of the built structures.  Checksums are
-verified on load, and a version mismatch is rejected outright, because query
-results are only meaningful when the build-time parsing parameters are
-reused exactly.
+This module alone knows the format: an 8-byte magic, a little-endian u32
+format version and u32 section count, then the SECTIONS, each framed as (u16
+name length, name, u64 payload length, 32-byte SHA-256, payload).  All are
+plain data, so loading runs no code: params as JSON with each filter's size
+and seed, the text, the suffix arrays of the text and its reverse, the parse
+symbols, phrase starts and two suffix arrays, the dictionary's phrase lengths
+and phrases, and each counting filter's one-byte counters.  Integers are
+little-endian u32.  Reversed sequences are derived on load and counters
+start at 0.  Load checks every value it reads and rejects other versions, as
+results are only meaningful with the build-time parsing parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 from .errors import IndexFormatError
-from .filters import MembershipFilter
-from .parsing import ParsedString, PhraseDictionary
+from .filters import ITEMS_KMER, ITEMS_PHRASE, CountingBloomFilter, FilterParams
+from .parsing import SCHEME_PFP, ParsedString, PhraseDictionary, RollingHasher
 from .seqindex import OccurrenceIndex
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 2  # 2: OccurrenceIndex holds plain tuples and step counts
+FORMAT_VERSION = 3  # 3: typed sections of plain data replace the pickle
+SECTIONS = ("params", "text", "text_sa", "text_rsa", "parse", "phrase_start",
+            "parse_sa", "parse_rsa", "phrase_lengths", "phrases", "kmer_filter",
+            "phrase_filter")
+_FILTER_KEYS = ("bits", "hash_count", "seed")
 
 
 @dataclass
@@ -36,41 +43,49 @@ class IndexBundle:
     parse_text: ParsedString
     text_index: OccurrenceIndex
     parse_index: OccurrenceIndex
-    kmer_filter: MembershipFilter
-    phrase_filter: MembershipFilter
-    format_version: int = FORMAT_VERSION
-
-
-def _section(name: str, payload: bytes) -> bytes:
-    raw_name = name.encode("ascii")
-    return b"".join([
-        struct.pack("<H", len(raw_name)),
-        raw_name,
-        struct.pack("<Q", len(payload)),
-        hashlib.sha256(payload).digest(),
-        payload,
-    ])
+    kmer_filter: CountingBloomFilter
+    phrase_filter: CountingBloomFilter
 
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
-    params_blob = json.dumps(bundle.params, sort_keys=True).encode("utf-8")
-    payload_blob = pickle.dumps(
-        {
-            "dictionary": bundle.dictionary,
-            "parse_text": bundle.parse_text,
-            "text_index": bundle.text_index,
-            "parse_index": bundle.parse_index,
-            "kmer_filter": bundle.kmer_filter,
-            "phrase_filter": bundle.phrase_filter,
-        },
-        protocol=4,
-    )
-    sections = [("params", params_blob), ("payload", payload_blob)]
+    params = dict(bundle.params)
+    for name in ("kmer_filter", "phrase_filter"):
+        fp = getattr(bundle, name).params
+        params[name] = {key: getattr(fp, key) for key in _FILTER_KEYS}
+    phrases = [bundle.dictionary.string_of(i) for i in range(len(bundle.dictionary))]
+    text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
+    arrays = (text.forward.sa, text.backward.sa, parse.symbols, parse.phrase_start,
+              pidx.forward.sa, pidx.backward.sa, [len(p) for p in phrases])
+    blobs = [json.dumps(params, sort_keys=True).encode("utf-8"), bytes(text.sequence),
+             *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
+             bytes(bundle.kmer_filter.counters), bytes(bundle.phrase_filter.counters)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", bundle.format_version, len(sections)))
-        for name, blob in sections:
-            fh.write(_section(name, blob))
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
+        for name, blob in zip(SECTIONS, blobs, strict=True):
+            raw_name = name.encode("ascii")
+            fh.write(struct.pack("<H", len(raw_name)) + raw_name + struct.pack(
+                "<Q32s", len(blob), hashlib.sha256(blob).digest()) + blob)
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise IndexFormatError(f"malformed index: {what}")
+
+
+def _ints(blob: memoryview, most: int, what: str) -> tuple[int, ...]:
+    """All of ``blob`` as u32 values, each at most ``most``."""
+    _check(len(blob) % 4 == 0, f"{what} is not a whole number of u32s")
+    values = struct.unpack(f"<{len(blob) // 4}I", blob)
+    _check(not values or max(values) <= most, f"{what} entry out of range")
+    return values
+
+
+def _int(spec: Any, key: str) -> int:
+    value = spec.get(key) if isinstance(spec, dict) else None
+    if type(value) is not int or not 0 <= value < 1 << 64:
+        raise ValueError(f"{key!r} is missing or not a 64-bit count")
+    return value
 
 
 def load_bundle(path: str) -> IndexBundle:
@@ -88,38 +103,53 @@ def load_bundle(path: str) -> IndexBundle:
     for _ in range(n_sections):
         try:
             (name_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off:off + name_len].decode("ascii")
-            off += name_len
-            (payload_len,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            digest = data[off:off + 32]
-            off += 32
-            payload = view[off:off + payload_len]
-            off += payload_len
+            name = data[off + 2:off + 2 + name_len].decode("ascii")
+            payload_len, digest = struct.unpack_from("<Q32s", data, off + 2 + name_len)
         except (struct.error, UnicodeDecodeError) as exc:
             raise IndexFormatError("truncated or corrupt index file") from exc
+        off += 2 + name_len + 40
+        payload = view[off:off + payload_len]
+        off += payload_len
         if len(payload) != payload_len:
             raise IndexFormatError("truncated index file")
         if hashlib.sha256(payload).digest() != digest:
             raise IndexFormatError(f"checksum failure in section {name!r}")
         sections[name] = payload
-    if "params" not in sections or "payload" not in sections:
-        raise IndexFormatError("index file is missing required sections")
-    params = json.loads(bytes(sections["params"]).decode("utf-8"))
-    parts = pickle.loads(sections["payload"])
-    return IndexBundle(
-        params=params,
-        dictionary=parts["dictionary"],
-        parse_text=parts["parse_text"],
-        text_index=parts["text_index"],
-        parse_index=parts["parse_index"],
-        kmer_filter=parts["kmer_filter"],
-        phrase_filter=parts["phrase_filter"],
-        format_version=version,
-    )
-
-
-def check_integrity(path: str) -> None:
-    """Raise IndexFormatError if the file fails any structural or checksum check."""
-    load_bundle(path)
+    if sorted(sections) != sorted(SECTIONS):
+        raise IndexFormatError("index file does not hold the expected sections")
+    try:  # JSON and UTF-8 errors are ValueErrors too
+        params = json.loads(bytes(sections["params"]).decode("utf-8"))
+        w, p, base, modulus, k, n = (_int(params, key) for key in (
+            "w", "p", "base", "modulus", "kebab_k", "text_length"))
+        RollingHasher(w, p, base, modulus)
+        kparams, pparams = (FilterParams(*(_int(params.get(name), key)
+                                           for key in _FILTER_KEYS))
+                            for name in ("kmer_filter", "phrase_filter"))
+        kmer_filter = CountingBloomFilter(kparams, ITEMS_KMER, k, sections["kmer_filter"])
+        phrase_filter = CountingBloomFilter(pparams, ITEMS_PHRASE,
+                                            counters=sections["phrase_filter"])
+    except ValueError as exc:
+        raise IndexFormatError(f"malformed index parameters: {exc}") from exc
+    text, blob = bytes(sections["text"]), bytes(sections["phrases"])
+    lengths = _ints(sections["phrase_lengths"], len(blob), "phrase_lengths")
+    _check(sum(lengths) == len(blob) and 0 not in lengths,
+           "phrase lengths do not split the phrases")
+    dictionary = PhraseDictionary()
+    for end, size in zip(accumulate(lengths), lengths):
+        dictionary.id_for(blob[end - size:end])
+    _check(len(dictionary) == len(lengths), "duplicate dictionary phrases")
+    symbols = _ints(sections["parse"], len(lengths) - 1, "parse")
+    m = len(symbols)
+    starts = _ints(sections["phrase_start"], n, "phrase_start")
+    text_sa, text_rsa = (_ints(sections[s], n - 1, s) for s in ("text_sa", "text_rsa"))
+    parse_sa, parse_rsa = (_ints(sections[s], m - 1, s) for s in ("parse_sa", "parse_rsa"))
+    _check(0 < n == len(text) == len(text_sa) == len(text_rsa) and
+           0 < m == len(starts) == len(parse_sa) == len(parse_rsa),
+           "sections of the text or of its parse differ in length")
+    _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
+           "phrase starts do not rise from 1")
+    return IndexBundle(params, dictionary,
+                       ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
+                       OccurrenceIndex(text, text_sa, text_rsa),
+                       OccurrenceIndex(symbols, parse_sa, parse_rsa),
+                       kmer_filter, phrase_filter)

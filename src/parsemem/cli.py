@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import filters as flt
 from . import pseudomem as pmm
-from .bundle import IndexBundle, check_integrity, load_bundle, save_bundle
+from .bundle import IndexBundle, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
 from .parsing import PhraseDictionary, RollingHasher, pfp_parse
@@ -263,7 +263,7 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     if args.check_index:
         try:
-            check_integrity(args.check_index)
+            load_bundle(args.check_index)
             print(f"PASS index integrity: {args.check_index}")
         except IndexFormatError as exc:
             print(f"FAIL index integrity: {exc}")

@@ -2,7 +2,7 @@
 
 The pseudo-MEM constructions rely on one guarantee only: a Bloom filter never
 returns a false negative, and a counting filter never undercounts (insertions
-only, counters clamp at their maximum instead of wrapping).  The exact
+only; a one-byte counter stops at 255, which passes any threshold).  The exact
 variant, backed by a real multiset, satisfies the same interface with zero
 false positives; it exists so tests can isolate the effect of false
 positives.
@@ -30,6 +30,7 @@ ITEMS_PHRASE = "phrase"
 
 _MIN_BITS = 8
 _MAX_HASHES = 16
+_SATURATED = 255  # the largest count a one-byte counter holds
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,12 @@ class FilterParams:
     bits: int
     hash_count: int
     seed: int = 0
-    counter_width: int = 8
 
     def __post_init__(self):
         if self.bits < _MIN_BITS:
             raise ValueError(f"filter needs at least {_MIN_BITS} bits")
         if not 1 <= self.hash_count <= _MAX_HASHES:
             raise ValueError(f"hash count must be in 1..{_MAX_HASHES}")
-        if not 1 <= self.counter_width <= 16:
-            raise ValueError("counter width must be in 1..16 bits")
 
 
 def size_for(n_items: int, target_fpr: float) -> FilterParams:
@@ -120,7 +118,7 @@ class MembershipFilter:
         raise NotImplementedError
 
     def min_count(self, item) -> int:
-        """At least the true multiplicity of ``item``; never an undercount."""
+        """At least the true multiplicity of ``item``, or a saturated count."""
         raise NotImplementedError
 
     def at_least(self, item, f: int) -> bool:
@@ -155,23 +153,30 @@ class BloomFilter(MembershipFilter):
 
 
 class CountingBloomFilter(MembershipFilter):
+    """``counters`` holds one byte per position; pass them to restore a filter."""
+
     kind = KIND_COUNTING
 
-    def __init__(self, params: FilterParams, item_kind: str, k: int | None = None):
+    def __init__(self, params: FilterParams, item_kind: str, k: int | None = None,
+                 counters: bytes | None = None):
         super().__init__(params, item_kind, k)
-        self._max = (1 << params.counter_width) - 1
-        self._counters = [0] * params.bits
+        self.counters = bytearray(params.bits if counters is None else counters)
+        if len(self.counters) != params.bits:
+            raise ValueError("counters do not match the filter size")
 
     def insert(self, item):
         for pos in self._probes(item):
-            if self._counters[pos] < self._max:
-                self._counters[pos] += 1
+            if self.counters[pos] < _SATURATED:
+                self.counters[pos] += 1
 
     def query(self, item) -> bool:
         return self.min_count(item) > 0
 
     def min_count(self, item) -> int:
-        return min(self._counters[pos] for pos in self._probes(item))
+        return min(self.counters[pos] for pos in self._probes(item))
+
+    def at_least(self, item, f: int) -> bool:
+        return super().at_least(item, min(f, _SATURATED))
 
 
 class ExactFilter(MembershipFilter):

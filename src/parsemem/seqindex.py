@@ -66,9 +66,9 @@ class _SuffixView:
     ``steps`` counts the calls to ``extend`` made so far.
     """
 
-    def __init__(self, seq: tuple[int, ...]):
+    def __init__(self, seq: tuple[int, ...], sa: Sequence[int] | None = None):
         self.seq = seq
-        self.sa = _build_suffix_array(seq) if seq else []
+        self.sa = _build_suffix_array(seq) if sa is None else sa
         self.steps = 0
 
     def whole(self) -> MatchInterval:
@@ -130,17 +130,17 @@ class OccurrenceIndex:
     ``backward`` indexes the reversed sequence, so extending the reversed
     query on the right extends the original query on the left.  ``seq`` is
     bytes or a tuple of phrase IDs; it is stored as a tuple.  The suffix
-    arrays never change after construction; ``steps`` counts the one-symbol
-    extensions made in either direction so far, so callers measure a unit
-    of work as the difference around it.
+    arrays, built unless passed as ``sa`` and ``reverse_sa``, never change;
+    ``steps`` counts the one-symbol extensions made in either direction so
+    far, so callers measure a unit of work as the difference around it.
     """
 
-    def __init__(self, seq: Sequence[int]):
+    def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None):
         if len(seq) == 0:
             raise EmptyInputError("cannot index an empty sequence")
         self.sequence = tuple(seq)
-        self.forward = _SuffixView(self.sequence)
-        self.backward = _SuffixView(tuple(reversed(self.sequence)))
+        self.forward = _SuffixView(self.sequence, sa)
+        self.backward = _SuffixView(tuple(reversed(self.sequence)), reverse_sa)
 
     def __len__(self) -> int:
         return len(self.sequence)

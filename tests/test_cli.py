@@ -1,10 +1,17 @@
+import argparse
+import hashlib
+import importlib
+import inspect
+import json
+import pkgutil
 import random
+import struct
 
 import pytest
 
+import parsemem
 from parsemem import cli
-from parsemem.bundle import (FORMAT_VERSION, MAGIC, check_integrity,
-                             load_bundle)
+from parsemem.bundle import FORMAT_VERSION, MAGIC, load_bundle, save_bundle
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
@@ -39,6 +46,27 @@ def query(corpus, capsys, *extra):
     rc = main(["query", corpus["pat_path"], "--index", corpus["index"], *extra])
     out = capsys.readouterr().out
     return rc, out
+
+
+def rewrite_section(path, name, change):
+    """Replace section ``name`` of an index file by ``change(payload)``,
+    with a fresh checksum, so only the loader's own checks can catch it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out, off = [data[:len(MAGIC) + 8]], len(MAGIC) + 8
+    while off < len(data):
+        (name_len,) = struct.unpack_from("<H", data, off)
+        section = data[off + 2:off + 2 + name_len].decode("ascii")
+        (size,) = struct.unpack_from("<Q", data, off + 2 + name_len)
+        start = off + 2 + name_len + 8 + 32
+        payload = data[start:start + size]
+        if section == name:
+            payload = change(payload)
+        out.append(data[off:off + 2 + name_len] + struct.pack("<Q", len(payload))
+                   + hashlib.sha256(payload).digest() + payload)
+        off = start + size
+    with open(path, "wb") as fh:
+        fh.write(b"".join(out))
 
 
 def mem_rows(output):
@@ -108,6 +136,21 @@ class TestBuildQuery:
         for mode in ("parse", "combined"):
             assert query(corpus, capsys, "--mode", mode)[0] == 0
         assert [len(bundle.dictionary) for bundle in loaded] == [size, size]
+
+    def test_modes_agree_past_saturated_counters(self, tmp_path, capsys):
+        # f above 255 must not turn saturated filter counters into "absent"
+        text_path = tmp_path / "t.txt"
+        text_path.write_bytes(b"A" * 400 + b"\n")
+        pat_path = tmp_path / "p.txt"
+        pat_path.write_bytes(b"A" * 60 + b"\n")
+        index = str(tmp_path / "i.pmidx")
+        assert main(["build", str(text_path), "-o", index, "--format", "raw"]) == 0
+        for mode in ("exact", "kebab", "parse", "combined"):
+            rc = main(["query", str(pat_path), "--index", index, "--format",
+                       "raw", "--mode", mode, "-f", "300", "-L", "20"])
+            assert rc == 0
+            assert mem_rows(capsys.readouterr().out) == [
+                ("p1", "1", "60", "60", "341")], mode
 
     def test_exact_mode_top_t(self, corpus, capsys):
         build(corpus)
@@ -182,14 +225,60 @@ class TestDeterminism:
 class TestBundleFormat:
     def test_load_round_trip(self, corpus):
         build(corpus)
+        with open(corpus["index"], "rb") as fh:
+            header = fh.read(len(MAGIC) + 4)
+        assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
+        assert FORMAT_VERSION == 3
         bundle = load_bundle(corpus["index"])
-        assert bundle.format_version == FORMAT_VERSION
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
         assert bundle.params["kebab_k"] == 8
         assert bundle.params["records"] == ["chr1"]
-        assert len(bundle.text_index) == len(corpus["text"])
-        check_integrity(corpus["index"])
+        assert bytes(bundle.text_index.sequence) == corpus["text"]
+        assert bundle.parse_text.reconstruct() == corpus["text"]
+        assert (bundle.text_index.steps, bundle.kmer_filter.probes,
+                bundle.phrase_filter.probes) == (0, 0, 0)
+
+    def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
+        # counters, the frozen flag and derived copies are not in the file
+        build(corpus)
+        bundle = load_bundle(corpus["index"])
+        bundle.dictionary.freeze()
+        for mode in ("exact", "kebab", "parse", "combined"):
+            args = argparse.Namespace(mode=mode, f=1, t=3, L=None)
+            assert cli._query_one(bundle, corpus["pattern"], args)[2]
+        assert bundle.text_index.steps > 0
+        again = str(tmp_path / "again.pmidx")
+        save_bundle(bundle, again)
+        with open(corpus["index"], "rb") as f1, open(again, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_no_module_binds_a_code_running_loader(self):
+        banned = {"pickle", "_pickle", "marshal", "shelve"}
+        for info in pkgutil.iter_modules(parsemem.__path__):
+            module = importlib.import_module(f"parsemem.{info.name}")
+            for name, value in vars(module).items():
+                owner = (value.__name__ if inspect.ismodule(value)
+                         else getattr(value, "__module__", None))
+                assert owner not in banned, f"parsemem.{info.name}.{name}"
+
+    @pytest.mark.parametrize("section, change, why", [
+        ("params", lambda p: json.dumps(
+            {k: v for k, v in json.loads(p).items() if k != "kebab_k"}).encode(),
+         "kebab_k"),
+        ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
+         "text_sa entry out of range")],
+        ids=["missing_kebab_k", "sa_out_of_range"])
+    def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
+                                                     section, change, why):
+        build(corpus)
+        rewrite_section(corpus["index"], section, change)
+        with pytest.raises(IndexFormatError, match=why):
+            load_bundle(corpus["index"])
+        assert main(["query", corpus["pat_path"], "--index", corpus["index"]]) == 3
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "FAIL index integrity" in capsys.readouterr().out
 
     def test_corrupted_payload_fails_checksum(self, corpus):
         build(corpus)
@@ -217,13 +306,16 @@ class TestBundleFormat:
         with pytest.raises(IndexFormatError, match="magic"):
             load_bundle(str(bogus))
 
-    def test_unsupported_version_rejected(self, corpus):
+    def test_unsupported_version_rejected(self, corpus, capsys):
+        # the pickled format 2 is refused; such indexes must be rebuilt
         build(corpus)
         with open(corpus["index"], "r+b") as fh:
             fh.seek(len(MAGIC))
-            fh.write((99).to_bytes(4, "little"))
-        with pytest.raises(IndexFormatError, match="version"):
+            fh.write((2).to_bytes(4, "little"))
+        with pytest.raises(IndexFormatError,
+                           match="index format version 2 is not supported"):
             load_bundle(corpus["index"])
+        assert main(["query", corpus["pat_path"], "--index", corpus["index"]]) == 3
 
 
 class TestParameterChecks:
