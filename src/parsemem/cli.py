@@ -146,6 +146,9 @@ def _check_ranges(args):
     if fpr is not None and not 0.0 < fpr < 1.0:
         raise ParameterMismatch(
             f"--filter-fpr={fpr} must be strictly between 0 and 1")
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ParameterMismatch(f"--seed={seed} must be in [0, 2^64)")
 
 
 def _check_params(bundle: IndexBundle, args):

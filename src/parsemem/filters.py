@@ -9,7 +9,14 @@ positives.
 
 Probe positions come from double hashing: two seeded 64-bit digests combined
 as h1 + i*h2 mod m, so a filter is reproducible bit for bit from its seed and
-insertion stream.
+insertion stream.  Each filter keys one BLAKE2b state with its seed when it
+is built and copies that state for every item, so no item pays for keying.
+
+Lookups go through ``at_least_many``, which answers a whole batch of items in
+one call (a pattern's k-mers, or its parse's phrase IDs); ``at_least`` is its
+one-item case.  The counting filter's batch loop hashes and tests each item
+inline, with no method call per item, and stops at the first counter below
+the threshold.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ ITEMS_PHRASE = "phrase"
 _MIN_BITS = 8
 _MAX_HASHES = 16
 _SATURATED = 255  # the largest count a one-byte counter holds
+_SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
+_H1_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,8 @@ class FilterParams:
             raise ValueError(f"filter needs at least {_MIN_BITS} bits")
         if not 1 <= self.hash_count <= _MAX_HASHES:
             raise ValueError(f"hash count must be in 1..{_MAX_HASHES}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError("seed must be in [0, 2^64)")
 
 
 def size_for(n_items: int, target_fpr: float) -> FilterParams:
@@ -72,7 +83,8 @@ def expected_fpr(params: FilterParams, n_items: int) -> float:
 class MembershipFilter:
     """Common surface of the three filter kinds.
 
-    ``probes`` counts the calls to ``at_least`` made so far.
+    ``probes`` counts the items looked up by ``at_least_many`` (and so by
+    ``at_least``) so far.
     """
 
     kind: str
@@ -86,6 +98,8 @@ class MembershipFilter:
         self.item_kind = item_kind
         self.k = k if item_kind == ITEMS_KMER else None
         self.probes = 0
+        self._keyed = hashlib.blake2b(digest_size=16,
+                                      key=params.seed.to_bytes(8, "little"))
 
     def _encode(self, item) -> bytes:
         if self.item_kind == ITEMS_KMER:
@@ -100,13 +114,10 @@ class MembershipFilter:
         return item.to_bytes(8, "little", signed=False)
 
     def _probes(self, item) -> list[int]:
-        digest = hashlib.blake2b(
-            self._encode(item),
-            digest_size=16,
-            key=self.params.seed.to_bytes(8, "little", signed=False),
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
+        state = self._keyed.copy()
+        state.update(self._encode(item))
+        digest = int.from_bytes(state.digest(), "little")
+        h1, h2 = digest & _H1_MASK, (digest >> 64) | 1
         m = self.params.bits
         return [(h1 + i * h2) % m for i in range(self.params.hash_count)]
 
@@ -121,12 +132,21 @@ class MembershipFilter:
         """At least the true multiplicity of ``item``, or a saturated count."""
         raise NotImplementedError
 
-    def at_least(self, item, f: int) -> bool:
-        """Whether the filter reports ``item`` present at least ``f`` times."""
+    def at_least_many(self, items: Iterable, f: int) -> list[bool]:
+        """For each item, whether the filter reports it at least ``f`` times."""
         if f < 1:
             raise ValueError("f must be at least 1")
-        self.probes += 1
-        return self.min_count(item) >= f
+        answers = self._answer(items, f)
+        self.probes += len(answers)
+        return answers
+
+    def at_least(self, item, f: int) -> bool:
+        """Whether the filter reports ``item`` present at least ``f`` times."""
+        return self.at_least_many((item,), f)[0]
+
+    def _answer(self, items: Iterable, f: int) -> list[bool]:
+        """One ``min_count`` per item; the counting filter inlines it."""
+        return [self.min_count(item) >= f for item in items]
 
 
 class BloomFilter(MembershipFilter):
@@ -146,10 +166,10 @@ class BloomFilter(MembershipFilter):
     def min_count(self, item) -> int:
         return 1 if self.query(item) else 0
 
-    def at_least(self, item, f: int) -> bool:
+    def at_least_many(self, items: Iterable, f: int) -> list[bool]:
         if f > 1:
             raise ValueError("a plain Bloom filter cannot answer thresholds above 1")
-        return super().at_least(item, f)
+        return super().at_least_many(items, f)
 
 
 class CountingBloomFilter(MembershipFilter):
@@ -175,8 +195,38 @@ class CountingBloomFilter(MembershipFilter):
     def min_count(self, item) -> int:
         return min(self.counters[pos] for pos in self._probes(item))
 
-    def at_least(self, item, f: int) -> bool:
-        return super().at_least(item, min(f, _SATURATED))
+    def _answer(self, items: Iterable, f: int) -> list[bool]:
+        """``_probes`` and ``min_count(item) >= f`` unrolled into one loop.
+
+        A saturated counter passes any threshold, so ``f`` is capped at 255.
+        """
+        f = min(f, _SATURATED)
+        counters, m = self.counters, self.params.bits
+        hashes = range(self.params.hash_count)
+        keyed, k = self._keyed, self.k
+        kmers = self.item_kind == ITEMS_KMER
+        answers = []
+        append, copy, from_bytes = answers.append, keyed.copy, int.from_bytes
+        for item in items:
+            if kmers:
+                if not isinstance(item, (bytes, bytearray)) or len(item) != k:
+                    self._encode(item)  # raises the matching ItemKindMismatch
+            elif isinstance(item, int) and not isinstance(item, bool):
+                item = item.to_bytes(8, "little")
+            else:
+                self._encode(item)
+            state = copy()
+            state.update(item)
+            digest = from_bytes(state.digest(), "little")
+            pos, step = (digest & _H1_MASK) % m, ((digest >> 64) | 1) % m
+            for _ in hashes:
+                if counters[pos] < f:
+                    append(False)
+                    break
+                pos = (pos + step) % m
+            else:
+                append(True)
+        return answers
 
 
 class ExactFilter(MembershipFilter):

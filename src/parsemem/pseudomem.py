@@ -91,18 +91,24 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
     if m < k:
         log.warning("pattern of length %d is shorter than k=%d; no pseudo-MEMs", m, k)
         return []
-    out = []
-    run_start = None
-    for i in range(1, m - k + 2):
-        present = filt.at_least(pattern[i - 1:i - 1 + k], f)
-        if present and run_start is None:
-            run_start = i
-        elif not present and run_start is not None:
-            out.append(PseudoMem(run_start, i - 1 + k - 1, ORIGIN_KEBAB))
-            run_start = None
-    if run_start is not None:
-        out.append(PseudoMem(run_start, m, ORIGIN_KEBAB))
-    return out
+    present = filt.at_least_many(
+        [pattern[i:i + k] for i in range(m - k + 1)], f)
+    return [PseudoMem(a, b + k - 1, ORIGIN_KEBAB) for a, b in _runs(present)]
+
+
+def _runs(present: list[bool]) -> list[tuple[int, int]]:
+    """Maximal runs of true entries, as 1-based inclusive intervals."""
+    runs = []
+    start = None
+    for i, hit in enumerate(present, 1):
+        if hit and start is None:
+            start = i
+        elif not hit and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(present)))
+    return runs
 
 
 def compute_lower_bound(pm: PseudoMem, parsed_pattern: ParsedString) -> int:
@@ -198,17 +204,8 @@ def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
     n = len(parsed_pattern)
     if n == 0:
         raise EmptyInputError("parsed pattern is empty")
-    present = [phrase_filter.at_least(sym, f) for sym in parsed_pattern.symbols]
-    runs = []
-    start = None
-    for i in range(1, n + 1):
-        if present[i - 1] and start is None:
-            start = i
-        elif not present[i - 1] and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, n))
+    present = phrase_filter.at_least_many(parsed_pattern.symbols, f)
+    runs = _runs(present)
     s3 = tuple((max(a - 1, 1), min(b + 1, n)) for a, b in runs)
     s4 = tuple((i, i + 1) for i in range(1, n)
                if not present[i - 1] and not present[i])

@@ -39,23 +39,33 @@ class MatchInterval:
 
 
 def _build_suffix_array(seq: tuple[int, ...]) -> list[int]:
-    """Suffix array by prefix doubling, O(n log^2 n)."""
+    """Suffix array by prefix doubling, O(n log^2 n).
+
+    Each round orders suffixes by (rank of the first k symbols, rank of the
+    next k) with two stable sorts on plain list lookups, the second key
+    first.  Ranks start at 1, so a suffix that runs out (second key 0) sorts
+    before every longer suffix sharing its first k symbols.
+    """
     n = len(seq)
     order = sorted(set(seq))
-    rank_of = {v: r for r, v in enumerate(order)}
+    rank_of = {v: r for r, v in enumerate(order, 1)}
     rank = [rank_of[v] for v in seq]
     sa = list(range(n))
     k = 1
     while True:
-        def key(i):
-            return (rank[i], rank[i + k] if i + k < n else -1)
-
-        sa.sort(key=key)
+        second = rank[k:] + [0] * min(k, n)
+        sa.sort(key=second.__getitem__)
+        sa.sort(key=rank.__getitem__)
         new = [0] * n
-        for pos in range(1, n):
-            new[sa[pos]] = new[sa[pos - 1]] + (key(sa[pos]) != key(sa[pos - 1]))
+        prev = sa[0]
+        r = new[prev] = 1
+        for pos in sa[1:]:
+            if rank[pos] != rank[prev] or second[pos] != second[prev]:
+                r += 1
+            new[pos] = r
+            prev = pos
         rank = new
-        if rank[sa[-1]] == n - 1:
+        if r == n:
             return sa
         k *= 2
 

@@ -215,6 +215,16 @@ class TestDeterminism:
         with open(corpus["index"], "rb") as f1, open(other, "rb") as f2:
             assert f1.read() == f2.read()
 
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "c29c8d27e1cda1bdf190170e6c91da2aef568fdccb2848ef2ecdeed6bf64e55f"),
+        ("5", "5d7111f6402c76ec11370e6083836090f6ae471fb77d359fc70525193b603fcb")])
+    def test_index_bytes_are_pinned(self, corpus, seed, digest):
+        # Format 3's bytes for this corpus: a change to the filter hash or to
+        # suffix-array order must bump FORMAT_VERSION and this digest with it.
+        build(corpus, "--seed", seed)
+        with open(corpus["index"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
     def test_query_output_is_identical_across_runs(self, corpus, capsys):
         build(corpus)
         _, first = query(corpus, capsys, "--mode", "combined", "-t", "5")
@@ -341,8 +351,9 @@ class TestParameterChecks:
     @pytest.mark.parametrize("argv", [
         ("query", "-t", "0"), ("query", "-L", "0"), ("query", "-f", "0"),
         ("build", "-w", "0"), ("build", "-p", "1"), ("build", "-k", "0"),
-        ("build", "--filter-fpr", "1.5")],
-        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5"])
+        ("build", "--filter-fpr", "1.5"), ("build", "--seed", "-1"),
+        ("build", "--seed", str(1 << 64))],
+        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5", "seed-1", "seed2^64"])
     def test_out_of_range_flag_is_usage_error(self, corpus, tmp_path, capsys,
                                               argv):
         build(corpus)

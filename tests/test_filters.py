@@ -49,6 +49,11 @@ class TestSizing:
         with pytest.raises(ValueError):
             FilterParams(bits=64, hash_count=17)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError):
+            FilterParams(bits=64, hash_count=2, seed=seed)
+
 
 class TestBloom:
     def params(self):
@@ -160,6 +165,75 @@ class TestExact:
         for _ in range(500):
             probe = bytes(rng.choice(b"ACGT") for _ in range(5))
             assert filt.query(probe) == (probe in inserted)
+
+
+def rand_kmers(rng, n, k):
+    return [bytes(rng.choice(b"ACGT") for _ in range(k)) for _ in range(n)]
+
+
+class TestBatchLookup:
+    """``at_least_many`` answers like one ``min_count`` per item."""
+
+    @staticmethod
+    def reference(filt, items, f):
+        cap = min(f, 255) if filt.kind == KIND_COUNTING else f
+        return [filt.min_count(x) >= cap for x in items]
+
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    def test_equals_one_min_count_per_item(self, kind, item_kind):
+        rng = random.Random(83)
+        if item_kind == ITEMS_KMER:
+            inserted = rand_kmers(rng, 300, 5)
+            probes = rand_kmers(rng, 200, 5) + inserted[:50]
+        else:  # phrase IDs well above one byte
+            inserted = [rng.randrange(1 << 40) for _ in range(300)]
+            probes = [rng.randrange(1 << 40) for _ in range(200)] + inserted[:50]
+        inserted += inserted[:40] * 3  # some items present 4 times
+        filt = filter_build(inserted, FilterParams(1024, 3, seed=9), kind,
+                            item_kind, 5 if item_kind == ITEMS_KMER else None)
+        thresholds = (1,) if kind == KIND_BLOOM else (1, 2, 4, 5, 300)
+        for f in thresholds:
+            want = self.reference(filt, probes, f)
+            before = filt.probes
+            assert filt.at_least_many(iter(probes), f) == want
+            assert filt.probes == before + len(probes)
+            assert [filt.at_least(x, f) for x in probes] == want
+            if f == 1:
+                assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("kind", [KIND_COUNTING, KIND_EXACT])
+    def test_threshold_above_a_saturated_counter(self, kind):
+        filt = filter_build([b"AAA"] * 300 + [b"CCC"], FilterParams(64, 2), kind,
+                            ITEMS_KMER, 3)
+        items = [b"AAA", b"CCC", b"GGG"]
+        for f in (255, 256, 300):
+            assert filt.at_least_many(items, f) == self.reference(filt, items, f)
+        # a saturated count may stand for any larger one; the exact count may not
+        assert filt.at_least_many(items, 301) == [kind == KIND_COUNTING, False, False]
+
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    def test_wrong_item_kind_raises(self, kind):
+        kfilt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
+        for bad in (17, b"ACG", b"ACGTA", "ACGT"):
+            with pytest.raises(ItemKindMismatch):
+                kfilt.at_least_many([b"ACGT", bad], 1)
+        pfilt = filter_build([17], FilterParams(64, 2), kind, ITEMS_PHRASE)
+        for bad in (b"ACGT", True, 1.0):
+            with pytest.raises(ItemKindMismatch):
+                pfilt.at_least_many([17, bad], 1)
+        assert kfilt.at_least_many([bytearray(b"ACGT")], 1) == [True]
+
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    def test_threshold_errors_stay(self, kind):
+        filt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
+        with pytest.raises(ValueError):
+            filt.at_least_many([b"ACGT"], 0)
+        if kind == KIND_BLOOM:
+            with pytest.raises(ValueError):
+                filt.at_least_many([b"ACGT"], 2)
+        assert filt.probes == 0
+        assert filt.at_least_many([], 1) == []
 
 
 def test_filter_build_unknown_kind():

@@ -4,8 +4,8 @@ import pytest
 
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
-from parsemem.seqindex import (Mem, OccurrenceIndex, bml_mems, bml_top_t,
-                               find_f_mems)
+from parsemem.seqindex import (Mem, OccurrenceIndex, _build_suffix_array,
+                               bml_mems, bml_top_t, find_f_mems)
 
 
 def index_of(text: bytes) -> OccurrenceIndex:
@@ -181,6 +181,17 @@ class TestBml:
             bml_top_t(index, b"ANA", t=0)
         with pytest.raises(EmptyInputError):
             bml_mems(index, b"", L=1)
+
+
+@pytest.mark.parametrize("seq", [
+    tuple(random.Random(191).choice(b"ACGT\0") for _ in range(2000)),
+    tuple(b"A" * 300),  # every round ties: the most doubling rounds
+    (7,),
+    tuple(random.Random(193).choice((3, 256, 70000, 1 << 33)) for _ in range(500)),
+], ids=["bytes-with-nul", "A300", "n1", "phrase-ids"])
+def test_suffix_array_sorts_suffixes(seq):
+    n = len(seq)
+    assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
 
 
 def test_empty_sequence_not_indexable():
