@@ -14,9 +14,11 @@ is built and copies that state for every item, so no item pays for keying.
 
 Lookups go through ``at_least_many``, which answers a whole batch of items in
 one call (a pattern's k-mers, or its parse's phrase IDs); ``at_least`` is its
-one-item case.  The counting filter's batch loop hashes and tests each item
-inline, with no method call per item, and stops at the first counter below
-the threshold.
+one-item case.  ``filter_build`` fills a filter with one ``insert_many`` call.
+The counting filter's batch loops, for lookups and inserts alike, take each
+item's probe positions from one generator that validates and hashes the
+item inline, with no method call per item; a lookup stops at the first
+counter below the threshold.
 """
 
 from __future__ import annotations
@@ -113,16 +115,41 @@ class MembershipFilter:
             raise ItemKindMismatch("phrase-ID filter expects int items")
         return item.to_bytes(8, "little", signed=False)
 
+    def _starts(self, items: Iterable):
+        """Yield each item's first probe position and the step between its
+        probes, both mod m: probe i is at (h1 + i*h2) mod m.
+
+        Items are validated and hashed inline, with no method call per item
+        unless it is of the wrong kind.
+        """
+        m, k = self.params.bits, self.k
+        kmers = self.item_kind == ITEMS_KMER
+        copy, from_bytes = self._keyed.copy, int.from_bytes
+        for item in items:
+            if kmers:
+                if not isinstance(item, (bytes, bytearray)) or len(item) != k:
+                    self._encode(item)  # raises the matching ItemKindMismatch
+            elif isinstance(item, int) and not isinstance(item, bool):
+                item = item.to_bytes(8, "little")
+            else:
+                self._encode(item)
+            state = copy()
+            state.update(item)
+            digest = from_bytes(state.digest(), "little")
+            yield (digest & _H1_MASK) % m, ((digest >> 64) | 1) % m
+
     def _probes(self, item) -> list[int]:
-        state = self._keyed.copy()
-        state.update(self._encode(item))
-        digest = int.from_bytes(state.digest(), "little")
-        h1, h2 = digest & _H1_MASK, (digest >> 64) | 1
+        ((pos, step),) = self._starts((item,))
         m = self.params.bits
-        return [(h1 + i * h2) % m for i in range(self.params.hash_count)]
+        return [(pos + i * step) % m for i in range(self.params.hash_count)]
 
     def insert(self, item):
         raise NotImplementedError
+
+    def insert_many(self, items: Iterable):
+        """Insert each item in turn; the counting filter inlines the loop."""
+        for item in items:
+            self.insert(item)
 
     def query(self, item) -> bool:
         """True for every inserted item; may be a false positive."""
@@ -185,9 +212,20 @@ class CountingBloomFilter(MembershipFilter):
             raise ValueError("counters do not match the filter size")
 
     def insert(self, item):
-        for pos in self._probes(item):
-            if self.counters[pos] < _SATURATED:
-                self.counters[pos] += 1
+        self.insert_many((item,))
+
+    def insert_many(self, items: Iterable):
+        """Add 1 to each probed counter of each item, stopping at 255.
+
+        A position probed twice for one item is counted twice.
+        """
+        counters, m = self.counters, self.params.bits
+        hashes = range(self.params.hash_count)
+        for pos, step in self._starts(items):
+            for _ in hashes:
+                if counters[pos] < _SATURATED:
+                    counters[pos] += 1
+                pos = (pos + step) % m
 
     def query(self, item) -> bool:
         return self.min_count(item) > 0
@@ -196,29 +234,17 @@ class CountingBloomFilter(MembershipFilter):
         return min(self.counters[pos] for pos in self._probes(item))
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """``_probes`` and ``min_count(item) >= f`` unrolled into one loop.
+        """``min_count(item) >= f`` unrolled into one loop over ``_starts``,
+        stopping at the first counter below the threshold.
 
         A saturated counter passes any threshold, so ``f`` is capped at 255.
         """
         f = min(f, _SATURATED)
         counters, m = self.counters, self.params.bits
         hashes = range(self.params.hash_count)
-        keyed, k = self._keyed, self.k
-        kmers = self.item_kind == ITEMS_KMER
         answers = []
-        append, copy, from_bytes = answers.append, keyed.copy, int.from_bytes
-        for item in items:
-            if kmers:
-                if not isinstance(item, (bytes, bytearray)) or len(item) != k:
-                    self._encode(item)  # raises the matching ItemKindMismatch
-            elif isinstance(item, int) and not isinstance(item, bool):
-                item = item.to_bytes(8, "little")
-            else:
-                self._encode(item)
-            state = copy()
-            state.update(item)
-            digest = from_bytes(state.digest(), "little")
-            pos, step = (digest & _H1_MASK) % m, ((digest >> 64) | 1) % m
+        append = answers.append
+        for pos, step in self._starts(items):
             for _ in hashes:
                 if counters[pos] < f:
                     append(False)
@@ -268,6 +294,5 @@ def filter_build(items: Iterable, params: FilterParams, kind: str,
     except KeyError:
         raise ValueError(f"unknown filter kind {kind!r}") from None
     filt = cls(params, item_kind, k)
-    for item in items:
-        filt.insert(item)
+    filt.insert_many(items)
     return filt

@@ -221,8 +221,7 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
     its windows finds them all.  S4 pairs are definitively absent phrases
     and become S2 elements directly; false positives inside S3 regions are
     weeded out by rechecking phrase counts against the real index.  The
-    output equals
-    parse_pseudo_mems applied to the whole parse.
+    output equals parse_pseudo_mems applied to the whole parse.
     """
     if coarse.f != f:
         raise ValueError("coarse sets were built for a different f")

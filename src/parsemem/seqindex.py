@@ -2,7 +2,9 @@
 
 The index is a pair of suffix arrays, one over the sequence and one over its
 reverse, each supporting occurrence counts and one-symbol extension of a
-match interval.  On top of them sits one threshold scan over a list of
+match interval.  A match interval is a plain pair ``(lo, hi)`` of
+suffix-array rows, held as two local ints, so a search step builds no
+object.  On top of the two arrays sits one threshold scan over a list of
 windows of the pattern: with threshold L it finds exactly the f-MEMs of
 length >= L that lie inside a window, with Boyer-Moore-style skipping; at
 L=1 it finds all of them; in top-t mode it keeps raising the threshold to
@@ -11,10 +13,10 @@ scan the whole pattern as one window.
 
 Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID tuples alike.  Each direction of the index counts its
-one-symbol extensions, the unit of search work that ``parsemem stats``
-reports.  At the scale this package targets a suffix array with binary
-search is entirely adequate; nothing here depends on a particular
-compressed index.
+calls to ``extend``, one per one-symbol extension: the unit of search work
+that ``parsemem stats`` reports.  At the scale this package targets a suffix
+array with binary search is entirely adequate; nothing here depends on a
+particular compressed index.
 """
 
 from __future__ import annotations
@@ -23,19 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError
-
-
-@dataclass(frozen=True)
-class MatchInterval:
-    """A suffix-array interval of suffixes sharing a prefix of length ``depth``."""
-
-    lo: int
-    hi: int
-    depth: int
-
-    @property
-    def count(self) -> int:
-        return self.hi - self.lo
 
 
 def _build_suffix_array(seq: tuple[int, ...]) -> list[int]:
@@ -73,6 +62,9 @@ def _build_suffix_array(seq: tuple[int, ...]) -> list[int]:
 class _SuffixView:
     """One direction of the index: suffix array over one symbol sequence.
 
+    A match interval is a pair ``(lo, hi)`` of suffix-array rows: the
+    suffixes ``sa[lo:hi]`` are those that begin with the match, so ``hi - lo``
+    is its count, and ``(0, len(sa))`` is the interval of the empty match.
     ``steps`` counts the calls to ``extend`` made so far.
     """
 
@@ -81,42 +73,40 @@ class _SuffixView:
         self.sa = _build_suffix_array(seq) if sa is None else sa
         self.steps = 0
 
-    def whole(self) -> MatchInterval:
-        return MatchInterval(0, len(self.sa), 0)
+    def extend(self, lo: int, hi: int, depth: int, sym: int) -> tuple[int, int]:
+        """Narrow the interval of a match of length ``depth`` to the
+        suffixes whose next symbol is ``sym``.
 
-    def extend(self, m: MatchInterval, sym: int) -> MatchInterval:
-        """Narrow ``m`` to the suffixes whose next symbol is ``sym``.
-
-        The result may be empty (count 0); extension never raises.
+        The result may be empty (``lo == hi``); extension never raises.
         """
         self.steps += 1
-        seq, sa, d = self.seq, self.sa, m.depth
+        seq, sa = self.seq, self.sa
         n = len(seq)
-        lo, hi = m.lo, m.hi
+        top = hi
         while lo < hi:  # first suffix whose next symbol is >= sym
             mid = (lo + hi) >> 1
-            p = sa[mid] + d
+            p = sa[mid] + depth
             if p >= n or seq[p] < sym:  # exhausted suffixes sort first
                 lo = mid + 1
             else:
                 hi = mid
-        a, b = lo, m.hi
+        a, b = lo, top
         while a < b:  # first suffix whose next symbol is > sym
             mid = (a + b) >> 1
-            p = sa[mid] + d
+            p = sa[mid] + depth
             if p >= n or seq[p] <= sym:
                 a = mid + 1
             else:
                 b = mid
-        return MatchInterval(lo, a, d + 1)
+        return lo, a
 
-    def locate(self, query: Sequence[int]) -> MatchInterval:
-        m = self.whole()
-        for sym in query:
-            m = self.extend(m, sym)
-            if m.count == 0:
+    def locate(self, query: Sequence[int]) -> tuple[int, int]:
+        lo, hi = 0, len(self.sa)
+        for depth, sym in enumerate(query):
+            lo, hi = self.extend(lo, hi, depth, sym)
+            if lo == hi:
                 break
-        return m
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -163,7 +153,8 @@ class OccurrenceIndex:
         """Number of starting positions of ``query``; overlaps allowed."""
         if len(query) == 0:
             raise EmptyInputError("empty queries are not counted")
-        return self.forward.locate(query).count
+        lo, hi = self.forward.locate(query)
+        return hi - lo
 
 
 def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
@@ -200,47 +191,50 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     if t is not None and t < 1:
         raise ValueError("t must be at least 1")
     m = len(pattern)
+    rows = len(index)
+    back, ext = index.backward.extend, index.forward.extend
     mems: list[Mem] = []
     lengths: list[int] = []  # lengths found so far, kept sorted descending
     threshold = L or 1
     for lo, hi in windows:
         j = lo + threshold - 1
         while j <= hi:
-            bwd = index.backward.whole()
+            blo, bhi = 0, rows  # backward interval of pattern[j-s:j]
             s = 0
             while s < threshold:
-                nxt = index.backward.extend(bwd, pattern[j - s - 1])
-                if nxt.count < f:
+                a, b = back(blo, bhi, s, pattern[j - s - 1])
+                if b - a < f:
                     break
-                bwd = nxt
+                blo, bhi = a, b
                 s += 1
             if s < threshold:
                 j += threshold - s
                 continue
             start = j - threshold + 1
             while start > lo:
-                nxt = index.backward.extend(bwd, pattern[start - 2])
-                if nxt.count < f:
+                a, b = back(blo, bhi, j - start + 1, pattern[start - 2])
+                if b - a < f:
                     break
-                bwd = nxt
+                blo, bhi = a, b
                 start -= 1
-            fwd = index.forward.locate(pattern[start - 1:j])
+            flo, fhi = index.forward.locate(pattern[start - 1:j])
             end = j
             while end < hi:
-                nxt = index.forward.extend(fwd, pattern[end])
-                if nxt.count < f:
+                a, b = ext(flo, fhi, end - start + 1, pattern[end])
+                if b - a < f:
                     break
-                fwd, end = nxt, end + 1
-            crosses = (
-                end == hi < m
-                and index.forward.extend(fwd, pattern[hi]).count >= f
-            ) or (
-                start == lo > 1
-                and index.backward.extend(bwd, pattern[lo - 2]).count >= f
-                and index.count(pattern[lo - 2:end]) >= f
-            )
+                flo, fhi = a, b
+                end += 1
+            crosses = False
+            if end == hi < m:
+                a, b = ext(flo, fhi, end - start + 1, pattern[hi])
+                crosses = b - a >= f
+            if not crosses and start == lo > 1:
+                a, b = back(blo, bhi, j - start + 1, pattern[lo - 2])
+                crosses = (b - a >= f
+                           and index.count(pattern[lo - 2:end]) >= f)
             if not crosses:
-                mem = Mem(start=start, end=end, freq=fwd.count, f=f)
+                mem = Mem(start=start, end=end, freq=fhi - flo, f=f)
                 mems.append(mem)
                 if t is not None:
                     lengths.append(mem.length)

@@ -225,6 +225,27 @@ class TestDeterminism:
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
+    @pytest.mark.parametrize("mode, row", [
+        ("exact", "q1 160 0 0 0 0 402 0"),
+        ("kebab", "q1 160 121 121 0 0 533 153"),
+        ("parse", "q1 160 225 225 24 51 402 0"),
+        ("combined", "q1 160 225 225 24 37 402 24")])
+    def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
+        # The counted search work of each mode on this corpus at -t 3:
+        # parse_backward_steps, char_backward_steps and filter_probes are
+        # the last three columns.  A rewrite of the scan or of the filters
+        # must leave them as they are, or change them here on purpose.
+        build(corpus)
+        capsys.readouterr()
+        rc = main(["stats", corpus["pat_path"], "--index", corpus["index"],
+                   "--mode", mode, "-t", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0] == ("pattern_id\tm\tpseudo_total\tretained_total\t"
+                            "parse_len\tparse_backward_steps\t"
+                            "char_backward_steps\tfilter_probes")
+        assert lines[1:] == [row.replace(" ", "\t")]
+
     def test_query_output_is_identical_across_runs(self, corpus, capsys):
         build(corpus)
         _, first = query(corpus, capsys, "--mode", "combined", "-t", "5")

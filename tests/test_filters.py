@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -234,6 +235,62 @@ class TestBatchLookup:
                 filt.at_least_many([b"ACGT"], 2)
         assert filt.probes == 0
         assert filt.at_least_many([], 1) == []
+
+
+def textbook_positions(item, params):
+    """Probe i at (h1 + i*h2) mod m, from a BLAKE2b digest keyed by the seed."""
+    data = item if isinstance(item, bytes) else item.to_bytes(8, "little")
+    state = hashlib.blake2b(data, digest_size=16,
+                            key=params.seed.to_bytes(8, "little"))
+    digest = int.from_bytes(state.digest(), "little")
+    h1, h2 = digest & ((1 << 64) - 1), (digest >> 64) | 1
+    return [(h1 + i * h2) % params.bits for i in range(params.hash_count)]
+
+
+class TestBatchInsert:
+    """``filter_build`` fills a filter as if each probe were added in turn."""
+
+    CASES = {
+        # 16 probes over 8 positions: every item probes some position twice
+        "repeated-positions": (FilterParams(8, 16, seed=3),
+                               [b"ACG", b"TTT"] * 5, ITEMS_KMER, 3),
+        "saturated": (FilterParams(64, 3, seed=11),
+                      [b"AAAA"] * 300 + [b"CCCC"] * 2, ITEMS_KMER, 4),
+        "phrase-ids": (FilterParams(512, 4, seed=(1 << 64) - 1),
+                       [random.Random(5).randrange(1 << 40) for _ in range(200)]
+                       + [0, 255, 256], ITEMS_PHRASE, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counters_count_every_probe(self, case):
+        params, items, item_kind, k = self.CASES[case]
+        want = bytearray(params.bits)
+        for item in items:
+            for pos in textbook_positions(item, params):
+                want[pos] = min(want[pos] + 1, 255)
+        filt = filter_build(iter(items), params, KIND_COUNTING, item_kind, k)
+        assert filt.counters == want
+        one_by_one = CountingBloomFilter(params, item_kind, k)
+        for item in items:
+            one_by_one.insert(item)
+        assert one_by_one.counters == want
+        assert filt.probes == 0  # building is not lookup work
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bloom_bits_follow_the_same_probes(self, case):
+        params, items, item_kind, k = self.CASES[case]
+        filt = filter_build(items, params, KIND_BLOOM, item_kind, k)
+        on = {pos for item in items for pos in textbook_positions(item, params)}
+        assert [pos for pos in range(params.bits)
+                if filt._bits[pos >> 3] >> (pos & 7) & 1] == sorted(on)
+
+    def test_wrong_item_kind_raises(self):
+        with pytest.raises(ItemKindMismatch):
+            filter_build([b"ACGT", b"ACG"], FilterParams(64, 2), KIND_COUNTING,
+                         ITEMS_KMER, 4)
+        with pytest.raises(ItemKindMismatch):
+            filter_build([17, True], FilterParams(64, 2), KIND_COUNTING,
+                         ITEMS_PHRASE)
 
 
 def test_filter_build_unknown_kind():

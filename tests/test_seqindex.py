@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -41,6 +42,16 @@ class TestCount:
         before = self.banana.steps
         self.banana.count(b"ANA")
         assert self.banana.steps - before == 3
+
+    @pytest.mark.parametrize("seq", [
+        b"A", b"ACGT\0ACGT", tuple(b"A" * 40), (300, 7, 300, 70000, 7)])
+    def test_query_longer_than_text(self, seq):
+        index = OccurrenceIndex(seq)
+        whole = tuple(seq)
+        assert index.count(whole) == 1
+        for extra in (whole[:1], whole[-1:], (1 << 20,), whole):
+            assert index.count(whole + extra) == 0
+            assert index.count(extra + whole) == 0
 
     def test_matches_oracle(self):
         rng = random.Random(21)
@@ -183,15 +194,50 @@ class TestBml:
             bml_mems(index, b"", L=1)
 
 
-@pytest.mark.parametrize("seq", [
+SEQUENCES = pytest.mark.parametrize("seq", [
     tuple(random.Random(191).choice(b"ACGT\0") for _ in range(2000)),
     tuple(b"A" * 300),  # every round ties: the most doubling rounds
     (7,),
     tuple(random.Random(193).choice((3, 256, 70000, 1 << 33)) for _ in range(500)),
 ], ids=["bytes-with-nul", "A300", "n1", "phrase-ids"])
+
+
+@SEQUENCES
 def test_suffix_array_sorts_suffixes(seq):
     n = len(seq)
     assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
+
+
+def brute_rows(seq, prefix):
+    """The rows of the sorted suffixes that begin with ``prefix``, as (lo, hi),
+    or the empty range where they would be.  Suffixes are cut to the
+    prefix's length, so one that runs out sorts before the longer ones it
+    begins."""
+    heads = sorted(seq[i:i + len(prefix)] for i in range(len(seq)))
+    return bisect_left(heads, prefix), bisect_right(heads, prefix)
+
+
+@SEQUENCES
+def test_extend_narrows_to_sorted_suffix_rows(seq):
+    rng = random.Random(len(seq))
+    view = OccurrenceIndex(seq).forward
+    n = len(seq)
+    symbols = sorted(set(seq))
+    symbols += [symbols[-1] + 1, 256]  # absent from the sequence
+    for _ in range(150):
+        if rng.random() < 0.4:  # a whole suffix: it runs out at this depth
+            start = n - rng.randint(1, min(n, 6))
+            depth = n - start
+        else:
+            start = rng.randrange(n)
+            depth = rng.randint(0, min(n - start, 10))
+        prefix = seq[start:start + depth]
+        lo, hi = brute_rows(seq, prefix)
+        sym = rng.choice(symbols)
+        before = view.steps
+        assert view.extend(lo, hi, depth, sym) == \
+            brute_rows(seq, prefix + (sym,))
+        assert view.steps == before + 1
 
 
 def test_empty_sequence_not_indexable():
