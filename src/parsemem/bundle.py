@@ -36,9 +36,14 @@ _FILTER_KEYS = ("bits", "hash_count", "seed")
 
 @dataclass
 class IndexBundle:
-    """Built structures over one text, plus the parameters that shaped them."""
+    """Built structures over one text, plus the parameters that shaped them.
+
+    ``hasher`` is the text's parsing hash, rebuilt on load from the w, p,
+    base and modulus that ``params`` records; queries parse patterns with it.
+    """
 
     params: dict[str, Any]
+    hasher: RollingHasher
     dictionary: PhraseDictionary
     parse_text: ParsedString
     text_index: OccurrenceIndex
@@ -56,7 +61,7 @@ def save_bundle(bundle: IndexBundle, path: str) -> None:
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
     arrays = (text.forward.sa, text.backward.sa, parse.symbols, parse.phrase_start,
               pidx.forward.sa, pidx.backward.sa, [len(p) for p in phrases])
-    blobs = [json.dumps(params, sort_keys=True).encode("utf-8"), bytes(text.sequence),
+    blobs = [json.dumps(params, sort_keys=True).encode("utf-8"), text.sequence,
              *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
              bytes(bundle.kmer_filter.counters), bytes(bundle.phrase_filter.counters)]
     with open(path, "wb") as fh:
@@ -121,7 +126,7 @@ def load_bundle(path: str) -> IndexBundle:
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
         w, p, base, modulus, k, n = (_int(params, key) for key in (
             "w", "p", "base", "modulus", "kebab_k", "text_length"))
-        RollingHasher(w, p, base, modulus)
+        hasher = RollingHasher(w, p, base, modulus)
         kparams, pparams = (FilterParams(*(_int(params.get(name), key)
                                            for key in _FILTER_KEYS))
                             for name in ("kmer_filter", "phrase_filter"))
@@ -148,7 +153,7 @@ def load_bundle(path: str) -> IndexBundle:
            "sections of the text or of its parse differ in length")
     _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
            "phrase starts do not rise from 1")
-    return IndexBundle(params, dictionary,
+    return IndexBundle(params, hasher, dictionary,
                        ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa),
                        OccurrenceIndex(symbols, parse_sa, parse_rsa),

@@ -118,6 +118,7 @@ def cmd_build(args) -> int:
     }
     bundle = IndexBundle(
         params=params,
+        hasher=hasher,
         dictionary=dictionary,
         parse_text=parse_text,
         text_index=text_index,
@@ -132,7 +133,8 @@ def cmd_build(args) -> int:
 
 
 # The least value each integer flag accepts; float flags are checked apart.
-_LEAST = {"f": 1, "t": 1, "L": 1, "window": 1, "trigger": 2, "kmer": 1}
+_LEAST = {"f": 1, "t": 1, "L": 1, "window": 1, "trigger": 2, "kmer": 1,
+          "instances": 0, "max_text": 50, "max_pattern": 20}
 
 
 def _check_ranges(args):
@@ -140,7 +142,7 @@ def _check_ranges(args):
     for dest, least in _LEAST.items():
         given = getattr(args, dest, None)
         if given is not None and given < least:
-            flag = f"-{dest}" if len(dest) == 1 else f"--{dest}"
+            flag = f"-{dest}" if len(dest) == 1 else "--" + dest.replace("_", "-")
             raise ParameterMismatch(f"{flag}={given} must be at least {least}")
     fpr = getattr(args, "filter_fpr", None)
     if fpr is not None and not 0.0 < fpr < 1.0:
@@ -180,11 +182,7 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
         if t is not None or (L is not None and L >= k):
             windows = retained
     elif mode != "exact":
-        hasher = RollingHasher(window=bundle.params["w"],
-                               trigger_modulus=bundle.params["p"],
-                               base=bundle.params["base"],
-                               modulus=bundle.params["modulus"])
-        parse_p = pfp_parse(pattern, hasher, bundle.dictionary)
+        parse_p = pfp_parse(pattern, bundle.hasher, bundle.dictionary)
         if mode == "parse":
             pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
         else:  # combined
@@ -264,6 +262,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_ranges(args)
     if args.check_index:
         try:
             load_bundle(args.check_index)

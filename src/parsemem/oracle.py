@@ -64,7 +64,7 @@ def brute_force_f_mems(text, pattern, f: int = 1) -> list[Mem]:
             continue
         if i > 1 and reach[i - 1] >= j:
             continue  # extensible to the left
-        mems.append(Mem(start=i, end=j, freq=brute_force_count(t, p[i - 1:j]), f=f))
+        mems.append(Mem(start=i, end=j, freq=brute_force_count(t, p[i - 1:j])))
     return mems
 
 

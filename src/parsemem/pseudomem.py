@@ -9,9 +9,10 @@ Three routes produce pseudo-MEMs over a pattern P:
   where neither phrase clears the occurrence threshold (origin S2).  An S1
   pseudo-MEM certifies an f-MEM at least as long as the characters left after
   deleting one phrase from each end.
-* Coarse-then-refine: a phrase-ID filter yields over-approximations of the
-  S1/S2 regions (S3/S4); the real parse index then recovers exactly the
-  S1/S2 output inside them.
+* Coarse-then-refine: the parse route with a phrase-ID filter in front.  The
+  filter's one batch of answers limits the parse-level scan to runs of
+  filter-positive phrases and the per-phrase counts to those phrases; as it
+  has no false negatives, the output is the parse route's.
 
 Once at least t pseudo-MEMs certify f-MEMs of some length, every pseudo-MEM
 shorter than the t-th best certified length can be discarded without losing
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import EmptyInputError
 from .filters import KIND_BLOOM, ITEMS_KMER, ITEMS_PHRASE, MembershipFilter
 from .parsing import ParsedString
-from .seqindex import Mem, OccurrenceIndex, find_f_mems, threshold_scan
-# Not called here; bench/tracing.py wraps this name on this module.
-from .seqindex import bml_mems  # noqa: F401
+from .seqindex import Mem, OccurrenceIndex, threshold_scan
+# Not called here; bench/tracing.py wraps these names on this module.
+from .seqindex import bml_mems, find_f_mems  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -61,16 +63,14 @@ class PseudoMem:
 
 @dataclass(frozen=True)
 class CoarseSets:
-    """Filter-level over-approximation of the parse pseudo-MEM regions.
+    """The phrase filter's answers for the phrases of a pattern's parse.
 
-    ``s3`` holds the one-phrase-each-way extensions of maximal filter-positive
-    runs; ``runs`` keeps the unextended runs for refinement; ``s4`` holds the
-    adjacent filter-negative pairs.  All intervals are 1-based phrase indices.
+    ``present[i - 1]`` tells whether the filter reports phrase i at least
+    ``f`` times.  The filter has no false negatives, so a phrase it rejects
+    occurs fewer than f times in the text's parse.
     """
 
-    s3: tuple[tuple[int, int], ...]
-    s4: tuple[tuple[int, int], ...]
-    runs: tuple[tuple[int, int], ...]
+    present: tuple[bool, ...]
     f: int
 
 
@@ -154,6 +154,30 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
     return out
 
 
+def _parse_pms(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
+               f: int, present: Sequence[bool] | None = None) -> list[PseudoMem]:
+    """The body of both parse routes, as parse_pseudo_mems describes it.
+
+    The parse-level scan covers the runs of ``present`` phrases, all of them
+    when no filter answers are given, and a phrase occurs only if it is
+    present and counted at least f times in the text's parse.
+    """
+    n = len(parsed_pattern)
+    if n == 0:
+        raise EmptyInputError("parsed pattern is empty")
+    if n == 1:
+        return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
+                          phrase_start=1, phrase_end=1)]
+    symbols = parsed_pattern.symbols
+    if present is None:
+        present = [True] * n
+    matches = threshold_scan(parse_index, symbols, _runs(present), f)
+    occurs = [hit and parse_index.count((sym,)) >= f
+              for hit, sym in zip(present, symbols)]
+    pairs = [(i, i + 1) for i in range(1, n) if not occurs[i - 1] and not occurs[i]]
+    return _emit_parse_pms(parsed_pattern, matches, pairs)
+
+
 def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
                       f: int = 1) -> list[PseudoMem]:
     """Pseudo-MEMs of the pattern from its parse against the text's parse.
@@ -164,16 +188,7 @@ def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex
     adjacent pair of phrases that both fail the occurrence test becomes an S2
     element.  Identical phrase intervals are emitted once.
     """
-    n = len(parsed_pattern)
-    if n == 0:
-        raise EmptyInputError("parsed pattern is empty")
-    if n == 1:
-        return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
-                          phrase_start=1, phrase_end=1)]
-    matches = find_f_mems(parse_index, parsed_pattern.symbols, f)
-    occurs = [parse_index.count((sym,)) >= f for sym in parsed_pattern.symbols]
-    pairs = [(i, i + 1) for i in range(1, n) if not occurs[i - 1] and not occurs[i]]
-    return _emit_parse_pms(parsed_pattern, matches, pairs)
+    return _parse_pms(parsed_pattern, parse_index, f)
 
 
 def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
@@ -192,56 +207,24 @@ def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
 
 def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
                 f: int = 1) -> CoarseSets:
-    """Filter-level S3/S4 regions of the pattern's parse.
-
-    S3 extends each maximal run of filter-positive phrases by one phrase each
-    way; S4 collects adjacent pairs where both phrases are filter-negative.
-    A filter-negative phrase is certainly below threshold, so these regions
-    cover the exact S1/S2 output whatever false positives occur.
-    """
+    """The phrase filter's answers for the pattern's parse, in one batch call."""
     if phrase_filter.item_kind != ITEMS_PHRASE:
         raise ValueError("coarse sets need a phrase-ID filter")
-    n = len(parsed_pattern)
-    if n == 0:
-        raise EmptyInputError("parsed pattern is empty")
-    present = phrase_filter.at_least_many(parsed_pattern.symbols, f)
-    runs = _runs(present)
-    s3 = tuple((max(a - 1, 1), min(b + 1, n)) for a, b in runs)
-    s4 = tuple((i, i + 1) for i in range(1, n)
-               if not present[i - 1] and not present[i])
-    return CoarseSets(s3=s3, s4=s4, runs=tuple(runs), f=f)
+    return CoarseSets(tuple(phrase_filter.at_least_many(parsed_pattern.symbols, f)), f)
 
 
 def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
            parse_index: OccurrenceIndex, f: int = 1) -> list[PseudoMem]:
-    """Recover the exact parse pseudo-MEMs from the coarse regions.
+    """The parse route with the filter's answers in front.
 
-    Because the filter has no false negatives, every true parse f-MEM lies
-    inside a filter-positive run, so one parse-level scan with the runs as
-    its windows finds them all.  S4 pairs are definitively absent phrases
-    and become S2 elements directly; false positives inside S3 regions are
-    weeded out by rechecking phrase counts against the real index.  The
-    output equals parse_pseudo_mems applied to the whole parse.
+    Every parse f-MEM lies inside a run of filter-positive phrases, and a
+    filter-negative phrase occurs fewer than f times, so scanning only those
+    runs and counting only positive phrases gives exactly the output of
+    parse_pseudo_mems.
     """
     if coarse.f != f:
         raise ValueError("coarse sets were built for a different f")
-    n = len(parsed_pattern)
-    if n == 1:
-        return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
-                          phrase_start=1, phrase_end=1)]
-    matches = threshold_scan(parse_index, parsed_pattern.symbols,
-                             coarse.runs, f)
-    pairs = set(coarse.s4)
-    occurs: dict[int, bool] = {}
-    for lo, hi in coarse.s3:
-        for i in range(lo, hi + 1):
-            if i not in occurs:
-                sym = parsed_pattern.symbols[i - 1]
-                occurs[i] = parse_index.count((sym,)) >= f
-        for i in range(lo, hi):
-            if not occurs[i] and not occurs[i + 1]:
-                pairs.add((i, i + 1))
-    return _emit_parse_pms(parsed_pattern, matches, sorted(pairs))
+    return _parse_pms(parsed_pattern, parse_index, f, coarse.present)
 
 
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],

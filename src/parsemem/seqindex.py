@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import EmptyInputError
 
 
-def _build_suffix_array(seq: tuple[int, ...]) -> list[int]:
+def _build_suffix_array(seq: Sequence[int]) -> list[int]:
     """Suffix array by prefix doubling, O(n log^2 n).
 
     Each round orders suffixes by (rank of the first k symbols, rank of the
@@ -68,7 +68,7 @@ class _SuffixView:
     ``steps`` counts the calls to ``extend`` made so far.
     """
 
-    def __init__(self, seq: tuple[int, ...], sa: Sequence[int] | None = None):
+    def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
         self.seq = seq
         self.sa = _build_suffix_array(seq) if sa is None else sa
         self.steps = 0
@@ -116,7 +116,6 @@ class Mem:
     start: int
     end: int
     freq: int
-    f: int = 1
 
     @property
     def length(self) -> int:
@@ -129,7 +128,7 @@ class OccurrenceIndex:
     ``forward`` indexes the sequence itself (right extension of a match);
     ``backward`` indexes the reversed sequence, so extending the reversed
     query on the right extends the original query on the left.  ``seq`` is
-    bytes or a tuple of phrase IDs; it is stored as a tuple.  The suffix
+    bytes or a tuple of phrase IDs, kept as given.  The suffix
     arrays, built unless passed as ``sa`` and ``reverse_sa``, never change;
     ``steps`` counts the one-symbol extensions made in either direction so
     far, so callers measure a unit of work as the difference around it.
@@ -138,9 +137,9 @@ class OccurrenceIndex:
     def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None):
         if len(seq) == 0:
             raise EmptyInputError("cannot index an empty sequence")
-        self.sequence = tuple(seq)
-        self.forward = _SuffixView(self.sequence, sa)
-        self.backward = _SuffixView(tuple(reversed(self.sequence)), reverse_sa)
+        self.sequence = seq
+        self.forward = _SuffixView(seq, sa)
+        self.backward = _SuffixView(seq[::-1], reverse_sa)
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -234,7 +233,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                 crosses = (b - a >= f
                            and index.count(pattern[lo - 2:end]) >= f)
             if not crosses:
-                mem = Mem(start=start, end=end, freq=fhi - flo, f=f)
+                mem = Mem(start=start, end=end, freq=fhi - flo)
                 mems.append(mem)
                 if t is not None:
                     lengths.append(mem.length)

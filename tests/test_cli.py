@@ -229,7 +229,7 @@ class TestDeterminism:
         ("exact", "q1 160 0 0 0 0 402 0"),
         ("kebab", "q1 160 121 121 0 0 533 153"),
         ("parse", "q1 160 225 225 24 51 402 0"),
-        ("combined", "q1 160 225 225 24 37 402 24")])
+        ("combined", "q1 160 225 225 24 35 402 24")])
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
         # parse_backward_steps, char_backward_steps and filter_probes are
@@ -373,19 +373,26 @@ class TestParameterChecks:
         ("query", "-t", "0"), ("query", "-L", "0"), ("query", "-f", "0"),
         ("build", "-w", "0"), ("build", "-p", "1"), ("build", "-k", "0"),
         ("build", "--filter-fpr", "1.5"), ("build", "--seed", "-1"),
-        ("build", "--seed", str(1 << 64))],
-        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5", "seed-1", "seed2^64"])
+        ("build", "--seed", str(1 << 64)), ("verify", "--max-text", "49"),
+        ("verify", "--max-pattern", "19"), ("verify", "--instances", "-2")],
+        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5", "seed-1", "seed2^64",
+             "max-text49", "max-pattern19", "instances-2"])
     def test_out_of_range_flag_is_usage_error(self, corpus, tmp_path, capsys,
                                               argv):
         build(corpus)
         capsys.readouterr()
         if argv[0] == "query":
             args = ["query", corpus["pat_path"], "--index", corpus["index"]]
-        else:
+        elif argv[0] == "build":
             args = ["build", corpus["text_path"], "-o", str(tmp_path / "i.pmidx")]
+        else:  # its message names the flag as typed
+            args = ["verify", "--instances", "1", "--max-text", "50",
+                    "--max-pattern", "20"]
         rc = main([*args, *argv[1:]])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert args[0] != "verify" or err.startswith(f"error: {argv[1]}=")
 
 
 class TestStatsAndVerify:

@@ -254,14 +254,12 @@ class TestCoarseRefine:
         pattern = rand_dna(rng, 10) + text[100:200] + rand_dna(rng, 10)
         parse_t, parse_p, pidx = parse_pair(text, pattern)
         filt = self.exact_phrase_filter(parse_t, 0)
-        coarse = coarse_sets(parse_p, filt, 1)
-        n = len(parse_p)
-        for a, b in coarse.runs:
-            assert 1 <= a <= b <= n
-        for (a, b), (ra, rb) in zip(coarse.s3, coarse.runs):
-            assert a == max(ra - 1, 1) and b == min(rb + 1, n)
-        for a, b in coarse.s4:
-            assert b == a + 1
+        for f in (1, 2):
+            coarse = coarse_sets(parse_p, filt, f)
+            assert coarse.f == f
+            assert list(coarse.present) == filt.at_least_many(parse_p.symbols, f)
+            for hit, sym in zip(coarse.present, parse_p.symbols):
+                assert hit or pidx.count((sym,)) < f
 
     def test_mismatched_f_rejected(self):
         rng = random.Random(151)
