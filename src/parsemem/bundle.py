@@ -3,13 +3,17 @@
 This module alone knows the format: an 8-byte magic, a little-endian u32
 format version and u32 section count, then the SECTIONS, each framed as (u16
 name length, name, u64 payload length, 32-byte SHA-256, payload).  All are
-plain data, so loading runs no code: params as JSON with each filter's size
-and seed, the text, the suffix arrays of the text and its reverse, the parse
-symbols, phrase starts and two suffix arrays, the dictionary's phrase lengths
-and phrases, and each counting filter's one-byte counters.  Integers are
-little-endian u32.  Reversed sequences are derived on load and counters
-start at 0.  Load checks every value it reads and rejects other versions, as
-results are only meaningful with the build-time parsing parameters.
+plain data, so loading runs no code: params as JSON with the phrase
+filter's size and seed, the text, the suffix arrays of the text and its
+reverse, the parse symbols, phrase starts and two suffix arrays, the
+dictionary's phrase lengths and phrases, the k-mer table's sorted u64 keys
+and one-byte counts, and the phrase filter's one-byte counters.  Integers
+are little-endian, u32 unless named.  Reversed sequences are derived on load
+and step and probe counters start at 0.  Load checks every value it reads
+and rejects other versions, as results are only meaningful with the
+build-time parsing parameters.  Orders the writer guarantees, of the suffix
+arrays and of the k-mer keys, are not checked on load; ``check_order``
+checks the keys for ``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -17,20 +21,24 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import lt
 from typing import Any
 
 from .errors import IndexFormatError
-from .filters import ITEMS_KMER, ITEMS_PHRASE, CountingBloomFilter, FilterParams
+from .filters import (ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, CountingBloomFilter,
+                      FilterParams, FingerprintTable)
 from .parsing import SCHEME_PFP, ParsedString, PhraseDictionary, RollingHasher
 from .seqindex import OccurrenceIndex
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 3  # 3: typed sections of plain data replace the pickle
+FORMAT_VERSION = 4  # 4: a k-mer fingerprint table replaces the k-mer counters
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "parse", "phrase_start",
-            "parse_sa", "parse_rsa", "phrase_lengths", "phrases", "kmer_filter",
-            "phrase_filter")
+            "parse_sa", "parse_rsa", "phrase_lengths", "phrases", "kmer_keys",
+            "kmer_counts", "phrase_filter")
 _FILTER_KEYS = ("bits", "hash_count", "seed")
 
 
@@ -48,22 +56,30 @@ class IndexBundle:
     parse_text: ParsedString
     text_index: OccurrenceIndex
     parse_index: OccurrenceIndex
-    kmer_filter: CountingBloomFilter
+    kmer_filter: FingerprintTable
     phrase_filter: CountingBloomFilter
+
+
+def _little_endian(values: array) -> array:
+    """``values`` in little-endian byte order (a copy on big-endian hosts)."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values
 
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
     params = dict(bundle.params)
-    for name in ("kmer_filter", "phrase_filter"):
-        fp = getattr(bundle, name).params
-        params[name] = {key: getattr(fp, key) for key in _FILTER_KEYS}
+    fp = bundle.phrase_filter.params
+    params["phrase_filter"] = {key: getattr(fp, key) for key in _FILTER_KEYS}
     phrases = [bundle.dictionary.string_of(i) for i in range(len(bundle.dictionary))]
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
     arrays = (text.forward.sa, text.backward.sa, parse.symbols, parse.phrase_start,
               pidx.forward.sa, pidx.backward.sa, [len(p) for p in phrases])
     blobs = [json.dumps(params, sort_keys=True).encode("utf-8"), text.sequence,
              *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
-             bytes(bundle.kmer_filter.counters), bytes(bundle.phrase_filter.counters)]
+             _little_endian(bundle.kmer_filter.keys).tobytes(),
+             bytes(bundle.kmer_filter.counts), bytes(bundle.phrase_filter.counters)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
@@ -122,15 +138,22 @@ def load_bundle(path: str) -> IndexBundle:
         sections[name] = payload
     if sorted(sections) != sorted(SECTIONS):
         raise IndexFormatError("index file does not hold the expected sections")
+    _check(len(sections["kmer_keys"]) % 8 == 0,
+           "kmer_keys is not a whole number of u64s")
+    keys = array("Q")
+    keys.frombytes(sections["kmer_keys"])
+    counts = bytearray(sections["kmer_counts"])
+    _check(len(counts) == len(keys), "kmer_counts and kmer_keys differ in length")
+    _check(0 not in counts, "kmer_counts holds a zero count")
     try:  # JSON and UTF-8 errors are ValueErrors too
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
         w, p, base, modulus, k, n = (_int(params, key) for key in (
             "w", "p", "base", "modulus", "kebab_k", "text_length"))
         hasher = RollingHasher(w, p, base, modulus)
-        kparams, pparams = (FilterParams(*(_int(params.get(name), key)
-                                           for key in _FILTER_KEYS))
-                            for name in ("kmer_filter", "phrase_filter"))
-        kmer_filter = CountingBloomFilter(kparams, ITEMS_KMER, k, sections["kmer_filter"])
+        kmer_filter = FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k,
+                                       _little_endian(keys), counts)
+        pparams = FilterParams(*(_int(params.get("phrase_filter"), key)
+                                 for key in _FILTER_KEYS))
         phrase_filter = CountingBloomFilter(pparams, ITEMS_PHRASE,
                                             counters=sections["phrase_filter"])
     except ValueError as exc:
@@ -158,3 +181,13 @@ def load_bundle(path: str) -> IndexBundle:
                        OccurrenceIndex(text, text_sa, text_rsa),
                        OccurrenceIndex(symbols, parse_sa, parse_rsa),
                        kmer_filter, phrase_filter)
+
+
+def check_order(bundle: IndexBundle) -> None:
+    """Check that the k-mer keys strictly increase, as the table writes them.
+
+    Lookups bisect the keys, so out-of-order keys could hide a stored k-mer.
+    Load leaves this to the writer, as it does suffix-array order.
+    """
+    keys = bundle.kmer_filter.keys
+    _check(all(map(lt, keys, keys[1:])), "kmer_keys do not strictly increase")

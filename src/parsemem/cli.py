@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import filters as flt
 from . import pseudomem as pmm
-from .bundle import IndexBundle, load_bundle, save_bundle
+from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
 from .parsing import PhraseDictionary, RollingHasher, pfp_parse
@@ -87,19 +87,17 @@ def cmd_build(args) -> int:
     _check_alphabet(records, args.dna)
     text = bytes([SEPARATOR]).join(seq for _, seq in records)
 
+    # The k-mer table first: its build peaks before the suffix arrays are held.
+    k = args.kmer
+    kmers = (seq[i:i + k] for _, seq in records for i in range(len(seq) - k + 1))
+    kmer_filter = flt.filter_build(kmers, flt.TABLE_PARAMS, flt.KIND_TABLE,
+                                   flt.ITEMS_KMER, k)
+
     hasher = RollingHasher(window=args.window, trigger_modulus=args.trigger)
     dictionary = PhraseDictionary()
     parse_text = pfp_parse(text, hasher, dictionary)
     text_index = OccurrenceIndex(text)
     parse_index = OccurrenceIndex(parse_text.symbols)
-
-    k = args.kmer
-    kmers = [text[i:i + k] for i in range(len(text) - k + 1)
-             if SEPARATOR not in text[i:i + k]]
-    n_kmers = max(len(set(kmers)), 1)
-    kparams = replace(flt.size_for(n_kmers, args.filter_fpr), seed=args.seed)
-    kmer_filter = flt.filter_build(kmers, kparams, flt.KIND_COUNTING,
-                                   flt.ITEMS_KMER, k)
     n_phrases = max(len(set(parse_text.symbols)), 1)
     pparams = replace(flt.size_for(n_phrases, args.filter_fpr), seed=args.seed)
     phrase_filter = flt.filter_build(parse_text.symbols, pparams,
@@ -265,7 +263,7 @@ def cmd_verify(args) -> int:
     _check_ranges(args)
     if args.check_index:
         try:
-            load_bundle(args.check_index)
+            check_order(load_bundle(args.check_index))
             print(f"PASS index integrity: {args.check_index}")
         except IndexFormatError as exc:
             print(f"FAIL index integrity: {exc}")
@@ -298,9 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-p", "--trigger", type=int, default=DEFAULT_P,
                    help="prefix-free parsing trigger modulus")
     b.add_argument("-k", "--kmer", type=int, default=DEFAULT_KEBAB_K,
-                   help="k-mer length for the KeBaB filter")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--filter-fpr", type=float, default=DEFAULT_FPR)
+                   help="k-mer length of the KeBaB k-mer table")
+    b.add_argument("--seed", type=int, default=0,
+                   help="seed of the phrase filter's hash")
+    b.add_argument("--filter-fpr", type=float, default=DEFAULT_FPR,
+                   help="false-positive rate the phrase filter is sized for "
+                        "(the k-mer table has no size to choose)")
     b.add_argument("--format", choices=("auto", "fasta", "raw"), default="auto")
     b.add_argument("--dna", action="store_true",
                    help="reject characters outside ACGT")

@@ -1,4 +1,5 @@
-"""Bloom, counting Bloom, and exact membership filters over k-mers or phrase IDs.
+"""Bloom, counting Bloom, fingerprint-table and exact membership filters over
+k-mers or phrase IDs.
 
 The pseudo-MEM constructions rely on one guarantee only: a Bloom filter never
 returns a false negative, and a counting filter never undercounts (insertions
@@ -7,14 +8,27 @@ variant, backed by a real multiset, satisfies the same interface with zero
 false positives; it exists so tests can isolate the effect of false
 positives.
 
-Probe positions come from double hashing: two seeded 64-bit digests combined
-as h1 + i*h2 mod m, so a filter is reproducible bit for bit from its seed and
-insertion stream.  Each filter keys one BLAKE2b state with its seed when it
-is built and copies that state for every item, so no item pays for keying.
+The fingerprint table is what an index stores for KeBaB.  An item's key is
+its value mod 2^61 - 1, a k-mer's bytes read as a big-endian integer; the
+table holds the distinct keys of its items in a sorted ``array('Q')`` and
+their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
+one ``bisect_left``.  Like the counting filter it never undercounts: items
+that share a key add up to one count, so a key collision can only add a
+false positive.  Keys of k-mers with k <= 7, and of phrase IDs below
+2^61 - 1, are exact.  ``kmer_keys`` computes the keys of every k-mer of a
+sequence in one rolling Rabin-Karp pass, from which the table's
+``kmers_at_least`` answers a whole pattern at once.
+
+The two Bloom filters take probe positions from double hashing: two seeded
+64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
+for bit from its seed and insertion stream.  Each filter keys one BLAKE2b
+state with its seed when it is built and copies that state for every item,
+so no item pays for keying.
 
 Lookups go through ``at_least_many``, which answers a whole batch of items in
-one call (a pattern's k-mers, or its parse's phrase IDs); ``at_least`` is its
-one-item case.  ``filter_build`` fills a filter with one ``insert_many`` call.
+one call (a pattern's parse's phrase IDs, say); ``at_least`` is its one-item
+case, and ``kmers_at_least`` its case of every k-mer of one sequence.
+``filter_build`` fills a filter with one ``insert_many`` call.
 The counting filter's batch loops, for lookups and inserts alike, take each
 item's probe positions from one generator that validates and hashes the
 item inline, with no method call per item; a lookup stops at the first
@@ -25,7 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .errors import ItemKindMismatch
@@ -33,6 +51,7 @@ from .errors import ItemKindMismatch
 KIND_BLOOM = "bloom"
 KIND_COUNTING = "counting"
 KIND_EXACT = "exact"
+KIND_TABLE = "table"
 
 ITEMS_KMER = "kmer"
 ITEMS_PHRASE = "phrase"
@@ -42,6 +61,7 @@ _MAX_HASHES = 16
 _SATURATED = 255  # the largest count a one-byte counter holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _H1_MASK = (1 << 64) - 1
+KEY_MODULUS = (1 << 61) - 1  # a table key is an item's value mod this prime
 
 
 @dataclass(frozen=True)
@@ -57,6 +77,30 @@ class FilterParams:
             raise ValueError(f"hash count must be in 1..{_MAX_HASHES}")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be in [0, 2^64)")
+
+
+# A table has no size to choose.  Its params give its key space as the bits
+# of one hash, so expected_fpr reads the chance that the key of an item the
+# table lacks equals one of n stored keys: 1 - e^(-n / (2^61 - 1)).
+TABLE_PARAMS = FilterParams(bits=KEY_MODULUS, hash_count=1)
+
+
+def kmer_keys(seq: bytes, k: int) -> list[int]:
+    """The table key of every k-mer of ``seq``, first to last.
+
+    One rolling Rabin-Karp pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1,
+    which equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each k-mer.
+    """
+    if len(seq) < k:
+        return []
+    drop = pow(256, k, KEY_MODULUS)
+    v = int.from_bytes(seq[:k], "big") % KEY_MODULUS
+    keys = [v]
+    append = keys.append
+    for c, c_out in zip(seq[k:], seq):
+        v = (v * 256 + c - c_out * drop) % KEY_MODULUS
+        append(v)
+    return keys
 
 
 def size_for(n_items: int, target_fpr: float) -> FilterParams:
@@ -83,10 +127,10 @@ def expected_fpr(params: FilterParams, n_items: int) -> float:
 
 
 class MembershipFilter:
-    """Common surface of the three filter kinds.
+    """Common surface of the four filter kinds.
 
-    ``probes`` counts the items looked up by ``at_least_many`` (and so by
-    ``at_least``) so far.
+    ``probes`` counts the items looked up by ``at_least_many``, ``at_least``
+    and ``kmers_at_least`` so far.
     """
 
     kind: str
@@ -170,6 +214,11 @@ class MembershipFilter:
     def at_least(self, item, f: int) -> bool:
         """Whether the filter reports ``item`` present at least ``f`` times."""
         return self.at_least_many((item,), f)[0]
+
+    def kmers_at_least(self, seq: bytes, f: int) -> list[bool]:
+        """``at_least_many`` over every k-mer of ``seq``, first to last."""
+        k = self.k
+        return self.at_least_many([seq[i:i + k] for i in range(len(seq) - k + 1)], f)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
         """One ``min_count`` per item; the counting filter inlines it."""
@@ -275,10 +324,76 @@ class ExactFilter(MembershipFilter):
         return self._counts.get(self._encode(item), 0)
 
 
+class FingerprintTable(MembershipFilter):
+    """Sorted distinct item keys and their saturating one-byte counts.
+
+    It keeps ``TABLE_PARAMS`` whatever params it is given.  Pass ``keys``
+    and ``counts`` to restore a table: as the table writes them, the keys
+    strictly increase, the counts are positive, and both have one length.
+    """
+
+    kind = KIND_TABLE
+
+    def __init__(self, params: FilterParams, item_kind: str, k: int | None = None,
+                 keys: array | None = None, counts: bytearray | None = None):
+        super().__init__(TABLE_PARAMS, item_kind, k)
+        self.keys = array("Q") if keys is None else keys
+        self.counts = bytearray() if counts is None else counts
+        if len(self.keys) != len(self.counts):
+            raise ValueError("keys and counts differ in length")
+
+    def _keys(self, items: Iterable):
+        """Yield each item's key; items are validated inline."""
+        kmers, k, from_bytes = self.item_kind == ITEMS_KMER, self.k, int.from_bytes
+        for item in items:
+            if not (kmers and isinstance(item, (bytes, bytearray)) and len(item) == k):
+                self._encode(item)  # raises on an item of the wrong kind
+            yield (from_bytes(item, "big") if kmers else item) % KEY_MODULUS
+
+    def insert(self, item):
+        self.insert_many((item,))
+
+    def insert_many(self, items: Iterable):
+        """Count the items' keys into the table and sort it again."""
+        tally = Counter(self._keys(items))
+        tally.update(dict(zip(self.keys, self.counts)))
+        self.keys = array("Q", sorted(tally))
+        self.counts = bytearray(map(min, map(tally.__getitem__, self.keys),
+                                    repeat(_SATURATED)))
+
+    def query(self, item) -> bool:
+        return self.min_count(item) > 0
+
+    def min_count(self, item) -> int:
+        (key,) = self._keys((item,))
+        i = bisect_left(self.keys, key)
+        return self.counts[i] if i < len(self.keys) and self.keys[i] == key else 0
+
+    def _answer(self, items: Iterable, f: int) -> list[bool]:
+        return self._lookup(list(self._keys(items)), f)
+
+    def kmers_at_least(self, seq: bytes, f: int) -> list[bool]:
+        """Keys from one rolling pass over ``seq``, then one bisect each."""
+        if f < 1:
+            raise ValueError("f must be at least 1")
+        answers = self._lookup(kmer_keys(seq, self.k), f)
+        self.probes += len(answers)
+        return answers
+
+    def _lookup(self, keys: list[int], f: int) -> list[bool]:
+        """Whether each key is stored with a count of at least ``f``; a
+        saturated count passes any threshold."""
+        table, counts, n = self.keys, self.counts, len(self.keys)
+        f = min(f, _SATURATED)
+        return [i < n and table[i] == key and counts[i] >= f
+                for key, i in zip(keys, map(bisect_left, repeat(table), keys))]
+
+
 _FILTER_CLASSES = {
     KIND_BLOOM: BloomFilter,
     KIND_COUNTING: CountingBloomFilter,
     KIND_EXACT: ExactFilter,
+    KIND_TABLE: FingerprintTable,
 }
 
 

@@ -91,8 +91,7 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
     if m < k:
         log.warning("pattern of length %d is shorter than k=%d; no pseudo-MEMs", m, k)
         return []
-    present = filt.at_least_many(
-        [pattern[i:i + k] for i in range(m - k + 1)], f)
+    present = filt.kmers_at_least(pattern, f)
     return [PseudoMem(a, b + k - 1, ORIGIN_KEBAB) for a, b in _runs(present)]
 
 

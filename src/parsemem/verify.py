@@ -362,7 +362,7 @@ def suite_safe_discard(rng: random.Random, instances: int,
 
 
 def suite_kebab(rng: random.Random, instances: int, k: int = 8,
-                kind: str = flt.KIND_COUNTING, max_text: int = 800,
+                kind: str = flt.KIND_TABLE, max_text: int = 800,
                 max_pattern: int = 200) -> SuiteResult:
     """Every oracle f-MEM of length >= k sits inside a KeBaB pseudo-MEM."""
     checked = violations = 0
@@ -528,7 +528,8 @@ def suite_filters(rng: random.Random, instances: int) -> SuiteResult:
     """No false negatives, no undercounts, across random insert/query mixes."""
     checked = violations = 0
     for _ in range(instances):
-        kind = rng.choice((flt.KIND_BLOOM, flt.KIND_COUNTING, flt.KIND_EXACT))
+        kind = rng.choice((flt.KIND_BLOOM, flt.KIND_COUNTING, flt.KIND_EXACT,
+                           flt.KIND_TABLE))
         k = rng.randint(4, 12)
         n = rng.randint(1, 200)
         items = [random_bytes(rng, k) for _ in range(n)]

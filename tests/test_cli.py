@@ -91,6 +91,39 @@ class TestBuildQuery:
         # the planted 120-char substring must surface as a long MEM
         assert any(int(c[3]) >= 120 for c in mem_rows(out))
 
+    def test_kmer_table_of_a_multi_record_protein_text(self, tmp_path, capsys):
+        # the stored table holds each record's k-mers with their counts and
+        # none across the NUL between records; kebab reports exact's matches
+        rng = random.Random(211)
+        records = [bytes(rng.choice(b"ACDEFGHIKL") for _ in range(n))
+                   for n in (300, 5, 400)]
+        records[2] = records[2][:100] + records[0][50:150] + records[2][100:]
+        text_path = tmp_path / "t.fa"
+        text_path.write_bytes(b"".join(b">r%d\n%s\n" % (i, r)
+                                       for i, r in enumerate(records)))
+        pattern = records[0][40:160] + b"WYWY" + records[2][300:380]
+        pat_path = tmp_path / "p.fa"
+        pat_path.write_bytes(b">q1\n" + pattern + b"\n")
+        index = str(tmp_path / "i.pmidx")
+        assert main(["build", str(text_path), "-o", index, "-k", "8"]) == 0
+        truth = {}
+        for record in records:
+            for i in range(len(record) - 7):
+                truth[record[i:i + 8]] = truth.get(record[i:i + 8], 0) + 1
+        table = load_bundle(index).kmer_filter
+        assert len(table.keys) == len(truth)
+        assert all(table.min_count(kmer) == count for kmer, count in truth.items())
+        joined = b"\x00".join(records)
+        assert not any(table.query(joined[i:i + 8]) for i in range(len(joined) - 7)
+                       if 0 in joined[i:i + 8])
+        for flags in (["-t", "3"], ["-L", "10"], ["-f", "2", "-t", "1"]):
+            rows = {}
+            for mode in ("exact", "kebab"):
+                assert main(["query", str(pat_path), "--index", index,
+                             "--mode", mode, *flags]) == 0
+                rows[mode] = mem_rows(capsys.readouterr().out)
+            assert rows["kebab"] == rows["exact"] and rows["exact"], flags
+
     def test_pmem_rows_are_well_formed(self, corpus, capsys):
         build(corpus)
         _, out = query(corpus, capsys, "--mode", "parse", "-t", "3")
@@ -216,11 +249,13 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("seed, digest", [
-        ("0", "c29c8d27e1cda1bdf190170e6c91da2aef568fdccb2848ef2ecdeed6bf64e55f"),
-        ("5", "5d7111f6402c76ec11370e6083836090f6ae471fb77d359fc70525193b603fcb")])
+        ("0", "758d8f2493e823beadf49ca4be071dd33d10b186256b2eb3d0ba9895af176df4"),
+        ("5", "cb22727f5f55bd37fd5890d1dbff6cc44022184e8241e8583881a678d41b78e6")],
+        ids=["seed0", "seed5"])
     def test_index_bytes_are_pinned(self, corpus, seed, digest):
-        # Format 3's bytes for this corpus: a change to the filter hash or to
-        # suffix-array order must bump FORMAT_VERSION and this digest with it.
+        # Format 4's bytes for this corpus: a change to the filter hash, the
+        # k-mer keys or suffix-array order must bump FORMAT_VERSION and this
+        # digest with it.
         build(corpus, "--seed", seed)
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
@@ -259,7 +294,7 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         bundle = load_bundle(corpus["index"])
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
@@ -298,8 +333,12 @@ class TestBundleFormat:
             {k: v for k, v in json.loads(p).items() if k != "kebab_k"}).encode(),
          "kebab_k"),
         ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
-         "text_sa entry out of range")],
-        ids=["missing_kebab_k", "sa_out_of_range"])
+         "text_sa entry out of range"),
+        ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
+        ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
+        ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count")],
+        ids=["missing_kebab_k", "sa_out_of_range", "keys_not_whole_u64s",
+             "counts_length_differs", "zero_count"])
     def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
                                                      section, change, why):
         build(corpus)
@@ -310,6 +349,16 @@ class TestBundleFormat:
         rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
         assert rc == 1
         assert "FAIL index integrity" in capsys.readouterr().out
+
+    def test_check_index_rejects_unsorted_kmer_keys(self, corpus, capsys):
+        # key order is the writer's to keep: load takes the table as it is,
+        # and verify --check-index is what catches keys out of order
+        build(corpus)
+        rewrite_section(corpus["index"], "kmer_keys", lambda p: p[8:16] + p[:8] + p[16:])
+        load_bundle(corpus["index"])
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "kmer_keys do not strictly increase" in capsys.readouterr().out
 
     def test_corrupted_payload_fails_checksum(self, corpus):
         build(corpus)

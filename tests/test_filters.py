@@ -1,16 +1,18 @@
 import hashlib
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemem.errors import ItemKindMismatch
-from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KIND_BLOOM,
-                              KIND_COUNTING, KIND_EXACT, BloomFilter,
-                              CountingBloomFilter, ExactFilter, FilterParams,
-                              expected_fpr, filter_build, size_for)
+from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KEY_MODULUS,
+                              KIND_BLOOM, KIND_COUNTING, KIND_EXACT, KIND_TABLE,
+                              TABLE_PARAMS, BloomFilter, CountingBloomFilter,
+                              ExactFilter, FilterParams, FingerprintTable,
+                              expected_fpr, filter_build, kmer_keys, size_for)
 
 
 class TestSizing:
@@ -168,6 +170,85 @@ class TestExact:
             assert filt.query(probe) == (probe in inserted)
 
 
+def table_key(kmer):
+    return int.from_bytes(kmer, "big") % KEY_MODULUS
+
+
+class TestFingerprintTable:
+    def test_rolling_keys_equal_per_item_keys(self):
+        rng = random.Random(89)
+        for k in (1, 3, 7, 8, 20, 31):
+            for size in (0, k - 1, k, k + 1, 300):
+                seq = bytes(rng.randrange(256) for _ in range(max(size, 0)))
+                assert kmer_keys(seq, k) == [table_key(seq[i:i + k])
+                                             for i in range(len(seq) - k + 1)]
+        assert kmer_keys(b"\xff" * 40, 30) == [table_key(b"\xff" * 30)] * 11
+
+    def test_build_sorts_distinct_keys_with_saturating_counts(self):
+        items = [b"CAT"] * 3 + [b"ACG"] + [b"TTT"] * 300
+        filt = filter_build(iter(items), FilterParams(64, 2), KIND_TABLE, ITEMS_KMER, 3)
+        want = sorted((table_key(x), min(items.count(x), 255)) for x in set(items))
+        assert list(zip(filt.keys, filt.counts)) == want
+        assert filt.probes == 0  # building is not lookup work
+        filt.insert_many([b"ACG", b"GGG"])  # counts merge with the stored ones
+        assert filt.min_count(b"ACG") == 2 and filt.min_count(b"GGG") == 1
+        assert filt.min_count(b"TTT") == 255
+        assert list(filt.keys) == sorted(filt.keys)
+
+    def test_short_keys_are_exact(self):
+        # k <= 7: a k-mer's big-endian value is below 2^61 - 1, its own key
+        rng = random.Random(97)
+        stored = {bytes(rng.randrange(256) for _ in range(7)) for _ in range(300)}
+        filt = filter_build(stored, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 7)
+        for _ in range(2000):
+            probe = bytes(rng.randrange(256) for _ in range(7))
+            assert filt.query(probe) == (probe in stored)
+
+    def test_params_are_the_key_space(self):
+        filt = filter_build([b"ACGT"], FilterParams(64, 4, seed=3), KIND_TABLE,
+                            ITEMS_KMER, 4)
+        assert filt.params == TABLE_PARAMS
+        assert TABLE_PARAMS.bits == KEY_MODULUS and TABLE_PARAMS.hash_count == 1
+        assert 0 < expected_fpr(filt.params, 10 ** 5) < 1e-13
+
+    def test_restore_needs_one_count_per_key(self):
+        with pytest.raises(ValueError):
+            FingerprintTable(TABLE_PARAMS, ITEMS_KMER, 4, array("Q", [1, 2]),
+                             bytearray(b"\x01"))
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_pattern_kmers_answer_the_true_multiset(self, f):
+        # records joined by NUL in the text, so no k-mer crosses a record
+        rng = random.Random(101 + f)
+        alphabet = b"ACDEFGHIKLMNPQRSTVWY"  # protein letters, not DNA
+        k = 4
+        records = [bytes(rng.choice(alphabet[:5]) for _ in range(rng.randint(0, 90)))
+                   for _ in range(6)] + [b"ACD" * 10]
+        text = b"\x00".join(records)
+        truth = {}
+        for record in records:
+            for i in range(len(record) - k + 1):
+                truth[record[i:i + k]] = truth.get(record[i:i + k], 0) + 1
+        kmers = (r[i:i + k] for r in records for i in range(len(r) - k + 1))
+        filt = filter_build(kmers, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+        spanning = {text[i:i + k] for i in range(len(text) - k + 1)} - set(truth)
+        assert spanning and all(0 in kmer for kmer in spanning)
+        patterns = [records[0][:k - 1], b"", b"WYWYWYWY",  # bytes the text lacks
+                    records[1] + b"ACDACDAC" + records[2][:20],
+                    bytes(rng.choice(alphabet) for _ in range(200))]
+        seen = set()
+        for pattern in patterns:
+            items = [pattern[i:i + k] for i in range(len(pattern) - k + 1)]
+            want = [truth.get(x, 0) >= f for x in items]
+            before = filt.probes
+            assert filt.kmers_at_least(pattern, f) == want
+            assert filt.probes == before + len(items)
+            assert filt.at_least_many(items, f) == want
+            seen.update(want)
+        assert seen == {True, False}
+        assert filt.at_least_many(sorted(spanning), 1) == [False] * len(spanning)
+
+
 def rand_kmers(rng, n, k):
     return [bytes(rng.choice(b"ACGT") for _ in range(k)) for _ in range(n)]
 
@@ -177,10 +258,11 @@ class TestBatchLookup:
 
     @staticmethod
     def reference(filt, items, f):
-        cap = min(f, 255) if filt.kind == KIND_COUNTING else f
+        cap = min(f, 255) if filt.kind in (KIND_COUNTING, KIND_TABLE) else f
         return [filt.min_count(x) >= cap for x in items]
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
+                                      KIND_TABLE])
     @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
     def test_equals_one_min_count_per_item(self, kind, item_kind):
         rng = random.Random(83)
@@ -203,7 +285,7 @@ class TestBatchLookup:
             if f == 1:
                 assert any(want) and not all(want)
 
-    @pytest.mark.parametrize("kind", [KIND_COUNTING, KIND_EXACT])
+    @pytest.mark.parametrize("kind", [KIND_COUNTING, KIND_EXACT, KIND_TABLE])
     def test_threshold_above_a_saturated_counter(self, kind):
         filt = filter_build([b"AAA"] * 300 + [b"CCC"], FilterParams(64, 2), kind,
                             ITEMS_KMER, 3)
@@ -211,9 +293,11 @@ class TestBatchLookup:
         for f in (255, 256, 300):
             assert filt.at_least_many(items, f) == self.reference(filt, items, f)
         # a saturated count may stand for any larger one; the exact count may not
-        assert filt.at_least_many(items, 301) == [kind == KIND_COUNTING, False, False]
+        assert filt.at_least_many(items, 301) == [kind != KIND_EXACT, False, False]
+        assert filt.kmers_at_least(b"AAAAAA", 301) == [kind != KIND_EXACT] * 4
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
+                                      KIND_TABLE])
     def test_wrong_item_kind_raises(self, kind):
         kfilt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
         for bad in (17, b"ACG", b"ACGTA", "ACGT"):
@@ -225,16 +309,18 @@ class TestBatchLookup:
                 pfilt.at_least_many([17, bad], 1)
         assert kfilt.at_least_many([bytearray(b"ACGT")], 1) == [True]
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
+                                      KIND_TABLE])
     def test_threshold_errors_stay(self, kind):
         filt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
-        with pytest.raises(ValueError):
-            filt.at_least_many([b"ACGT"], 0)
-        if kind == KIND_BLOOM:
+        for f in (0, 2) if kind == KIND_BLOOM else (0,):
             with pytest.raises(ValueError):
-                filt.at_least_many([b"ACGT"], 2)
+                filt.at_least_many([b"ACGT"], f)
+            with pytest.raises(ValueError):
+                filt.kmers_at_least(b"ACGTA", f)
         assert filt.probes == 0
         assert filt.at_least_many([], 1) == []
+        assert filt.kmers_at_least(b"ACG", 1) == []
 
 
 def textbook_positions(item, params):
@@ -308,7 +394,7 @@ def test_kmer_filter_requires_k():
 @settings(max_examples=80, deadline=None)
 def test_no_false_negatives_any_kind(items, seed):
     params = FilterParams(bits=128, hash_count=3, seed=seed)
-    for kind in (KIND_BLOOM, KIND_COUNTING, KIND_EXACT):
+    for kind in (KIND_BLOOM, KIND_COUNTING, KIND_EXACT, KIND_TABLE):
         filt = filter_build(items, params, kind, ITEMS_KMER, 4)
         counts = {}
         for item in items:

@@ -94,6 +94,21 @@ class TestKebab:
         kebab_pseudo_mems(b"ACGTACGT", filt)
         assert filt.probes == 5  # one per k-mer position
 
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_table_runs_equal_exact_filter_runs(self, f):
+        # k <= 7 gives the table exact keys, so its runs are the multiset's
+        rng = random.Random(107 + f)
+        k = 6
+        for _ in range(30):
+            text = rand_dna(rng, 400)
+            pattern = text[50:150] + rand_dna(rng, 60) + text[200:260]
+            kmers = [text[i:i + k] for i in range(len(text) - k + 1)]
+            table, exact = (flt.filter_build(kmers, flt.TABLE_PARAMS, kind,
+                                             flt.ITEMS_KMER, k)
+                            for kind in (flt.KIND_TABLE, flt.KIND_EXACT))
+            assert (kebab_pseudo_mems(pattern, table, f)
+                    == kebab_pseudo_mems(pattern, exact, f))
+
 
 class TestParsePseudoMems:
     def test_single_phrase_pattern_is_whole(self):
