@@ -89,9 +89,8 @@ def cmd_build(args) -> int:
 
     # The k-mer table first: its build peaks before the suffix arrays are held.
     k = args.kmer
-    kmers = (seq[i:i + k] for _, seq in records for i in range(len(seq) - k + 1))
-    kmer_filter = flt.filter_build(kmers, flt.TABLE_PARAMS, flt.KIND_TABLE,
-                                   flt.ITEMS_KMER, k)
+    kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
+                                   flt.KIND_TABLE, flt.ITEMS_KMER, k)
 
     hasher = RollingHasher(window=args.window, trigger_modulus=args.trigger)
     dictionary = PhraseDictionary()

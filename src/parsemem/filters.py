@@ -28,7 +28,8 @@ so no item pays for keying.
 Lookups go through ``at_least_many``, which answers a whole batch of items in
 one call (a pattern's parse's phrase IDs, say); ``at_least`` is its one-item
 case, and ``kmers_at_least`` its case of every k-mer of one sequence.
-``filter_build`` fills a filter with one ``insert_many`` call.
+``filter_build`` fills a filter with one ``insert_many`` call; a k-mer
+table takes whole records there and keys them by ``kmer_keys``.
 The counting filter's batch loops, for lookups and inserts alike, take each
 item's probe positions from one generator that validates and hashes the
 item inline, with no method call per item; a lookup stops at the first
@@ -62,6 +63,7 @@ _SATURATED = 255  # the largest count a one-byte counter holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _H1_MASK = (1 << 64) - 1
 KEY_MODULUS = (1 << 61) - 1  # a table key is an item's value mod this prime
+_KEY_BATCH = 4096  # k-mers keyed per list in a table build: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -354,12 +356,28 @@ class FingerprintTable(MembershipFilter):
         self.insert_many((item,))
 
     def insert_many(self, items: Iterable):
-        """Count the items' keys into the table and sort it again."""
-        tally = Counter(self._keys(items))
+        """Count the items' keys into the table and sort it again.
+
+        A k-mer table takes records, not k-mers: it counts every k-mer of
+        each record, keyed by one rolling pass (``kmer_keys``), so a k-mer
+        is inserted as a record of length k.
+        """
+        if self.item_kind == ITEMS_KMER:
+            k, tally = self.k, Counter()
+            for record in items:
+                if not isinstance(record, (bytes, bytearray)):
+                    raise ItemKindMismatch("k-mer table expects bytes records")
+                for i in range(0, len(record) - k + 1, _KEY_BATCH):
+                    tally.update(kmer_keys(record[i:i + _KEY_BATCH + k - 1], k))
+        else:
+            tally = Counter(self._keys(items))
         tally.update(dict(zip(self.keys, self.counts)))
-        self.keys = array("Q", sorted(tally))
-        self.counts = bytearray(map(min, map(tally.__getitem__, self.keys),
-                                    repeat(_SATURATED)))
+        for key, count in tally.items():
+            if count > _SATURATED:
+                tally[key] = _SATURATED
+        order = sorted(tally)
+        self.keys = array("Q", order)
+        self.counts = bytearray(map(tally.__getitem__, order))
 
     def query(self, item) -> bool:
         return self.min_count(item) > 0
@@ -402,7 +420,8 @@ def filter_build(items: Iterable, params: FilterParams, kind: str,
     """Build a filter of the given kind over a stream of items.
 
     Multiplicities are the stream's: insert an item three times and a
-    counting filter reports at least 3 for it.
+    counting filter reports at least 3 for it.  A k-mer table's items are
+    whole records, whose k-mers it counts (see ``FingerprintTable``).
     """
     try:
         cls = _FILTER_CLASSES[kind]

@@ -11,12 +11,21 @@ L=1 it finds all of them; in top-t mode it keeps raising the threshold to
 the length of the t-th longest match found so far.  The named entry points
 scan the whole pattern as one window.
 
+A match grows one symbol per binary search only while its interval is
+wide.  Once it has at most ``NARROW`` rows, the rest of the growth is read
+off the text at those rows' suffixes by comparing slices with the pattern,
+and a match whose left growth ends that narrow is finished from its
+occurrences: its right growth, its count and both window-edge checks come
+from the text there, with no forward re-walk of the match.
+
 Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID tuples alike.  Each direction of the index counts its
-calls to ``extend``, one per one-symbol extension: the unit of search work
-that ``parsemem stats`` reports.  At the scale this package targets a suffix
-array with binary search is entirely adequate; nothing here depends on a
-particular compressed index.
+search steps: one per symbol a match is grown or probed by, plus one for
+the symbol that stops a growth, whether by binary search or by direct
+comparison.  That is the unit of search work that ``parsemem stats``
+reports.  At the scale this package targets a suffix array with binary
+search is entirely adequate; nothing here depends on a particular
+compressed index.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError
+
+# An interval of at most this many rows grows by comparing the text itself.
+NARROW = 16
 
 
 def _build_suffix_array(seq: Sequence[int]) -> list[int]:
@@ -65,7 +77,8 @@ class _SuffixView:
     A match interval is a pair ``(lo, hi)`` of suffix-array rows: the
     suffixes ``sa[lo:hi]`` are those that begin with the match, so ``hi - lo``
     is its count, and ``(0, len(sa))`` is the interval of the empty match.
-    ``steps`` counts the calls to ``extend`` made so far.
+    ``steps`` counts the search steps made so far: one per ``extend``, and
+    as many for a direct comparison as the extensions it stands for.
     """
 
     def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
@@ -100,13 +113,74 @@ class _SuffixView:
                 b = mid
         return lo, a
 
+    def grow(self, lo: int, hi: int, depth: int, query: Sequence[int],
+             pos: int, limit: int, f: int) -> tuple[int, int, int]:
+        """Grow the interval of a match of length ``depth`` by the symbols
+        ``query[pos:pos + limit]`` in turn, while at least ``f`` rows keep
+        matching.
+
+        Returns the last such interval and the number of symbols grown.
+        While the interval has more than ``NARROW`` rows each symbol is one
+        ``extend``; below that, when ``query`` is of the sequence's type, the
+        rest is read off the rows' suffixes by ``grow_at``.  Either way
+        ``steps`` rises by one per symbol grown, plus one for the symbol that
+        failed, if any.
+        """
+        narrow = NARROW if type(query) is type(self.seq) else -1
+        g = 0
+        while g < limit and hi - lo > narrow:
+            a, b = self.extend(lo, hi, depth + g, query[pos + g])
+            if b - a < f:
+                return lo, hi, g
+            lo, hi = a, b
+            g += 1
+        if g == limit:
+            return lo, hi, g
+        sa = self.sa
+        agree, more = self.grow_at([sa[r] + depth + g for r in range(lo, hi)],
+                                   query, pos + g, limit - g, f)
+        rows = [r for r, a in zip(range(lo, hi), agree) if a >= more]
+        return rows[0], rows[-1] + 1, g + more
+
+    def grow_at(self, starts: Sequence[int], query: Sequence[int], pos: int,
+                limit: int, f: int) -> tuple[list[int], int]:
+        """Grow a match that continues at each of ``starts`` in the sequence
+        by ``query[pos:pos + limit]``, comparing slices directly.
+
+        Returns each start's agreement, the length of its common prefix with
+        that run, and the f-th largest of them (0 with fewer than f starts):
+        the symbols the match grows by.  ``steps`` rises as ``grow``'s does.
+        """
+        seq, run = self.seq, query[pos:pos + limit]
+        agree = [_agreement(seq, p, run) for p in starts]
+        more = sorted(agree)[-f] if len(agree) >= f else 0
+        self.steps += more + (more < limit)
+        return agree, more
+
     def locate(self, query: Sequence[int]) -> tuple[int, int]:
-        lo, hi = 0, len(self.sa)
-        for depth, sym in enumerate(query):
-            lo, hi = self.extend(lo, hi, depth, sym)
-            if lo == hi:
-                break
-        return lo, hi
+        """The interval of ``query``, empty (``lo == hi``) if it is absent."""
+        lo, hi, g = self.grow(0, len(self.sa), 0, query, 0, len(query), 1)
+        return (lo, hi) if g == len(query) else (lo, lo)
+
+
+def _agreement(seq: Sequence[int], p: int, run: Sequence[int]) -> int:
+    """Length of the longest common prefix of ``seq[p:]`` and ``run``: the
+    whole run is compared first, then a galloping search brackets the first
+    mismatch and bisection finds it."""
+    n = len(run)
+    if seq[p:p + n] == run:
+        return n
+    good, bad = 0, 1  # seq[p:] begins with run[:good]; bad is a longer try
+    while bad < n and seq[p:p + bad] == run[:bad]:
+        good, bad = bad, 2 * bad
+    bad = min(bad, n)
+    while bad - good > 1:
+        mid = (good + bad) >> 1
+        if seq[p:p + mid] == run[:mid]:
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 @dataclass(frozen=True)
@@ -130,8 +204,8 @@ class OccurrenceIndex:
     query on the right extends the original query on the left.  ``seq`` is
     bytes or a tuple of phrase IDs, kept as given.  The suffix
     arrays, built unless passed as ``sa`` and ``reverse_sa``, never change;
-    ``steps`` counts the one-symbol extensions made in either direction so
-    far, so callers measure a unit of work as the difference around it.
+    ``steps`` counts the search steps made in either direction so far, so
+    callers measure a unit of work as the difference around it.
     """
 
     def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None):
@@ -173,7 +247,11 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     kept only if it cannot cross it: on the right one more extension
     decides; on the left one backward extension of the match ending at j,
     and only if that succeeds a count of the whole match with the symbol
-    before the window.  In top-t mode the threshold L rises to the t-th
+    before the window.  When the left growth leaves at most ``NARROW``
+    occurrences (and the pattern converts to the index's sequence type),
+    the right growth, the count and both edge checks are read off the text
+    at those occurrences; otherwise the match is walked forward again to
+    find its forward interval.  In top-t mode the threshold L rises to the t-th
     longest length found so far, across windows, so matches tying with it
     are still found, matches left below the final threshold are dropped,
     and windows shorter than the threshold are not scanned.  Passing the
@@ -190,50 +268,59 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     if t is not None and t < 1:
         raise ValueError("t must be at least 1")
     m = len(pattern)
-    rows = len(index)
-    back, ext = index.backward.extend, index.forward.extend
+    n = len(index)
+    back, fwd = index.backward, index.forward
+    text, rsa = index.sequence, back.sa
+    try:  # the pattern as the text's type (bytes or a tuple): slices compare
+        query = type(text)(pattern)
+    except (TypeError, ValueError):  # a symbol does not fit: binary search
+        query = pattern
+    rquery = query[::-1]  # backward growth from j reads rquery[m - j:]
+    direct = type(query) is type(text)
     mems: list[Mem] = []
     lengths: list[int] = []  # lengths found so far, kept sorted descending
     threshold = L or 1
     for lo, hi in windows:
         j = lo + threshold - 1
         while j <= hi:
-            blo, bhi = 0, rows  # backward interval of pattern[j-s:j]
-            s = 0
-            while s < threshold:
-                a, b = back(blo, bhi, s, pattern[j - s - 1])
-                if b - a < f:
-                    break
-                blo, bhi = a, b
-                s += 1
+            blo, bhi, s = back.grow(0, n, 0, rquery, m - j, threshold, f)
             if s < threshold:
                 j += threshold - s
                 continue
-            start = j - threshold + 1
-            while start > lo:
-                a, b = back(blo, bhi, j - start + 1, pattern[start - 2])
-                if b - a < f:
-                    break
-                blo, bhi = a, b
-                start -= 1
-            flo, fhi = index.forward.locate(pattern[start - 1:j])
-            end = j
-            while end < hi:
-                a, b = ext(flo, fhi, end - start + 1, pattern[end])
-                if b - a < f:
-                    break
-                flo, fhi = a, b
-                end += 1
-            crosses = False
-            if end == hi < m:
-                a, b = ext(flo, fhi, end - start + 1, pattern[hi])
-                crosses = b - a >= f
-            if not crosses and start == lo > 1:
-                a, b = back(blo, bhi, j - start + 1, pattern[lo - 2])
-                crosses = (b - a >= f
-                           and index.count(pattern[lo - 2:end]) >= f)
+            blo, bhi, more = back.grow(blo, bhi, threshold, rquery,
+                                       m - j + threshold,
+                                       j - threshold + 1 - lo, f)
+            start = j - threshold + 1 - more
+            length = j - start + 1
+            # the symbols right of j up to the window's edge, and one past it
+            # if the pattern goes on: matching that one too means crossing
+            reach = hi - j + (hi < m)
+            if direct and bhi - blo <= NARROW:
+                # occurrences of pattern[start-1:j] end at text[n - rsa[r]]
+                ends = [n - rsa[r] for r in range(blo, bhi)]
+                agree, more = fwd.grow_at(ends, query, j, reach, f)
+                end = j + min(more, hi - j)
+                kept = [e for e, a in zip(ends, agree) if a >= end - j]
+                freq = len(kept)
+                crosses = more > hi - j
+                if not crosses and start == lo > 1:
+                    back.steps += 1  # the symbol before the window, probed
+                    before = query[lo - 2]
+                    crosses = sum(e > length and text[e - length - 1] == before
+                                  for e in kept) >= f
+            else:  # re-walk the match forward, then grow it right
+                flo, fhi, more = fwd.grow(0, n, 0, query, start - 1,
+                                          length + reach, f)
+                more -= length
+                end = j + min(more, hi - j)
+                freq = fhi - flo
+                crosses = more > hi - j
+                if not crosses and start == lo > 1:
+                    a, b = back.extend(blo, bhi, length, query[lo - 2])
+                    crosses = (b - a >= f
+                               and index.count(query[lo - 2:end]) >= f)
             if not crosses:
-                mem = Mem(start=start, end=end, freq=fhi - flo)
+                mem = Mem(start=start, end=end, freq=freq)
                 mems.append(mem)
                 if t is not None:
                     lengths.append(mem.length)

@@ -261,10 +261,10 @@ class TestDeterminism:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode, row", [
-        ("exact", "q1 160 0 0 0 0 402 0"),
-        ("kebab", "q1 160 121 121 0 0 533 153"),
-        ("parse", "q1 160 225 225 24 51 402 0"),
-        ("combined", "q1 160 225 225 24 35 402 24")])
+        ("exact", "q1 160 0 0 0 0 332 0"),
+        ("kebab", "q1 160 121 121 0 0 463 153"),
+        ("parse", "q1 160 225 225 24 50 332 0"),
+        ("combined", "q1 160 225 225 24 34 332 24")])
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
         # parse_backward_steps, char_backward_steps and filter_probes are

@@ -195,6 +195,25 @@ class TestFingerprintTable:
         assert filt.min_count(b"TTT") == 255
         assert list(filt.keys) == sorted(filt.keys)
 
+    def test_records_count_their_kmers(self):
+        # a k-mer table takes whole records and counts every k-mer of each
+        rng = random.Random(103)
+        k = 5
+        records = [b"", b"ACGT", b"ACGTA", bytearray(b"ACGTACGTAC"),
+                   bytes(rng.choice(b"AC") for _ in range(400)), b"T" * 300,
+                   bytes(rng.choice(b"ACGT") for _ in range(9000))]  # > a batch
+        filt = filter_build(iter(records), TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+        tally = {}
+        for record in records:
+            for i in range(len(record) - k + 1):
+                key = table_key(bytes(record[i:i + k]))
+                tally[key] = tally.get(key, 0) + 1
+        assert list(zip(filt.keys, filt.counts)) == \
+            sorted((key, min(count, 255)) for key, count in tally.items())
+        assert max(tally.values()) > 255
+        with pytest.raises(ItemKindMismatch):
+            filter_build([b"ACGTA", "ACGTA"], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+
     def test_short_keys_are_exact(self):
         # k <= 7: a k-mer's big-endian value is below 2^61 - 1, its own key
         rng = random.Random(97)

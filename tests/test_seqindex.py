@@ -3,10 +3,12 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
+from parsemem import seqindex
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
-from parsemem.seqindex import (Mem, OccurrenceIndex, _build_suffix_array,
-                               bml_mems, bml_top_t, find_f_mems)
+from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex,
+                               _build_suffix_array, bml_mems, bml_top_t,
+                               find_f_mems, threshold_scan)
 
 
 def index_of(text: bytes) -> OccurrenceIndex:
@@ -238,6 +240,125 @@ def test_extend_narrows_to_sorted_suffix_rows(seq):
         assert view.extend(lo, hi, depth, sym) == \
             brute_rows(seq, prefix + (sym,))
         assert view.steps == before + 1
+
+
+# On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
+# rows d-1..39: 41 - d of them, at most NARROW = 16 from d = 25 on.
+@pytest.mark.parametrize("start, query, pos, limit, f, want", [
+    ((0, 40, 0), b"A" * 50, 0, 50, 1, (39, 40, 40, 41)),
+    ((0, 40, 0), b"A" * 50, 0, 50, 3, (37, 40, 38, 39)),
+    ((0, 40, 0), b"A" * 10, 0, 10, 1, (9, 40, 10, 10)),
+    ((0, 40, 0), b"A" * 30 + b"C", 0, 31, 1, (29, 40, 30, 31)),
+    ((19, 40, 20), b"A" * 30, 10, 20, 1, (39, 40, 20, 20)),
+    ((19, 40, 20), b"A" * 30, 0, 21, 2, (38, 40, 19, 20)),
+    ((39, 40, 40), b"A", 0, 1, 2, (39, 40, 0, 1)),
+], ids=["past-the-text", "f3", "wide-only", "mismatch", "mid-match", "mid-match-f2",
+        "too-few-rows"])
+def test_grow_counts_the_same_steps_on_both_paths(monkeypatch, start, query,
+                                                  pos, limit, f, want):
+    # (lo, hi, grown, steps): one step per symbol grown plus the failing one,
+    # whether the rows are narrowed by binary search or compared directly
+    for narrow in (NARROW, 0):
+        monkeypatch.setattr(seqindex, "NARROW", narrow)
+        view = OccurrenceIndex(b"A" * 40).forward
+        lo, hi, grown = view.grow(*start, query, pos, limit, f)
+        assert (lo, hi, grown, view.steps) == want
+
+
+def mutated_copies(rng, symbols, founder_len, copies):
+    """A random founder, and a text of ``copies`` copies of it with two
+    substitutions each, joined by 0 as records are."""
+    founder = [rng.choice(symbols) for _ in range(founder_len)]
+    text = []
+    for _ in range(copies):
+        copy = list(founder)
+        for i in rng.sample(range(founder_len), 2):
+            copy[i] = rng.choice(symbols)
+        text += copy + [0]
+    return founder, text[:-1]
+
+
+def cut_windows(rng, m):
+    """Disjoint windows of 1..m, some touching, whose edges cut matches."""
+    cuts = sorted(rng.sample(range(1, m), min(m - 1, rng.randint(0, 4))))
+    spans = list(zip([1] + [c + 1 for c in cuts], cuts + [m]))
+    kept = [span for span in spans if rng.random() < 0.7] or spans[:1]
+    rng.shuffle(kept)
+    return kept
+
+
+def scan_both_paths(monkeypatch, index, pattern, windows, f, L, t):
+    """The scan's matches and steps as it is, then with NARROW at 0."""
+    runs = []
+    for narrow in (NARROW, 0):
+        monkeypatch.setattr(seqindex, "NARROW", narrow)
+        before = index.steps
+        mems = threshold_scan(index, pattern, windows, f, L=L, t=t)
+        runs.append(([(m.start, m.end, m.freq) for m in mems],
+                     index.steps - before))
+    return runs
+
+
+@pytest.mark.parametrize("copies", [1, 15, 16, 17, 48])
+@pytest.mark.parametrize("kind", ["bytes", "phrase-ids"])
+def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
+                                                           copies):
+    rng = random.Random(f"{kind}{copies}")
+    symbols = b"ACGT" if kind == "bytes" else (256, 300, 4097, 70000)
+    founder, text = mutated_copies(rng, symbols, 60, copies)
+    text = bytes(text) if kind == "bytes" else tuple(text)
+    index = OccurrenceIndex(text)
+    saved = 0
+    for _ in range(12):
+        a, b = sorted(rng.sample(range(60), 2))
+        pattern = founder[a:] + [rng.choice(symbols)] + founder[:b]
+        pattern[rng.randrange(len(pattern))] = rng.choice(symbols)
+        pattern = bytes(pattern) if kind == "bytes" else tuple(pattern)
+        m = len(pattern)
+        windows = [(1, m)] if rng.random() < 0.3 else cut_windows(rng, m)
+        for f in (1, 2, 16, 17):
+            inside = [mem for mem in brute_force_f_mems(text, pattern, f)
+                      if any(lo <= mem.start and mem.end <= hi
+                             for lo, hi in windows)]
+            L, t = rng.randint(1, 30), rng.randint(1, 4)
+            for scan, want in (((None, None), inside),
+                               ((L, None), [m for m in inside if m.length >= L]),
+                               ((None, t), top_t_cut(inside, t))):
+                (got, steps), (binary, binary_steps) = scan_both_paths(
+                    monkeypatch, index, pattern, windows, f, *scan)
+                assert got == binary == [(m.start, m.end, m.freq) for m in want]
+                assert steps <= binary_steps
+                saved += binary_steps - steps
+    assert saved > 0  # the direct path ran and dropped re-walks
+
+
+def test_patterns_of_any_type(monkeypatch):
+    # a list is converted to the index's type; a symbol that bytes cannot
+    # hold keeps the scan on binary search, with the same steps
+    rng = random.Random(197)
+    founder, text = mutated_copies(rng, b"ACGT", 60, 17)
+    pattern = founder[5:45] + [300] + founder[20:55]
+    for seq, pattern, direct in (
+            (bytes(text), founder[10:] + founder[:30], True),
+            (tuple(text), founder[10:] + founder[:30], True),
+            (bytes(text), tuple(pattern), False),
+            (bytes(text), pattern, False),
+            (tuple(text), pattern, True)):
+        index = OccurrenceIndex(seq)
+        want = [(m.start, m.end, m.freq)
+                for m in brute_force_f_mems(seq, pattern, 2)]
+        (got, steps), (binary, binary_steps) = scan_both_paths(
+            monkeypatch, index, pattern, [(1, len(pattern))], 2, 20, None)
+        assert got == binary == [w for w in want if w[1] - w[0] >= 19]
+        assert (steps < binary_steps) == direct
+
+
+def test_left_edge_check_at_the_start_of_the_text():
+    # ABC occurs only at text position 0, with no symbol before it: the
+    # text's last symbol, Z, must not be read as one
+    index = OccurrenceIndex(b"ABCZ")
+    assert [(m.start, m.end) for m in
+            threshold_scan(index, b"ZABC", [(2, 4)])] == [(2, 4)]
 
 
 def test_empty_sequence_not_indexable():
