@@ -2,16 +2,15 @@
 
 Public surface: parsing (prefix-free and minimizer parses over a shared
 phrase dictionary), seqindex (occurrence counting and f-MEM search over
-integer sequences), filters (Bloom / counting / exact membership),
+integer sequences), filters (Bloom / fingerprint table / exact membership),
 pseudomem (pseudo-MEM construction, lower bounds, discarding, final search),
 oracle (brute-force ground truth), and the command-line interface in cli.
 """
 
 from .errors import (EmptyInputError, IndexFormatError, ItemKindMismatch,
                      ParameterMismatch, ParsememError, WindowError)
-from .filters import (BloomFilter, CountingBloomFilter, ExactFilter,
-                      FilterParams, MembershipFilter, expected_fpr,
-                      filter_build, size_for)
+from .filters import (BloomFilter, ExactFilter, FilterParams, FingerprintTable,
+                      MembershipFilter, expected_fpr, filter_build, size_for)
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
                       RollingHasher, minimizer_parse, pfp_parse)

@@ -2,18 +2,18 @@
 
 This module alone knows the format: an 8-byte magic, a little-endian u32
 format version and u32 section count, then the SECTIONS, each framed as (u16
-name length, name, u64 payload length, 32-byte SHA-256, payload).  All are
-plain data, so loading runs no code: params as JSON with the phrase
-filter's size and seed, the text, the suffix arrays of the text and its
+name length, name, u64 payload length, 32-byte SHA-256, payload), each name
+once and nothing after the last.  All are plain data, so loading runs no
+code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the parse symbols, phrase starts and two suffix arrays, the
-dictionary's phrase lengths and phrases, the k-mer table's sorted u64 keys
-and one-byte counts, and the phrase filter's one-byte counters.  Integers
-are little-endian, u32 unless named.  Reversed sequences are derived on load
-and step and probe counters start at 0.  Load checks every value it reads
-and rejects other versions, as results are only meaningful with the
-build-time parsing parameters.  Orders the writer guarantees, of the suffix
-arrays and of the k-mer keys, are not checked on load; ``check_order``
-checks the keys for ``verify --check-index``.
+dictionary's phrase lengths and phrases, then two fingerprint tables, of
+k-mers and of phrase IDs, each as its sorted u64 keys and one-byte counts.
+Integers are little-endian, u32 unless named.  Reversed sequences are
+derived on load and step and probe counters start at 0.  Load checks every
+value it reads and rejects other versions, as results are only meaningful
+with the build-time parsing parameters.  Orders the writer guarantees, of
+the suffix arrays and of the table keys, are not checked on load;
+``check_order`` checks the keys for ``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -29,17 +29,15 @@ from operator import lt
 from typing import Any
 
 from .errors import IndexFormatError
-from .filters import (ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, CountingBloomFilter,
-                      FilterParams, FingerprintTable)
+from .filters import ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, FingerprintTable
 from .parsing import SCHEME_PFP, ParsedString, PhraseDictionary, RollingHasher
 from .seqindex import OccurrenceIndex
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 4  # 4: a k-mer fingerprint table replaces the k-mer counters
+FORMAT_VERSION = 5  # 5: a phrase-ID fingerprint table replaces the phrase counters
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "parse", "phrase_start",
             "parse_sa", "parse_rsa", "phrase_lengths", "phrases", "kmer_keys",
-            "kmer_counts", "phrase_filter")
-_FILTER_KEYS = ("bits", "hash_count", "seed")
+            "kmer_counts", "phrase_keys", "phrase_counts")
 
 
 @dataclass
@@ -57,7 +55,7 @@ class IndexBundle:
     text_index: OccurrenceIndex
     parse_index: OccurrenceIndex
     kmer_filter: FingerprintTable
-    phrase_filter: CountingBloomFilter
+    phrase_filter: FingerprintTable
 
 
 def _little_endian(values: array) -> array:
@@ -69,17 +67,14 @@ def _little_endian(values: array) -> array:
 
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
-    params = dict(bundle.params)
-    fp = bundle.phrase_filter.params
-    params["phrase_filter"] = {key: getattr(fp, key) for key in _FILTER_KEYS}
     phrases = [bundle.dictionary.string_of(i) for i in range(len(bundle.dictionary))]
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
     arrays = (text.forward.sa, text.backward.sa, parse.symbols, parse.phrase_start,
               pidx.forward.sa, pidx.backward.sa, [len(p) for p in phrases])
-    blobs = [json.dumps(params, sort_keys=True).encode("utf-8"), text.sequence,
+    blobs = [json.dumps(bundle.params, sort_keys=True).encode("utf-8"), text.sequence,
              *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
-             _little_endian(bundle.kmer_filter.keys).tobytes(),
-             bytes(bundle.kmer_filter.counts), bytes(bundle.phrase_filter.counters)]
+             *(blob for table in (bundle.kmer_filter, bundle.phrase_filter)
+               for blob in (_little_endian(table.keys).tobytes(), bytes(table.counts)))]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
@@ -100,6 +95,19 @@ def _ints(blob: memoryview, most: int, what: str) -> tuple[int, ...]:
     values = struct.unpack(f"<{len(blob) // 4}I", blob)
     _check(not values or max(values) <= most, f"{what} entry out of range")
     return values
+
+
+def _table(sections: dict[str, memoryview], name: str, item_kind: str,
+           k: int | None = None) -> FingerprintTable:
+    """The table stored as sections ``<name>_keys`` and ``<name>_counts``."""
+    raw = sections[f"{name}_keys"]
+    _check(len(raw) % 8 == 0, f"{name}_keys is not a whole number of u64s")
+    keys = array("Q")
+    keys.frombytes(raw)
+    counts = bytearray(sections[f"{name}_counts"])
+    _check(len(counts) == len(keys), f"{name}_counts and {name}_keys differ in length")
+    _check(0 not in counts, f"{name}_counts holds a zero count")
+    return FingerprintTable(TABLE_PARAMS, item_kind, k, _little_endian(keys), counts)
 
 
 def _int(spec: Any, key: str) -> int:
@@ -135,27 +143,20 @@ def load_bundle(path: str) -> IndexBundle:
             raise IndexFormatError("truncated index file")
         if hashlib.sha256(payload).digest() != digest:
             raise IndexFormatError(f"checksum failure in section {name!r}")
+        if name in sections:
+            raise IndexFormatError(f"section {name!r} appears twice")
         sections[name] = payload
+    if off != len(data):
+        raise IndexFormatError("data after the last section")
     if sorted(sections) != sorted(SECTIONS):
         raise IndexFormatError("index file does not hold the expected sections")
-    _check(len(sections["kmer_keys"]) % 8 == 0,
-           "kmer_keys is not a whole number of u64s")
-    keys = array("Q")
-    keys.frombytes(sections["kmer_keys"])
-    counts = bytearray(sections["kmer_counts"])
-    _check(len(counts) == len(keys), "kmer_counts and kmer_keys differ in length")
-    _check(0 not in counts, "kmer_counts holds a zero count")
     try:  # JSON and UTF-8 errors are ValueErrors too
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
         w, p, base, modulus, k, n = (_int(params, key) for key in (
             "w", "p", "base", "modulus", "kebab_k", "text_length"))
         hasher = RollingHasher(w, p, base, modulus)
-        kmer_filter = FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k,
-                                       _little_endian(keys), counts)
-        pparams = FilterParams(*(_int(params.get("phrase_filter"), key)
-                                 for key in _FILTER_KEYS))
-        phrase_filter = CountingBloomFilter(pparams, ITEMS_PHRASE,
-                                            counters=sections["phrase_filter"])
+        if k < 1:
+            raise ValueError("'kebab_k' must be at least 1")
     except ValueError as exc:
         raise IndexFormatError(f"malformed index parameters: {exc}") from exc
     text, blob = bytes(sections["text"]), bytes(sections["phrases"])
@@ -176,6 +177,8 @@ def load_bundle(path: str) -> IndexBundle:
            "sections of the text or of its parse differ in length")
     _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
            "phrase starts do not rise from 1")
+    kmer_filter = _table(sections, "kmer", ITEMS_KMER, k)
+    phrase_filter = _table(sections, "phrase", ITEMS_PHRASE)
     return IndexBundle(params, hasher, dictionary,
                        ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa),
@@ -184,10 +187,11 @@ def load_bundle(path: str) -> IndexBundle:
 
 
 def check_order(bundle: IndexBundle) -> None:
-    """Check that the k-mer keys strictly increase, as the table writes them.
+    """Check that each table's keys strictly increase, as the table writes them.
 
-    Lookups bisect the keys, so out-of-order keys could hide a stored k-mer.
+    Lookups bisect the keys, so out-of-order keys could hide a stored item.
     Load leaves this to the writer, as it does suffix-array order.
     """
-    keys = bundle.kmer_filter.keys
-    _check(all(map(lt, keys, keys[1:])), "kmer_keys do not strictly increase")
+    for name, table in (("kmer", bundle.kmer_filter), ("phrase", bundle.phrase_filter)):
+        keys = table.keys
+        _check(all(map(lt, keys, keys[1:])), f"{name}_keys do not strictly increase")

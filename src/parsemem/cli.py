@@ -1,5 +1,9 @@
 """Command-line surface: build an index, query patterns, verify, report stats.
 
+``build`` stores two fingerprint tables beside the text and parse indexes:
+the k-mers of every record, for kebab mode, and the phrase IDs of the
+text's parse, for combined mode.  Neither has a size or a seed to choose.
+
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
     pmem    pattern_id  origin  char_start  char_end  lower_bound  retained
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import filters as flt
 from . import pseudomem as pmm
@@ -34,7 +37,6 @@ ENV_INDEX = "PARSEMEM_INDEX"
 DEFAULT_W = 10
 DEFAULT_P = 50
 DEFAULT_KEBAB_K = 20
-DEFAULT_FPR = 0.01
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -58,7 +60,8 @@ def _read_records(path: str, fmt: str) -> list[tuple[str, bytes]]:
             if line.startswith(b">"):
                 if name is not None:
                     records.append((name, b"".join(chunks).upper()))
-                name = line[1:].split()[0].decode("utf-8", "replace") if len(line) > 1 else ""
+                fields = line[1:].split()  # none for a bare or blank header
+                name = fields[0].decode("utf-8", "replace") if fields else ""
                 chunks = []
             elif name is not None:
                 chunks.append(line.strip())
@@ -97,10 +100,8 @@ def cmd_build(args) -> int:
     parse_text = pfp_parse(text, hasher, dictionary)
     text_index = OccurrenceIndex(text)
     parse_index = OccurrenceIndex(parse_text.symbols)
-    n_phrases = max(len(set(parse_text.symbols)), 1)
-    pparams = replace(flt.size_for(n_phrases, args.filter_fpr), seed=args.seed)
-    phrase_filter = flt.filter_build(parse_text.symbols, pparams,
-                                     flt.KIND_COUNTING, flt.ITEMS_PHRASE)
+    phrase_filter = flt.filter_build(parse_text.symbols, flt.TABLE_PARAMS,
+                                     flt.KIND_TABLE, flt.ITEMS_PHRASE)
 
     params = {
         "w": args.window,
@@ -108,8 +109,6 @@ def cmd_build(args) -> int:
         "base": hasher.base,
         "modulus": hasher.modulus,
         "kebab_k": k,
-        "seed": args.seed,
-        "filter_fpr": args.filter_fpr,
         "text_length": len(text),
         "records": [n for n, _ in records],
     }
@@ -129,7 +128,7 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-# The least value each integer flag accepts; float flags are checked apart.
+# The least value each integer flag accepts.
 _LEAST = {"f": 1, "t": 1, "L": 1, "window": 1, "trigger": 2, "kmer": 1,
           "instances": 0, "max_text": 50, "max_pattern": 20}
 
@@ -141,13 +140,6 @@ def _check_ranges(args):
         if given is not None and given < least:
             flag = f"-{dest}" if len(dest) == 1 else "--" + dest.replace("_", "-")
             raise ParameterMismatch(f"{flag}={given} must be at least {least}")
-    fpr = getattr(args, "filter_fpr", None)
-    if fpr is not None and not 0.0 < fpr < 1.0:
-        raise ParameterMismatch(
-            f"--filter-fpr={fpr} must be strictly between 0 and 1")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 1 << 64:
-        raise ParameterMismatch(f"--seed={seed} must be in [0, 2^64)")
 
 
 def _check_params(bundle: IndexBundle, args):
@@ -296,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix-free parsing trigger modulus")
     b.add_argument("-k", "--kmer", type=int, default=DEFAULT_KEBAB_K,
                    help="k-mer length of the KeBaB k-mer table")
-    b.add_argument("--seed", type=int, default=0,
-                   help="seed of the phrase filter's hash")
-    b.add_argument("--filter-fpr", type=float, default=DEFAULT_FPR,
-                   help="false-positive rate the phrase filter is sized for "
-                        "(the k-mer table has no size to choose)")
     b.add_argument("--format", choices=("auto", "fasta", "raw"), default="auto")
     b.add_argument("--dna", action="store_true",
                    help="reject characters outside ACGT")

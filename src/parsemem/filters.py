@@ -1,39 +1,36 @@
-"""Bloom, counting Bloom, fingerprint-table and exact membership filters over
-k-mers or phrase IDs.
+"""Bloom, fingerprint-table and exact membership filters over k-mers or
+phrase IDs.
 
 The pseudo-MEM constructions rely on one guarantee only: a Bloom filter never
-returns a false negative, and a counting filter never undercounts (insertions
-only; a one-byte counter stops at 255, which passes any threshold).  The exact
-variant, backed by a real multiset, satisfies the same interface with zero
-false positives; it exists so tests can isolate the effect of false
-positives.
+returns a false negative, and a filter that counts never undercounts
+(insertions only; a one-byte count stops at 255, which passes any
+threshold).  The exact variant, backed by a real multiset, satisfies the
+same interface with zero false positives; it exists so tests can isolate
+the effect of false positives.
 
-The fingerprint table is what an index stores for KeBaB.  An item's key is
+The fingerprint table is the one filter kind an index stores: a k-mer table
+for KeBaB and a phrase-ID table for the combined route.  An item's key is
 its value mod 2^61 - 1, a k-mer's bytes read as a big-endian integer; the
 table holds the distinct keys of its items in a sorted ``array('Q')`` and
 their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
-one ``bisect_left``.  Like the counting filter it never undercounts: items
-that share a key add up to one count, so a key collision can only add a
-false positive.  Keys of k-mers with k <= 7, and of phrase IDs below
-2^61 - 1, are exact.  ``kmer_keys`` computes the keys of every k-mer of a
-sequence in one rolling Rabin-Karp pass, from which the table's
-``kmers_at_least`` answers a whole pattern at once.
+one ``bisect_left``.  It never undercounts: items that share a key add up
+to one count, so a key collision can only add a false positive.  Keys of
+k-mers with k <= 7, and of phrase IDs below 2^61 - 1, are exact.
+``kmer_keys`` computes the keys of every k-mer of a sequence in one rolling
+Rabin-Karp pass, from which the table's ``kmers_at_least`` answers a whole
+pattern at once.
 
-The two Bloom filters take probe positions from double hashing: two seeded
+The Bloom filter takes probe positions from double hashing: two seeded
 64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
-for bit from its seed and insertion stream.  Each filter keys one BLAKE2b
-state with its seed when it is built and copies that state for every item,
-so no item pays for keying.
+for bit from its seed and insertion stream.  It keys one BLAKE2b state with
+its seed when it is built and copies that state for every item, so no item
+pays for keying.
 
 Lookups go through ``at_least_many``, which answers a whole batch of items in
 one call (a pattern's parse's phrase IDs, say); ``at_least`` is its one-item
 case, and ``kmers_at_least`` its case of every k-mer of one sequence.
 ``filter_build`` fills a filter with one ``insert_many`` call; a k-mer
 table takes whole records there and keys them by ``kmer_keys``.
-The counting filter's batch loops, for lookups and inserts alike, take each
-item's probe positions from one generator that validates and hashes the
-item inline, with no method call per item; a lookup stops at the first
-counter below the threshold.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from typing import Iterable
 from .errors import ItemKindMismatch
 
 KIND_BLOOM = "bloom"
-KIND_COUNTING = "counting"
 KIND_EXACT = "exact"
 KIND_TABLE = "table"
 
@@ -59,7 +55,7 @@ ITEMS_PHRASE = "phrase"
 
 _MIN_BITS = 8
 _MAX_HASHES = 16
-_SATURATED = 255  # the largest count a one-byte counter holds
+_SATURATED = 255  # the largest count one byte holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _H1_MASK = (1 << 64) - 1
 KEY_MODULUS = (1 << 61) - 1  # a table key is an item's value mod this prime
@@ -129,7 +125,7 @@ def expected_fpr(params: FilterParams, n_items: int) -> float:
 
 
 class MembershipFilter:
-    """Common surface of the four filter kinds.
+    """Common surface of the three filter kinds.
 
     ``probes`` counts the items looked up by ``at_least_many``, ``at_least``
     and ``kmers_at_least`` so far.
@@ -146,8 +142,6 @@ class MembershipFilter:
         self.item_kind = item_kind
         self.k = k if item_kind == ITEMS_KMER else None
         self.probes = 0
-        self._keyed = hashlib.blake2b(digest_size=16,
-                                      key=params.seed.to_bytes(8, "little"))
 
     def _encode(self, item) -> bytes:
         if self.item_kind == ITEMS_KMER:
@@ -161,39 +155,11 @@ class MembershipFilter:
             raise ItemKindMismatch("phrase-ID filter expects int items")
         return item.to_bytes(8, "little", signed=False)
 
-    def _starts(self, items: Iterable):
-        """Yield each item's first probe position and the step between its
-        probes, both mod m: probe i is at (h1 + i*h2) mod m.
-
-        Items are validated and hashed inline, with no method call per item
-        unless it is of the wrong kind.
-        """
-        m, k = self.params.bits, self.k
-        kmers = self.item_kind == ITEMS_KMER
-        copy, from_bytes = self._keyed.copy, int.from_bytes
-        for item in items:
-            if kmers:
-                if not isinstance(item, (bytes, bytearray)) or len(item) != k:
-                    self._encode(item)  # raises the matching ItemKindMismatch
-            elif isinstance(item, int) and not isinstance(item, bool):
-                item = item.to_bytes(8, "little")
-            else:
-                self._encode(item)
-            state = copy()
-            state.update(item)
-            digest = from_bytes(state.digest(), "little")
-            yield (digest & _H1_MASK) % m, ((digest >> 64) | 1) % m
-
-    def _probes(self, item) -> list[int]:
-        ((pos, step),) = self._starts((item,))
-        m = self.params.bits
-        return [(pos + i * step) % m for i in range(self.params.hash_count)]
-
     def insert(self, item):
         raise NotImplementedError
 
     def insert_many(self, items: Iterable):
-        """Insert each item in turn; the counting filter inlines the loop."""
+        """Insert each item in turn; the table counts them all at once."""
         for item in items:
             self.insert(item)
 
@@ -223,7 +189,7 @@ class MembershipFilter:
         return self.at_least_many([seq[i:i + k] for i in range(len(seq) - k + 1)], f)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """One ``min_count`` per item; the counting filter inlines it."""
+        """One ``min_count`` per item; the table bisects its keys."""
         return [self.min_count(item) >= f for item in items]
 
 
@@ -233,6 +199,17 @@ class BloomFilter(MembershipFilter):
     def __init__(self, params: FilterParams, item_kind: str, k: int | None = None):
         super().__init__(params, item_kind, k)
         self._bits = bytearray((params.bits + 7) // 8)
+        self._keyed = hashlib.blake2b(digest_size=16,
+                                      key=params.seed.to_bytes(8, "little"))
+
+    def _probes(self, item) -> list[int]:
+        """Probe i is at (h1 + i*h2) mod m, h1 and h2 the two 64-bit halves
+        of the item's keyed digest (h2 made odd)."""
+        state = self._keyed.copy()
+        state.update(self._encode(item))
+        digest = int.from_bytes(state.digest(), "little")
+        h1, h2, m = digest & _H1_MASK, (digest >> 64) | 1, self.params.bits
+        return [(h1 + i * h2) % m for i in range(self.params.hash_count)]
 
     def insert(self, item):
         for pos in self._probes(item):
@@ -248,62 +225,6 @@ class BloomFilter(MembershipFilter):
         if f > 1:
             raise ValueError("a plain Bloom filter cannot answer thresholds above 1")
         return super().at_least_many(items, f)
-
-
-class CountingBloomFilter(MembershipFilter):
-    """``counters`` holds one byte per position; pass them to restore a filter."""
-
-    kind = KIND_COUNTING
-
-    def __init__(self, params: FilterParams, item_kind: str, k: int | None = None,
-                 counters: bytes | None = None):
-        super().__init__(params, item_kind, k)
-        self.counters = bytearray(params.bits if counters is None else counters)
-        if len(self.counters) != params.bits:
-            raise ValueError("counters do not match the filter size")
-
-    def insert(self, item):
-        self.insert_many((item,))
-
-    def insert_many(self, items: Iterable):
-        """Add 1 to each probed counter of each item, stopping at 255.
-
-        A position probed twice for one item is counted twice.
-        """
-        counters, m = self.counters, self.params.bits
-        hashes = range(self.params.hash_count)
-        for pos, step in self._starts(items):
-            for _ in hashes:
-                if counters[pos] < _SATURATED:
-                    counters[pos] += 1
-                pos = (pos + step) % m
-
-    def query(self, item) -> bool:
-        return self.min_count(item) > 0
-
-    def min_count(self, item) -> int:
-        return min(self.counters[pos] for pos in self._probes(item))
-
-    def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """``min_count(item) >= f`` unrolled into one loop over ``_starts``,
-        stopping at the first counter below the threshold.
-
-        A saturated counter passes any threshold, so ``f`` is capped at 255.
-        """
-        f = min(f, _SATURATED)
-        counters, m = self.counters, self.params.bits
-        hashes = range(self.params.hash_count)
-        answers = []
-        append = answers.append
-        for pos, step in self._starts(items):
-            for _ in hashes:
-                if counters[pos] < f:
-                    append(False)
-                    break
-                pos = (pos + step) % m
-            else:
-                append(True)
-        return answers
 
 
 class ExactFilter(MembershipFilter):
@@ -409,7 +330,6 @@ class FingerprintTable(MembershipFilter):
 
 _FILTER_CLASSES = {
     KIND_BLOOM: BloomFilter,
-    KIND_COUNTING: CountingBloomFilter,
     KIND_EXACT: ExactFilter,
     KIND_TABLE: FingerprintTable,
 }
@@ -420,7 +340,7 @@ def filter_build(items: Iterable, params: FilterParams, kind: str,
     """Build a filter of the given kind over a stream of items.
 
     Multiplicities are the stream's: insert an item three times and a
-    counting filter reports at least 3 for it.  A k-mer table's items are
+    table reports at least 3 for it.  A k-mer table's items are
     whole records, whose k-mers it counts (see ``FingerprintTable``).
     """
     try:

@@ -85,7 +85,7 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
     if filt.item_kind != ITEMS_KMER:
         raise ValueError("KeBaB needs a k-mer filter")
     if filt.kind == KIND_BLOOM and f > 1:
-        raise ValueError("finding f-MEMs with f > 1 needs a counting or exact filter")
+        raise ValueError("finding f-MEMs with f > 1 needs a filter that counts")
     k = filt.k
     m = len(pattern)
     if m < k:

@@ -169,6 +169,12 @@ def test_criterion_09_refine_equals_direct():
     assert ok, line
 
 
+def test_refine_equivalence_with_the_stored_phrase_table():
+    # criterion 9's check with the phrase-ID table an index stores, f in {1,2}
+    res = suite_refine_equivalence(rng_for("c9t"), 500, kind=flt.KIND_TABLE)
+    assert res.ok and res.checked > 0, res.line()
+
+
 def test_criterion_10_bloom_statistics():
     rng = rng_for("c10")
     t0 = time.monotonic()
@@ -210,7 +216,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path, capsys):
 
     index_a, index_b = str(tmp_path / "a.pmidx"), str(tmp_path / "b.pmidx")
     for out in (index_a, index_b):
-        assert main(["build", str(text_path), "-o", out, "--seed", "7",
+        assert main(["build", str(text_path), "-o", out,
                      "-w", "6", "-p", "5", "-k", "8"]) == 0
     capsys.readouterr()
     with open(index_a, "rb") as fa, open(index_b, "rb") as fb:

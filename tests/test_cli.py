@@ -69,6 +69,17 @@ def rewrite_section(path, name, change):
         fh.write(b"".join(out))
 
 
+def repeat_first_section(data):
+    """``data`` with its first section written again after the last, and
+    the section count raised by one to take it."""
+    start = len(MAGIC) + 8
+    (name_len,) = struct.unpack_from("<H", data, start)
+    (size,) = struct.unpack_from("<Q", data, start + 2 + name_len)
+    version, count = struct.unpack_from("<II", data, len(MAGIC))
+    return (MAGIC + struct.pack("<II", version, count + 1) + data[start:]
+            + data[start:start + 2 + name_len + 40 + size])
+
+
 def mem_rows(output):
     rows = []
     for line in output.splitlines():
@@ -230,6 +241,18 @@ class TestBuildQuery:
         rc = main(["query", corpus["pat_path"]])
         assert rc == 2
 
+    def test_blank_fasta_header_names_the_empty_record(self, tmp_path, capsys):
+        # a header of only whitespace names its record "", as a bare ">" does
+        text = rand_dna(random.Random(213), 400)
+        text_path, pat_path = tmp_path / "t.fa", tmp_path / "p.fa"
+        text_path.write_bytes(b">  \n" + text + b"\n")
+        pat_path.write_bytes(b"> \t\n" + text[100:160] + b"\n")
+        index = str(tmp_path / "i.pmidx")
+        assert main(["build", str(text_path), "-o", index]) == 0
+        assert load_bundle(index).params["records"] == [""]
+        assert main(["query", str(pat_path), "--index", index, "-t", "1"]) == 0
+        assert mem_rows(capsys.readouterr().out) == [("", "1", "60", "60", "1")]
+
     def test_dna_flag_rejects_other_bytes(self, tmp_path, capsys):
         text_path = tmp_path / "t.txt"
         text_path.write_bytes(b"HELLOWORLD\n")
@@ -248,15 +271,15 @@ class TestDeterminism:
         with open(corpus["index"], "rb") as f1, open(other, "rb") as f2:
             assert f1.read() == f2.read()
 
-    @pytest.mark.parametrize("seed, digest", [
-        ("0", "758d8f2493e823beadf49ca4be071dd33d10b186256b2eb3d0ba9895af176df4"),
-        ("5", "cb22727f5f55bd37fd5890d1dbff6cc44022184e8241e8583881a678d41b78e6")],
-        ids=["seed0", "seed5"])
-    def test_index_bytes_are_pinned(self, corpus, seed, digest):
-        # Format 4's bytes for this corpus: a change to the filter hash, the
-        # k-mer keys or suffix-array order must bump FORMAT_VERSION and this
+    @pytest.mark.parametrize("kmer, digest", [
+        ("8", "36becd932e32f44bc1b9f6b9ad54b3c5375eea346f5f075beef9440ec6460171"),
+        ("12", "9e4f1ecdf4fbf00fe579148057bbfd0777c4fee5123ae691f45707f75f6f99a9")],
+        ids=["k8", "k12"])
+    def test_index_bytes_are_pinned(self, corpus, kmer, digest):
+        # Format 5's bytes for this corpus: a change to the table keys, the
+        # parse or suffix-array order must bump FORMAT_VERSION and this
         # digest with it.
-        build(corpus, "--seed", seed)
+        build(corpus, "-k", kmer)
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
@@ -294,7 +317,7 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         bundle = load_bundle(corpus["index"])
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
@@ -304,6 +327,11 @@ class TestBundleFormat:
         assert bundle.parse_text.reconstruct() == corpus["text"]
         assert (bundle.text_index.steps, bundle.kmer_filter.probes,
                 bundle.phrase_filter.probes) == (0, 0, 0)
+        # the phrase table holds each phrase ID of the text's parse, counted
+        symbols = bundle.parse_text.symbols
+        assert list(bundle.phrase_filter.keys) == sorted(set(symbols))
+        assert list(bundle.phrase_filter.counts) == [
+            min(symbols.count(key), 255) for key in bundle.phrase_filter.keys]
 
     def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
         # counters, the frozen flag and derived copies are not in the file
@@ -336,13 +364,27 @@ class TestBundleFormat:
          "text_sa entry out of range"),
         ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
         ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
-        ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count")],
+        ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count"),
+        ("phrase_keys", lambda p: p[:-3], "phrase_keys is not a whole number of u64s"),
+        ("phrase_counts", lambda p: p + b"\x01", "phrase_counts and phrase_keys differ"),
+        ("phrase_counts", lambda p: p[:-1] + b"\x00", "phrase_counts holds a zero count"),
+        (None, repeat_first_section, "section 'params' appears twice"),
+        (None, lambda data: data + b"\x00", "data after the last section")],
         ids=["missing_kebab_k", "sa_out_of_range", "keys_not_whole_u64s",
-             "counts_length_differs", "zero_count"])
+             "counts_length_differs", "zero_count", "phrase_keys_not_whole_u64s",
+             "phrase_counts_length_differs", "phrase_zero_count",
+             "repeated_section", "bytes_after_last_section"])
     def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
                                                      section, change, why):
+        # a section name of None applies the change to the whole file
         build(corpus)
-        rewrite_section(corpus["index"], section, change)
+        if section is None:
+            with open(corpus["index"], "rb") as fh:
+                data = change(fh.read())
+            with open(corpus["index"], "wb") as fh:
+                fh.write(data)
+        else:
+            rewrite_section(corpus["index"], section, change)
         with pytest.raises(IndexFormatError, match=why):
             load_bundle(corpus["index"])
         assert main(["query", corpus["pat_path"], "--index", corpus["index"]]) == 3
@@ -351,14 +393,16 @@ class TestBundleFormat:
         assert "FAIL index integrity" in capsys.readouterr().out
 
     def test_check_index_rejects_unsorted_kmer_keys(self, corpus, capsys):
-        # key order is the writer's to keep: load takes the table as it is,
+        # key order is the writer's to keep: load takes each table as it is,
         # and verify --check-index is what catches keys out of order
-        build(corpus)
-        rewrite_section(corpus["index"], "kmer_keys", lambda p: p[8:16] + p[:8] + p[16:])
-        load_bundle(corpus["index"])
-        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
-        assert rc == 1
-        assert "kmer_keys do not strictly increase" in capsys.readouterr().out
+        for table in ("kmer", "phrase"):
+            build(corpus)
+            rewrite_section(corpus["index"], f"{table}_keys",
+                            lambda p: p[8:16] + p[:8] + p[16:])
+            load_bundle(corpus["index"])
+            rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+            assert rc == 1
+            assert f"{table}_keys do not strictly increase" in capsys.readouterr().out
 
     def test_corrupted_payload_fails_checksum(self, corpus):
         build(corpus)
@@ -421,11 +465,10 @@ class TestParameterChecks:
     @pytest.mark.parametrize("argv", [
         ("query", "-t", "0"), ("query", "-L", "0"), ("query", "-f", "0"),
         ("build", "-w", "0"), ("build", "-p", "1"), ("build", "-k", "0"),
-        ("build", "--filter-fpr", "1.5"), ("build", "--seed", "-1"),
-        ("build", "--seed", str(1 << 64)), ("verify", "--max-text", "49"),
-        ("verify", "--max-pattern", "19"), ("verify", "--instances", "-2")],
-        ids=["t0", "L0", "f0", "w0", "p1", "k0", "fpr1.5", "seed-1", "seed2^64",
-             "max-text49", "max-pattern19", "instances-2"])
+        ("verify", "--max-text", "49"), ("verify", "--max-pattern", "19"),
+        ("verify", "--instances", "-2")],
+        ids=["t0", "L0", "f0", "w0", "p1", "k0", "max-text49", "max-pattern19",
+             "instances-2"])
     def test_out_of_range_flag_is_usage_error(self, corpus, tmp_path, capsys,
                                               argv):
         build(corpus)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from parsemem.errors import ItemKindMismatch
 from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KEY_MODULUS,
-                              KIND_BLOOM, KIND_COUNTING, KIND_EXACT, KIND_TABLE,
-                              TABLE_PARAMS, BloomFilter, CountingBloomFilter,
-                              ExactFilter, FilterParams, FingerprintTable,
-                              expected_fpr, filter_build, kmer_keys, size_for)
+                              KIND_BLOOM, KIND_EXACT, KIND_TABLE, TABLE_PARAMS,
+                              BloomFilter, ExactFilter, FilterParams,
+                              FingerprintTable, expected_fpr, filter_build,
+                              kmer_keys, size_for)
 
 
 class TestSizing:
@@ -127,27 +127,6 @@ class TestBloom:
         observed = positives / probes
         predicted = expected_fpr(params, len(inserted))
         assert observed <= 2 * predicted
-
-
-class TestCounting:
-    def test_never_undercounts(self):
-        filt = CountingBloomFilter(FilterParams(512, 4), ITEMS_KMER, k=3)
-        for _ in range(5):
-            filt.insert(b"AAA")
-        filt.insert(b"CCC")
-        assert filt.min_count(b"AAA") >= 5
-        assert filt.min_count(b"CCC") >= 1
-        assert filt.at_least(b"AAA", 5)
-        assert filt.query(b"AAA")
-
-    def test_counters_clamp_instead_of_wrapping(self):
-        filt = CountingBloomFilter(FilterParams(64, 2), ITEMS_KMER, k=3)
-        for _ in range(300):
-            filt.insert(b"AAA")
-        assert filt.min_count(b"AAA") == 255  # saturated at one byte, never wraps
-        # a saturated count may stand for any larger one: no false negatives
-        assert filt.at_least(b"AAA", 300)
-        assert not filt.at_least(b"CCC", 300)
 
 
 class TestExact:
@@ -277,11 +256,10 @@ class TestBatchLookup:
 
     @staticmethod
     def reference(filt, items, f):
-        cap = min(f, 255) if filt.kind in (KIND_COUNTING, KIND_TABLE) else f
+        cap = min(f, 255) if filt.kind == KIND_TABLE else f
         return [filt.min_count(x) >= cap for x in items]
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
-                                      KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
     @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
     def test_equals_one_min_count_per_item(self, kind, item_kind):
         rng = random.Random(83)
@@ -304,7 +282,7 @@ class TestBatchLookup:
             if f == 1:
                 assert any(want) and not all(want)
 
-    @pytest.mark.parametrize("kind", [KIND_COUNTING, KIND_EXACT, KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_TABLE])
     def test_threshold_above_a_saturated_counter(self, kind):
         filt = filter_build([b"AAA"] * 300 + [b"CCC"], FilterParams(64, 2), kind,
                             ITEMS_KMER, 3)
@@ -315,8 +293,7 @@ class TestBatchLookup:
         assert filt.at_least_many(items, 301) == [kind != KIND_EXACT, False, False]
         assert filt.kmers_at_least(b"AAAAAA", 301) == [kind != KIND_EXACT] * 4
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
-                                      KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
     def test_wrong_item_kind_raises(self, kind):
         kfilt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
         for bad in (17, b"ACG", b"ACGTA", "ACGT"):
@@ -328,8 +305,7 @@ class TestBatchLookup:
                 pfilt.at_least_many([17, bad], 1)
         assert kfilt.at_least_many([bytearray(b"ACGT")], 1) == [True]
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_COUNTING, KIND_EXACT,
-                                      KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
     def test_threshold_errors_stay(self, kind):
         filt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
         for f in (0, 2) if kind == KIND_BLOOM else (0,):
@@ -353,7 +329,8 @@ def textbook_positions(item, params):
 
 
 class TestBatchInsert:
-    """``filter_build`` fills a filter as if each probe were added in turn."""
+    """``filter_build`` sets a Bloom filter's bits as if each probe were
+    set in turn."""
 
     CASES = {
         # 16 probes over 8 positions: every item probes some position twice
@@ -367,21 +344,6 @@ class TestBatchInsert:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_counters_count_every_probe(self, case):
-        params, items, item_kind, k = self.CASES[case]
-        want = bytearray(params.bits)
-        for item in items:
-            for pos in textbook_positions(item, params):
-                want[pos] = min(want[pos] + 1, 255)
-        filt = filter_build(iter(items), params, KIND_COUNTING, item_kind, k)
-        assert filt.counters == want
-        one_by_one = CountingBloomFilter(params, item_kind, k)
-        for item in items:
-            one_by_one.insert(item)
-        assert one_by_one.counters == want
-        assert filt.probes == 0  # building is not lookup work
-
-    @pytest.mark.parametrize("case", sorted(CASES))
     def test_bloom_bits_follow_the_same_probes(self, case):
         params, items, item_kind, k = self.CASES[case]
         filt = filter_build(items, params, KIND_BLOOM, item_kind, k)
@@ -391,10 +353,10 @@ class TestBatchInsert:
 
     def test_wrong_item_kind_raises(self):
         with pytest.raises(ItemKindMismatch):
-            filter_build([b"ACGT", b"ACG"], FilterParams(64, 2), KIND_COUNTING,
+            filter_build([b"ACGT", b"ACG"], FilterParams(64, 2), KIND_BLOOM,
                          ITEMS_KMER, 4)
         with pytest.raises(ItemKindMismatch):
-            filter_build([17, True], FilterParams(64, 2), KIND_COUNTING,
+            filter_build([17, True], FilterParams(64, 2), KIND_BLOOM,
                          ITEMS_PHRASE)
 
 
@@ -413,7 +375,7 @@ def test_kmer_filter_requires_k():
 @settings(max_examples=80, deadline=None)
 def test_no_false_negatives_any_kind(items, seed):
     params = FilterParams(bits=128, hash_count=3, seed=seed)
-    for kind in (KIND_BLOOM, KIND_COUNTING, KIND_EXACT, KIND_TABLE):
+    for kind in (KIND_BLOOM, KIND_EXACT, KIND_TABLE):
         filt = filter_build(items, params, kind, ITEMS_KMER, 4)
         counts = {}
         for item in items:
