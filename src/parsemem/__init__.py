@@ -8,7 +8,7 @@ oracle (brute-force ground truth), and the command-line interface in cli.
 """
 
 from .errors import (EmptyInputError, IndexFormatError, ItemKindMismatch,
-                     ParameterMismatch, ParsememError, WindowError)
+                     ParameterMismatch, ParsememError)
 from .filters import (BloomFilter, ExactFilter, FilterParams, FingerprintTable,
                       MembershipFilter, expected_fpr, filter_build, size_for)
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut

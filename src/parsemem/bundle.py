@@ -11,9 +11,12 @@ k-mers and of phrase IDs, each as its sorted u64 keys and one-byte counts.
 Integers are little-endian, u32 unless named.  Reversed sequences are
 derived on load and step and probe counters start at 0.  Load checks every
 value it reads and rejects other versions, as results are only meaningful
-with the build-time parsing parameters.  Orders the writer guarantees, of
-the suffix arrays and of the table keys, are not checked on load;
-``check_order`` checks the keys for ``verify --check-index``.
+with the build-time parsing parameters.  The params record the window w,
+trigger modulus p and k-mer length k, which queries take from the index
+alone, and the hash's base and modulus, which load requires to be those of
+``parsing.kmer_keys``.  Orders the writer guarantees, of the suffix arrays
+and of the table keys, are not checked on load; ``check_order`` checks the
+keys for ``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Any
 
 from .errors import IndexFormatError
 from .filters import ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, FingerprintTable
-from .parsing import SCHEME_PFP, ParsedString, PhraseDictionary, RollingHasher
+from .parsing import (KEY_BASE, KEY_MODULUS, SCHEME_PFP, ParsedString,
+                      PhraseDictionary, RollingHasher)
 from .seqindex import OccurrenceIndex
 
 MAGIC = b"PMEMIDX\x00"
@@ -44,8 +48,8 @@ SECTIONS = ("params", "text", "text_sa", "text_rsa", "parse", "phrase_start",
 class IndexBundle:
     """Built structures over one text, plus the parameters that shaped them.
 
-    ``hasher`` is the text's parsing hash, rebuilt on load from the w, p,
-    base and modulus that ``params`` records; queries parse patterns with it.
+    ``hasher`` is the text's parse trigger, rebuilt on load from the w and p
+    that ``params`` records; queries parse patterns with it.
     """
 
     params: dict[str, Any]
@@ -154,7 +158,10 @@ def load_bundle(path: str) -> IndexBundle:
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
         w, p, base, modulus, k, n = (_int(params, key) for key in (
             "w", "p", "base", "modulus", "kebab_k", "text_length"))
-        hasher = RollingHasher(w, p, base, modulus)
+        if (base, modulus) != (KEY_BASE, KEY_MODULUS):
+            raise ValueError(f"hash base {base} and modulus {modulus} are not "
+                             f"{KEY_BASE} and {KEY_MODULUS}")
+        hasher = RollingHasher(w, p)
         if k < 1:
             raise ValueError("'kebab_k' must be at least 1")
     except ValueError as exc:

@@ -3,6 +3,8 @@
 ``build`` stores two fingerprint tables beside the text and parse indexes:
 the k-mers of every record, for kebab mode, and the phrase IDs of the
 text's parse, for combined mode.  Neither has a size or a seed to choose.
+The parse window ``-w``, trigger ``-p`` and k-mer length ``-k`` are build
+flags only: ``query`` and ``stats`` read them from the index.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -25,7 +27,8 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
-from .parsing import PhraseDictionary, RollingHasher, pfp_parse
+from .parsing import (KEY_BASE, KEY_MODULUS, PhraseDictionary, RollingHasher,
+                      pfp_parse)
 from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
@@ -106,8 +109,8 @@ def cmd_build(args) -> int:
     params = {
         "w": args.window,
         "p": args.trigger,
-        "base": hasher.base,
-        "modulus": hasher.modulus,
+        "base": KEY_BASE,
+        "modulus": KEY_MODULUS,
         "kebab_k": k,
         "text_length": len(text),
         "records": [n for n, _ in records],
@@ -140,15 +143,6 @@ def _check_ranges(args):
         if given is not None and given < least:
             flag = f"-{dest}" if len(dest) == 1 else "--" + dest.replace("_", "-")
             raise ParameterMismatch(f"{flag}={given} must be at least {least}")
-
-
-def _check_params(bundle: IndexBundle, args):
-    for flag, key in (("window", "w"), ("trigger", "p"), ("kmer", "kebab_k")):
-        given = getattr(args, flag, None)
-        if given is not None and given != bundle.params[key]:
-            raise ParameterMismatch(
-                f"--{flag}={given} does not match the index ({bundle.params[key]}); "
-                "rebuild the index or drop the flag")
 
 
 def _query_one(bundle: IndexBundle, pattern: bytes, args):
@@ -195,7 +189,6 @@ def _load_for_query(args) -> tuple[IndexBundle, list[tuple[str, bytes]]]:
         raise ParameterMismatch("no index given (use --index or PARSEMEM_INDEX)")
     bundle = load_bundle(index_path)
     bundle.dictionary.freeze()  # pattern phrases the text lacks get no new IDs
-    _check_params(bundle, args)
     return bundle, _read_records(args.patterns, args.format)
 
 
@@ -305,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report the t longest matches")
     common.add_argument("-L", type=int, default=None,
                         help="report matches of length at least L")
-    common.add_argument("-w", "--window", type=int, default=None,
-                        help="must match the index if given")
-    common.add_argument("-p", "--trigger", type=int, default=None,
-                        help="must match the index if given")
-    common.add_argument("-k", "--kmer", type=int, default=None,
-                        help="must match the index if given")
     common.add_argument("--format", choices=("auto", "fasta", "raw"),
                         default="auto")
 

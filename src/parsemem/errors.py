@@ -9,10 +9,6 @@ class EmptyInputError(ParsememError, ValueError):
     """An operation that needs at least one symbol got an empty input."""
 
 
-class WindowError(ParsememError, ValueError):
-    """The input is shorter than the hashing window, so no window hash exists."""
-
-
 class ItemKindMismatch(ParsememError, TypeError):
     """A filter was queried with an item of the wrong kind (k-mer vs phrase ID)."""
 

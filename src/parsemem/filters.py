@@ -16,9 +16,9 @@ their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
 one ``bisect_left``.  It never undercounts: items that share a key add up
 to one count, so a key collision can only add a false positive.  Keys of
 k-mers with k <= 7, and of phrase IDs below 2^61 - 1, are exact.
-``kmer_keys`` computes the keys of every k-mer of a sequence in one rolling
-Rabin-Karp pass, from which the table's ``kmers_at_least`` answers a whole
-pattern at once.
+``parsing.kmer_keys``, the Karp-Rabin pass that also sets the prefix-free
+parse's triggers, computes the keys of every k-mer of a sequence at once,
+from which the table's ``kmers_at_least`` answers a whole pattern.
 
 The Bloom filter takes probe positions from double hashing: two seeded
 64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
@@ -45,6 +45,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .errors import ItemKindMismatch
+from .parsing import KEY_MODULUS, kmer_keys
 
 KIND_BLOOM = "bloom"
 KIND_EXACT = "exact"
@@ -58,7 +59,6 @@ _MAX_HASHES = 16
 _SATURATED = 255  # the largest count one byte holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _H1_MASK = (1 << 64) - 1
-KEY_MODULUS = (1 << 61) - 1  # a table key is an item's value mod this prime
 _KEY_BATCH = 4096  # k-mers keyed per list in a table build: bounds its memory
 
 
@@ -81,24 +81,6 @@ class FilterParams:
 # of one hash, so expected_fpr reads the chance that the key of an item the
 # table lacks equals one of n stored keys: 1 - e^(-n / (2^61 - 1)).
 TABLE_PARAMS = FilterParams(bits=KEY_MODULUS, hash_count=1)
-
-
-def kmer_keys(seq: bytes, k: int) -> list[int]:
-    """The table key of every k-mer of ``seq``, first to last.
-
-    One rolling Rabin-Karp pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1,
-    which equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each k-mer.
-    """
-    if len(seq) < k:
-        return []
-    drop = pow(256, k, KEY_MODULUS)
-    v = int.from_bytes(seq[:k], "big") % KEY_MODULUS
-    keys = [v]
-    append = keys.append
-    for c, c_out in zip(seq[k:], seq):
-        v = (v * 256 + c - c_out * drop) % KEY_MODULUS
-        append(v)
-    return keys
 
 
 def size_for(n_items: int, target_fpr: float) -> FilterParams:

@@ -9,8 +9,10 @@ character-offset bookkeeping:
 * the minimizer parse breaks the string after the last character of every
   window-minimal k-mer; phrases partition the string with no overlap.
 
-The repository-wide reference hash is a polynomial rolling hash with base 256
-and modulus 2**61 - 1, so worked examples stay stable across machines.
+``kmer_keys`` is the package's one Karp-Rabin hash: a polynomial rolling
+hash with base 256 and modulus 2**61 - 1, so worked examples stay stable
+across machines.  The prefix-free parse tests its keys for triggers, and
+the k-mer fingerprint table in ``filters`` stores them.
 """
 
 from __future__ import annotations
@@ -19,60 +21,51 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import EmptyInputError, WindowError
+from .errors import EmptyInputError
 
-DEFAULT_BASE = 256
-DEFAULT_MODULUS = (1 << 61) - 1
+KEY_BASE = 256  # keys read a window's bytes as one big-endian integer
+KEY_MODULUS = (1 << 61) - 1  # a key is that integer mod this prime
 
 SCHEME_PFP = "PFP"
 SCHEME_MINIMIZER = "MINIMIZER"
 
 
+def kmer_keys(seq: bytes, k: int) -> list[int]:
+    """The Karp-Rabin key of every k-mer of ``seq``, first to last.
+
+    One rolling pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1, which
+    equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each k-mer.  A
+    sequence shorter than k has no k-mer and gets no key.
+    """
+    if len(seq) < k:
+        return []
+    base, mod = KEY_BASE, KEY_MODULUS
+    drop = pow(base, k, mod)
+    v = int.from_bytes(seq[:k], "big") % mod
+    keys = [v]
+    append = keys.append
+    for c, c_out in zip(seq[k:], seq):
+        v = (v * base + c - c_out * drop) % mod
+        append(v)
+    return keys
+
+
 @dataclass(frozen=True)
 class RollingHasher:
-    """Karp-Rabin rolling hash with a window width and a trigger modulus.
+    """The prefix-free parse's trigger: a window width and a trigger modulus.
 
-    The hash of a window equals the direct polynomial evaluation of its
-    bytes, so the rolled stream can always be cross-checked window by window.
+    A window is a trigger when its ``kmer_keys`` key is congruent to 0
+    modulo ``trigger_modulus``.
     """
 
     window: int
     trigger_modulus: int
-    base: int = DEFAULT_BASE
-    modulus: int = DEFAULT_MODULUS
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window width must be at least 1")
         if self.trigger_modulus < 2:
             raise ValueError("trigger modulus must be at least 2")
-        if self.base < 2:
-            raise ValueError("hash base must be at least 2")
-        if self.modulus <= self.base:
-            raise ValueError("hash modulus must exceed the base")
-
-    def hash_direct(self, chunk: bytes) -> int:
-        """Polynomial evaluation of ``chunk``, most significant byte first."""
-        h = 0
-        for c in chunk:
-            h = (h * self.base + c) % self.modulus
-        return h
-
-    def roll(self, text: bytes) -> list[int]:
-        """Hash of every width-``window`` substring of ``text``, left to right."""
-        w = self.window
-        if len(text) < w:
-            raise WindowError(f"text of length {len(text)} is shorter than window {w}")
-        shift = pow(self.base, w - 1, self.modulus)
-        h = self.hash_direct(text[:w])
-        out = [h]
-        for i in range(w, len(text)):
-            h = ((h - text[i - w] * shift) * self.base + text[i]) % self.modulus
-            out.append(h)
-        return out
-
-    def is_trigger(self, window_hash: int) -> bool:
-        return window_hash % self.trigger_modulus == 0
 
 
 class PhraseDictionary:
@@ -120,10 +113,6 @@ class PhraseDictionary:
     def freeze(self):
         """Make the dictionary read-only; lookups stay valid, inserts stop."""
         self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
 
 @dataclass(frozen=True)
@@ -184,10 +173,10 @@ class ParsedString:
 def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) -> ParsedString:
     """Prefix-free parse of ``text``.
 
-    A phrase break is placed at every window whose hash is congruent to
-    0 modulo the trigger modulus: the current phrase ends at the window's last
-    character and the next phrase begins with the window's contents, so
-    consecutive phrases overlap by the window width.  Triggering is stateless
+    A phrase break is placed at every window whose ``kmer_keys`` key is
+    congruent to 0 modulo the trigger modulus: the current phrase ends at the
+    window's last character and the next phrase begins with the window's
+    contents, so consecutive phrases overlap by the window width.  Triggering is stateless
     (every complete window is tested), which makes breaks strictly inside a
     shared substring identical in any context.  The first phrase starts at
     position 1 with no artificial trigger and the last runs to the end; a text
@@ -195,13 +184,10 @@ def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) 
     """
     if len(text) == 0:
         raise EmptyInputError("cannot parse an empty string")
-    w = hasher.window
-    starts = [1]
-    if len(text) >= w:
-        for idx, h in enumerate(hasher.roll(text)):
-            s = idx + 1  # 1-based window start
-            if hasher.is_trigger(h) and s > starts[-1]:
-                starts.append(s)
+    w, p = hasher.window, hasher.trigger_modulus
+    # s is a window's 1-based start; the window at 1 opens the first phrase
+    starts = [1] + [s for s, key in enumerate(kmer_keys(text, w), 1)
+                    if key % p == 0 and s > 1]
     n = len(text)
     symbols = []
     for pos, s in enumerate(starts):

@@ -360,6 +360,9 @@ class TestBundleFormat:
         ("params", lambda p: json.dumps(
             {k: v for k, v in json.loads(p).items() if k != "kebab_k"}).encode(),
          "kebab_k"),
+        ("params", lambda p: json.dumps(
+            {**json.loads(p), "modulus": (1 << 31) - 1}).encode(),
+         "hash base 256 and modulus 2147483647 are not 256 and"),
         ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
          "text_sa entry out of range"),
         ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
@@ -370,8 +373,9 @@ class TestBundleFormat:
         ("phrase_counts", lambda p: p[:-1] + b"\x00", "phrase_counts holds a zero count"),
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
-        ids=["missing_kebab_k", "sa_out_of_range", "keys_not_whole_u64s",
-             "counts_length_differs", "zero_count", "phrase_keys_not_whole_u64s",
+        ids=["missing_kebab_k", "other_hash_modulus", "sa_out_of_range",
+             "keys_not_whole_u64s", "counts_length_differs", "zero_count",
+             "phrase_keys_not_whole_u64s",
              "phrase_counts_length_differs", "phrase_zero_count",
              "repeated_section", "bytes_after_last_section"])
     def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
@@ -443,18 +447,15 @@ class TestBundleFormat:
 
 
 class TestParameterChecks:
-    def test_mismatched_window_is_usage_error(self, corpus, capsys):
+    def test_build_flags_are_unknown_at_query_time(self, corpus, capsys):
+        # w, p and k come from the index alone: argparse rejects the flags
         build(corpus)
-        rc = main(["query", corpus["pat_path"], "--index", corpus["index"],
-                   "-w", "12"])
-        assert rc == 2
-        assert "does not match the index" in capsys.readouterr().err
-
-    def test_matching_flags_are_accepted(self, corpus, capsys):
-        build(corpus)
-        rc, out = query(corpus, capsys, "-w", "6", "-p", "5", "-k", "8",
-                        "--mode", "exact")
-        assert rc == 0
+        for argv in (["query", corpus["pat_path"], "-w", "10"],
+                     ["stats", corpus["pat_path"], "-k", "20"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--index", corpus["index"]])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_t_and_l_conflict(self, corpus, capsys):
         build(corpus)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsemem.errors import EmptyInputError, WindowError
-from parsemem.parsing import (MinimizerParams, PhraseDictionary, RollingHasher,
+from parsemem.errors import EmptyInputError
+from parsemem.parsing import (KEY_BASE, KEY_MODULUS, MinimizerParams,
+                              PhraseDictionary, RollingHasher, kmer_keys,
                               minimizer_parse, pfp_parse)
 
 MOD = (1 << 61) - 1
@@ -22,7 +23,7 @@ def naive_pfp_starts(text: bytes, hasher: RollingHasher) -> list[int]:
     """Phrase starts by scanning every window directly, no rolling."""
     starts = [1]
     for s in range(1, len(text) - hasher.window + 2):
-        h = direct_hash(text[s - 1:s - 1 + hasher.window], hasher.base, hasher.modulus)
+        h = direct_hash(text[s - 1:s - 1 + hasher.window], KEY_BASE, KEY_MODULUS)
         if h % hasher.trigger_modulus == 0 and s > starts[-1]:
             starts.append(s)
     return starts
@@ -30,23 +31,19 @@ def naive_pfp_starts(text: bytes, hasher: RollingHasher) -> list[int]:
 
 class TestRollWindows:
     def test_rolled_equals_direct(self):
-        hasher = RollingHasher(window=2, trigger_modulus=7)
-        assert hasher.roll(b"ABCD") == [
+        assert kmer_keys(b"ABCD", 2) == [
             direct_hash(b"AB"), direct_hash(b"BC"), direct_hash(b"CD")]
 
-    def test_too_short_is_an_error(self):
-        with pytest.raises(WindowError):
-            RollingHasher(window=2, trigger_modulus=7).roll(b"A")
+    def test_too_short_has_no_keys(self):
+        assert kmer_keys(b"A", 2) == []
 
     def test_single_window(self):
-        hasher = RollingHasher(window=3, trigger_modulus=7)
-        assert hasher.roll(b"ACG") == [direct_hash(b"ACG")]
+        assert kmer_keys(b"ACG", 3) == [direct_hash(b"ACG")]
 
     @given(st.binary(min_size=6, max_size=200), st.integers(2, 6))
     @settings(max_examples=60, deadline=None)
     def test_rolling_identity(self, text, w):
-        hasher = RollingHasher(window=w, trigger_modulus=13)
-        got = hasher.roll(text)
+        got = kmer_keys(text, w)
         assert got == [direct_hash(text[i:i + w]) for i in range(len(text) - w + 1)]
 
 
@@ -63,7 +60,8 @@ class TestPfpParse:
     def test_no_trigger_single_phrase(self):
         hasher = self.hasher(w=3, p=7)
         text = b"GATTACAGATT"
-        assert not any(hasher.is_trigger(h) for h in hasher.roll(text))
+        assert not any(direct_hash(text[i:i + 3], KEY_BASE, KEY_MODULUS) % 7 == 0
+                       for i in range(len(text) - 2))
         parse = pfp_parse(text, hasher, PhraseDictionary())
         assert len(parse) == 1
 
@@ -72,11 +70,15 @@ class TestPfpParse:
             pfp_parse(b"", self.hasher(), PhraseDictionary())
 
     def test_matches_naive_window_scan(self):
+        # w from 1, alphabets up to every byte but NUL, and texts no longer
+        # than the window, which have at most one window and so one phrase
         rng = random.Random(7)
-        for _ in range(60):
-            w = rng.randint(2, 6)
+        for _ in range(240):
+            w = rng.randint(1, 12)
             hasher = self.hasher(w=w, p=rng.randint(2, 9))
-            text = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(1, 300)))
+            alphabet = rng.choice((b"ACGT", bytes(range(1, 256))))
+            n = rng.choice((rng.randint(1, w), rng.randint(1, 300)))
+            text = bytes(rng.choice(alphabet) for _ in range(n))
             parse = pfp_parse(text, hasher, PhraseDictionary())
             assert list(parse.phrase_start) == naive_pfp_starts(text, hasher)
             assert parse.reconstruct() == text
