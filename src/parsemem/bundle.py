@@ -5,18 +5,23 @@ format version and u32 section count, then the SECTIONS, each framed as (u16
 name length, name, u64 payload length, 32-byte SHA-256, payload), each name
 once and nothing after the last.  All are plain data, so loading runs no
 code: params as JSON, the text, the suffix arrays of the text and its
-reverse, the parse symbols, phrase starts and two suffix arrays, the
-dictionary's phrase lengths and phrases, then two fingerprint tables, of
-k-mers and of phrase IDs, each as its sorted u64 keys and one-byte counts.
-Integers are little-endian, u32 unless named.  Reversed sequences are
-derived on load and step and probe counters start at 0.  Load checks every
-value it reads and rejects other versions, as results are only meaningful
-with the build-time parsing parameters.  The params record the window w,
-trigger modulus p and k-mer length k, which queries take from the index
-alone, and the hash's base and modulus, which load requires to be those of
-``parsing.kmer_keys``.  Orders the writer guarantees, of the suffix arrays
-and of the table keys, are not checked on load; ``check_order`` checks the
-keys for ``verify --check-index``.
+reverse, the reversed text's prefix table (its row starts and the text's
+alphabet, one byte per symbol), the parse symbols, phrase starts and two
+suffix arrays, the dictionary's phrase lengths and phrases, then two
+fingerprint tables, of k-mers and of phrase IDs, each as its sorted u64
+keys and one-byte counts.  Integers are little-endian, u32 unless named.
+Reversed sequences are derived on load and step, hit and probe counters
+start at 0; a prefix-table hit counts the q steps it stands for.  Load
+checks every value it reads and rejects other versions, as results are
+only meaningful with the build-time parsing parameters.  The params record
+the window w, trigger modulus p and k-mer length k, which queries take from
+the index alone, and the hash's base and modulus, which load requires to be
+those of ``parsing.kmer_keys``.  The prefix table's depth q is derived from
+the text's length and alphabet, never stored.  Orders the writer
+guarantees, of the suffix arrays and of the table keys, are not checked on
+load, nor is the prefix table against the text, as each would take a pass
+over the text; ``check_order`` checks the keys and the prefix table for
+``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -27,21 +32,21 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import lt
+from itertools import accumulate, product
+from operator import le, lt
 from typing import Any
 
 from .errors import IndexFormatError
 from .filters import ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, FingerprintTable
 from .parsing import (KEY_BASE, KEY_MODULUS, SCHEME_PFP, ParsedString,
                       PhraseDictionary, RollingHasher)
-from .seqindex import OccurrenceIndex
+from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 5  # 5: a phrase-ID fingerprint table replaces the phrase counters
-SECTIONS = ("params", "text", "text_sa", "text_rsa", "parse", "phrase_start",
-            "parse_sa", "parse_rsa", "phrase_lengths", "phrases", "kmer_keys",
-            "kmer_counts", "phrase_keys", "phrase_counts")
+FORMAT_VERSION = 6  # 6: the reversed text's prefix table and the alphabet
+SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
+            "parse", "phrase_start", "parse_sa", "parse_rsa", "phrase_lengths",
+            "phrases", "kmer_keys", "kmer_counts", "phrase_keys", "phrase_counts")
 
 
 @dataclass
@@ -73,9 +78,11 @@ def _little_endian(values: array) -> array:
 def save_bundle(bundle: IndexBundle, path: str) -> None:
     phrases = [bundle.dictionary.string_of(i) for i in range(len(bundle.dictionary))]
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
-    arrays = (text.forward.sa, text.backward.sa, parse.symbols, parse.phrase_start,
-              pidx.forward.sa, pidx.backward.sa, [len(p) for p in phrases])
+    arrays = (parse.symbols, parse.phrase_start, pidx.forward.sa, pidx.backward.sa,
+              [len(p) for p in phrases])
     blobs = [json.dumps(bundle.params, sort_keys=True).encode("utf-8"), text.sequence,
+             *(struct.pack(f"<{len(a)}I", *a) for a in (text.forward.sa, text.backward.sa)),
+             _little_endian(text.prefix_table.starts).tobytes(), text.prefix_table.alphabet,
              *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
              *(blob for table in (bundle.kmer_filter, bundle.phrase_filter)
                for blob in (_little_endian(table.keys).tobytes(), bytes(table.counts)))]
@@ -112,6 +119,28 @@ def _table(sections: dict[str, memoryview], name: str, item_kind: str,
     _check(len(counts) == len(keys), f"{name}_counts and {name}_keys differ in length")
     _check(0 not in counts, f"{name}_counts holds a zero count")
     return FingerprintTable(TABLE_PARAMS, item_kind, k, _little_endian(keys), counts)
+
+
+def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
+    """The reversed text's prefix table, checked without a pass over the text."""
+    alphabet = bytes(sections["alphabet"])
+    _check(len(alphabet) > 0 and all(map(lt, alphabet, alphabet[1:])),
+           "alphabet does not strictly increase")
+    q = prefix_depth(len(text), len(alphabet))
+    raw = sections["prefix_rows"]
+    _check(len(raw) == 4 * (len(alphabet) ** q + 1 if q else 0),
+           f"prefix_rows does not hold sigma**q + 1 = {len(alphabet)}**{q} + 1 u32s")
+    starts = array("I")
+    starts.frombytes(raw)
+    starts = _little_endian(starts)
+    if q:
+        _check(starts[0] == 0 and starts[-1] == len(text) - q + 1,
+               "prefix_rows do not run from 0 to the number of length-q suffixes")
+        _check(all(map(le, starts, starts[1:])), "prefix_rows decrease")
+        # the suffixes shorter than q: the reversed text's last, the text's first
+        _check(all(sym in alphabet for sym in text[:q - 1]),
+               "alphabet lacks a symbol of the text")
+    return PrefixTable(memoryview(text)[::-1], alphabet, starts)  # a view, not a copy
 
 
 def _int(spec: Any, key: str) -> int:
@@ -188,17 +217,30 @@ def load_bundle(path: str) -> IndexBundle:
     phrase_filter = _table(sections, "phrase", ITEMS_PHRASE)
     return IndexBundle(params, hasher, dictionary,
                        ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
-                       OccurrenceIndex(text, text_sa, text_rsa),
+                       OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
                        OccurrenceIndex(symbols, parse_sa, parse_rsa),
                        kmer_filter, phrase_filter)
 
 
 def check_order(bundle: IndexBundle) -> None:
-    """Check that each table's keys strictly increase, as the table writes them.
+    """Check that each table's keys strictly increase, as the table writes
+    them, and that the prefix table is the one the text and ``text_rsa``
+    give: recounted from the text, and with every row of each bucket a
+    suffix that begins with the bucket's string.
 
-    Lookups bisect the keys, so out-of-order keys could hide a stored item.
-    Load leaves this to the writer, as it does suffix-array order.
+    Lookups bisect the keys, so out-of-order keys could hide a stored item,
+    and a wrong prefix table starts probes at wrong rows.  Load leaves this
+    to the writer, as it does suffix-array order.
     """
     for name, table in (("kmer", bundle.kmer_filter), ("phrase", bundle.phrase_filter)):
         keys = table.keys
         _check(all(map(lt, keys, keys[1:])), f"{name}_keys do not strictly increase")
+    view, stored = bundle.text_index.backward, bundle.text_index.prefix_table
+    fresh = PrefixTable.build(view.seq)
+    _check(stored.alphabet == fresh.alphabet, "alphabet is not the text's")
+    _check(stored.starts == fresh.starts, "prefix_rows do not match the text")
+    rev, rsa, q = view.seq, view.sa, stored.q
+    for code, word in enumerate(map(bytes, product(stored.alphabet, repeat=q))):
+        lo, hi = stored.rows(code) if q else (0, 0)
+        _check(all(rev[rsa[r]:rsa[r] + q] == word for r in range(lo, hi)),
+               "prefix_rows do not match text_rsa")

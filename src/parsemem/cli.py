@@ -218,24 +218,27 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _work(bundle: IndexBundle) -> tuple[int, int, int]:
-    """Search work so far: parse-index steps, text-index steps, filter probes."""
+def _work(bundle: IndexBundle) -> tuple[int, int, int, int]:
+    """Search work so far: parse-index steps, text-index steps, filter
+    probes, and the text's prefix-table hits (whose steps are in the second)."""
     return (bundle.parse_index.steps, bundle.text_index.steps,
-            bundle.kmer_filter.probes + bundle.phrase_filter.probes)
+            bundle.kmer_filter.probes + bundle.phrase_filter.probes,
+            bundle.text_index.prefix_table_hits)
 
 
 def cmd_stats(args) -> int:
     bundle, records = _load_for_query(args)
     out = sys.stdout
     out.write("pattern_id\tm\tpseudo_total\tretained_total\tparse_len\t"
-              "parse_backward_steps\tchar_backward_steps\tfilter_probes\n")
+              "parse_backward_steps\tchar_backward_steps\tfilter_probes\t"
+              "prefix_table_hits\n")
     for name, pattern in records:
-        pms, retained, parse_len, work = [], [], 0, [0, 0, 0]
+        pms, retained, parse_len, work = [], [], 0, [0, 0, 0, 0]
         if pattern and SEPARATOR not in pattern:
             before = _work(bundle)
             pms, retained, _, parse_len = _query_one(bundle, pattern, args)
             work = [now - then for now, then in zip(_work(bundle), before)]
-        out.write("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" % (
+        out.write("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" % (
             name, len(pattern),
             sum(pm.length for pm in pms),
             sum(pm.length for pm in retained),

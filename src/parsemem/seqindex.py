@@ -26,17 +26,30 @@ comparison.  That is the unit of search work that ``parsemem stats``
 reports.  At the scale this package targets a suffix array with binary
 search is entirely adequate; nothing here depends on a particular
 compressed index.
+
+A byte text's backward view also keeps a ``PrefixTable``: the row start of
+every length-q string over the text's alphabet, q as large as leaves about
+``NARROW`` rows per string.  A growth of the empty match by at least q
+symbols starts from the table's bucket for its first q, as one table hit
+that counts the q steps the binary search would have taken, so step
+totals keep their unit.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import EmptyInputError
 
 # An interval of at most this many rows grows by comparing the text itself.
 NARROW = 16
+# The prefix table's depth q keeps at least this many rows per string on
+# average (bound here, so that a NARROW patched in a test leaves q as it is).
+BUCKET_ROWS = NARROW
 
 
 def _build_suffix_array(seq: Sequence[int]) -> list[int]:
@@ -71,6 +84,74 @@ def _build_suffix_array(seq: Sequence[int]) -> list[int]:
         k *= 2
 
 
+def prefix_depth(n: int, sigma: int) -> int:
+    """The prefix table's depth q for a text of ``n`` symbols over ``sigma``
+    distinct ones: the largest q with sigma**q <= n // BUCKET_ROWS, and 0 (no
+    table) for a one-symbol or short text."""
+    q = 0
+    while sigma > 1 and sigma ** (q + 1) <= n // BUCKET_ROWS:
+        q += 1
+    return q
+
+
+class PrefixTable:
+    """Where each length-q string over ``alphabet`` starts in a byte
+    sequence's suffix array.
+
+    Codes number the strings in sorted order, base ``sigma`` on the symbols'
+    ranks in ``alphabet``.  ``starts[c]`` counts the suffixes of length at
+    least q whose first q symbols code below c, so ``starts`` has
+    sigma**q + 1 entries (none when q is 0).  The q - 1 shorter suffixes
+    are not in any bucket; each sorts just before the strings it begins, so
+    it moves every bucket from the code of itself padded with the least
+    symbol on by one row.  They are the sequence's last q - 1 symbols, so
+    deriving them reads q - 1 symbols, not the sequence.
+    """
+
+    def __init__(self, seq: bytes, alphabet: bytes, starts: array):
+        self.alphabet, self.starts = alphabet, starts
+        self.q = q = prefix_depth(len(seq), len(alphabet))
+        self.sigma = sigma = len(alphabet)
+        self.rank = [-1] * 256
+        for r, sym in enumerate(alphabet):
+            self.rank[sym] = r
+        self.short = sorted(self.code(seq[len(seq) - length:]) * sigma ** (q - length)
+                            for length in range(1, q))
+
+    @classmethod
+    def build(cls, seq: bytes) -> PrefixTable:
+        """The table of ``seq``, counted in one rolling pass."""
+        alphabet = bytes(sorted(set(seq)))
+        table = cls(seq, alphabet, array("I"))
+        q, sigma, rank = table.q, table.sigma, table.rank
+        if q:
+            size = sigma ** q
+            counts = [0] * (size + 1)
+            code = 0
+            for i, sym in enumerate(seq):
+                code = (code * sigma + rank[sym]) % size
+                if i >= q - 1:
+                    counts[code + 1] += 1
+            table.starts = array("I", accumulate(counts))
+        return table
+
+    def code(self, word: bytes) -> int:
+        """The code of ``word``, or -1 if a symbol of it is not in the
+        alphabet."""
+        code, sigma, rank = 0, self.sigma, self.rank
+        for sym in word:
+            r = rank[sym]
+            if r < 0:
+                return -1
+            code = code * sigma + r
+        return code
+
+    def rows(self, code: int) -> tuple[int, int]:
+        """The suffix-array rows of the string coded ``code``."""
+        shift = bisect_right(self.short, code)
+        return self.starts[code] + shift, self.starts[code + 1] + shift
+
+
 class _SuffixView:
     """One direction of the index: suffix array over one symbol sequence.
 
@@ -78,13 +159,16 @@ class _SuffixView:
     suffixes ``sa[lo:hi]`` are those that begin with the match, so ``hi - lo``
     is its count, and ``(0, len(sa))`` is the interval of the empty match.
     ``steps`` counts the search steps made so far: one per ``extend``, and
-    as many for a direct comparison as the extensions it stands for.
+    as many for a direct comparison or a ``table`` hit as the extensions it
+    stands for; ``hits`` counts the table hits.
     """
 
     def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
         self.seq = seq
         self.sa = _build_suffix_array(seq) if sa is None else sa
+        self.table: PrefixTable | None = None
         self.steps = 0
+        self.hits = 0
 
     def extend(self, lo: int, hi: int, depth: int, sym: int) -> tuple[int, int]:
         """Narrow the interval of a match of length ``depth`` to the
@@ -120,14 +204,29 @@ class _SuffixView:
         matching.
 
         Returns the last such interval and the number of symbols grown.
+        A growth of the empty match by bytes starts from the ``table``
+        bucket of its first q symbols when that holds at least ``f`` rows.
         While the interval has more than ``NARROW`` rows each symbol is one
         ``extend``; below that, when ``query`` is of the sequence's type, the
         rest is read off the rows' suffixes by ``grow_at``.  Either way
         ``steps`` rises by one per symbol grown, plus one for the symbol that
-        failed, if any.
+        failed, if any: a bucket wider than ``NARROW`` is where q extends
+        lead, and in a narrower one the f-th largest agreement is that of
+        the rows ``grow_at`` would compare, as rows outside it agree on
+        fewer symbols.
         """
-        narrow = NARROW if type(query) is type(self.seq) else -1
+        direct = type(query) is type(self.seq)
+        narrow = NARROW if direct else -1
         g = 0
+        table = self.table
+        if depth == 0 and table is not None and direct and limit >= table.q:
+            code = table.code(query[pos:pos + table.q])
+            if code >= 0:
+                a, b = table.rows(code)
+                if b - a >= f:
+                    lo, hi, g = a, b, table.q
+                    self.steps += g
+                    self.hits += 1
         while g < limit and hi - lo > narrow:
             a, b = self.extend(lo, hi, depth + g, query[pos + g])
             if b - a < f:
@@ -204,16 +303,23 @@ class OccurrenceIndex:
     query on the right extends the original query on the left.  ``seq`` is
     bytes or a tuple of phrase IDs, kept as given.  The suffix
     arrays, built unless passed as ``sa`` and ``reverse_sa``, never change;
+    nor does the reversed bytes' ``prefix_table``, built unless passed.
     ``steps`` counts the search steps made in either direction so far, so
     callers measure a unit of work as the difference around it.
     """
 
-    def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None):
+    def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None,
+                 prefix_table: PrefixTable | None = None):
         if len(seq) == 0:
             raise EmptyInputError("cannot index an empty sequence")
         self.sequence = seq
         self.forward = _SuffixView(seq, sa)
         self.backward = _SuffixView(seq[::-1], reverse_sa)
+        if prefix_table is None and type(seq) is bytes:
+            prefix_table = PrefixTable.build(self.backward.seq)
+        self.prefix_table = prefix_table
+        if prefix_table is not None and prefix_table.q:
+            self.backward.table = prefix_table
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -221,6 +327,10 @@ class OccurrenceIndex:
     @property
     def steps(self) -> int:
         return self.forward.steps + self.backward.steps
+
+    @property
+    def prefix_table_hits(self) -> int:
+        return self.backward.hits
 
     def count(self, query: Sequence[int]) -> int:
         """Number of starting positions of ``query``; overlaps allowed."""

@@ -15,6 +15,7 @@ from parsemem.bundle import FORMAT_VERSION, MAGIC, load_bundle, save_bundle
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
+from parsemem.seqindex import PrefixTable
 
 
 def rand_dna(rng, n):
@@ -272,13 +273,13 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "36becd932e32f44bc1b9f6b9ad54b3c5375eea346f5f075beef9440ec6460171"),
-        ("12", "9e4f1ecdf4fbf00fe579148057bbfd0777c4fee5123ae691f45707f75f6f99a9")],
+        ("8", "c04e1ef83247c571495be872ca2f362e2bb1171147c593b47a073fc33278ec8d"),
+        ("12", "09dc3b9220a2eb37b456d893477ae4634e32338fbe7700f9d23459bab69b4938")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 5's bytes for this corpus: a change to the table keys, the
-        # parse or suffix-array order must bump FORMAT_VERSION and this
-        # digest with it.
+        # Format 6's bytes for this corpus: a change to the table keys, the
+        # prefix table, the parse or suffix-array order must bump
+        # FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
@@ -291,8 +292,11 @@ class TestDeterminism:
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
         # parse_backward_steps, char_backward_steps and filter_probes are
-        # the last three columns.  A rewrite of the scan or of the filters
-        # must leave them as they are, or change them here on purpose.
+        # the three columns before prefix_table_hits, the probes that
+        # started from the q = 3 table (their steps are in
+        # char_backward_steps; each mode's search probes the same 31).  A
+        # rewrite of the scan or of the filters must leave them as they
+        # are, or change them here on purpose.
         build(corpus)
         capsys.readouterr()
         rc = main(["stats", corpus["pat_path"], "--index", corpus["index"],
@@ -301,8 +305,8 @@ class TestDeterminism:
         assert rc == 0
         assert lines[0] == ("pattern_id\tm\tpseudo_total\tretained_total\t"
                             "parse_len\tparse_backward_steps\t"
-                            "char_backward_steps\tfilter_probes")
-        assert lines[1:] == [row.replace(" ", "\t")]
+                            "char_backward_steps\tfilter_probes\tprefix_table_hits")
+        assert lines[1:] == [row.replace(" ", "\t") + "\t31"]
 
     def test_query_output_is_identical_across_runs(self, corpus, capsys):
         build(corpus)
@@ -317,7 +321,7 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
         bundle = load_bundle(corpus["index"])
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
@@ -332,6 +336,12 @@ class TestBundleFormat:
         assert list(bundle.phrase_filter.keys) == sorted(set(symbols))
         assert list(bundle.phrase_filter.counts) == [
             min(symbols.count(key), 255) for key in bundle.phrase_filter.keys]
+        # the reversed text's prefix table, at q = 3 for 1,500 symbols of ACGT
+        table = bundle.text_index.prefix_table
+        fresh = PrefixTable.build(corpus["text"][::-1])
+        assert (table.alphabet, table.q, table.short) == (b"ACGT", 3, fresh.short)
+        assert table.starts == fresh.starts and len(table.starts) == 4 ** 3 + 1
+        assert bundle.text_index.backward.table is table
 
     def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
         # counters, the frozen flag and derived copies are not in the file
@@ -371,12 +381,20 @@ class TestBundleFormat:
         ("phrase_keys", lambda p: p[:-3], "phrase_keys is not a whole number of u64s"),
         ("phrase_counts", lambda p: p + b"\x01", "phrase_counts and phrase_keys differ"),
         ("phrase_counts", lambda p: p[:-1] + b"\x00", "phrase_counts holds a zero count"),
+        ("prefix_rows", lambda p: p[:-4], "prefix_rows does not hold sigma"),
+        ("prefix_rows", lambda p: p[:4] + struct.pack("<I", 10 ** 6) + p[8:],
+         "prefix_rows decrease"),
+        ("prefix_rows", lambda p: p[:-4] + struct.pack("<I", 10 ** 6),
+         "prefix_rows do not run from 0 to the number of length-q suffixes"),
+        ("alphabet", lambda p: p[::-1], "alphabet does not strictly increase"),
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
         ids=["missing_kebab_k", "other_hash_modulus", "sa_out_of_range",
              "keys_not_whole_u64s", "counts_length_differs", "zero_count",
              "phrase_keys_not_whole_u64s",
              "phrase_counts_length_differs", "phrase_zero_count",
+             "prefix_rows_wrong_length", "prefix_rows_fall",
+             "prefix_rows_out_of_range", "alphabet_not_increasing",
              "repeated_section", "bytes_after_last_section"])
     def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
                                                      section, change, why):
@@ -408,6 +426,23 @@ class TestBundleFormat:
             assert rc == 1
             assert f"{table}_keys do not strictly increase" in capsys.readouterr().out
 
+    def test_check_index_rejects_a_wrong_prefix_table(self, corpus, capsys):
+        # a well-formed table that is not the text's: one row moved from one
+        # bucket to the next; load takes it, verify --check-index does not
+        build(corpus)
+        starts = load_bundle(corpus["index"]).text_index.prefix_table.starts
+        code = next(c for c in range(1, len(starts) - 1)
+                    if starts[c - 1] < starts[c] < starts[c + 1])
+
+        def move_row(payload):
+            return (payload[:4 * code] + struct.pack("<I", starts[code] - 1)
+                    + payload[4 * code + 4:])
+        rewrite_section(corpus["index"], "prefix_rows", move_row)
+        load_bundle(corpus["index"])
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "prefix_rows do not match the text" in capsys.readouterr().out
+
     def test_corrupted_payload_fails_checksum(self, corpus):
         build(corpus)
         with open(corpus["index"], "rb") as fh:
@@ -435,15 +470,18 @@ class TestBundleFormat:
             load_bundle(str(bogus))
 
     def test_unsupported_version_rejected(self, corpus, capsys):
-        # the pickled format 2 is refused; such indexes must be rebuilt
-        build(corpus)
-        with open(corpus["index"], "r+b") as fh:
-            fh.seek(len(MAGIC))
-            fh.write((2).to_bytes(4, "little"))
-        with pytest.raises(IndexFormatError,
-                           match="index format version 2 is not supported"):
-            load_bundle(corpus["index"])
-        assert main(["query", corpus["pat_path"], "--index", corpus["index"]]) == 3
+        # the pickled format 2 and format 5, which has no prefix table, are
+        # refused; such indexes must be rebuilt
+        for version in (2, 5):
+            build(corpus)
+            with open(corpus["index"], "r+b") as fh:
+                fh.seek(len(MAGIC))
+                fh.write(version.to_bytes(4, "little"))
+            with pytest.raises(IndexFormatError, match=(
+                    f"index format version {version} is not supported")):
+                load_bundle(corpus["index"])
+            assert main(["query", corpus["pat_path"], "--index", corpus["index"]]) == 3
+            assert f"version {version} is not supported" in capsys.readouterr().err
 
 
 class TestParameterChecks:
@@ -529,7 +567,7 @@ class TestStatsAndVerify:
                 capsys.readouterr().out.splitlines()[1:]]
         assert rc == 0
         assert [row[0] for row in rows] == ["p1", "p2", "p3"]
-        assert rows[1][1:] == ["0"] * 7
+        assert rows[1][1:] == ["0"] * 8
 
     def test_verify_small_run_passes(self, capsys):
         rc = main(["verify", "--instances", "2", "--max-text", "200",

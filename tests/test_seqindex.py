@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left, bisect_right
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex,
                                _build_suffix_array, bml_mems, bml_top_t,
-                               find_f_mems, threshold_scan)
+                               find_f_mems, prefix_depth, threshold_scan)
 
 
 def index_of(text: bytes) -> OccurrenceIndex:
@@ -351,6 +352,131 @@ def test_patterns_of_any_type(monkeypatch):
             monkeypatch, index, pattern, [(1, len(pattern))], 2, 20, None)
         assert got == binary == [w for w in want if w[1] - w[0] >= 19]
         assert (steps < binary_steps) == direct
+
+
+def random_text(rng, symbols, n):
+    return bytes(rng.choice(symbols) for _ in range(n))
+
+
+# (text, q): one symbol has no table; NUL joins records as the CLI does.
+# Skewed symbol odds leave some buckets with fewer rows than f.
+TABLE_TEXTS = pytest.mark.parametrize("text, q", [
+    (b"A" * 400, 0),
+    (b"ACGT" * 3, 0),
+    (random_text(random.Random(401), b"AAAB", 900), 5),
+    (random_text(random.Random(402), b"AAAACCGT", 5000), 4),
+    (random_text(random.Random(403), b"AAAAAAAACDEFGHIKLMNPQRSTVWY", 7000), 2),
+    (bytes(mutated_copies(random.Random(404), b"ACGT", 150, 30)[1]), 3),
+], ids=["sigma1", "short", "sigma2", "sigma4", "sigma20", "records"])
+
+
+@TABLE_TEXTS
+def test_prefix_table_is_a_count_over_sorted_suffixes(text, q):
+    index = OccurrenceIndex(text)
+    table, rev = index.prefix_table, index.backward.seq
+    alphabet = sorted(set(text))
+    assert (table.alphabet, table.q) == (bytes(alphabet), q)
+    assert q == prefix_depth(len(text), len(alphabet))
+    assert (index.backward.table is table) == (q > 0)
+    if not q:
+        assert len(table.starts) == 0
+        return
+    assert len(table.starts) == len(alphabet) ** q + 1
+    # every suffix cut to q symbols, as brute_rows cuts them, and the full ones
+    cut = sorted(rev[i:i + q] for i in range(len(rev)))
+    heads = [head for head in cut if len(head) == q]
+    for code, word in enumerate(map(bytes, product(alphabet, repeat=q))):
+        assert table.code(word) == code
+        assert table.starts[code] == bisect_left(heads, word)
+        assert table.rows(code) == (bisect_left(cut, word), bisect_right(cut, word))
+    assert table.starts[-1] == len(heads)
+
+
+def grow_both_ways(view, query, pos, limit, f):
+    """``grow`` from the empty match as it is, then with the table off:
+    (lo, hi, grown, steps) and table hits of each."""
+    runs, table = [], view.table
+    for view.table in (table, None):
+        steps, hits = view.steps, view.hits
+        lo, hi, grown = view.grow(0, len(view.sa), 0, query, pos, limit, f)
+        runs.append(((lo, hi, grown, view.steps - steps), view.hits - hits))
+    view.table = table
+    return runs
+
+
+@TABLE_TEXTS
+@pytest.mark.parametrize("narrow", [NARROW, 0])
+def test_grow_from_the_table_equals_binary_search(monkeypatch, text, q, narrow):
+    monkeypatch.setattr(seqindex, "NARROW", narrow)
+    rng = random.Random(len(text))
+    view = OccurrenceIndex(text).backward
+    rev, n = view.seq, len(view.seq)
+    alphabet = bytes(sorted(set(text)))
+    queries = []
+    for _ in range(150):  # pieces of the text with a mutation now and then
+        a = rng.randrange(n)
+        word = bytearray(rev[a:a + rng.randint(1, 30)])
+        if rng.random() < 0.3:
+            word[rng.randrange(len(word))] = rng.choice(alphabet)
+        queries.append(bytes(word))
+    # the suffixes shorter than q, alone and grown on: the text's start
+    queries += [rev[n - i:] + bytes([sym]) * j for i in range(1, q + 2)
+                for sym in alphabet[:2] for j in (0, 1, 3)]
+    queries += [b"Z" + rev[:10], rev[:2] + b"\x01" + rev[3:12]]  # absent symbols
+    if q:  # strings whose bucket holds 1 to 4 rows
+        def rows(word):
+            lo, hi = view.table.rows(view.table.code(word))
+            return hi - lo
+        queries += [word + rev[:5] for word in map(bytes, product(alphabet, repeat=q))
+                    if 0 < rows(word) < 5]
+    taken = {"hit": 0, "short limit": 0, "absent": 0, "few rows": 0}
+    for query in queries:
+        for f in (1, 2, 3, 5):
+            pos = rng.randrange(min(3, len(query)))
+            limits = {len(query) - pos, rng.randint(1, len(query) - pos)}
+            for limit in limits:
+                (table_run, hits), (plain_run, none) = grow_both_ways(
+                    view, query, pos, limit, f)
+                assert table_run == plain_run, (query, pos, limit, f)
+                assert none == 0
+                if not q:
+                    assert hits == 0
+                    continue
+                code = view.table.code(query[pos:pos + q])
+                if hits:
+                    taken["hit"] += 1
+                elif limit < q:
+                    taken["short limit"] += 1
+                elif code < 0:
+                    taken["absent"] += 1
+                else:
+                    lo, hi = view.table.rows(code)
+                    assert hi - lo < f
+                    taken["few rows"] += 1
+    assert not q or all(taken.values()), taken
+
+
+def test_scan_with_the_table_equals_the_scan_without(monkeypatch):
+    rng = random.Random(405)
+    founder, text = mutated_copies(rng, b"ACGT", 200, 40)
+    index = OccurrenceIndex(bytes(text))
+    table = index.prefix_table
+    assert table.q == 3
+    hits = {True: 0, False: 0}
+    for _ in range(10):
+        a, b = sorted(rng.sample(range(200), 2))
+        pattern = bytes(founder[a:] + founder[:b])
+        windows = cut_windows(rng, len(pattern))
+        for f, L, t in ((1, None, 3), (2, 12, None), (5, None, 1), (3, None, None)):
+            runs = []
+            for on in (True, False):
+                index.backward.table = table if on else None
+                before = index.prefix_table_hits
+                runs.append(scan_both_paths(monkeypatch, index, pattern,
+                                            windows, f, L, t))
+                hits[on] += index.prefix_table_hits - before
+            assert runs[0] == runs[1]
+    assert hits[True] > 0 == hits[False]
 
 
 def test_left_edge_check_at_the_start_of_the_text():
