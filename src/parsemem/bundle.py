@@ -7,20 +7,21 @@ once and nothing after the last.  All are plain data, so loading runs no
 code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the reversed text's prefix table (its row starts and the text's
 alphabet, one byte per symbol), the parse symbols, phrase starts and two
-suffix arrays, the dictionary's phrase lengths and phrases, then two
-fingerprint tables, of k-mers and of phrase IDs, each as its sorted u64
-keys and one-byte counts.  Integers are little-endian, u32 unless named.
-Reversed sequences are derived on load and step, hit and probe counters
-start at 0; a prefix-table hit counts the q steps it stands for.  Load
-checks every value it reads and rejects other versions, as results are
-only meaningful with the build-time parsing parameters.  The params record
-the window w, trigger modulus p and k-mer length k, which queries take from
-the index alone, and the hash's base and modulus, which load requires to be
-those of ``parsing.kmer_keys``.  The prefix table's depth q is derived from
-the text's length and alphabet, never stored.  Orders the writer
-guarantees, of the suffix arrays and of the table keys, are not checked on
-load, nor is the prefix table against the text, as each would take a pass
-over the text; ``check_order`` checks the keys and the prefix table for
+suffix arrays, then the k-mer table as its sorted u64 keys and one-byte
+counts.  Integers are little-endian, u32 unless named.  Load derives the
+reversed sequences, the phrase dictionary (the text cut at the phrase
+starts) and the phrase table, and starts step, hit and probe counters at 0;
+a prefix-table hit counts the q steps it stands for.  Load checks every
+value it reads, the parse against the text among them, and rejects other
+versions, as results are only meaningful with the build-time parsing
+parameters.  The params record the window w, trigger modulus p and k-mer
+length k, which queries take from the index alone, and the hash's base and
+modulus, which load requires to be those of ``parsing.kmer_keys``.  The
+prefix table's depth q is derived from the text's length and alphabet.
+Orders the writer guarantees, of the suffix arrays and of the k-mer keys,
+are not checked on load, nor is the prefix table against the text, nor are
+the phrase starts against the triggers, as each would take a pass over the
+text; ``check_order`` checks the keys and the prefix table for
 ``verify --check-index``.
 """
 
@@ -31,22 +32,23 @@ import json
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
-from itertools import accumulate, product
+from dataclasses import dataclass, field
+from itertools import product
 from operator import le, lt
 from typing import Any
 
+from . import filters as flt
 from .errors import IndexFormatError
-from .filters import ITEMS_KMER, ITEMS_PHRASE, TABLE_PARAMS, FingerprintTable
+from .filters import ITEMS_KMER, TABLE_PARAMS, FingerprintTable
 from .parsing import (KEY_BASE, KEY_MODULUS, SCHEME_PFP, ParsedString,
-                      PhraseDictionary, RollingHasher)
+                      PhraseDictionary, RollingHasher, pfp_phrases)
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 6  # 6: the reversed text's prefix table and the alphabet
+FORMAT_VERSION = 7  # 7: the dictionary and phrase table are derived on load
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
-            "parse", "phrase_start", "parse_sa", "parse_rsa", "phrase_lengths",
-            "phrases", "kmer_keys", "kmer_counts", "phrase_keys", "phrase_counts")
+            "parse", "phrase_start", "parse_sa", "parse_rsa", "kmer_keys",
+            "kmer_counts")
 
 
 @dataclass
@@ -54,7 +56,9 @@ class IndexBundle:
     """Built structures over one text, plus the parameters that shaped them.
 
     ``hasher`` is the text's parse trigger, rebuilt on load from the w and p
-    that ``params`` records; queries parse patterns with it.
+    that ``params`` records; queries parse patterns with it.  The phrase
+    table counts the IDs of ``parse_text`` (through ``filters``, so a
+    wrapper set there sees the call).
     """
 
     params: dict[str, Any]
@@ -64,7 +68,11 @@ class IndexBundle:
     text_index: OccurrenceIndex
     parse_index: OccurrenceIndex
     kmer_filter: FingerprintTable
-    phrase_filter: FingerprintTable
+    phrase_filter: FingerprintTable = field(init=False)
+
+    def __post_init__(self):
+        self.phrase_filter = flt.filter_build(self.parse_text.symbols, flt.TABLE_PARAMS,
+                                              flt.KIND_TABLE, flt.ITEMS_PHRASE)
 
 
 def _little_endian(values: array) -> array:
@@ -76,16 +84,14 @@ def _little_endian(values: array) -> array:
 
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
-    phrases = [bundle.dictionary.string_of(i) for i in range(len(bundle.dictionary))]
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
-    arrays = (parse.symbols, parse.phrase_start, pidx.forward.sa, pidx.backward.sa,
-              [len(p) for p in phrases])
+    arrays = (parse.symbols, parse.phrase_start, pidx.forward.sa, pidx.backward.sa)
     blobs = [json.dumps(bundle.params, sort_keys=True).encode("utf-8"), text.sequence,
              *(struct.pack(f"<{len(a)}I", *a) for a in (text.forward.sa, text.backward.sa)),
              _little_endian(text.prefix_table.starts).tobytes(), text.prefix_table.alphabet,
-             *(struct.pack(f"<{len(a)}I", *a) for a in arrays), b"".join(phrases),
-             *(blob for table in (bundle.kmer_filter, bundle.phrase_filter)
-               for blob in (_little_endian(table.keys).tobytes(), bytes(table.counts)))]
+             *(struct.pack(f"<{len(a)}I", *a) for a in arrays),
+             _little_endian(bundle.kmer_filter.keys).tobytes(),
+             bytes(bundle.kmer_filter.counts)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
@@ -108,17 +114,16 @@ def _ints(blob: memoryview, most: int, what: str) -> tuple[int, ...]:
     return values
 
 
-def _table(sections: dict[str, memoryview], name: str, item_kind: str,
-           k: int | None = None) -> FingerprintTable:
-    """The table stored as sections ``<name>_keys`` and ``<name>_counts``."""
-    raw = sections[f"{name}_keys"]
-    _check(len(raw) % 8 == 0, f"{name}_keys is not a whole number of u64s")
+def _kmer_table(sections: dict[str, memoryview], k: int) -> FingerprintTable:
+    """The table stored as sections ``kmer_keys`` and ``kmer_counts``."""
+    raw = sections["kmer_keys"]
+    _check(len(raw) % 8 == 0, "kmer_keys is not a whole number of u64s")
     keys = array("Q")
     keys.frombytes(raw)
-    counts = bytearray(sections[f"{name}_counts"])
-    _check(len(counts) == len(keys), f"{name}_counts and {name}_keys differ in length")
-    _check(0 not in counts, f"{name}_counts holds a zero count")
-    return FingerprintTable(TABLE_PARAMS, item_kind, k, _little_endian(keys), counts)
+    counts = bytearray(sections["kmer_counts"])
+    _check(len(counts) == len(keys), "kmer_counts and kmer_keys differ in length")
+    _check(0 not in counts, "kmer_counts holds a zero count")
+    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k, _little_endian(keys), counts)
 
 
 def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
@@ -185,8 +190,8 @@ def load_bundle(path: str) -> IndexBundle:
         raise IndexFormatError("index file does not hold the expected sections")
     try:  # JSON and UTF-8 errors are ValueErrors too
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
-        w, p, base, modulus, k, n = (_int(params, key) for key in (
-            "w", "p", "base", "modulus", "kebab_k", "text_length"))
+        w, p, base, modulus, k = (_int(params, key) for key in (
+            "w", "p", "base", "modulus", "kebab_k"))
         if (base, modulus) != (KEY_BASE, KEY_MODULUS):
             raise ValueError(f"hash base {base} and modulus {modulus} are not "
                              f"{KEY_BASE} and {KEY_MODULUS}")
@@ -195,46 +200,46 @@ def load_bundle(path: str) -> IndexBundle:
             raise ValueError("'kebab_k' must be at least 1")
     except ValueError as exc:
         raise IndexFormatError(f"malformed index parameters: {exc}") from exc
-    text, blob = bytes(sections["text"]), bytes(sections["phrases"])
-    lengths = _ints(sections["phrase_lengths"], len(blob), "phrase_lengths")
-    _check(sum(lengths) == len(blob) and 0 not in lengths,
-           "phrase lengths do not split the phrases")
-    dictionary = PhraseDictionary()
-    for end, size in zip(accumulate(lengths), lengths):
-        dictionary.id_for(blob[end - size:end])
-    _check(len(dictionary) == len(lengths), "duplicate dictionary phrases")
-    symbols = _ints(sections["parse"], len(lengths) - 1, "parse")
+    text = bytes(sections["text"])
+    n = len(text)
+    symbols = _ints(sections["parse"], n - 1, "parse")  # IDs < m <= n
     m = len(symbols)
     starts = _ints(sections["phrase_start"], n, "phrase_start")
     text_sa, text_rsa = (_ints(sections[s], n - 1, s) for s in ("text_sa", "text_rsa"))
     parse_sa, parse_rsa = (_ints(sections[s], m - 1, s) for s in ("parse_sa", "parse_rsa"))
-    _check(0 < n == len(text) == len(text_sa) == len(text_rsa) and
+    _check(0 < n == len(text_sa) == len(text_rsa) and
            0 < m == len(starts) == len(parse_sa) == len(parse_rsa),
            "sections of the text or of its parse differ in length")
     _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
            "phrase starts do not rise from 1")
-    kmer_filter = _table(sections, "kmer", ITEMS_KMER, k)
-    phrase_filter = _table(sections, "phrase", ITEMS_PHRASE)
+    _check(m == 1 or starts[-1] - 1 + w <= n,  # of phrases 1..m-1, m-1 ends last
+           "a phrase ends past the text")
+    dictionary = PhraseDictionary()  # the parse's IDs are dense in order of first use
+    found = tuple(map(dictionary.id_for, pfp_phrases(text, starts, w)))
+    if found != symbols:  # at the first difference i, IDs 0..max(found[:i]) exist
+        i = next(i for i, (got, sym) in enumerate(zip(found, symbols)) if got != sym)
+        _check(symbols[i] <= max(found[:i], default=-1) + 1,
+               "parse symbol is neither an earlier phrase ID nor the next new one")
+        _check(False, "parse disagrees with the text")
     return IndexBundle(params, hasher, dictionary,
                        ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
                        OccurrenceIndex(symbols, parse_sa, parse_rsa),
-                       kmer_filter, phrase_filter)
+                       _kmer_table(sections, k))
 
 
 def check_order(bundle: IndexBundle) -> None:
-    """Check that each table's keys strictly increase, as the table writes
-    them, and that the prefix table is the one the text and ``text_rsa``
-    give: recounted from the text, and with every row of each bucket a
-    suffix that begins with the bucket's string.
+    """Check that the k-mer table's keys strictly increase, as the table
+    writes them, and that the prefix table is the one the text and
+    ``text_rsa`` give: recounted from the text, and with every row of each
+    bucket a suffix that begins with the bucket's string.
 
     Lookups bisect the keys, so out-of-order keys could hide a stored item,
     and a wrong prefix table starts probes at wrong rows.  Load leaves this
     to the writer, as it does suffix-array order.
     """
-    for name, table in (("kmer", bundle.kmer_filter), ("phrase", bundle.phrase_filter)):
-        keys = table.keys
-        _check(all(map(lt, keys, keys[1:])), f"{name}_keys do not strictly increase")
+    keys = bundle.kmer_filter.keys
+    _check(all(map(lt, keys, keys[1:])), "kmer_keys do not strictly increase")
     view, stored = bundle.text_index.backward, bundle.text_index.prefix_table
     fresh = PrefixTable.build(view.seq)
     _check(stored.alphabet == fresh.alphabet, "alphabet is not the text's")

@@ -1,8 +1,8 @@
 """Command-line surface: build an index, query patterns, verify, report stats.
 
-``build`` stores two fingerprint tables beside the text and parse indexes:
-the k-mers of every record, for kebab mode, and the phrase IDs of the
-text's parse, for combined mode.  Neither has a size or a seed to choose.
+``build`` stores a fingerprint table of every record's k-mers, for kebab
+mode, beside the text and parse indexes; the parse's phrase IDs, for combined
+mode, are counted on build and load.  Neither table has a size or seed.
 The parse window ``-w``, trigger ``-p`` and k-mer length ``-k`` are build
 flags only: ``query`` and ``stats`` read them from the index.
 
@@ -101,30 +101,16 @@ def cmd_build(args) -> int:
     hasher = RollingHasher(window=args.window, trigger_modulus=args.trigger)
     dictionary = PhraseDictionary()
     parse_text = pfp_parse(text, hasher, dictionary)
-    text_index = OccurrenceIndex(text)
-    parse_index = OccurrenceIndex(parse_text.symbols)
-    phrase_filter = flt.filter_build(parse_text.symbols, flt.TABLE_PARAMS,
-                                     flt.KIND_TABLE, flt.ITEMS_PHRASE)
-
     params = {
         "w": args.window,
         "p": args.trigger,
         "base": KEY_BASE,
         "modulus": KEY_MODULUS,
         "kebab_k": k,
-        "text_length": len(text),
         "records": [n for n, _ in records],
     }
-    bundle = IndexBundle(
-        params=params,
-        hasher=hasher,
-        dictionary=dictionary,
-        parse_text=parse_text,
-        text_index=text_index,
-        parse_index=parse_index,
-        kmer_filter=kmer_filter,
-        phrase_filter=phrase_filter,
-    )
+    bundle = IndexBundle(params, hasher, dictionary, parse_text, OccurrenceIndex(text),
+                         OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
           f"dict={len(dictionary)}", file=sys.stderr)

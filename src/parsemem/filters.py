@@ -8,8 +8,9 @@ threshold).  The exact variant, backed by a real multiset, satisfies the
 same interface with zero false positives; it exists so tests can isolate
 the effect of false positives.
 
-The fingerprint table is the one filter kind an index stores: a k-mer table
-for KeBaB and a phrase-ID table for the combined route.  An item's key is
+The fingerprint table is the one filter kind an index holds: a stored k-mer
+table for KeBaB, and a phrase-ID table for the combined route, counted from
+the text's parse on build and on load.  An item's key is
 its value mod 2^61 - 1, a k-mer's bytes read as a big-endian integer; the
 table holds the distinct keys of its items in a sorted ``array('Q')`` and
 their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
@@ -58,6 +59,7 @@ _MIN_BITS = 8
 _MAX_HASHES = 16
 _SATURATED = 255  # the largest count one byte holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
+_ID_LIMIT = 1 << 64  # a phrase ID encodes as 8 unsigned bytes
 _H1_MASK = (1 << 64) - 1
 _KEY_BATCH = 4096  # k-mers keyed per list in a table build: bounds its memory
 
@@ -251,7 +253,8 @@ class FingerprintTable(MembershipFilter):
         """Yield each item's key; items are validated inline."""
         kmers, k, from_bytes = self.item_kind == ITEMS_KMER, self.k, int.from_bytes
         for item in items:
-            if not (kmers and isinstance(item, (bytes, bytearray)) and len(item) == k):
+            if not (isinstance(item, (bytes, bytearray)) and len(item) == k if kmers
+                    else type(item) is int and 0 <= item < _ID_LIMIT):
                 self._encode(item)  # raises on an item of the wrong kind
             yield (from_bytes(item, "big") if kmers else item) % KEY_MODULUS
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .errors import EmptyInputError
 
@@ -170,6 +171,15 @@ class ParsedString:
             raise IndexError(f"phrase index {i} out of range 1..{len(self.symbols)}")
 
 
+def pfp_phrases(text: bytes, starts: Sequence[int], w: int) -> Iterator[bytes]:
+    """The phrases of the prefix-free parse of ``text`` with these 1-based
+    phrase starts: each ends w - 1 characters past the next start, and the
+    last at the end of ``text``."""
+    ends = [s - 1 + w for s in starts[1:]]
+    ends.append(len(text))
+    return (text[s - 1:end] for s, end in zip(starts, ends))
+
+
 def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) -> ParsedString:
     """Prefix-free parse of ``text``.
 
@@ -188,14 +198,9 @@ def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) 
     # s is a window's 1-based start; the window at 1 opens the first phrase
     starts = [1] + [s for s, key in enumerate(kmer_keys(text, w), 1)
                     if key % p == 0 and s > 1]
-    n = len(text)
-    symbols = []
-    for pos, s in enumerate(starts):
-        end = starts[pos + 1] + w - 1 if pos + 1 < len(starts) else n
-        symbols.append(dictionary.id_for(text[s - 1:end]))
     return ParsedString(
-        source_length=n,
-        symbols=tuple(symbols),
+        source_length=len(text),
+        symbols=tuple(map(dictionary.id_for, pfp_phrases(text, starts, w))),
         phrase_start=tuple(starts),
         overlap=w,
         scheme=SCHEME_PFP,

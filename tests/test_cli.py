@@ -11,10 +11,13 @@ import pytest
 
 import parsemem
 from parsemem import cli
-from parsemem.bundle import FORMAT_VERSION, MAGIC, load_bundle, save_bundle
+from parsemem import filters as flt
+from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, load_bundle,
+                             save_bundle)
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
+from parsemem.parsing import PhraseDictionary, RollingHasher, pfp_parse
 from parsemem.seqindex import PrefixTable
 
 
@@ -49,6 +52,19 @@ def query(corpus, capsys, *extra):
     return rc, out
 
 
+def mutated_copies(rng, length, copies):
+    """``copies`` copies of one random DNA founder, 1% of each copy's
+    positions redrawn."""
+    founder = rand_dna(rng, length)
+    out = []
+    for _ in range(copies):
+        seq = bytearray(founder)
+        for i in rng.sample(range(length), length // 100):
+            seq[i] = rng.choice(b"ACGT")
+        out.append(bytes(seq))
+    return out
+
+
 def rewrite_section(path, name, change):
     """Replace section ``name`` of an index file by ``change(payload)``,
     with a fresh checksum, so only the loader's own checks can catch it."""
@@ -79,6 +95,15 @@ def repeat_first_section(data):
     version, count = struct.unpack_from("<II", data, len(MAGIC))
     return (MAGIC + struct.pack("<II", version, count + 1) + data[start:]
             + data[start:start + 2 + name_len + 40 + size])
+
+
+def renumber_first_repeat(payload):
+    """A ``parse`` payload whose first repeated phrase gets the next new
+    ID instead of its own: the ID is in order, but its text is known."""
+    symbols = list(struct.unpack(f"<{len(payload) // 4}I", payload))
+    i = next(i for i in range(1, len(symbols)) if symbols[i] <= max(symbols[:i]))
+    symbols[i] = max(symbols[:i]) + 1
+    return struct.pack(f"<{len(symbols)}I", *symbols)
 
 
 def mem_rows(output):
@@ -273,13 +298,13 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "c04e1ef83247c571495be872ca2f362e2bb1171147c593b47a073fc33278ec8d"),
-        ("12", "09dc3b9220a2eb37b456d893477ae4634e32338fbe7700f9d23459bab69b4938")],
+        ("8", "980e0ea92d636a342deab7626fe8382115fbf01b56d8dce8e510efcf70eb141a"),
+        ("12", "5f38a90007b88b326b6f3456bddd1f4b4b9e1bcb7dc3780a1a95864bced7b425")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 6's bytes for this corpus: a change to the table keys, the
-        # prefix table, the parse or suffix-array order must bump
-        # FORMAT_VERSION and this digest with it.
+        # Format 7's bytes for this corpus: a change to the table keys, the
+        # prefix table, the parse, suffix-array order or the set of sections
+        # must bump FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
@@ -288,7 +313,8 @@ class TestDeterminism:
         ("exact", "q1 160 0 0 0 0 332 0"),
         ("kebab", "q1 160 121 121 0 0 463 153"),
         ("parse", "q1 160 225 225 24 50 332 0"),
-        ("combined", "q1 160 225 225 24 34 332 24")])
+        ("combined", "q1 160 225 225 24 34 332 24")],
+        ids=["exact", "kebab", "parse", "combined"])
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
         # parse_backward_steps, char_backward_steps and filter_probes are
@@ -321,8 +347,10 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
         bundle = load_bundle(corpus["index"])
+        # n is the text section's length: no text_length param
+        assert len(SECTIONS) == 12 and "text_length" not in bundle.params
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
         assert bundle.params["kebab_k"] == 8
@@ -342,6 +370,43 @@ class TestBundleFormat:
         assert (table.alphabet, table.q, table.short) == (b"ACGT", 3, fresh.short)
         assert table.starts == fresh.starts and len(table.starts) == 4 ** 3 + 1
         assert bundle.text_index.backward.table is table
+
+    @pytest.mark.parametrize("records, w, p, shape", [
+        # phrases repeat, and some span a record join
+        (mutated_copies(random.Random(5), 300, 6), 4, 7,
+         lambda phrases, m: len(phrases) < m and any(b"\0" in x for x in phrases)),
+        ([b"ACG", b"T"], 6, 5, lambda phrases, m: m == 1),  # 5 bytes, w = 6
+        # keys of 6 bytes are below 2**48, so none is a multiple of 2**50
+        ([b"ACGTTGCA" * 40], 6, 1 << 50, lambda phrases, m: m == 1),
+        ([b"ACGT" * 30, b"TTGCA" * 40], 1, 3, lambda phrases, m: len(phrases) < m),
+        (mutated_copies(random.Random(8), 900, 2), 10, 50,
+         lambda phrases, m: 1 < len(phrases) < m)],
+        ids=["nul_joined_copies", "shorter_than_w", "no_trigger", "w1_p3",
+             "w10_p50"])
+    def test_load_derives_the_dictionary_and_phrase_table(self, tmp_path, records,
+                                                          w, p, shape):
+        fasta = tmp_path / "text.fa"
+        fasta.write_bytes(b"".join(b">r%d\n%s\n" % (i, seq)
+                                   for i, seq in enumerate(records)))
+        index = str(tmp_path / "index.pmidx")
+        assert main(["build", str(fasta), "-o", index, "-w", str(w), "-p", str(p)]) == 0
+        bundle = load_bundle(index)
+        dictionary = PhraseDictionary()
+        fresh = pfp_parse(b"\0".join(records), RollingHasher(w, p), dictionary)
+        table = flt.filter_build(fresh.symbols, flt.TABLE_PARAMS, flt.KIND_TABLE,
+                                 flt.ITEMS_PHRASE)
+        phrases = [dictionary.string_of(i) for i in range(len(dictionary))]
+        assert shape(phrases, len(fresh))
+        assert [bundle.dictionary.string_of(i)
+                for i in range(len(bundle.dictionary))] == phrases
+        assert bundle.parse_text.symbols == fresh.symbols
+        assert bundle.parse_text.phrase_start == fresh.phrase_start
+        assert bundle.phrase_filter.keys == table.keys
+        assert bundle.phrase_filter.counts == table.counts
+        again = str(tmp_path / "again.pmidx")
+        save_bundle(bundle, again)
+        with open(index, "rb") as f1, open(again, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
         # counters, the frozen flag and derived copies are not in the file
@@ -378,9 +443,16 @@ class TestBundleFormat:
         ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
         ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
         ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count"),
-        ("phrase_keys", lambda p: p[:-3], "phrase_keys is not a whole number of u64s"),
-        ("phrase_counts", lambda p: p + b"\x01", "phrase_counts and phrase_keys differ"),
-        ("phrase_counts", lambda p: p[:-1] + b"\x00", "phrase_counts holds a zero count"),
+        # the first phrase given ID 1 before any ID exists
+        ("parse", lambda p: struct.pack("<I", 1) + p[4:],
+         "parse symbol is neither an earlier phrase ID nor the next new one"),
+        # the second phrase given the first phrase's ID
+        ("parse", lambda p: p[:4] + struct.pack("<I", 0) + p[8:],
+         "parse disagrees with the text"),
+        ("parse", renumber_first_repeat, "parse disagrees with the text"),
+        # the last phrase starts at n = 1500, so the one before ends past it
+        ("phrase_start", lambda p: p[:-4] + struct.pack("<I", 1500),
+         "a phrase ends past the text"),
         ("prefix_rows", lambda p: p[:-4], "prefix_rows does not hold sigma"),
         ("prefix_rows", lambda p: p[:4] + struct.pack("<I", 10 ** 6) + p[8:],
          "prefix_rows decrease"),
@@ -391,8 +463,9 @@ class TestBundleFormat:
         (None, lambda data: data + b"\x00", "data after the last section")],
         ids=["missing_kebab_k", "other_hash_modulus", "sa_out_of_range",
              "keys_not_whole_u64s", "counts_length_differs", "zero_count",
-             "phrase_keys_not_whole_u64s",
-             "phrase_counts_length_differs", "phrase_zero_count",
+             "parse_symbol_out_of_order", "parse_disagrees_with_text",
+             "new_id_for_a_known_phrase",
+             "phrase_past_text",
              "prefix_rows_wrong_length", "prefix_rows_fall",
              "prefix_rows_out_of_range", "alphabet_not_increasing",
              "repeated_section", "bytes_after_last_section"])
@@ -415,16 +488,14 @@ class TestBundleFormat:
         assert "FAIL index integrity" in capsys.readouterr().out
 
     def test_check_index_rejects_unsorted_kmer_keys(self, corpus, capsys):
-        # key order is the writer's to keep: load takes each table as it is,
+        # key order is the writer's to keep: load takes the table as it is,
         # and verify --check-index is what catches keys out of order
-        for table in ("kmer", "phrase"):
-            build(corpus)
-            rewrite_section(corpus["index"], f"{table}_keys",
-                            lambda p: p[8:16] + p[:8] + p[16:])
-            load_bundle(corpus["index"])
-            rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
-            assert rc == 1
-            assert f"{table}_keys do not strictly increase" in capsys.readouterr().out
+        build(corpus)
+        rewrite_section(corpus["index"], "kmer_keys", lambda p: p[8:16] + p[:8] + p[16:])
+        load_bundle(corpus["index"])
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "kmer_keys do not strictly increase" in capsys.readouterr().out
 
     def test_check_index_rejects_a_wrong_prefix_table(self, corpus, capsys):
         # a well-formed table that is not the text's: one row moved from one
@@ -470,9 +541,10 @@ class TestBundleFormat:
             load_bundle(str(bogus))
 
     def test_unsupported_version_rejected(self, corpus, capsys):
-        # the pickled format 2 and format 5, which has no prefix table, are
+        # the pickled format 2, format 5, which has no prefix table, and
+        # format 6, which stores the dictionary and the phrase table, are
         # refused; such indexes must be rebuilt
-        for version in (2, 5):
+        for version in (2, 5, 6):
             build(corpus)
             with open(corpus["index"], "r+b") as fh:
                 fh.seek(len(MAGIC))
