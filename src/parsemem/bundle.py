@@ -6,18 +6,19 @@ name length, name, u64 payload length, 32-byte SHA-256, payload), each name
 once and nothing after the last.  All are plain data, so loading runs no
 code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the reversed text's prefix table (its row starts and the text's
-alphabet, one byte per symbol), the parse symbols, phrase starts and two
+alphabet, one byte per symbol), the text parse's phrase starts and two
 suffix arrays, then the k-mer table as its sorted u64 keys and one-byte
 counts.  Integers are little-endian, u32 unless named.  Load derives the
-reversed sequences, the phrase dictionary (the text cut at the phrase
-starts) and the phrase table, and starts step, hit and probe counters at 0;
-a prefix-table hit counts the q steps it stands for.  Load checks every
-value it reads, the parse against the text among them, and rejects other
-versions, as results are only meaningful with the build-time parsing
-parameters.  The params record the window w, trigger modulus p and k-mer
-length k, which queries take from the index alone, and the hash's base and
-modulus, which load requires to be those of ``parsing.kmer_keys``.  The
-prefix table's depth q is derived from the text's length and alphabet.
+reversed sequences, the parse's phrase IDs and the phrase dictionary (the
+text cut at the phrase starts, each new phrase taking the next ID), the
+phrase table, and starts step, hit and probe counters at 0; a prefix-table
+hit counts the q steps it stands for.  Load checks every value it reads and
+rejects other versions, as results are only meaningful with the build-time
+parsing parameters.  The params record the window w >= 1, trigger modulus
+p >= 2 and k-mer length k >= 1, which queries take from the index alone,
+and the hash's base and modulus, which load requires to be those of
+``parsing.kmer_keys``.  The prefix table's depth q is derived from the
+text's length and alphabet.
 Orders the writer guarantees, of the suffix arrays and of the k-mer keys,
 are not checked on load, nor is the prefix table against the text, nor are
 the phrase starts against the triggers, as each would take a pass over the
@@ -40,29 +41,26 @@ from typing import Any
 from . import filters as flt
 from .errors import IndexFormatError
 from .filters import ITEMS_KMER, TABLE_PARAMS, FingerprintTable
-from .parsing import (KEY_BASE, KEY_MODULUS, SCHEME_PFP, ParsedString,
-                      PhraseDictionary, RollingHasher, pfp_phrases)
+from .parsing import (KEY_BASE, KEY_MODULUS, ParsedString, PhraseDictionary,
+                      pfp_phrases)
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 7  # 7: the dictionary and phrase table are derived on load
+FORMAT_VERSION = 8  # 8: the parse's phrase IDs are derived on load
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
-            "parse", "phrase_start", "parse_sa", "parse_rsa", "kmer_keys",
-            "kmer_counts")
+            "phrase_start", "parse_sa", "parse_rsa", "kmer_keys", "kmer_counts")
 
 
 @dataclass
 class IndexBundle:
     """Built structures over one text, plus the parameters that shaped them.
 
-    ``hasher`` is the text's parse trigger, rebuilt on load from the w and p
-    that ``params`` records; queries parse patterns with it.  The phrase
-    table counts the IDs of ``parse_text`` (through ``filters``, so a
+    Queries parse patterns with the w and p that ``params`` records.  The
+    phrase table counts the IDs of ``parse_text`` (through ``filters``, so a
     wrapper set there sees the call).
     """
 
     params: dict[str, Any]
-    hasher: RollingHasher
     dictionary: PhraseDictionary
     parse_text: ParsedString
     text_index: OccurrenceIndex
@@ -85,7 +83,7 @@ def _little_endian(values: array) -> array:
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
     text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
-    arrays = (parse.symbols, parse.phrase_start, pidx.forward.sa, pidx.backward.sa)
+    arrays = (parse.phrase_start, pidx.forward.sa, pidx.backward.sa)
     blobs = [json.dumps(bundle.params, sort_keys=True).encode("utf-8"), text.sequence,
              *(struct.pack(f"<{len(a)}I", *a) for a in (text.forward.sa, text.backward.sa)),
              _little_endian(text.prefix_table.starts).tobytes(), text.prefix_table.alphabet,
@@ -195,34 +193,27 @@ def load_bundle(path: str) -> IndexBundle:
         if (base, modulus) != (KEY_BASE, KEY_MODULUS):
             raise ValueError(f"hash base {base} and modulus {modulus} are not "
                              f"{KEY_BASE} and {KEY_MODULUS}")
-        hasher = RollingHasher(w, p)
-        if k < 1:
-            raise ValueError("'kebab_k' must be at least 1")
+        for key, value, least in (("w", w, 1), ("p", p, 2), ("kebab_k", k, 1)):
+            if value < least:
+                raise ValueError(f"{key!r} must be at least {least}")
     except ValueError as exc:
         raise IndexFormatError(f"malformed index parameters: {exc}") from exc
     text = bytes(sections["text"])
     n = len(text)
-    symbols = _ints(sections["parse"], n - 1, "parse")  # IDs < m <= n
-    m = len(symbols)
     starts = _ints(sections["phrase_start"], n, "phrase_start")
+    m = len(starts)
     text_sa, text_rsa = (_ints(sections[s], n - 1, s) for s in ("text_sa", "text_rsa"))
     parse_sa, parse_rsa = (_ints(sections[s], m - 1, s) for s in ("parse_sa", "parse_rsa"))
     _check(0 < n == len(text_sa) == len(text_rsa) and
-           0 < m == len(starts) == len(parse_sa) == len(parse_rsa),
+           0 < m == len(parse_sa) == len(parse_rsa),
            "sections of the text or of its parse differ in length")
     _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
            "phrase starts do not rise from 1")
     _check(m == 1 or starts[-1] - 1 + w <= n,  # of phrases 1..m-1, m-1 ends last
            "a phrase ends past the text")
     dictionary = PhraseDictionary()  # the parse's IDs are dense in order of first use
-    found = tuple(map(dictionary.id_for, pfp_phrases(text, starts, w)))
-    if found != symbols:  # at the first difference i, IDs 0..max(found[:i]) exist
-        i = next(i for i, (got, sym) in enumerate(zip(found, symbols)) if got != sym)
-        _check(symbols[i] <= max(found[:i], default=-1) + 1,
-               "parse symbol is neither an earlier phrase ID nor the next new one")
-        _check(False, "parse disagrees with the text")
-    return IndexBundle(params, hasher, dictionary,
-                       ParsedString(n, symbols, starts, w, SCHEME_PFP, dictionary),
+    symbols = tuple(map(dictionary.id_for, pfp_phrases(text, starts, w)))
+    return IndexBundle(params, dictionary, ParsedString(n, symbols, starts, w, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
                        OccurrenceIndex(symbols, parse_sa, parse_rsa),
                        _kmer_table(sections, k))

@@ -1,10 +1,11 @@
 """Command-line surface: build an index, query patterns, verify, report stats.
 
 ``build`` stores a fingerprint table of every record's k-mers, for kebab
-mode, beside the text and parse indexes; the parse's phrase IDs, for combined
-mode, are counted on build and load.  Neither table has a size or seed.
-The parse window ``-w``, trigger ``-p`` and k-mer length ``-k`` are build
-flags only: ``query`` and ``stats`` read them from the index.
+mode, beside the text and parse indexes; the parse's phrase IDs are derived
+from the text on load and counted, for combined mode.  Neither table has a
+size or seed.  The parse window ``-w``, trigger ``-p`` and k-mer length
+``-k`` are build flags only: ``query`` and ``stats`` read them from the
+index and parse each pattern with that w and p.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -27,8 +28,7 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
-from .parsing import (KEY_BASE, KEY_MODULUS, PhraseDictionary, RollingHasher,
-                      pfp_parse)
+from .parsing import KEY_BASE, KEY_MODULUS, PhraseDictionary, pfp_parse
 from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
@@ -98,9 +98,8 @@ def cmd_build(args) -> int:
     kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
                                    flt.KIND_TABLE, flt.ITEMS_KMER, k)
 
-    hasher = RollingHasher(window=args.window, trigger_modulus=args.trigger)
     dictionary = PhraseDictionary()
-    parse_text = pfp_parse(text, hasher, dictionary)
+    parse_text = pfp_parse(text, args.window, args.trigger, dictionary)
     params = {
         "w": args.window,
         "p": args.trigger,
@@ -109,7 +108,7 @@ def cmd_build(args) -> int:
         "kebab_k": k,
         "records": [n for n, _ in records],
     }
-    bundle = IndexBundle(params, hasher, dictionary, parse_text, OccurrenceIndex(text),
+    bundle = IndexBundle(params, dictionary, parse_text, OccurrenceIndex(text),
                          OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
@@ -145,13 +144,13 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     whole = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
     pms: list[pmm.PseudoMem] = []
     retained, windows, parse_len = pms, whole, 0
-    k = bundle.params["kebab_k"]
+    w, p, k = bundle.params["w"], bundle.params["p"], bundle.params["kebab_k"]
     if mode == "kebab":
         pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
         if t is not None or (L is not None and L >= k):
             windows = retained
     elif mode != "exact":
-        parse_p = pfp_parse(pattern, bundle.hasher, bundle.dictionary)
+        parse_p = pfp_parse(pattern, w, p, bundle.dictionary)
         if mode == "parse":
             pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
         else:  # combined

@@ -3,9 +3,9 @@
 Both parsers turn a byte string into a sequence of phrase IDs with exact
 character-offset bookkeeping:
 
-* the prefix-free parse breaks the string after every sliding window whose
-  rolling hash is congruent to 0 modulo a trigger modulus; consecutive
-  phrases overlap by the window width;
+* the prefix-free parse breaks the string after every window of width w
+  whose rolling hash is congruent to 0 modulo the trigger modulus p, the
+  two integers ``pfp_parse`` takes; consecutive phrases overlap by w;
 * the minimizer parse breaks the string after the last character of every
   window-minimal k-mer; phrases partition the string with no overlap.
 
@@ -27,9 +27,6 @@ from .errors import EmptyInputError
 KEY_BASE = 256  # keys read a window's bytes as one big-endian integer
 KEY_MODULUS = (1 << 61) - 1  # a key is that integer mod this prime
 
-SCHEME_PFP = "PFP"
-SCHEME_MINIMIZER = "MINIMIZER"
-
 
 def kmer_keys(seq: bytes, k: int) -> list[int]:
     """The Karp-Rabin key of every k-mer of ``seq``, first to last.
@@ -49,24 +46,6 @@ def kmer_keys(seq: bytes, k: int) -> list[int]:
         v = (v * base + c - c_out * drop) % mod
         append(v)
     return keys
-
-
-@dataclass(frozen=True)
-class RollingHasher:
-    """The prefix-free parse's trigger: a window width and a trigger modulus.
-
-    A window is a trigger when its ``kmer_keys`` key is congruent to 0
-    modulo ``trigger_modulus``.
-    """
-
-    window: int
-    trigger_modulus: int
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window width must be at least 1")
-        if self.trigger_modulus < 2:
-            raise ValueError("trigger modulus must be at least 2")
 
 
 class PhraseDictionary:
@@ -131,7 +110,6 @@ class ParsedString:
     symbols: tuple[int, ...]
     phrase_start: tuple[int, ...]
     overlap: int
-    scheme: str
     dictionary: PhraseDictionary = field(repr=False)
 
     def __len__(self) -> int:
@@ -180,21 +158,25 @@ def pfp_phrases(text: bytes, starts: Sequence[int], w: int) -> Iterator[bytes]:
     return (text[s - 1:end] for s, end in zip(starts, ends))
 
 
-def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) -> ParsedString:
-    """Prefix-free parse of ``text``.
+def pfp_parse(text: bytes, w: int, p: int, dictionary: PhraseDictionary) -> ParsedString:
+    """Prefix-free parse of ``text`` with window width ``w`` >= 1 and
+    trigger modulus ``p`` >= 2.
 
-    A phrase break is placed at every window whose ``kmer_keys`` key is
-    congruent to 0 modulo the trigger modulus: the current phrase ends at the
-    window's last character and the next phrase begins with the window's
-    contents, so consecutive phrases overlap by the window width.  Triggering is stateless
-    (every complete window is tested), which makes breaks strictly inside a
-    shared substring identical in any context.  The first phrase starts at
+    A phrase break is placed at every width-w window whose ``kmer_keys`` key
+    is congruent to 0 modulo p: the current phrase ends at the window's last
+    character and the next phrase begins with the window's contents, so
+    consecutive phrases overlap by w.  Triggering is stateless (every
+    complete window is tested), which makes breaks strictly inside a shared
+    substring identical in any context.  The first phrase starts at
     position 1 with no artificial trigger and the last runs to the end; a text
     with no complete window, or no trigger window, is a single phrase.
     """
+    if w < 1:
+        raise ValueError("window width must be at least 1")
+    if p < 2:
+        raise ValueError("trigger modulus must be at least 2")
     if len(text) == 0:
         raise EmptyInputError("cannot parse an empty string")
-    w, p = hasher.window, hasher.trigger_modulus
     # s is a window's 1-based start; the window at 1 opens the first phrase
     starts = [1] + [s for s, key in enumerate(kmer_keys(text, w), 1)
                     if key % p == 0 and s > 1]
@@ -203,7 +185,6 @@ def pfp_parse(text: bytes, hasher: RollingHasher, dictionary: PhraseDictionary) 
         symbols=tuple(map(dictionary.id_for, pfp_phrases(text, starts, w))),
         phrase_start=tuple(starts),
         overlap=w,
-        scheme=SCHEME_PFP,
         dictionary=dictionary,
     )
 
@@ -280,6 +261,5 @@ def minimizer_parse(text: bytes, params: MinimizerParams,
         symbols=tuple(symbols),
         phrase_start=tuple(starts),
         overlap=0,
-        scheme=SCHEME_MINIMIZER,
         dictionary=dictionary,
     )

@@ -17,7 +17,7 @@ from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, load_bundle,
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
-from parsemem.parsing import PhraseDictionary, RollingHasher, pfp_parse
+from parsemem.parsing import PhraseDictionary, pfp_parse
 from parsemem.seqindex import PrefixTable
 
 
@@ -95,15 +95,6 @@ def repeat_first_section(data):
     version, count = struct.unpack_from("<II", data, len(MAGIC))
     return (MAGIC + struct.pack("<II", version, count + 1) + data[start:]
             + data[start:start + 2 + name_len + 40 + size])
-
-
-def renumber_first_repeat(payload):
-    """A ``parse`` payload whose first repeated phrase gets the next new
-    ID instead of its own: the ID is in order, but its text is known."""
-    symbols = list(struct.unpack(f"<{len(payload) // 4}I", payload))
-    i = next(i for i in range(1, len(symbols)) if symbols[i] <= max(symbols[:i]))
-    symbols[i] = max(symbols[:i]) + 1
-    return struct.pack(f"<{len(symbols)}I", *symbols)
 
 
 def mem_rows(output):
@@ -298,11 +289,11 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "980e0ea92d636a342deab7626fe8382115fbf01b56d8dce8e510efcf70eb141a"),
-        ("12", "5f38a90007b88b326b6f3456bddd1f4b4b9e1bcb7dc3780a1a95864bced7b425")],
+        ("8", "10c3c8af1e78c2684cbf814950710a440005bc4f29a41edf63789f1b0b6585e9"),
+        ("12", "f6100f7fd387f1ca306b12ea7e008fba0f65cf6a1a5d70ce4a2f1564b82c09ee")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 7's bytes for this corpus: a change to the table keys, the
+        # Format 8's bytes for this corpus: a change to the table keys, the
         # prefix table, the parse, suffix-array order or the set of sections
         # must bump FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
@@ -347,10 +338,12 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         bundle = load_bundle(corpus["index"])
-        # n is the text section's length: no text_length param
-        assert len(SECTIONS) == 12 and "text_length" not in bundle.params
+        # n is the text section's length: no text_length param; the parse's
+        # phrase IDs are cut from the text at the phrase starts: no parse
+        assert len(SECTIONS) == 11 and "parse" not in SECTIONS
+        assert "text_length" not in bundle.params
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
         assert bundle.params["kebab_k"] == 8
@@ -392,7 +385,7 @@ class TestBundleFormat:
         assert main(["build", str(fasta), "-o", index, "-w", str(w), "-p", str(p)]) == 0
         bundle = load_bundle(index)
         dictionary = PhraseDictionary()
-        fresh = pfp_parse(b"\0".join(records), RollingHasher(w, p), dictionary)
+        fresh = pfp_parse(b"\0".join(records), w, p, dictionary)
         table = flt.filter_build(fresh.symbols, flt.TABLE_PARAMS, flt.KIND_TABLE,
                                  flt.ITEMS_PHRASE)
         phrases = [dictionary.string_of(i) for i in range(len(dictionary))]
@@ -438,18 +431,15 @@ class TestBundleFormat:
         ("params", lambda p: json.dumps(
             {**json.loads(p), "modulus": (1 << 31) - 1}).encode(),
          "hash base 256 and modulus 2147483647 are not 256 and"),
+        ("params", lambda p: json.dumps({**json.loads(p), "w": 0}).encode(),
+         "malformed index parameters: 'w' must be at least 1"),
+        ("params", lambda p: json.dumps({**json.loads(p), "p": 1}).encode(),
+         "malformed index parameters: 'p' must be at least 2"),
         ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
          "text_sa entry out of range"),
         ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
         ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
         ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count"),
-        # the first phrase given ID 1 before any ID exists
-        ("parse", lambda p: struct.pack("<I", 1) + p[4:],
-         "parse symbol is neither an earlier phrase ID nor the next new one"),
-        # the second phrase given the first phrase's ID
-        ("parse", lambda p: p[:4] + struct.pack("<I", 0) + p[8:],
-         "parse disagrees with the text"),
-        ("parse", renumber_first_repeat, "parse disagrees with the text"),
         # the last phrase starts at n = 1500, so the one before ends past it
         ("phrase_start", lambda p: p[:-4] + struct.pack("<I", 1500),
          "a phrase ends past the text"),
@@ -461,11 +451,9 @@ class TestBundleFormat:
         ("alphabet", lambda p: p[::-1], "alphabet does not strictly increase"),
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
-        ids=["missing_kebab_k", "other_hash_modulus", "sa_out_of_range",
-             "keys_not_whole_u64s", "counts_length_differs", "zero_count",
-             "parse_symbol_out_of_order", "parse_disagrees_with_text",
-             "new_id_for_a_known_phrase",
-             "phrase_past_text",
+        ids=["missing_kebab_k", "other_hash_modulus", "window_zero",
+             "trigger_modulus_one", "sa_out_of_range", "keys_not_whole_u64s",
+             "counts_length_differs", "zero_count", "phrase_past_text",
              "prefix_rows_wrong_length", "prefix_rows_fall",
              "prefix_rows_out_of_range", "alphabet_not_increasing",
              "repeated_section", "bytes_after_last_section"])
@@ -541,10 +529,11 @@ class TestBundleFormat:
             load_bundle(str(bogus))
 
     def test_unsupported_version_rejected(self, corpus, capsys):
-        # the pickled format 2, format 5, which has no prefix table, and
-        # format 6, which stores the dictionary and the phrase table, are
-        # refused; such indexes must be rebuilt
-        for version in (2, 5, 6):
+        # the pickled format 2, format 5, which has no prefix table, format
+        # 6, which stores the dictionary and the phrase table, and format 7,
+        # which stores the parse's phrase IDs, are refused; such indexes
+        # must be rebuilt
+        for version in (2, 5, 6, 7):
             build(corpus)
             with open(corpus["index"], "r+b") as fh:
                 fh.seek(len(MAGIC))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from parsemem.errors import EmptyInputError
 from parsemem.parsing import (KEY_BASE, KEY_MODULUS, MinimizerParams,
-                              PhraseDictionary, RollingHasher, kmer_keys,
-                              minimizer_parse, pfp_parse)
+                              PhraseDictionary, kmer_keys, minimizer_parse,
+                              pfp_parse)
 
 MOD = (1 << 61) - 1
 
@@ -19,12 +19,12 @@ def direct_hash(chunk: bytes, base=256, mod=MOD) -> int:
     return h
 
 
-def naive_pfp_starts(text: bytes, hasher: RollingHasher) -> list[int]:
+def naive_pfp_starts(text: bytes, w: int, p: int) -> list[int]:
     """Phrase starts by scanning every window directly, no rolling."""
     starts = [1]
-    for s in range(1, len(text) - hasher.window + 2):
-        h = direct_hash(text[s - 1:s - 1 + hasher.window], KEY_BASE, KEY_MODULUS)
-        if h % hasher.trigger_modulus == 0 and s > starts[-1]:
+    for s in range(1, len(text) - w + 2):
+        h = direct_hash(text[s - 1:s - 1 + w], KEY_BASE, KEY_MODULUS)
+        if h % p == 0 and s > starts[-1]:
             starts.append(s)
     return starts
 
@@ -48,65 +48,65 @@ class TestRollWindows:
 
 
 class TestPfpParse:
-    def hasher(self, w=4, p=5):
-        return RollingHasher(window=w, trigger_modulus=p)
-
     def test_short_text_single_phrase(self):
-        parse = pfp_parse(b"ACG", self.hasher(w=8), PhraseDictionary())
+        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
         assert len(parse) == 1
         assert parse.phrase_start == (1,)
         assert parse.reconstruct() == b"ACG"
 
     def test_no_trigger_single_phrase(self):
-        hasher = self.hasher(w=3, p=7)
         text = b"GATTACAGATT"
         assert not any(direct_hash(text[i:i + 3], KEY_BASE, KEY_MODULUS) % 7 == 0
                        for i in range(len(text) - 2))
-        parse = pfp_parse(text, hasher, PhraseDictionary())
+        parse = pfp_parse(text, 3, 7, PhraseDictionary())
         assert len(parse) == 1
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyInputError):
-            pfp_parse(b"", self.hasher(), PhraseDictionary())
+            pfp_parse(b"", 4, 5, PhraseDictionary())
+
+    @pytest.mark.parametrize("w, p, why", [
+        (0, 5, "window width must be at least 1"),
+        (4, 1, "trigger modulus must be at least 2")], ids=["w0", "p1"])
+    def test_bad_window_or_modulus_rejected(self, w, p, why):
+        with pytest.raises(ValueError, match=why):
+            pfp_parse(b"ACGTACGT", w, p, PhraseDictionary())
 
     def test_matches_naive_window_scan(self):
         # w from 1, alphabets up to every byte but NUL, and texts no longer
         # than the window, which have at most one window and so one phrase
         rng = random.Random(7)
         for _ in range(240):
-            w = rng.randint(1, 12)
-            hasher = self.hasher(w=w, p=rng.randint(2, 9))
+            w, p = rng.randint(1, 12), rng.randint(2, 9)
             alphabet = rng.choice((b"ACGT", bytes(range(1, 256))))
             n = rng.choice((rng.randint(1, w), rng.randint(1, 300)))
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            parse = pfp_parse(text, hasher, PhraseDictionary())
-            assert list(parse.phrase_start) == naive_pfp_starts(text, hasher)
+            parse = pfp_parse(text, w, p, PhraseDictionary())
+            assert list(parse.phrase_start) == naive_pfp_starts(text, w, p)
             assert parse.reconstruct() == text
             assert parse.overlap == w
 
     def test_offsets_and_overlap(self):
         rng = random.Random(11)
         text = bytes(rng.choice(b"ACGT") for _ in range(400))
-        hasher = self.hasher(w=4, p=3)
-        parse = pfp_parse(text, hasher, PhraseDictionary())
+        w = 4
+        parse = pfp_parse(text, w, 3, PhraseDictionary())
         assert len(parse) > 2
         for i in range(1, len(parse)):
             # consecutive phrases share exactly w characters
             a, b = parse.char_span(i, i), parse.char_span(i + 1, i + 1)
-            assert a[1] - b[0] + 1 == hasher.window
-            assert parse.phrase_bytes(i)[-hasher.window:] == \
-                parse.phrase_bytes(i + 1)[:hasher.window]
+            assert a[1] - b[0] + 1 == w
+            assert parse.phrase_bytes(i)[-w:] == parse.phrase_bytes(i + 1)[:w]
 
     def test_context_free_inside_shared_substring(self):
         rng = random.Random(3)
         w, p = 4, 4
-        hasher = self.hasher(w=w, p=p)
         for _ in range(30):
             shared = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(40, 120)))
             x = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 30))) + shared
             y = shared + bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 30)))
-            px = pfp_parse(x, hasher, PhraseDictionary())
-            py = pfp_parse(y, hasher, PhraseDictionary())
+            px = pfp_parse(x, w, p, PhraseDictionary())
+            py = pfp_parse(y, w, p, PhraseDictionary())
             off_x, off_y = x.index(shared), y.index(shared)
 
             def inner_breaks(parse, off):
@@ -121,13 +121,12 @@ class TestPfpParse:
             assert inner_breaks(px, off_x) == inner_breaks(py, off_y)
 
     def test_dictionary_shared_between_strings(self):
-        hasher = self.hasher(w=3, p=3)
         rng = random.Random(5)
         text = bytes(rng.choice(b"ACGT") for _ in range(300))
         pattern = text[50:150]
         d = PhraseDictionary()
-        pt = pfp_parse(text, hasher, d)
-        pp = pfp_parse(pattern, hasher, d)
+        pt = pfp_parse(text, 3, 3, d)
+        pp = pfp_parse(pattern, 3, 3, d)
         for i in range(1, len(pp) + 1):
             assert d.id_of(pp.phrase_bytes(i)) == pp.symbols[i - 1]
         # same contents, same IDs across both parses
@@ -147,27 +146,23 @@ class TestCharSpan:
     def test_full_cover(self):
         rng = random.Random(2)
         text = bytes(rng.choice(b"ACGT") for _ in range(200))
-        parse = pfp_parse(text, RollingHasher(window=4, trigger_modulus=3),
-                          PhraseDictionary())
+        parse = pfp_parse(text, 4, 3, PhraseDictionary())
         assert parse.char_span(1, len(parse)) == (1, len(text))
 
     def test_single_phrase(self):
-        parse = pfp_parse(b"ACG", RollingHasher(window=8, trigger_modulus=5),
-                          PhraseDictionary())
+        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
         assert parse.char_span(1, 1) == (1, 3)
 
     def test_spans_match_phrase_bytes(self):
         rng = random.Random(9)
         text = bytes(rng.choice(b"ACGT") for _ in range(300))
-        parse = pfp_parse(text, RollingHasher(window=3, trigger_modulus=3),
-                          PhraseDictionary())
+        parse = pfp_parse(text, 3, 3, PhraseDictionary())
         for i in range(1, len(parse) + 1):
             lo, hi = parse.char_span(i, i)
             assert text[lo - 1:hi] == parse.phrase_bytes(i)
 
     def test_out_of_range(self):
-        parse = pfp_parse(b"ACG", RollingHasher(window=8, trigger_modulus=5),
-                          PhraseDictionary())
+        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
         with pytest.raises(IndexError):
             parse.char_span(0, 1)
         with pytest.raises(IndexError):
@@ -239,8 +234,7 @@ class TestMinimizerParse:
 @given(st.binary(min_size=1, max_size=300), st.integers(2, 6), st.integers(2, 9))
 @settings(max_examples=80, deadline=None)
 def test_reconstruction_roundtrip(text, w, p):
-    hasher = RollingHasher(window=w, trigger_modulus=p)
-    parse = pfp_parse(text, hasher, PhraseDictionary())
+    parse = pfp_parse(text, w, p, PhraseDictionary())
     assert parse.reconstruct() == text
     starts = parse.phrase_start
     assert starts[0] == 1

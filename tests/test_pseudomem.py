@@ -5,7 +5,7 @@ import pytest
 
 from parsemem import filters as flt
 from parsemem.oracle import brute_force_f_mems, top_t_cut
-from parsemem.parsing import PhraseDictionary, RollingHasher, pfp_parse
+from parsemem.parsing import PhraseDictionary, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 ORIGIN_WHOLE, PseudoMem, coarse_sets,
                                 compute_lower_bound, find_long_mems,
@@ -25,10 +25,9 @@ def char_index(text):
 
 
 def parse_pair(text, pattern, w=4, p=5):
-    hasher = RollingHasher(window=w, trigger_modulus=p)
     d = PhraseDictionary()
-    parse_t = pfp_parse(text, hasher, d)
-    parse_p = pfp_parse(pattern, hasher, d)
+    parse_t = pfp_parse(text, w, p, d)
+    parse_p = pfp_parse(pattern, w, p, d)
     pidx = OccurrenceIndex(parse_t.symbols)
     return parse_t, parse_p, pidx
 
