@@ -6,24 +6,23 @@ name length, name, u64 payload length, 32-byte SHA-256, payload), each name
 once and nothing after the last.  All are plain data, so loading runs no
 code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the reversed text's prefix table (its row starts and the text's
-alphabet, one byte per symbol), the text parse's phrase starts and two
-suffix arrays, then the k-mer table as its sorted u64 keys and one-byte
-counts.  Integers are little-endian, u32 unless named.  Load derives the
-reversed sequences, the parse's phrase IDs and the phrase dictionary (the
-text cut at the phrase starts, each new phrase taking the next ID), the
-phrase table, and starts step, hit and probe counters at 0; a prefix-table
-hit counts the q steps it stands for.  Load checks every value it reads and
-rejects other versions, as results are only meaningful with the build-time
-parsing parameters.  The params record the window w >= 1, trigger modulus
-p >= 2 and k-mer length k >= 1, which queries take from the index alone,
-and the hash's base and modulus, which load requires to be those of
-``parsing.kmer_keys``.  The prefix table's depth q is derived from the
-text's length and alphabet.
-Orders the writer guarantees, of the suffix arrays and of the k-mer keys,
-are not checked on load, nor is the prefix table against the text, nor are
-the phrase starts against the triggers, as each would take a pass over the
-text; ``check_order`` checks the keys and the prefix table for
-``verify --check-index``.
+alphabet, one byte per symbol), the text parse's phrase starts, then the
+k-mer table as its sorted u64 keys and one-byte counts.  Each integer
+section is one little-endian typed array, u32 unless named.  Load derives
+the reversed sequences, the parse's phrase IDs and the phrase dictionary
+(the text cut at the phrase starts, each new phrase taking the next ID),
+the parse's two suffix arrays, the phrase table, and starts step, hit and
+probe counters at 0; a prefix-table hit counts the q steps it stands for.
+Load checks every value it reads and rejects other versions, as results
+are only meaningful with the build-time parsing parameters, which the
+params record: the window w >= 1, trigger modulus p >= 2 and k-mer length
+k >= 1, which queries take from the index alone.  The version pins the
+k-mer hash, and the prefix table's depth q is derived from the text's
+length and alphabet.  Orders the writer guarantees, of the text's suffix
+arrays and of the k-mer keys, are not checked on load, nor is the prefix
+table against the text, nor are the phrase starts against the triggers, as
+each would take a pass over the text; ``check_order`` checks all but the
+last for ``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -41,14 +40,13 @@ from typing import Any
 from . import filters as flt
 from .errors import IndexFormatError
 from .filters import ITEMS_KMER, TABLE_PARAMS, FingerprintTable
-from .parsing import (KEY_BASE, KEY_MODULUS, ParsedString, PhraseDictionary,
-                      pfp_phrases)
+from .parsing import ParsedString, PhraseDictionary, pfp_phrases
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 8  # 8: the parse's phrase IDs are derived on load
+FORMAT_VERSION = 9  # 9: the parse's suffix arrays are derived on load
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
-            "phrase_start", "parse_sa", "parse_rsa", "kmer_keys", "kmer_counts")
+            "phrase_start", "kmer_keys", "kmer_counts")
 
 
 @dataclass
@@ -74,22 +72,20 @@ class IndexBundle:
 
 
 def _little_endian(values: array) -> array:
-    """``values`` in little-endian byte order (a copy on big-endian hosts)."""
+    """``values``, a fresh array, put in little-endian order in place."""
     if sys.byteorder == "big":
-        values = array(values.typecode, values)
         values.byteswap()
     return values
 
 
 def save_bundle(bundle: IndexBundle, path: str) -> None:
-    text, parse, pidx = bundle.text_index, bundle.parse_text, bundle.parse_index
-    arrays = (parse.phrase_start, pidx.forward.sa, pidx.backward.sa)
+    text, kmers = bundle.text_index, bundle.kmer_filter
+    u32s = (text.forward.sa, text.backward.sa, text.prefix_table.starts)
     blobs = [json.dumps(bundle.params, sort_keys=True).encode("utf-8"), text.sequence,
-             *(struct.pack(f"<{len(a)}I", *a) for a in (text.forward.sa, text.backward.sa)),
-             _little_endian(text.prefix_table.starts).tobytes(), text.prefix_table.alphabet,
-             *(struct.pack(f"<{len(a)}I", *a) for a in arrays),
-             _little_endian(bundle.kmer_filter.keys).tobytes(),
-             bytes(bundle.kmer_filter.counts)]
+             *(_little_endian(array("I", a)).tobytes() for a in u32s),
+             text.prefix_table.alphabet,
+             _little_endian(array("I", bundle.parse_text.phrase_start)).tobytes(),
+             _little_endian(array("Q", kmers.keys)).tobytes(), bytes(kmers.counts)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
@@ -104,24 +100,26 @@ def _check(ok: bool, what: str) -> None:
         raise IndexFormatError(f"malformed index: {what}")
 
 
-def _ints(blob: memoryview, most: int, what: str) -> tuple[int, ...]:
-    """All of ``blob`` as u32 values, each at most ``most``."""
-    _check(len(blob) % 4 == 0, f"{what} is not a whole number of u32s")
-    values = struct.unpack(f"<{len(blob) // 4}I", blob)
-    _check(not values or max(values) <= most, f"{what} entry out of range")
+def _array(sections: dict[str, memoryview], name: str, typecode: str = "I",
+           most: int | None = None) -> array:
+    """Section ``name`` as one array of ``typecode`` values, each at most
+    ``most`` when given."""
+    raw, values = sections[name], array(typecode)
+    _check(len(raw) % values.itemsize == 0,
+           f"{name} is not a whole number of u{8 * values.itemsize}s")
+    values.frombytes(raw)
+    values = _little_endian(values)
+    _check(most is None or not values or max(values) <= most, f"{name} entry out of range")
     return values
 
 
 def _kmer_table(sections: dict[str, memoryview], k: int) -> FingerprintTable:
     """The table stored as sections ``kmer_keys`` and ``kmer_counts``."""
-    raw = sections["kmer_keys"]
-    _check(len(raw) % 8 == 0, "kmer_keys is not a whole number of u64s")
-    keys = array("Q")
-    keys.frombytes(raw)
+    keys = _array(sections, "kmer_keys", "Q")
     counts = bytearray(sections["kmer_counts"])
     _check(len(counts) == len(keys), "kmer_counts and kmer_keys differ in length")
     _check(0 not in counts, "kmer_counts holds a zero count")
-    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k, _little_endian(keys), counts)
+    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k, keys, counts)
 
 
 def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
@@ -130,12 +128,9 @@ def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
     _check(len(alphabet) > 0 and all(map(lt, alphabet, alphabet[1:])),
            "alphabet does not strictly increase")
     q = prefix_depth(len(text), len(alphabet))
-    raw = sections["prefix_rows"]
-    _check(len(raw) == 4 * (len(alphabet) ** q + 1 if q else 0),
+    starts = _array(sections, "prefix_rows")
+    _check(len(starts) == (len(alphabet) ** q + 1 if q else 0),
            f"prefix_rows does not hold sigma**q + 1 = {len(alphabet)}**{q} + 1 u32s")
-    starts = array("I")
-    starts.frombytes(raw)
-    starts = _little_endian(starts)
     if q:
         _check(starts[0] == 0 and starts[-1] == len(text) - q + 1,
                "prefix_rows do not run from 0 to the number of length-q suffixes")
@@ -146,10 +141,12 @@ def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
     return PrefixTable(memoryview(text)[::-1], alphabet, starts)  # a view, not a copy
 
 
-def _int(spec: Any, key: str) -> int:
+def _int(spec: Any, key: str, least: int) -> int:
     value = spec.get(key) if isinstance(spec, dict) else None
     if type(value) is not int or not 0 <= value < 1 << 64:
         raise ValueError(f"{key!r} is missing or not a 64-bit count")
+    if value < least:
+        raise ValueError(f"{key!r} must be at least {least}")
     return value
 
 
@@ -188,47 +185,52 @@ def load_bundle(path: str) -> IndexBundle:
         raise IndexFormatError("index file does not hold the expected sections")
     try:  # JSON and UTF-8 errors are ValueErrors too
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
-        w, p, base, modulus, k = (_int(params, key) for key in (
-            "w", "p", "base", "modulus", "kebab_k"))
-        if (base, modulus) != (KEY_BASE, KEY_MODULUS):
-            raise ValueError(f"hash base {base} and modulus {modulus} are not "
-                             f"{KEY_BASE} and {KEY_MODULUS}")
-        for key, value, least in (("w", w, 1), ("p", p, 2), ("kebab_k", k, 1)):
-            if value < least:
-                raise ValueError(f"{key!r} must be at least {least}")
+        w, p, k = (_int(params, key, least)
+                   for key, least in (("w", 1), ("p", 2), ("kebab_k", 1)))
     except ValueError as exc:
         raise IndexFormatError(f"malformed index parameters: {exc}") from exc
     text = bytes(sections["text"])
     n = len(text)
-    starts = _ints(sections["phrase_start"], n, "phrase_start")
-    m = len(starts)
-    text_sa, text_rsa = (_ints(sections[s], n - 1, s) for s in ("text_sa", "text_rsa"))
-    parse_sa, parse_rsa = (_ints(sections[s], m - 1, s) for s in ("parse_sa", "parse_rsa"))
-    _check(0 < n == len(text_sa) == len(text_rsa) and
-           0 < m == len(parse_sa) == len(parse_rsa),
-           "sections of the text or of its parse differ in length")
-    _check(starts[0] == 1 and all(a < b for a, b in zip(starts, starts[1:])),
+    text_sa, text_rsa = (_array(sections, s, most=n - 1) for s in ("text_sa", "text_rsa"))
+    _check(0 < n == len(text_sa) == len(text_rsa),
+           "text_sa or text_rsa differs from the text in length")
+    starts = tuple(_array(sections, "phrase_start", most=n))
+    _check(starts[:1] == (1,) and all(map(lt, starts, starts[1:])),
            "phrase starts do not rise from 1")
-    _check(m == 1 or starts[-1] - 1 + w <= n,  # of phrases 1..m-1, m-1 ends last
+    _check(len(starts) == 1 or starts[-1] - 1 + w <= n,  # phrase m-1 ends last
            "a phrase ends past the text")
     dictionary = PhraseDictionary()  # the parse's IDs are dense in order of first use
     symbols = tuple(map(dictionary.id_for, pfp_phrases(text, starts, w)))
     return IndexBundle(params, dictionary, ParsedString(n, symbols, starts, w, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
-                       OccurrenceIndex(symbols, parse_sa, parse_rsa),
-                       _kmer_table(sections, k))
+                       OccurrenceIndex(symbols), _kmer_table(sections, k))
+
+
+def _check_suffix_array(seq: bytes, sa: array, name: str) -> None:
+    """Check that ``sa`` is the suffix array of ``seq`` in linear time: each
+    suffix sorts before the next by its first symbol, then by the row of the
+    suffix one symbol on, so no row repeats and the order is the suffixes'."""
+    rank = [0] * (len(seq) + 1)  # rank[n] = 0: the empty suffix sorts first
+    for r, i in enumerate(sa, 1):
+        rank[i] = r
+    keys = [(seq[i], rank[i + 1]) for i in sa]
+    _check(all(map(lt, keys, keys[1:])), f"{name} is not in suffix order")
 
 
 def check_order(bundle: IndexBundle) -> None:
-    """Check that the k-mer table's keys strictly increase, as the table
-    writes them, and that the prefix table is the one the text and
-    ``text_rsa`` give: recounted from the text, and with every row of each
-    bucket a suffix that begins with the bucket's string.
+    """Check that ``text_sa`` and ``text_rsa`` are the suffix arrays of the
+    text and its reverse, that the k-mer table's keys strictly increase, as
+    the table writes them, and that the prefix table is the one the text
+    and ``text_rsa`` give: recounted from the text, and with every row of
+    each bucket a suffix that begins with the bucket's string.
 
-    Lookups bisect the keys, so out-of-order keys could hide a stored item,
-    and a wrong prefix table starts probes at wrong rows.  Load leaves this
-    to the writer, as it does suffix-array order.
+    Searches bisect the suffix arrays and lookups the keys, so a row or key
+    out of order could hide a match or a stored item, and a wrong prefix
+    table starts probes at wrong rows.  Load leaves this to the writer.
     """
+    for view, name in ((bundle.text_index.forward, "text_sa"),
+                       (bundle.text_index.backward, "text_rsa")):
+        _check_suffix_array(view.seq, view.sa, name)
     keys = bundle.kmer_filter.keys
     _check(all(map(lt, keys, keys[1:])), "kmer_keys do not strictly increase")
     view, stored = bundle.text_index.backward, bundle.text_index.prefix_table

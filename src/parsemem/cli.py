@@ -1,11 +1,13 @@
 """Command-line surface: build an index, query patterns, verify, report stats.
 
 ``build`` stores a fingerprint table of every record's k-mers, for kebab
-mode, beside the text and parse indexes; the parse's phrase IDs are derived
-from the text on load and counted, for combined mode.  Neither table has a
-size or seed.  The parse window ``-w``, trigger ``-p`` and k-mer length
-``-k`` are build flags only: ``query`` and ``stats`` read them from the
-index and parse each pattern with that w and p.
+mode, beside the text index and the parse's phrase starts; the parse's
+phrase IDs, suffix arrays and phrase table, for combined mode, are derived
+from the text on load.  Neither table has a size or seed.  The parse
+window ``-w``, trigger ``-p`` and k-mer length ``-k`` are build flags only:
+``query`` and ``stats`` read them from the index and parse each pattern
+with that w and p.  ``verify --check-index`` checks the orders load leaves
+to the writer, of the text's suffix arrays among them.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -28,7 +30,7 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
-from .parsing import KEY_BASE, KEY_MODULUS, PhraseDictionary, pfp_parse
+from .parsing import PhraseDictionary, pfp_parse
 from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
@@ -100,14 +102,8 @@ def cmd_build(args) -> int:
 
     dictionary = PhraseDictionary()
     parse_text = pfp_parse(text, args.window, args.trigger, dictionary)
-    params = {
-        "w": args.window,
-        "p": args.trigger,
-        "base": KEY_BASE,
-        "modulus": KEY_MODULUS,
-        "kebab_k": k,
-        "records": [n for n, _ in records],
-    }
+    params = {"w": args.window, "p": args.trigger, "kebab_k": k,
+              "records": [n for n, _ in records]}
     bundle = IndexBundle(params, dictionary, parse_text, OccurrenceIndex(text),
                          OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)

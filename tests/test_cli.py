@@ -18,7 +18,7 @@ from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, pfp_parse
-from parsemem.seqindex import PrefixTable
+from parsemem.seqindex import OccurrenceIndex, PrefixTable
 
 
 def rand_dna(rng, n):
@@ -289,11 +289,11 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "10c3c8af1e78c2684cbf814950710a440005bc4f29a41edf63789f1b0b6585e9"),
-        ("12", "f6100f7fd387f1ca306b12ea7e008fba0f65cf6a1a5d70ce4a2f1564b82c09ee")],
+        ("8", "61b32a956ae557b7d9d318a29b05fa1a767d60e044dc87f0c9bdf1515f04685a"),
+        ("12", "726259efd36faea5eaf60ab1ab2f65d170af7e5367fc52ea2d5d16bd27906273")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 8's bytes for this corpus: a change to the table keys, the
+        # Format 9's bytes for this corpus: a change to the table keys, the
         # prefix table, the parse, suffix-array order or the set of sections
         # must bump FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
@@ -338,12 +338,15 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 8
+        assert FORMAT_VERSION == 9
         bundle = load_bundle(corpus["index"])
         # n is the text section's length: no text_length param; the parse's
-        # phrase IDs are cut from the text at the phrase starts: no parse
-        assert len(SECTIONS) == 11 and "parse" not in SECTIONS
-        assert "text_length" not in bundle.params
+        # phrase IDs are cut from the text at the phrase starts and its
+        # suffix arrays built from them: no parse, parse_sa or parse_rsa;
+        # the format version pins the k-mer hash: no base or modulus
+        assert len(SECTIONS) == 9
+        assert not {"parse", "parse_sa", "parse_rsa"} & set(SECTIONS)
+        assert not {"text_length", "base", "modulus"} & set(bundle.params)
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
         assert bundle.params["kebab_k"] == 8
@@ -394,6 +397,10 @@ class TestBundleFormat:
                 for i in range(len(bundle.dictionary))] == phrases
         assert bundle.parse_text.symbols == fresh.symbols
         assert bundle.parse_text.phrase_start == fresh.phrase_start
+        parse_index = OccurrenceIndex(fresh.symbols)
+        for loaded, built in ((bundle.parse_index.forward, parse_index.forward),
+                              (bundle.parse_index.backward, parse_index.backward)):
+            assert list(loaded.sa) == list(built.sa)
         assert bundle.phrase_filter.keys == table.keys
         assert bundle.phrase_filter.counts == table.counts
         again = str(tmp_path / "again.pmidx")
@@ -428,15 +435,13 @@ class TestBundleFormat:
         ("params", lambda p: json.dumps(
             {k: v for k, v in json.loads(p).items() if k != "kebab_k"}).encode(),
          "kebab_k"),
-        ("params", lambda p: json.dumps(
-            {**json.loads(p), "modulus": (1 << 31) - 1}).encode(),
-         "hash base 256 and modulus 2147483647 are not 256 and"),
         ("params", lambda p: json.dumps({**json.loads(p), "w": 0}).encode(),
          "malformed index parameters: 'w' must be at least 1"),
         ("params", lambda p: json.dumps({**json.loads(p), "p": 1}).encode(),
          "malformed index parameters: 'p' must be at least 2"),
         ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
          "text_sa entry out of range"),
+        ("text_rsa", lambda p: p[:-2], "text_rsa is not a whole number of u32s"),
         ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
         ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
         ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count"),
@@ -451,8 +456,8 @@ class TestBundleFormat:
         ("alphabet", lambda p: p[::-1], "alphabet does not strictly increase"),
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
-        ids=["missing_kebab_k", "other_hash_modulus", "window_zero",
-             "trigger_modulus_one", "sa_out_of_range", "keys_not_whole_u64s",
+        ids=["missing_kebab_k", "window_zero", "trigger_modulus_one",
+             "sa_out_of_range", "rsa_not_whole_u32s", "keys_not_whole_u64s",
              "counts_length_differs", "zero_count", "phrase_past_text",
              "prefix_rows_wrong_length", "prefix_rows_fall",
              "prefix_rows_out_of_range", "alphabet_not_increasing",
@@ -484,6 +489,20 @@ class TestBundleFormat:
         rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
         assert rc == 1
         assert "kmer_keys do not strictly increase" in capsys.readouterr().out
+
+    def test_check_index_rejects_swapped_text_sa_rows(self, corpus, capsys):
+        # two rows of text_sa swapped: still a permutation in range, so load
+        # takes it, and verify --check-index is what catches the order
+        build(corpus)
+
+        def swap_rows(payload):
+            a, b = payload[40:44], payload[4000:4004]
+            return payload[:40] + b + payload[44:4000] + a + payload[4004:]
+        rewrite_section(corpus["index"], "text_sa", swap_rows)
+        load_bundle(corpus["index"])
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "text_sa is not in suffix order" in capsys.readouterr().out
 
     def test_check_index_rejects_a_wrong_prefix_table(self, corpus, capsys):
         # a well-formed table that is not the text's: one row moved from one
@@ -530,10 +549,10 @@ class TestBundleFormat:
 
     def test_unsupported_version_rejected(self, corpus, capsys):
         # the pickled format 2, format 5, which has no prefix table, format
-        # 6, which stores the dictionary and the phrase table, and format 7,
-        # which stores the parse's phrase IDs, are refused; such indexes
-        # must be rebuilt
-        for version in (2, 5, 6, 7):
+        # 6, which stores the dictionary and the phrase table, format 7,
+        # which stores the parse's phrase IDs, and format 8, which stores
+        # the parse's suffix arrays, are refused; such indexes must be rebuilt
+        for version in (2, 5, 6, 7, 8):
             build(corpus)
             with open(corpus["index"], "r+b") as fh:
                 fh.seek(len(MAGIC))
