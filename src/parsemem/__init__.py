@@ -12,8 +12,8 @@ from .errors import (EmptyInputError, IndexFormatError, ItemKindMismatch,
 from .filters import (BloomFilter, ExactFilter, FilterParams, FingerprintTable,
                       MembershipFilter, expected_fpr, filter_build, size_for)
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
-from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
-                      minimizer_parse, pfp_parse)
+from .parsing import (MinimizerParams, ParsedString, PhraseDictionary, Trigger,
+                      choose_trigger, minimizer_parse, pfp_parse)
 from .pseudomem import (CoarseSets, PseudoMem, coarse_sets, compute_lower_bound,
                         find_long_mems, kebab_pseudo_mems, parse_pseudo_mems,
                         refine, safe_discard)

@@ -6,7 +6,8 @@ name length, name, u64 payload length, 32-byte SHA-256, payload), each name
 once and nothing after the last.  All are plain data, so loading runs no
 code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the reversed text's prefix table (its row starts and the text's
-alphabet, one byte per symbol), the text parse's phrase starts, then the
+alphabet, one byte per symbol), the text parse's phrase starts and the
+trigger's anchors (the l-grams, joined in increasing order), then the
 k-mer table as its sorted u64 keys and one-byte counts.  Each integer
 section is one little-endian typed array, u32 unless named.  Load derives
 the reversed sequences, the parse's phrase IDs and the phrase dictionary
@@ -15,14 +16,14 @@ the parse's two suffix arrays, the phrase table, and starts step, hit and
 probe counters at 0; a prefix-table hit counts the q steps it stands for.
 Load checks every value it reads and rejects other versions, as results
 are only meaningful with the build-time parsing parameters, which the
-params record: the window w >= 1, trigger modulus p >= 2 and k-mer length
-k >= 1, which queries take from the index alone.  The version pins the
-k-mer hash, and the prefix table's depth q is derived from the text's
-length and alphabet.  Orders the writer guarantees, of the text's suffix
-arrays and of the k-mer keys, are not checked on load, nor is the prefix
-table against the text, nor are the phrase starts against the triggers, as
-each would take a pass over the text; ``check_order`` checks all but the
-last for ``verify --check-index``.
+params record: the window w >= 1, phrase period p >= 2, anchor length
+1 <= l <= w and k-mer length k >= 1, which queries take from the index
+alone.  The version pins the k-mer hash and the trigger rule, and the
+prefix table's depth q is derived from the text's length and alphabet.
+What the writer guarantees and only a pass over the text could confirm is
+not checked on load: the order of the text's suffix arrays and of the
+k-mer keys, the prefix table, the anchors and the phrase starts.
+``check_order`` checks it all for ``verify --check-index``.
 """
 
 from __future__ import annotations
@@ -40,25 +41,28 @@ from typing import Any
 from . import filters as flt
 from .errors import IndexFormatError
 from .filters import ITEMS_KMER, TABLE_PARAMS, FingerprintTable
-from .parsing import ParsedString, PhraseDictionary, pfp_phrases
+from .parsing import (ParsedString, PhraseDictionary, Trigger, choose_trigger,
+                      pfp_phrases)
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 9  # 9: the parse's suffix arrays are derived on load
+FORMAT_VERSION = 10  # 10: the parse's trigger is a stored set of anchors
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
-            "phrase_start", "kmer_keys", "kmer_counts")
+            "phrase_start", "anchors", "kmer_keys", "kmer_counts")
 
 
 @dataclass
 class IndexBundle:
     """Built structures over one text, plus the parameters that shaped them.
 
-    Queries parse patterns with the w and p that ``params`` records.  The
-    phrase table counts the IDs of ``parse_text`` (through ``filters``, so a
-    wrapper set there sees the call).
+    Queries parse patterns with ``trigger``, the text's, whose w and l
+    ``params`` records beside p.  The phrase table counts the IDs of
+    ``parse_text`` (through ``filters``, so a wrapper set there sees the
+    call).
     """
 
     params: dict[str, Any]
+    trigger: Trigger
     dictionary: PhraseDictionary
     parse_text: ParsedString
     text_index: OccurrenceIndex
@@ -85,6 +89,7 @@ def save_bundle(bundle: IndexBundle, path: str) -> None:
              *(_little_endian(array("I", a)).tobytes() for a in u32s),
              text.prefix_table.alphabet,
              _little_endian(array("I", bundle.parse_text.phrase_start)).tobytes(),
+             b"".join(bundle.trigger.anchors),
              _little_endian(array("Q", kmers.keys)).tobytes(), bytes(kmers.counts)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -100,6 +105,36 @@ def _check(ok: bool, what: str) -> None:
         raise IndexFormatError(f"malformed index: {what}")
 
 
+def _at_most(raw: bytes, size: int, most: int) -> bool:
+    """Whether every unsigned little-endian ``size``-byte entry of ``raw``
+    is at most ``most``.
+
+    Compares one byte plane at a time, most significant first, without an
+    int per entry: an entry still equal to ``most`` on the planes above (a
+    tie) fails if its byte here is above the bound's, and stays a tie if
+    equal.  Ties are one byte per entry, 1 or 0, in an int narrowed by ``&``.
+    """
+    if most < 0 or most >= 1 << 8 * size:
+        return most >= 0 or not raw
+    ties = None  # None while every entry ties, as on planes the bound has as 0
+    for shift in reversed(range(size)):
+        plane, top = raw[shift::size], most >> 8 * shift & 0xFF
+        if ties is None:
+            if plane.translate(None, bytes(range(top + 1))):
+                return False  # some entry's byte is above the bound's
+            if top == 0:
+                continue
+        else:
+            above = bytes(top + 1) + b"\x01" * (255 - top)
+            if ties & int.from_bytes(plane.translate(above), "big"):
+                return False
+        equal = int.from_bytes(plane.translate(bytes(top) + b"\x01" + bytes(255 - top)), "big")
+        ties = equal if ties is None else ties & equal
+        if not ties:
+            return True
+    return True
+
+
 def _array(sections: dict[str, memoryview], name: str, typecode: str = "I",
            most: int | None = None) -> array:
     """Section ``name`` as one array of ``typecode`` values, each at most
@@ -107,10 +142,10 @@ def _array(sections: dict[str, memoryview], name: str, typecode: str = "I",
     raw, values = sections[name], array(typecode)
     _check(len(raw) % values.itemsize == 0,
            f"{name} is not a whole number of u{8 * values.itemsize}s")
+    _check(most is None or _at_most(bytes(raw), values.itemsize, most),
+           f"{name} entry out of range")
     values.frombytes(raw)
-    values = _little_endian(values)
-    _check(most is None or not values or max(values) <= most, f"{name} entry out of range")
-    return values
+    return _little_endian(values)
 
 
 def _kmer_table(sections: dict[str, memoryview], k: int) -> FingerprintTable:
@@ -185,8 +220,11 @@ def load_bundle(path: str) -> IndexBundle:
         raise IndexFormatError("index file does not hold the expected sections")
     try:  # JSON and UTF-8 errors are ValueErrors too
         params = json.loads(bytes(sections["params"]).decode("utf-8"))
-        w, p, k = (_int(params, key, least)
-                   for key, least in (("w", 1), ("p", 2), ("kebab_k", 1)))
+        w, p, k, length = (_int(params, key, least) for key, least in (
+            ("w", 1), ("p", 2), ("kebab_k", 1), ("anchor_length", 1)))
+        raw = bytes(sections["anchors"])  # a short last anchor fails Trigger's check
+        trigger = Trigger(w, length, tuple(raw[i:i + length]
+                                           for i in range(0, len(raw), length)))
     except ValueError as exc:
         raise IndexFormatError(f"malformed index parameters: {exc}") from exc
     text = bytes(sections["text"])
@@ -200,8 +238,9 @@ def load_bundle(path: str) -> IndexBundle:
     _check(len(starts) == 1 or starts[-1] - 1 + w <= n,  # phrase m-1 ends last
            "a phrase ends past the text")
     dictionary = PhraseDictionary()  # the parse's IDs are dense in order of first use
-    symbols = tuple(map(dictionary.id_for, pfp_phrases(text, starts, w)))
-    return IndexBundle(params, dictionary, ParsedString(n, symbols, starts, w, dictionary),
+    symbols = dictionary.ids_for(pfp_phrases(text, starts, w))
+    return IndexBundle(params, trigger, dictionary,
+                       ParsedString(n, symbols, starts, w, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
                        OccurrenceIndex(symbols), _kmer_table(sections, k))
 
@@ -220,14 +259,23 @@ def _check_suffix_array(seq: bytes, sa: array, name: str) -> None:
 def check_order(bundle: IndexBundle) -> None:
     """Check that ``text_sa`` and ``text_rsa`` are the suffix arrays of the
     text and its reverse, that the k-mer table's keys strictly increase, as
-    the table writes them, and that the prefix table is the one the text
-    and ``text_rsa`` give: recounted from the text, and with every row of
-    each bucket a suffix that begins with the bucket's string.
+    the table writes them, that the prefix table is the one the text and
+    ``text_rsa`` give (recounted from the text, and with every row of each
+    bucket a suffix that begins with the bucket's string), and that the
+    anchors are the ones ``choose_trigger`` picks from the text, at the
+    phrase starts of their triggers.
 
     Searches bisect the suffix arrays and lookups the keys, so a row or key
-    out of order could hide a match or a stored item, and a wrong prefix
-    table starts probes at wrong rows.  Load leaves this to the writer.
+    out of order could hide a match or a stored item, a wrong prefix table
+    starts probes at wrong rows, and a wrong trigger or phrase start breaks
+    the text's parse where the patterns' parses do not.  Load leaves this to
+    the writer.
     """
+    text, params = bundle.text_index.sequence, bundle.params
+    fresh = choose_trigger(text, params["w"], params["p"])
+    _check(bundle.trigger == fresh, "anchors are not the ones the text chooses")
+    _check(bundle.parse_text.phrase_start == tuple(fresh.phrase_starts(text)),
+           "phrase starts are not the text's triggers")
     for view, name in ((bundle.text_index.forward, "text_sa"),
                        (bundle.text_index.backward, "text_rsa")):
         _check_suffix_array(view.seq, view.sa, name)

@@ -4,10 +4,13 @@
 mode, beside the text index and the parse's phrase starts; the parse's
 phrase IDs, suffix arrays and phrase table, for combined mode, are derived
 from the text on load.  Neither table has a size or seed.  The parse
-window ``-w``, trigger ``-p`` and k-mer length ``-k`` are build flags only:
-``query`` and ``stats`` read them from the index and parse each pattern
-with that w and p.  ``verify --check-index`` checks the orders load leaves
-to the writer, of the text's suffix arrays among them.
+window ``-w``, phrase period ``-p`` and k-mer length ``-k`` are build flags
+only: ``build`` picks the parse's trigger, the l-grams that end a phrase's
+first window, so that the text has about one phrase per p characters, and
+``query`` and ``stats`` parse each pattern with the index's trigger.
+``verify --check-index`` checks what load leaves to the writer: the orders
+of the text's suffix arrays, and the trigger and phrase starts against the
+text, among others.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -30,7 +33,7 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
-from .parsing import PhraseDictionary, pfp_parse
+from .parsing import PhraseDictionary, choose_trigger, pfp_parse
 from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
@@ -100,11 +103,12 @@ def cmd_build(args) -> int:
     kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
                                    flt.KIND_TABLE, flt.ITEMS_KMER, k)
 
+    trigger = choose_trigger(text, args.window, args.trigger)
     dictionary = PhraseDictionary()
-    parse_text = pfp_parse(text, args.window, args.trigger, dictionary)
-    params = {"w": args.window, "p": args.trigger, "kebab_k": k,
-              "records": [n for n, _ in records]}
-    bundle = IndexBundle(params, dictionary, parse_text, OccurrenceIndex(text),
+    parse_text = pfp_parse(text, trigger, dictionary)
+    params = {"w": args.window, "p": args.trigger, "anchor_length": trigger.length,
+              "kebab_k": k, "records": [n for n, _ in records]}
+    bundle = IndexBundle(params, trigger, dictionary, parse_text, OccurrenceIndex(text),
                          OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
@@ -140,13 +144,13 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     whole = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
     pms: list[pmm.PseudoMem] = []
     retained, windows, parse_len = pms, whole, 0
-    w, p, k = bundle.params["w"], bundle.params["p"], bundle.params["kebab_k"]
+    k = bundle.params["kebab_k"]
     if mode == "kebab":
         pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
         if t is not None or (L is not None and L >= k):
             windows = retained
     elif mode != "exact":
-        parse_p = pfp_parse(pattern, w, p, bundle.dictionary)
+        parse_p = pfp_parse(pattern, bundle.trigger, bundle.dictionary)
         if mode == "parse":
             pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
         else:  # combined
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-w", "--window", type=int, default=DEFAULT_W,
                    help="prefix-free parsing window width")
     b.add_argument("-p", "--trigger", type=int, default=DEFAULT_P,
-                   help="prefix-free parsing trigger modulus")
+                   help="prefix-free parsing: about one phrase per p characters")
     b.add_argument("-k", "--kmer", type=int, default=DEFAULT_KEBAB_K,
                    help="k-mer length of the KeBaB k-mer table")
     b.add_argument("--format", choices=("auto", "fasta", "raw"), default="auto")

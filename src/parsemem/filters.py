@@ -17,9 +17,9 @@ their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
 one ``bisect_left``.  It never undercounts: items that share a key add up
 to one count, so a key collision can only add a false positive.  Keys of
 k-mers with k <= 7, and of phrase IDs below 2^61 - 1, are exact.
-``parsing.kmer_keys``, the Karp-Rabin pass that also sets the prefix-free
-parse's triggers, computes the keys of every k-mer of a sequence at once,
-from which the table's ``kmers_at_least`` answers a whole pattern.
+``kmer_keys``, a Karp-Rabin pass, computes the keys of every k-mer of a
+sequence at once, from which the table's ``kmers_at_least`` answers a whole
+pattern.
 
 The Bloom filter takes probe positions from double hashing: two seeded
 64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
@@ -46,7 +46,6 @@ from itertools import repeat
 from typing import Iterable
 
 from .errors import ItemKindMismatch
-from .parsing import KEY_MODULUS, kmer_keys
 
 KIND_BLOOM = "bloom"
 KIND_EXACT = "exact"
@@ -62,6 +61,28 @@ _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _ID_LIMIT = 1 << 64  # a phrase ID encodes as 8 unsigned bytes
 _H1_MASK = (1 << 64) - 1
 _KEY_BATCH = 4096  # k-mers keyed per list in a table build: bounds its memory
+KEY_BASE = 256  # keys read a k-mer's bytes as one big-endian integer
+KEY_MODULUS = (1 << 61) - 1  # a key is that integer mod this prime
+
+
+def kmer_keys(seq: bytes, k: int) -> list[int]:
+    """The fingerprint-table key of every k-mer of ``seq``, first to last.
+
+    One rolling Karp-Rabin pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1,
+    which equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each
+    k-mer.  A sequence shorter than k has no k-mer and gets no key.
+    """
+    if len(seq) < k:
+        return []
+    base, mod = KEY_BASE, KEY_MODULUS
+    drop = pow(base, k, mod)
+    v = int.from_bytes(seq[:k], "big") % mod
+    keys = [v]
+    append = keys.append
+    for c, c_out in zip(seq[k:], seq):
+        v = (v * base + c - c_out * drop) % mod
+        append(v)
+    return keys
 
 
 @dataclass(frozen=True)

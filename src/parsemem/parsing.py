@@ -4,48 +4,108 @@ Both parsers turn a byte string into a sequence of phrase IDs with exact
 character-offset bookkeeping:
 
 * the prefix-free parse breaks the string after every window of width w
-  whose rolling hash is congruent to 0 modulo the trigger modulus p, the
-  two integers ``pfp_parse`` takes; consecutive phrases overlap by w;
+  whose last l bytes are one of a set S of l-grams, its anchors, which a
+  ``Trigger`` holds; consecutive phrases overlap by w;
 * the minimizer parse breaks the string after the last character of every
   window-minimal k-mer; phrases partition the string with no overlap.
 
-``kmer_keys`` is the package's one Karp-Rabin hash: a polynomial rolling
-hash with base 256 and modulus 2**61 - 1, so worked examples stay stable
-across machines.  The prefix-free parse tests its keys for triggers, and
-the k-mer fingerprint table in ``filters`` stores them.
+``choose_trigger`` is the build rule that picks S from a text so that it
+parses into about one phrase per p characters; the text and every pattern
+parse with the text's trigger.  Whether a window triggers depends on its
+bytes alone, so breaks strictly inside a shared substring are the same in
+any context.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+import re
+import zlib
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInputError
 
-KEY_BASE = 256  # keys read a window's bytes as one big-endian integer
-KEY_MODULUS = (1 << 61) - 1  # a key is that integer mod this prime
+ANCHOR_GRAIN = 4  # l is the least with sigma**l >= ANCHOR_GRAIN * p
 
 
-def kmer_keys(seq: bytes, k: int) -> list[int]:
-    """The Karp-Rabin key of every k-mer of ``seq``, first to last.
+def anchor_length(sigma: int, p: int, w: int) -> int:
+    """The anchor length l for a text of ``sigma`` distinct symbols: the
+    least l with sigma**l >= 4p, so that on a uniform text 4 or more l-grams
+    fill the budget of ``choose_trigger``, and at most w."""
+    length = 1
+    while length < w and sigma ** length < ANCHOR_GRAIN * p:
+        length += 1
+    return length
 
-    One rolling pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1, which
-    equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each k-mer.  A
-    sequence shorter than k has no k-mer and gets no key.
+
+@dataclass(frozen=True)
+class Trigger:
+    """The anchored phrase trigger: a window of width ``width`` triggers iff
+    its last ``length`` bytes are one of ``anchors``, which strictly
+    increase and hold no NUL.
+
+    ``phrase_starts`` finds every trigger of a sequence in one regular
+    expression pass, a lookahead over the alternation of the anchors, so
+    overlapping anchors are all found.
     """
-    if len(seq) < k:
-        return []
-    base, mod = KEY_BASE, KEY_MODULUS
-    drop = pow(base, k, mod)
-    v = int.from_bytes(seq[:k], "big") % mod
-    keys = [v]
-    append = keys.append
-    for c, c_out in zip(seq[k:], seq):
-        v = (v * base + c - c_out * drop) % mod
-        append(v)
-    return keys
+
+    width: int
+    length: int
+    anchors: tuple[bytes, ...]
+    _finder: re.Pattern | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError("window width must be at least 1")
+        if not 1 <= self.length <= self.width:
+            raise ValueError("anchor length must be in 1..window width")
+        if any(len(a) != self.length or 0 in a for a in self.anchors):
+            raise ValueError("an anchor is not a NUL-free l-gram")
+        if any(a >= b for a, b in zip(self.anchors, self.anchors[1:])):
+            raise ValueError("anchors do not strictly increase")
+        finder = None
+        if self.anchors:
+            finder = re.compile(b"(?=(?:%s))" % b"|".join(map(re.escape, self.anchors)))
+        object.__setattr__(self, "_finder", finder)
+
+    def phrase_starts(self, seq: bytes) -> list[int]:
+        """The 1-based phrase starts of ``seq``: 1, then the start of every
+        triggering window but the first.  An anchor at 0-based offset g
+        ends the window that starts at g + l - w + 1, so anchors from
+        offset w - l + 1 on open a phrase."""
+        if self._finder is None:
+            return [1]
+        shift = self.length - self.width + 1
+        return [1, *(m.start() + shift for m in
+                     self._finder.finditer(seq, self.width - self.length + 1))]
+
+
+def choose_trigger(text: bytes, w: int, p: int) -> Trigger:
+    """The trigger that parses ``text`` into about one phrase per p >= 2
+    characters at window width ``w``.
+
+    The anchor length is ``anchor_length`` of the text's distinct bytes
+    other than NUL.  The text's l-grams are taken in order of ``zlib.crc32``
+    (then of their bytes), each one kept while the kept l-grams' total count
+    in the text stays at most len(text) // p; an l-gram holding NUL, which
+    no pattern holds, is never kept.  A text with no l-gram rare enough,
+    one symbol repeated say, gets no anchors and parses as one phrase.
+    """
+    if p < 2:
+        raise ValueError("trigger period must be at least 2")
+    length = anchor_length(len(set(text) - {0}) or 1, p, w)
+    counts = {bytes(gram): count for gram, count in  # zip: C speed, unlike slices
+              Counter(zip(*(text[i:] for i in range(length)))).items()}
+    budget, anchors = len(text) // p, []
+    for gram in sorted(counts, key=lambda g: (zlib.crc32(g), g)):
+        count = counts[gram]
+        if count <= budget and 0 not in gram:
+            anchors.append(gram)
+            budget -= count
+    return Trigger(w, length, tuple(sorted(anchors)))
 
 
 class PhraseDictionary:
@@ -68,21 +128,21 @@ class PhraseDictionary:
     def __contains__(self, phrase: bytes) -> bool:
         return phrase in self._id_of
 
-    def id_for(self, phrase: bytes) -> int:
-        """ID of ``phrase``, inserting it if unseen.
+    def ids_for(self, phrases: Iterable[bytes]) -> tuple[int, ...]:
+        """The ID of each phrase, in one pass over a dict: an unseen phrase
+        takes the next ID.
 
         A frozen dictionary inserts nothing and gives every unseen phrase
         the one reserved ID ``len(self)``, which no parse made before the
         freeze contains.
         """
-        pid = self._id_of.get(phrase)
-        if pid is None:
-            pid = len(self._phrases)
-            if self._frozen:
-                return pid
-            self._id_of[phrase] = pid
-            self._phrases.append(phrase)
-        return pid
+        ids = self._id_of
+        if self._frozen:
+            return tuple(map(ids.get, phrases, repeat(len(ids))))
+        before, setdefault = len(ids), ids.setdefault
+        out = tuple([setdefault(phrase, len(ids)) for phrase in phrases])
+        self._phrases.extend(islice(ids, before, None))
+        return out
 
     def id_of(self, phrase: bytes) -> int:
         return self._id_of[phrase]
@@ -158,33 +218,27 @@ def pfp_phrases(text: bytes, starts: Sequence[int], w: int) -> Iterator[bytes]:
     return (text[s - 1:end] for s, end in zip(starts, ends))
 
 
-def pfp_parse(text: bytes, w: int, p: int, dictionary: PhraseDictionary) -> ParsedString:
-    """Prefix-free parse of ``text`` with window width ``w`` >= 1 and
-    trigger modulus ``p`` >= 2.
+def pfp_parse(text: bytes, trigger: Trigger, dictionary: PhraseDictionary) -> ParsedString:
+    """Prefix-free parse of ``text`` with ``trigger``, whose window width w
+    is the phrases' overlap.
 
-    A phrase break is placed at every width-w window whose ``kmer_keys`` key
-    is congruent to 0 modulo p: the current phrase ends at the window's last
-    character and the next phrase begins with the window's contents, so
-    consecutive phrases overlap by w.  Triggering is stateless (every
-    complete window is tested), which makes breaks strictly inside a shared
-    substring identical in any context.  The first phrase starts at
-    position 1 with no artificial trigger and the last runs to the end; a text
-    with no complete window, or no trigger window, is a single phrase.
+    A phrase break is placed at every window that triggers: the current
+    phrase ends at the window's last character and the next phrase begins
+    with the window's contents, so consecutive phrases overlap by w.
+    Triggering is stateless (every complete window is tested), which makes
+    breaks strictly inside a shared substring identical in any context.  The
+    first phrase starts at position 1 with no artificial trigger and the
+    last runs to the end; a text with no complete window, or no trigger
+    window, is a single phrase.
     """
-    if w < 1:
-        raise ValueError("window width must be at least 1")
-    if p < 2:
-        raise ValueError("trigger modulus must be at least 2")
     if len(text) == 0:
         raise EmptyInputError("cannot parse an empty string")
-    # s is a window's 1-based start; the window at 1 opens the first phrase
-    starts = [1] + [s for s, key in enumerate(kmer_keys(text, w), 1)
-                    if key % p == 0 and s > 1]
+    starts = trigger.phrase_starts(text)
     return ParsedString(
         source_length=len(text),
-        symbols=tuple(map(dictionary.id_for, pfp_phrases(text, starts, w))),
+        symbols=dictionary.ids_for(pfp_phrases(text, starts, trigger.width)),
         phrase_start=tuple(starts),
-        overlap=w,
+        overlap=trigger.width,
         dictionary=dictionary,
     )
 
@@ -252,13 +306,10 @@ def minimizer_parse(text: bytes, params: MinimizerParams,
                     break
                 boundaries.add(idx + k)  # 1-based end of the k-mer at idx
     starts = [1] + [b + 1 for b in sorted(boundaries) if b < n]
-    symbols = []
-    for pos, s in enumerate(starts):
-        end = starts[pos + 1] - 1 if pos + 1 < len(starts) else n
-        symbols.append(dictionary.id_for(text[s - 1:end]))
+    ends = [s - 1 for s in starts[1:]] + [n]
     return ParsedString(
         source_length=n,
-        symbols=tuple(symbols),
+        symbols=dictionary.ids_for(text[s - 1:end] for s, end in zip(starts, ends)),
         phrase_start=tuple(starts),
         overlap=0,
         dictionary=dictionary,

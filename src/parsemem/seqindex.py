@@ -50,38 +50,44 @@ NARROW = 16
 # The prefix table's depth q keeps at least this many rows per string on
 # average (bound here, so that a NARROW patched in a test leaves q as it is).
 BUCKET_ROWS = NARROW
+# Ranks a suffix-array round turns into keys per slice: bounds the ints held
+# twice, as rank and as key, to keep the build's peak memory down.
+_KEY_SLICE = 4096
 
 
 def _build_suffix_array(seq: Sequence[int]) -> list[int]:
     """Suffix array by prefix doubling, O(n log^2 n).
 
-    Each round orders suffixes by (rank of the first k symbols, rank of the
-    next k) with two stable sorts on plain list lookups, the second key
-    first.  Ranks start at 1, so a suffix that runs out (second key 0) sorts
-    before every longer suffix sharing its first k symbols.
+    Each round turns every rank, in place, into the key rank * (n + 1) +
+    the rank k symbols on (0 past the end), one slice at a time so that few
+    ranks and keys are held at once; it then sorts the last round's order by
+    the key, once and stably, and ranks off the key in place.  Ranks start
+    at 1, so a suffix that runs out sorts before every longer suffix sharing
+    its first k symbols.  Once every rank differs, the order is the
+    suffixes'.
     """
     n = len(seq)
     order = sorted(set(seq))
     rank_of = {v: r for r, v in enumerate(order, 1)}
     rank = [rank_of[v] for v in seq]
-    sa = list(range(n))
-    k = 1
-    while True:
-        second = rank[k:] + [0] * min(k, n)
-        sa.sort(key=second.__getitem__)
+    sa = sorted(range(n), key=rank.__getitem__)
+    r, k, m = len(order), 1, n + 1
+    while r < n:
+        rank += [0] * k  # the ranks past the end
+        for lo in range(0, n, _KEY_SLICE):
+            hi = min(lo + _KEY_SLICE, n)
+            rank[lo:hi] = [a * m + b for a, b in zip(rank[lo:hi], rank[lo + k:hi + k])]
+        del rank[n:]
         sa.sort(key=rank.__getitem__)
-        new = [0] * n
-        prev = sa[0]
-        r = new[prev] = 1
-        for pos in sa[1:]:
-            if rank[pos] != rank[prev] or second[pos] != second[prev]:
+        r = prev = 0  # every key is at least n + 1
+        for pos in sa:
+            key = rank[pos]
+            if key != prev:
                 r += 1
-            new[pos] = r
-            prev = pos
-        rank = new
-        if r == n:
-            return sa
+                prev = key
+            rank[pos] = r
         k *= 2
+    return sa
 
 
 def prefix_depth(n: int, sigma: int) -> int:
@@ -165,7 +171,11 @@ class _SuffixView:
 
     def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
         self.seq = seq
-        self.sa = _build_suffix_array(seq) if sa is None else sa
+        if sa is None:
+            sa = _build_suffix_array(seq)
+            if type(seq) is bytes:  # a text's: u32s, as load reads them, not an int per row
+                sa = array("I", sa)
+        self.sa = sa
         self.table: PrefixTable | None = None
         self.steps = 0
         self.hits = 0
@@ -302,8 +312,9 @@ class OccurrenceIndex:
     ``backward`` indexes the reversed sequence, so extending the reversed
     query on the right extends the original query on the left.  ``seq`` is
     bytes or a tuple of phrase IDs, kept as given.  The suffix
-    arrays, built unless passed as ``sa`` and ``reverse_sa``, never change;
-    nor does the reversed bytes' ``prefix_table``, built unless passed.
+    arrays, built unless passed as ``sa`` and ``reverse_sa`` (a byte text's
+    as u32 arrays, the form load reads), never change; nor does the
+    reversed bytes' ``prefix_table``, built unless passed.
     ``steps`` counts the search steps made in either direction so far, so
     callers measure a unit of work as the difference around it.
     """

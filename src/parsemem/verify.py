@@ -16,7 +16,7 @@ from . import filters as flt
 from . import pseudomem as pmm
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
-                      minimizer_parse, pfp_parse)
+                      choose_trigger, minimizer_parse, pfp_parse)
 from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
 
 DNA = b"ACGT"
@@ -72,10 +72,11 @@ def make_instance(rng: random.Random, max_text: int, max_pattern: int,
 
 def build_parse_pair(text: bytes, pattern: bytes, w: int, p: int
                      ) -> tuple[ParsedString, ParsedString, OccurrenceIndex]:
-    """Shared-dictionary PFP of text and pattern, plus an index of the text parse."""
-    dictionary = PhraseDictionary()
-    parse_t = pfp_parse(text, w, p, dictionary)
-    parse_p = pfp_parse(pattern, w, p, dictionary)
+    """Shared-dictionary PFP of text and pattern with the text's trigger,
+    plus an index of the text parse."""
+    dictionary, trigger = PhraseDictionary(), choose_trigger(text, w, p)
+    parse_t = pfp_parse(text, trigger, dictionary)
+    parse_p = pfp_parse(pattern, trigger, dictionary)
     parse_index = OccurrenceIndex(parse_t.symbols)
     return parse_t, parse_p, parse_index
 

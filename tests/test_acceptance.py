@@ -57,7 +57,7 @@ def test_criterion_02_parse_interval_equivalence():
     is checked on every interval.  The converse is checked on every interval
     in the form the parse promises: exact phrase IDs on internal intervals,
     and on intervals touching the pattern's first or last phrase, which the
-    string ends cut rather than hash triggers, text phrases that end with
+    string ends cut rather than triggers, text phrases that end with
     the first phrase, begin with the last, or contain a lone phrase
     (``verify.phrase_placements``).  How many boundary intervals would fail
     an exact-ID converse is reported alongside for diagnosis.

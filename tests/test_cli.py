@@ -6,18 +6,20 @@ import json
 import pkgutil
 import random
 import struct
+import sys
+from array import array
 
 import pytest
 
 import parsemem
 from parsemem import cli
 from parsemem import filters as flt
-from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, load_bundle,
-                             save_bundle)
+from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, _at_most,
+                             load_bundle, save_bundle)
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
 from parsemem.oracle import brute_force_f_mems, top_t_cut
-from parsemem.parsing import PhraseDictionary, pfp_parse
+from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.seqindex import OccurrenceIndex, PrefixTable
 
 
@@ -289,13 +291,13 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "61b32a956ae557b7d9d318a29b05fa1a767d60e044dc87f0c9bdf1515f04685a"),
-        ("12", "726259efd36faea5eaf60ab1ab2f65d170af7e5367fc52ea2d5d16bd27906273")],
+        ("8", "4a6bd1692ab1e5a81d97d8e10030f17192ad12d2a1d937fe4202961b65600e91"),
+        ("12", "27c57ae458ac4791d25edc99592319f88456777102053f5b5a04a6d271e2ffa2")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 9's bytes for this corpus: a change to the table keys, the
-        # prefix table, the parse, suffix-array order or the set of sections
-        # must bump FORMAT_VERSION and this digest with it.
+        # Format 10's bytes for this corpus: a change to the table keys, the
+        # prefix table, the trigger or the parse, suffix-array order or the
+        # set of sections must bump FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
@@ -303,8 +305,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode, row", [
         ("exact", "q1 160 0 0 0 0 332 0"),
         ("kebab", "q1 160 121 121 0 0 463 153"),
-        ("parse", "q1 160 225 225 24 50 332 0"),
-        ("combined", "q1 160 225 225 24 34 332 24")],
+        ("parse", "q1 160 281 281 31 64 332 0"),
+        ("combined", "q1 160 281 281 31 40 332 31")],
         ids=["exact", "kebab", "parse", "combined"])
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
@@ -338,17 +340,23 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 9
+        assert FORMAT_VERSION == 10
         bundle = load_bundle(corpus["index"])
         # n is the text section's length: no text_length param; the parse's
         # phrase IDs are cut from the text at the phrase starts and its
         # suffix arrays built from them: no parse, parse_sa or parse_rsa;
         # the format version pins the k-mer hash: no base or modulus
-        assert len(SECTIONS) == 9
+        assert len(SECTIONS) == 10
         assert not {"parse", "parse_sa", "parse_rsa"} & set(SECTIONS)
         assert not {"text_length", "base", "modulus"} & set(bundle.params)
         assert bundle.params["w"] == 6
         assert bundle.params["p"] == 5
+        # the trigger the build chose, 3-grams as 4**3 >= 4p, stored as is
+        assert bundle.params["anchor_length"] == 3
+        assert bundle.trigger == choose_trigger(corpus["text"], 6, 5)
+        assert bundle.trigger.anchors and bundle.trigger.width == 6
+        assert bundle.parse_text.phrase_start == tuple(
+            bundle.trigger.phrase_starts(corpus["text"]))
         assert bundle.params["kebab_k"] == 8
         assert bundle.params["records"] == ["chr1"]
         assert bytes(bundle.text_index.sequence) == corpus["text"]
@@ -372,7 +380,7 @@ class TestBundleFormat:
         (mutated_copies(random.Random(5), 300, 6), 4, 7,
          lambda phrases, m: len(phrases) < m and any(b"\0" in x for x in phrases)),
         ([b"ACG", b"T"], 6, 5, lambda phrases, m: m == 1),  # 5 bytes, w = 6
-        # keys of 6 bytes are below 2**48, so none is a multiple of 2**50
+        # n // p is 0, so no l-gram is rare enough to be an anchor
         ([b"ACGTTGCA" * 40], 6, 1 << 50, lambda phrases, m: m == 1),
         ([b"ACGT" * 30, b"TTGCA" * 40], 1, 3, lambda phrases, m: len(phrases) < m),
         (mutated_copies(random.Random(8), 900, 2), 10, 50,
@@ -387,8 +395,8 @@ class TestBundleFormat:
         index = str(tmp_path / "index.pmidx")
         assert main(["build", str(fasta), "-o", index, "-w", str(w), "-p", str(p)]) == 0
         bundle = load_bundle(index)
-        dictionary = PhraseDictionary()
-        fresh = pfp_parse(b"\0".join(records), w, p, dictionary)
+        dictionary, text = PhraseDictionary(), b"\0".join(records)
+        fresh = pfp_parse(text, choose_trigger(text, w, p), dictionary)
         table = flt.filter_build(fresh.symbols, flt.TABLE_PARAMS, flt.KIND_TABLE,
                                  flt.ITEMS_PHRASE)
         phrases = [dictionary.string_of(i) for i in range(len(dictionary))]
@@ -407,6 +415,26 @@ class TestBundleFormat:
         save_bundle(bundle, again)
         with open(index, "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_range_check_matches_max(self):
+        # the byte-plane check answers as max() would, on entries near the
+        # bound in every byte (ties down to the last plane) and at random
+        rng = random.Random(31)
+        for typecode in ("I", "Q"):
+            size = array(typecode).itemsize
+            top = (1 << 8 * size) - 1
+            for most in (0, 1, 255, 256, 65535, 2 ** 32 - 1, 2 ** 40 + 7):
+                near = {top} | {most + d for d in (-1, 0, 1)} | {
+                    most ^ 1 << bit for bit in range(0, 8 * size, 7)}
+                near = sorted(v for v in near if 0 <= v <= top)
+                for _ in range(40):
+                    values = array(typecode, (
+                        rng.choice(near) if rng.random() < 0.9 else rng.randint(0, top)
+                        for _ in range(rng.choice((0, 1, rng.randint(2, 300))))))
+                    if sys.byteorder == "big":
+                        values.byteswap()
+                    assert _at_most(values.tobytes(), size, most) == (
+                        not values or max(values) <= most), (typecode, most)
 
     def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
         # counters, the frozen flag and derived copies are not in the file
@@ -454,6 +482,10 @@ class TestBundleFormat:
         ("prefix_rows", lambda p: p[:-4] + struct.pack("<I", 10 ** 6),
          "prefix_rows do not run from 0 to the number of length-q suffixes"),
         ("alphabet", lambda p: p[::-1], "alphabet does not strictly increase"),
+        ("anchors", lambda p: p[:-1], "an anchor is not a NUL-free l-gram"),
+        ("anchors", lambda p: p[3:6] + p[:3] + p[6:], "anchors do not strictly increase"),
+        ("params", lambda p: json.dumps({**json.loads(p), "anchor_length": 7}).encode(),
+         "anchor length must be in 1..window width"),
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
         ids=["missing_kebab_k", "window_zero", "trigger_modulus_one",
@@ -461,6 +493,8 @@ class TestBundleFormat:
              "counts_length_differs", "zero_count", "phrase_past_text",
              "prefix_rows_wrong_length", "prefix_rows_fall",
              "prefix_rows_out_of_range", "alphabet_not_increasing",
+             "anchors_not_whole_grams", "anchors_not_increasing",
+             "anchor_longer_than_w",
              "repeated_section", "bytes_after_last_section"])
     def test_checksummed_malformed_index_is_rejected(self, corpus, capsys,
                                                      section, change, why):
@@ -489,6 +523,31 @@ class TestBundleFormat:
         rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
         assert rc == 1
         assert "kmer_keys do not strictly increase" in capsys.readouterr().out
+
+    def test_check_index_rejects_a_moved_phrase_start(self, corpus, capsys):
+        # one phrase start one place on, still rising and inside the text:
+        # load takes it, and verify --check-index finds it off the triggers
+        build(corpus)
+        starts = load_bundle(corpus["index"]).parse_text.phrase_start
+        assert starts[2] + 1 < starts[3]
+
+        def move_start(payload):
+            return payload[:8] + struct.pack("<I", starts[2] + 1) + payload[12:]
+        rewrite_section(corpus["index"], "phrase_start", move_start)
+        assert load_bundle(corpus["index"]).parse_text.phrase_start[2] == starts[2] + 1
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "phrase starts are not the text's triggers" in capsys.readouterr().out
+
+    def test_check_index_rejects_anchors_the_text_does_not_choose(self, corpus, capsys):
+        # one anchor dropped: well formed, so load takes it; the build rule
+        # picks it from the text, so verify --check-index does not
+        build(corpus)
+        rewrite_section(corpus["index"], "anchors", lambda p: p[3:])
+        load_bundle(corpus["index"])
+        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+        assert rc == 1
+        assert "anchors are not the ones the text chooses" in capsys.readouterr().out
 
     def test_check_index_rejects_swapped_text_sa_rows(self, corpus, capsys):
         # two rows of text_sa swapped: still a permutation in range, so load

@@ -1,12 +1,15 @@
 import random
+import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemem.errors import EmptyInputError
-from parsemem.parsing import (KEY_BASE, KEY_MODULUS, MinimizerParams,
-                              PhraseDictionary, kmer_keys, minimizer_parse,
+from parsemem.filters import KEY_BASE, KEY_MODULUS, kmer_keys
+from parsemem.parsing import (MinimizerParams, PhraseDictionary, Trigger,
+                              anchor_length, choose_trigger, minimizer_parse,
                               pfp_parse)
 
 MOD = (1 << 61) - 1
@@ -19,14 +22,35 @@ def direct_hash(chunk: bytes, base=256, mod=MOD) -> int:
     return h
 
 
-def naive_pfp_starts(text: bytes, w: int, p: int) -> list[int]:
-    """Phrase starts by scanning every window directly, no rolling."""
+def self_parse(text: bytes, w: int, p: int, dictionary=None):
+    """The prefix-free parse of ``text`` with the trigger chosen from it."""
+    return pfp_parse(text, choose_trigger(text, w, p), dictionary or PhraseDictionary())
+
+
+def naive_pfp_starts(text: bytes, trigger: Trigger) -> list[int]:
+    """Phrase starts by testing every complete window's last l bytes."""
+    w, length = trigger.width, trigger.length
     starts = [1]
-    for s in range(1, len(text) - w + 2):
-        h = direct_hash(text[s - 1:s - 1 + w], KEY_BASE, KEY_MODULUS)
-        if h % p == 0 and s > starts[-1]:
+    for s in range(2, len(text) - w + 2):
+        if text[s - 1 + w - length:s - 1 + w] in trigger.anchors:
             starts.append(s)
     return starts
+
+
+def naive_anchors(text: bytes, w: int, p: int) -> tuple[bytes, ...]:
+    """The build rule spelled out: l-grams counted one offset at a time,
+    tried in crc32 order, each kept while the kept total stays <= n // p."""
+    sigma = len(set(text) - {0}) or 1
+    length = 1
+    while length < w and sigma ** length < 4 * p:
+        length += 1
+    counts = Counter(text[i:i + length] for i in range(len(text) - length + 1))
+    kept, total = [], 0
+    for gram in sorted(counts, key=lambda g: (zlib.crc32(g), g)):
+        if 0 not in gram and total + counts[gram] <= len(text) // p:
+            kept.append(gram)
+            total += counts[gram]
+    return tuple(sorted(kept))
 
 
 class TestRollWindows:
@@ -44,53 +68,102 @@ class TestRollWindows:
     @settings(max_examples=60, deadline=None)
     def test_rolling_identity(self, text, w):
         got = kmer_keys(text, w)
-        assert got == [direct_hash(text[i:i + w]) for i in range(len(text) - w + 1)]
+        assert got == [direct_hash(text[i:i + w], KEY_BASE, KEY_MODULUS)
+                       for i in range(len(text) - w + 1)]
 
 
 class TestPfpParse:
     def test_short_text_single_phrase(self):
-        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
+        parse = self_parse(b"ACG", 8, 5)
         assert len(parse) == 1
         assert parse.phrase_start == (1,)
         assert parse.reconstruct() == b"ACG"
 
     def test_no_trigger_single_phrase(self):
         text = b"GATTACAGATT"
-        assert not any(direct_hash(text[i:i + 3], KEY_BASE, KEY_MODULUS) % 7 == 0
-                       for i in range(len(text) - 2))
-        parse = pfp_parse(text, 3, 7, PhraseDictionary())
+        assert b"CC" not in text
+        parse = pfp_parse(text, Trigger(3, 2, (b"CC",)), PhraseDictionary())
         assert len(parse) == 1
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyInputError):
-            pfp_parse(b"", 4, 5, PhraseDictionary())
+            self_parse(b"", 4, 5)
 
     @pytest.mark.parametrize("w, p, why", [
         (0, 5, "window width must be at least 1"),
-        (4, 1, "trigger modulus must be at least 2")], ids=["w0", "p1"])
+        (4, 1, "trigger period must be at least 2")], ids=["w0", "p1"])
     def test_bad_window_or_modulus_rejected(self, w, p, why):
         with pytest.raises(ValueError, match=why):
-            pfp_parse(b"ACGTACGT", w, p, PhraseDictionary())
+            self_parse(b"ACGTACGT", w, p)
+
+    @pytest.mark.parametrize("length, anchors, why", [
+        (0, (), "anchor length must be in 1..window width"),
+        (5, (), "anchor length must be in 1..window width"),
+        (2, (b"ACG",), "not a NUL-free l-gram"),
+        (2, (b"A\0",), "not a NUL-free l-gram"),
+        (2, (b"CA", b"AC"), "anchors do not strictly increase")],
+        ids=["l0", "l_above_w", "wrong_length", "nul", "unsorted"])
+    def test_bad_trigger_rejected(self, length, anchors, why):
+        with pytest.raises(ValueError, match=why):
+            Trigger(4, length, anchors)
 
     def test_matches_naive_window_scan(self):
-        # w from 1, alphabets up to every byte but NUL, and texts no longer
-        # than the window, which have at most one window and so one phrase
+        # w from 1, alphabets up to every byte but NUL, texts no longer
+        # than the window (at most one window and so one phrase), and the
+        # pattern parsed with the text's trigger
         rng = random.Random(7)
         for _ in range(240):
             w, p = rng.randint(1, 12), rng.randint(2, 9)
             alphabet = rng.choice((b"ACGT", bytes(range(1, 256))))
             n = rng.choice((rng.randint(1, w), rng.randint(1, 300)))
             text = bytes(rng.choice(alphabet) for _ in range(n))
-            parse = pfp_parse(text, w, p, PhraseDictionary())
-            assert list(parse.phrase_start) == naive_pfp_starts(text, w, p)
-            assert parse.reconstruct() == text
-            assert parse.overlap == w
+            pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 200)))
+            trigger = choose_trigger(text, w, p)
+            assert trigger.anchors == naive_anchors(text, w, p)
+            for seq in (text, pattern):
+                parse = pfp_parse(seq, trigger, PhraseDictionary())
+                assert list(parse.phrase_start) == naive_pfp_starts(seq, trigger)
+                assert parse.reconstruct() == seq
+                assert parse.overlap == w
+
+    @pytest.mark.parametrize("alphabet", [b"ACGT", b"ACDEFGHIKLMNPQRSTVWY"],
+                             ids=["dna", "protein"])
+    def test_phrase_counts_follow_p(self, alphabet):
+        # about one phrase per p characters, over a grid of p at w = 10
+        rng = random.Random(len(alphabet))
+        text = bytes(rng.choice(alphabet) for _ in range(100_000))
+        for p in (4, 8, 16, 50, 64, 128):
+            phrases = len(self_parse(text, 10, p))
+            assert abs(phrases - len(text) / p) <= 0.15 * len(text) / p, (p, phrases)
+
+    def test_anchor_length(self):
+        assert anchor_length(4, 50, 10) == 4  # DNA: 4**4 >= 200
+        assert anchor_length(20, 50, 10) == 2  # protein: 20**2 >= 200
+        assert anchor_length(4, 50, 3) == 3  # at most w
+        assert anchor_length(1, 50, 10) == 10  # one symbol: never 4p
+
+    def test_one_symbol_text_is_one_phrase(self):
+        # its one l-gram is more than n / p of the text: no anchors
+        parse = self_parse(b"A" * 5000, 10, 50)
+        assert choose_trigger(b"A" * 5000, 10, 50).anchors == ()
+        assert len(parse) == 1 and parse.reconstruct() == b"A" * 5000
+
+    def test_no_anchor_holds_nul(self):
+        # NUL joins records and no pattern holds it
+        rng = random.Random(4)
+        records = [bytes(rng.choice(b"AC") for _ in range(6)) for _ in range(400)]
+        trigger = choose_trigger(b"\0".join(records), 4, 4)
+        assert trigger.length == 4 and trigger.anchors
+        assert not any(0 in a for a in trigger.anchors)
+        # records of three: every 4-gram spans a join, so no anchors at all
+        records = [record[:3] for record in records]
+        assert choose_trigger(b"\0".join(records), 4, 4).anchors == ()
 
     def test_offsets_and_overlap(self):
         rng = random.Random(11)
         text = bytes(rng.choice(b"ACGT") for _ in range(400))
         w = 4
-        parse = pfp_parse(text, w, 3, PhraseDictionary())
+        parse = self_parse(text, w, 3)
         assert len(parse) > 2
         for i in range(1, len(parse)):
             # consecutive phrases share exactly w characters
@@ -105,8 +178,9 @@ class TestPfpParse:
             shared = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(40, 120)))
             x = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 30))) + shared
             y = shared + bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 30)))
-            px = pfp_parse(x, w, p, PhraseDictionary())
-            py = pfp_parse(y, w, p, PhraseDictionary())
+            trigger = choose_trigger(x, w, p)  # y is parsed as a pattern of x
+            px = pfp_parse(x, trigger, PhraseDictionary())
+            py = pfp_parse(y, trigger, PhraseDictionary())
             off_x, off_y = x.index(shared), y.index(shared)
 
             def inner_breaks(parse, off):
@@ -124,9 +198,9 @@ class TestPfpParse:
         rng = random.Random(5)
         text = bytes(rng.choice(b"ACGT") for _ in range(300))
         pattern = text[50:150]
-        d = PhraseDictionary()
-        pt = pfp_parse(text, 3, 3, d)
-        pp = pfp_parse(pattern, 3, 3, d)
+        d, trigger = PhraseDictionary(), choose_trigger(text, 3, 3)
+        pt = pfp_parse(text, trigger, d)
+        pp = pfp_parse(pattern, trigger, d)
         for i in range(1, len(pp) + 1):
             assert d.id_of(pp.phrase_bytes(i)) == pp.symbols[i - 1]
         # same contents, same IDs across both parses
@@ -134,35 +208,34 @@ class TestPfpParse:
 
     def test_frozen_dictionary_rejects_new_phrases(self):
         d = PhraseDictionary()
-        d.id_for(b"AAA")
+        assert d.ids_for([b"AAA", b"CC", b"AAA"]) == (0, 1, 0)
         d.freeze()
-        assert d.id_for(b"AAA") == 0
         # every unseen phrase gets the one reserved ID and nothing is stored
-        assert d.id_for(b"CCC") == d.id_for(b"GGG") == 1
-        assert len(d) == 1 and b"CCC" not in d
+        assert d.ids_for([b"AAA", b"GGG", b"CC", b"TTT"]) == (0, 2, 1, 2)
+        assert len(d) == 2 and b"GGG" not in d
 
 
 class TestCharSpan:
     def test_full_cover(self):
         rng = random.Random(2)
         text = bytes(rng.choice(b"ACGT") for _ in range(200))
-        parse = pfp_parse(text, 4, 3, PhraseDictionary())
+        parse = self_parse(text, 4, 3)
         assert parse.char_span(1, len(parse)) == (1, len(text))
 
     def test_single_phrase(self):
-        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
+        parse = self_parse(b"ACG", 8, 5)
         assert parse.char_span(1, 1) == (1, 3)
 
     def test_spans_match_phrase_bytes(self):
         rng = random.Random(9)
         text = bytes(rng.choice(b"ACGT") for _ in range(300))
-        parse = pfp_parse(text, 3, 3, PhraseDictionary())
+        parse = self_parse(text, 3, 3)
         for i in range(1, len(parse) + 1):
             lo, hi = parse.char_span(i, i)
             assert text[lo - 1:hi] == parse.phrase_bytes(i)
 
     def test_out_of_range(self):
-        parse = pfp_parse(b"ACG", 8, 5, PhraseDictionary())
+        parse = self_parse(b"ACG", 8, 5)
         with pytest.raises(IndexError):
             parse.char_span(0, 1)
         with pytest.raises(IndexError):
@@ -234,7 +307,7 @@ class TestMinimizerParse:
 @given(st.binary(min_size=1, max_size=300), st.integers(2, 6), st.integers(2, 9))
 @settings(max_examples=80, deadline=None)
 def test_reconstruction_roundtrip(text, w, p):
-    parse = pfp_parse(text, w, p, PhraseDictionary())
+    parse = self_parse(text, w, p)
     assert parse.reconstruct() == text
     starts = parse.phrase_start
     assert starts[0] == 1

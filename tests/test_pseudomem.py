@@ -5,7 +5,7 @@ import pytest
 
 from parsemem import filters as flt
 from parsemem.oracle import brute_force_f_mems, top_t_cut
-from parsemem.parsing import PhraseDictionary, pfp_parse
+from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 ORIGIN_WHOLE, PseudoMem, coarse_sets,
                                 compute_lower_bound, find_long_mems,
@@ -25,9 +25,9 @@ def char_index(text):
 
 
 def parse_pair(text, pattern, w=4, p=5):
-    d = PhraseDictionary()
-    parse_t = pfp_parse(text, w, p, d)
-    parse_p = pfp_parse(pattern, w, p, d)
+    d, trigger = PhraseDictionary(), choose_trigger(text, w, p)
+    parse_t = pfp_parse(text, trigger, d)
+    parse_p = pfp_parse(pattern, trigger, d)
     pidx = OccurrenceIndex(parse_t.symbols)
     return parse_t, parse_p, pidx
 
@@ -131,12 +131,13 @@ class TestParsePseudoMems:
     def test_s2_pair_when_nothing_occurs(self):
         rng = random.Random(109)
         text = rand_dna(rng, 300)
-        # AT-free text guarantees the pattern's phrases are all novel
+        # a T-free text guarantees the pattern's phrases are all novel; the
+        # text's anchors between runs of T break the pattern into phrases
         text = text.replace(b"T", b"G")
-        pattern = b"T" * 40
+        anchors = choose_trigger(text, 4, 3).anchors
+        pattern = b"".join(b"T" * 6 + anchor for anchor in anchors[:4]) + b"T" * 6
         parse_t, parse_p, pidx = parse_pair(text, pattern, w=4, p=3)
-        if len(parse_p) < 2:
-            pytest.skip("pattern parsed into a single phrase")
+        assert len(parse_p) == 5
         pms = parse_pseudo_mems(parse_p, pidx)
         assert pms and all(pm.origin == ORIGIN_S2 for pm in pms)
         assert all(pm.phrase_end == pm.phrase_start + 1 for pm in pms)

@@ -211,6 +211,14 @@ def test_suffix_array_sorts_suffixes(seq):
     assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
 
 
+@SEQUENCES
+def test_suffix_array_keys_slice_by_slice(seq, monkeypatch):
+    # slices of 3 ranks: k and the slices' edges cross in every way
+    monkeypatch.setattr(seqindex, "_KEY_SLICE", 3)
+    n = len(seq)
+    assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
+
+
 def brute_rows(seq, prefix):
     """The rows of the sorted suffixes that begin with ``prefix``, as (lo, hi),
     or the empty range where they would be.  Suffixes are cut to the
