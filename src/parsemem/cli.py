@@ -33,7 +33,8 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
-from .parsing import PhraseDictionary, choose_trigger, pfp_parse
+from .parsing import (ANCHOR_GRAIN, PhraseDictionary, choose_trigger, pfp_parse,
+                      text_sigma)
 from .seqindex import OccurrenceIndex
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
@@ -112,7 +113,13 @@ def cmd_build(args) -> int:
                          OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
-          f"dict={len(dictionary)}", file=sys.stderr)
+          f"dict={len(dictionary)} target={len(text) // args.trigger} "
+          f"anchor_length={trigger.length}", file=sys.stderr)
+    grain = ANCHOR_GRAIN * args.trigger
+    if trigger.length == args.window and text_sigma(text) ** args.window < grain:
+        print(f"warning: the anchor length is capped at w={args.window}, as "
+              f"sigma^w < {ANCHOR_GRAIN}p = {grain}: the parse may fall short of "
+              f"|T|/p = {len(text) // args.trigger} phrases", file=sys.stderr)
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ any context.
 from __future__ import annotations
 
 import hashlib
-import re
 import zlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -47,15 +46,15 @@ class Trigger:
     its last ``length`` bytes are one of ``anchors``, which strictly
     increase and hold no NUL.
 
-    ``phrase_starts`` finds every trigger of a sequence in one regular
-    expression pass, a lookahead over the alternation of the anchors, so
-    overlapping anchors are all found.
+    ``phrase_starts`` finds the triggers of a sequence with one ``bytes.find``
+    loop per anchor, each resuming one byte past its last hit, so
+    overlapping anchors are all found; the anchors are distinct l-grams, so
+    no offset is found twice.
     """
 
     width: int
     length: int
     anchors: tuple[bytes, ...]
-    _finder: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
@@ -66,21 +65,26 @@ class Trigger:
             raise ValueError("an anchor is not a NUL-free l-gram")
         if any(a >= b for a, b in zip(self.anchors, self.anchors[1:])):
             raise ValueError("anchors do not strictly increase")
-        finder = None
-        if self.anchors:
-            finder = re.compile(b"(?=(?:%s))" % b"|".join(map(re.escape, self.anchors)))
-        object.__setattr__(self, "_finder", finder)
 
     def phrase_starts(self, seq: bytes) -> list[int]:
         """The 1-based phrase starts of ``seq``: 1, then the start of every
         triggering window but the first.  An anchor at 0-based offset g
         ends the window that starts at g + l - w + 1, so anchors from
         offset w - l + 1 on open a phrase."""
-        if self._finder is None:
-            return [1]
-        shift = self.length - self.width + 1
-        return [1, *(m.start() + shift for m in
-                     self._finder.finditer(seq, self.width - self.length + 1))]
+        first, starts = self.width - self.length + 1, [1]
+        for anchor in self.anchors:
+            g = seq.find(anchor, first)
+            while g >= 0:
+                starts.append(g - first + 2)
+                g = seq.find(anchor, g + 1)
+        starts.sort()
+        return starts
+
+
+def text_sigma(text: bytes) -> int:
+    """The anchor rule's alphabet size: the text's distinct bytes other than
+    NUL, and 1 for a text of NULs."""
+    return len(set(text) - {0}) or 1
 
 
 def choose_trigger(text: bytes, w: int, p: int) -> Trigger:
@@ -96,7 +100,7 @@ def choose_trigger(text: bytes, w: int, p: int) -> Trigger:
     """
     if p < 2:
         raise ValueError("trigger period must be at least 2")
-    length = anchor_length(len(set(text) - {0}) or 1, p, w)
+    length = anchor_length(text_sigma(text), p, w)
     counts = {bytes(gram): count for gram, count in  # zip: C speed, unlike slices
               Counter(zip(*(text[i:] for i in range(length)))).items()}
     budget, anchors = len(text) // p, []

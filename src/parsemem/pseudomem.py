@@ -22,7 +22,7 @@ any of the t longest f-MEMs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError
@@ -122,11 +122,15 @@ def compute_lower_bound(pm: PseudoMem, parsed_pattern: ParsedString) -> int:
         raise ValueError("lower bounds apply only to phrase-derived pseudo-MEMs")
     if pm.origin != ORIGIN_S1:
         return 0
-    inner_lo, inner_hi = pm.phrase_start + 1, pm.phrase_end - 1
-    if inner_lo > inner_hi:
+    return _inner_length(parsed_pattern, pm.phrase_start, pm.phrase_end)
+
+
+def _inner_length(parsed_pattern: ParsedString, lo: int, hi: int) -> int:
+    """Characters of phrases lo + 1 .. hi - 1, 0 when there are none."""
+    if hi - lo < 2:
         return 0
-    lo, hi = parsed_pattern.char_span(inner_lo, inner_hi)
-    return hi - lo + 1
+    start, end = parsed_pattern.char_span(lo + 1, hi - 1)
+    return end - start + 1
 
 
 def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
@@ -141,8 +145,8 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
             continue
         seen.add((lo, hi))
         cs, ce = parsed_pattern.char_span(lo, hi)
-        pm = PseudoMem(cs, ce, ORIGIN_S1, phrase_start=lo, phrase_end=hi)
-        out.append(replace(pm, lower_bound=compute_lower_bound(pm, parsed_pattern)))
+        bound = _inner_length(parsed_pattern, lo, hi)
+        out.append(PseudoMem(cs, ce, ORIGIN_S1, bound, phrase_start=lo, phrase_end=hi))
     for lo, hi in s2_pairs:
         if (lo, hi) in seen:
             continue

@@ -33,12 +33,23 @@ every length-q string over the text's alphabet, q as large as leaves about
 symbols starts from the table's bucket for its first q, as one table hit
 that counts the q steps the binary search would have taken, so step
 totals keep their unit.
+
+A phrase-ID index keeps its first-symbol buckets instead: each symbol's
+rows, which are the same in both suffix arrays, as a sequence and its
+reverse hold the same symbols.  A growth of the empty match takes its
+first symbol's bucket as one step, the ``extend`` it stands for, and stops
+there when the bucket has fewer than f rows.  A byte text has no buckets:
+deriving them would read every row, and its prefix table already starts
+the probes that matter.  The buckets are not a one-symbol prefix table:
+that codes bytes by a 256-entry rank list, and a miss in its bucket falls
+back to binary search, where a first symbol's miss is final.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -158,6 +169,16 @@ class PrefixTable:
         return self.starts[code] + shift, self.starts[code + 1] + shift
 
 
+def first_symbol_buckets(seq: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """Each symbol of ``seq`` mapped to the rows ``(lo, hi)`` of the suffixes
+    it begins, in the suffix array of ``seq`` or of its reverse: the
+    symbols' counts laid end to end in increasing order."""
+    counts = Counter(seq)
+    symbols = sorted(counts)
+    ends = list(accumulate(map(counts.__getitem__, symbols)))
+    return dict(zip(symbols, zip([0, *ends], ends)))
+
+
 class _SuffixView:
     """One direction of the index: suffix array over one symbol sequence.
 
@@ -166,7 +187,8 @@ class _SuffixView:
     is its count, and ``(0, len(sa))`` is the interval of the empty match.
     ``steps`` counts the search steps made so far: one per ``extend``, and
     as many for a direct comparison or a ``table`` hit as the extensions it
-    stands for; ``hits`` counts the table hits.
+    stands for; ``hits`` counts the table hits.  ``buckets``, when set, maps
+    each symbol to the rows of the suffixes it begins.
     """
 
     def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
@@ -177,6 +199,7 @@ class _SuffixView:
                 sa = array("I", sa)
         self.sa = sa
         self.table: PrefixTable | None = None
+        self.buckets: dict[int, tuple[int, int]] | None = None
         self.steps = 0
         self.hits = 0
 
@@ -214,11 +237,13 @@ class _SuffixView:
         matching.
 
         Returns the last such interval and the number of symbols grown.
-        A growth of the empty match by bytes starts from the ``table``
-        bucket of its first q symbols when that holds at least ``f`` rows.
-        While the interval has more than ``NARROW`` rows each symbol is one
-        ``extend``; below that, when ``query`` is of the sequence's type, the
-        rest is read off the rows' suffixes by ``grow_at``.  Either way
+        A growth of the empty match starts from the ``buckets`` entry of its
+        first symbol, one step, and stops there if that holds fewer than
+        ``f`` rows; by bytes, it starts from the ``table`` bucket of its
+        first q symbols when that holds at least ``f`` rows.  While the
+        interval has more than ``NARROW`` rows each symbol is one ``extend``;
+        below that, when ``query`` is of the sequence's type, the rest is
+        read off the rows' suffixes by ``grow_at``.  Either way
         ``steps`` rises by one per symbol grown, plus one for the symbol that
         failed, if any: a bucket wider than ``NARROW`` is where q extends
         lead, and in a narrower one the f-th largest agreement is that of
@@ -228,15 +253,22 @@ class _SuffixView:
         direct = type(query) is type(self.seq)
         narrow = NARROW if direct else -1
         g = 0
-        table = self.table
-        if depth == 0 and table is not None and direct and limit >= table.q:
-            code = table.code(query[pos:pos + table.q])
-            if code >= 0:
-                a, b = table.rows(code)
-                if b - a >= f:
-                    lo, hi, g = a, b, table.q
-                    self.steps += g
-                    self.hits += 1
+        if depth == 0 and limit:
+            buckets, table = self.buckets, self.table
+            if buckets is not None:  # the extend of the first symbol
+                self.steps += 1
+                a, b = buckets.get(query[pos], (0, 0))
+                if b - a < f:
+                    return lo, hi, 0
+                lo, hi, g = a, b, 1
+            elif table is not None and direct and limit >= table.q:
+                code = table.code(query[pos:pos + table.q])
+                if code >= 0:
+                    a, b = table.rows(code)
+                    if b - a >= f:
+                        lo, hi, g = a, b, table.q
+                        self.steps += g
+                        self.hits += 1
         while g < limit and hi - lo > narrow:
             a, b = self.extend(lo, hi, depth + g, query[pos + g])
             if b - a < f:
@@ -314,9 +346,10 @@ class OccurrenceIndex:
     bytes or a tuple of phrase IDs, kept as given.  The suffix
     arrays, built unless passed as ``sa`` and ``reverse_sa`` (a byte text's
     as u32 arrays, the form load reads), never change; nor does the
-    reversed bytes' ``prefix_table``, built unless passed.
-    ``steps`` counts the search steps made in either direction so far, so
-    callers measure a unit of work as the difference around it.
+    reversed bytes' ``prefix_table``, built unless passed, nor the
+    first-symbol buckets of any other sequence, derived here and shared by
+    both views.  ``steps`` counts the search steps made in either direction
+    so far, so callers measure a unit of work as the difference around it.
     """
 
     def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None,
@@ -326,7 +359,9 @@ class OccurrenceIndex:
         self.sequence = seq
         self.forward = _SuffixView(seq, sa)
         self.backward = _SuffixView(seq[::-1], reverse_sa)
-        if prefix_table is None and type(seq) is bytes:
+        if type(seq) is not bytes:
+            self.forward.buckets = self.backward.buckets = first_symbol_buckets(seq)
+        elif prefix_table is None:
             prefix_table = PrefixTable.build(self.backward.seq)
         self.prefix_table = prefix_table
         if prefix_table is not None and prefix_table.q:

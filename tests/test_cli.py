@@ -5,6 +5,7 @@ import inspect
 import json
 import pkgutil
 import random
+import re
 import struct
 import sys
 from array import array
@@ -271,6 +272,19 @@ class TestBuildQuery:
         assert load_bundle(index).params["records"] == [""]
         assert main(["query", str(pat_path), "--index", index, "-t", "1"]) == 0
         assert mem_rows(capsys.readouterr().out) == [("", "1", "60", "60", "1")]
+
+    @pytest.mark.parametrize("flags, l, warned", [
+        ([], 4, False),  # -w 10 -p 50: 4**4 >= 200
+        (["-w", "1", "-p", "3"], 1, True),  # 4**1 < 12: l is capped at w
+        (["-w", "2", "-p", "3"], 2, False)])  # 4**2 >= 12: l = w, not capped
+    def test_build_reports_the_phrase_target_and_a_capped_anchor(
+            self, corpus, capsys, flags, l, warned):
+        assert main(["build", corpus["text_path"], "-o", corpus["index"], *flags]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        p = int(flags[-1]) if flags else 50
+        assert re.fullmatch(r"# wrote \S+: \|T\|=1500 phrases=\d+ dict=\d+ "
+                            rf"target={1500 // p} anchor_length={l}", lines[0])
+        assert [line.startswith("warning: ") for line in lines[1:]] == [True] * warned
 
     def test_dna_flag_rejects_other_bytes(self, tmp_path, capsys):
         text_path = tmp_path / "t.txt"

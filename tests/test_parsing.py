@@ -29,10 +29,10 @@ def self_parse(text: bytes, w: int, p: int, dictionary=None):
 
 def naive_pfp_starts(text: bytes, trigger: Trigger) -> list[int]:
     """Phrase starts by testing every complete window's last l bytes."""
-    w, length = trigger.width, trigger.length
+    w, length, anchors = trigger.width, trigger.length, set(trigger.anchors)
     starts = [1]
     for s in range(2, len(text) - w + 2):
-        if text[s - 1 + w - length:s - 1 + w] in trigger.anchors:
+        if text[s - 1 + w - length:s - 1 + w] in anchors:
             starts.append(s)
     return starts
 
@@ -108,23 +108,33 @@ class TestPfpParse:
             Trigger(4, length, anchors)
 
     def test_matches_naive_window_scan(self):
-        # w from 1, alphabets up to every byte but NUL, texts no longer
-        # than the window (at most one window and so one phrase), and the
-        # pattern parsed with the text's trigger
+        # w from 1, alphabets of two letters (anchors overlap themselves and
+        # each other) up to every byte but NUL, texts no longer than the
+        # window (at most one window and so one phrase), the pattern parsed
+        # with the text's trigger, and last 100 kb over 200 bytes at p = 60:
+        # l = 2 and hundreds of anchors
         rng = random.Random(7)
-        for _ in range(240):
-            w, p = rng.randint(1, 12), rng.randint(2, 9)
-            alphabet = rng.choice((b"ACGT", bytes(range(1, 256))))
-            n = rng.choice((rng.randint(1, w), rng.randint(1, 300)))
+        cases = [(rng.randint(1, 12), rng.randint(2, 9),
+                  rng.choice((b"AC", b"ACGT", bytes(range(1, 256)))), None)
+                 for _ in range(240)]
+        cases.append((10, 60, bytes(range(1, 201)), 100_000))
+        overlapped = 0  # triggers less than l apart: their anchors overlap
+        for w, p, alphabet, n in cases:
+            n = n or rng.choice((rng.randint(1, w), rng.randint(1, 300)))
             text = bytes(rng.choice(alphabet) for _ in range(n))
             pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 200)))
             trigger = choose_trigger(text, w, p)
+            if n == 100_000:
+                assert trigger.length == 2 and len(trigger.anchors) > 500
             assert trigger.anchors == naive_anchors(text, w, p)
             for seq in (text, pattern):
                 parse = pfp_parse(seq, trigger, PhraseDictionary())
                 assert list(parse.phrase_start) == naive_pfp_starts(seq, trigger)
                 assert parse.reconstruct() == seq
                 assert parse.overlap == w
+                overlapped += any(b - a < trigger.length for a, b in
+                                  zip(parse.phrase_start[1:], parse.phrase_start[2:]))
+        assert overlapped
 
     @pytest.mark.parametrize("alphabet", [b"ACGT", b"ACDEFGHIKLMNPQRSTVWY"],
                              ids=["dna", "protein"])

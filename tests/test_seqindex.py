@@ -7,6 +7,7 @@ import pytest
 from parsemem import seqindex
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
+from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex,
                                _build_suffix_array, bml_mems, bml_top_t,
                                find_f_mems, prefix_depth, threshold_scan)
@@ -502,3 +503,99 @@ def test_empty_sequence_not_indexable():
 
 def test_mem_length():
     assert Mem(start=3, end=7, freq=2).length == 5
+
+
+def phrase_ids_of_copies():
+    """The phrase IDs of 12 mutated copies of a DNA founder, and pieces of
+    the copies with a fresh mutation parsed with the frozen dictionary, which
+    gives each new phrase its one reserved ID."""
+    rng = random.Random(406)
+    founder, text = mutated_copies(rng, b"ACGT", 300, 12)
+    trigger, dictionary = choose_trigger(bytes(text), 4, 6), PhraseDictionary()
+    seq = pfp_parse(bytes(text), trigger, dictionary).symbols
+    dictionary.freeze()
+    pieces = []
+    for _ in range(30):
+        a = rng.randrange(250)
+        piece = bytearray(founder[a:a + rng.randint(20, 120)])
+        piece[rng.randrange(len(piece))] = rng.choice(b"ACGT")
+        pieces.append(pfp_parse(bytes(piece), trigger, dictionary).symbols)
+    assert any(len(dictionary) in piece for piece in pieces)
+    return seq, pieces
+
+
+def random_phrase_ids(rng, symbols, n):
+    """``n`` IDs drawn from ``symbols``, repeats and all."""
+    return tuple(rng.choice(symbols) for _ in range(n))
+
+
+# (sequence, queries): one ID repeated but for one; a sequence of at most
+# NARROW rows; skewed odds over IDs with gaps, so buckets run from 1 row to
+# hundreds and some IDs of the queries are absent; a parse of mutated copies
+# with pieces that hold a frozen dictionary's reserved ID.
+BUCKET_SEQS = pytest.mark.parametrize("seq, queries", [
+    ((7,) * 30 + (8,) + (7,) * 30, [(7,) * 3, (7, 8, 7), (6,)]),
+    ((4, 1, 4, 4, 9, 1, 4, 2, 4, 1), [(4, 1, 4), (1, 4, 4, 9), (9, 9), (3, 4)]),
+    (random_phrase_ids(random.Random(407), [0, 0, 0, 0, 2, 2, 5, 9, 40, 41, 300], 700)
+     + (50, 51, 51, 52, 52, 52, 52, 0),
+     [random_phrase_ids(random.Random(i), [0, 0, 2, 5, 7, 9, 40, 300, 301, 50, 51, 52],
+                        25) for i in range(30)]),
+    phrase_ids_of_copies(),
+], ids=["one_id", "narrow", "skewed", "parse"])
+
+
+def both_ways(index, call):
+    """``call()`` and the steps it took, with the index's first-symbol
+    buckets, then with both views searching by binary search alone."""
+    buckets, runs = index.forward.buckets, []
+    for index.forward.buckets in (buckets, None):
+        index.backward.buckets = index.forward.buckets
+        steps = index.steps
+        runs.append((call(), index.steps - steps))
+    index.forward.buckets = index.backward.buckets = buckets
+    return runs
+
+
+@BUCKET_SEQS
+@pytest.mark.parametrize("narrow", [NARROW, 0])
+def test_grow_from_the_buckets_equals_binary_search(monkeypatch, seq, queries, narrow):
+    monkeypatch.setattr(seqindex, "NARROW", narrow)
+    rng = random.Random(len(seq))
+    index = OccurrenceIndex(seq)
+    buckets = index.forward.buckets
+    assert buckets is index.backward.buckets
+    for view in (index.forward, index.backward):  # each ID's rows, both arrays
+        for sym, (lo, hi) in buckets.items():
+            assert hi - lo == seq.count(sym)
+            assert all(view.seq[view.sa[r]] == sym for r in range(lo, hi))
+    queries = queries + [seq[a:a + rng.randint(1, 20)]
+                         for a in rng.sample(range(len(seq)), min(len(seq), 30))]
+    taken = {"grown": 0, "too few rows": 0, "absent": 0}
+    for query in queries:
+        for f in (1, 2, 3, 5):
+            for view in (index.forward, index.backward):
+                pos = rng.randrange(len(query))
+                for limit in {len(query) - pos, rng.randint(1, len(query) - pos)}:
+                    run, plain = both_ways(index, lambda: view.grow(
+                        0, len(seq), 0, query, pos, limit, f))
+                    assert run == plain, (query, pos, limit, f)
+                    rows = buckets.get(query[pos], (0, 0))
+                    taken["absent" if query[pos] not in buckets else
+                          "grown" if rows[1] - rows[0] >= f else "too few rows"] += 1
+            for sym in query:
+                count, plain = both_ways(index, lambda: index.count((sym,)))
+                assert count == plain and count[1] == 1, sym
+    assert taken["grown"] and taken["too few rows"] and taken["absent"], taken
+
+
+@BUCKET_SEQS
+def test_parse_scan_with_the_buckets_equals_the_scan_without(monkeypatch, seq, queries):
+    rng = random.Random(len(queries))
+    index = OccurrenceIndex(seq)
+    for query in queries:
+        windows = cut_windows(rng, len(query))
+        for f, L, t in ((1, None, None), (2, None, None), (3, 2, None), (5, None, 2),
+                        (1, None, 1)):
+            scans, plain = both_ways(index, lambda: scan_both_paths(
+                monkeypatch, index, query, windows, f, L, t))
+            assert scans[0] == plain[0], (query, windows, f, L, t)
