@@ -14,9 +14,9 @@ from .filters import (BloomFilter, ExactFilter, FilterParams, FingerprintTable,
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary, Trigger,
                       choose_trigger, minimizer_parse, pfp_parse)
-from .pseudomem import (CoarseSets, PseudoMem, coarse_sets, compute_lower_bound,
-                        find_long_mems, kebab_pseudo_mems, parse_pseudo_mems,
-                        refine, safe_discard)
+from .pseudomem import (CoarseSets, PseudoMem, coarse_sets, find_long_mems,
+                        kebab_pseudo_mems, parse_pseudo_mems, refine,
+                        safe_discard)
 from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
 
 __version__ = "0.1.0"

@@ -86,7 +86,7 @@ def _check_alphabet(records: list[tuple[str, bytes]], dna: bool):
     for name, seq in records:
         if SEPARATOR in seq:
             raise EmptyInputError(f"record {name!r} contains the reserved NUL byte")
-        if dna and any(c not in b"ACGT" for c in seq):
+        if dna and seq.translate(None, b"ACGT"):
             raise EmptyInputError(f"record {name!r} has non-ACGT characters")
 
 
@@ -112,14 +112,17 @@ def cmd_build(args) -> int:
     bundle = IndexBundle(params, trigger, dictionary, parse_text, OccurrenceIndex(text),
                          OccurrenceIndex(parse_text.symbols), kmer_filter)
     save_bundle(bundle, args.out)
+    target = len(text) // args.trigger
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
-          f"dict={len(dictionary)} target={len(text) // args.trigger} "
+          f"dict={len(dictionary)} target={target} "
           f"anchor_length={trigger.length}", file=sys.stderr)
+    # a parse has at least one phrase, so it meets a target below 2
     grain = ANCHOR_GRAIN * args.trigger
-    if trigger.length == args.window and text_sigma(text) ** args.window < grain:
+    if (target >= 2 and trigger.length == args.window
+            and text_sigma(text) ** args.window < grain):
         print(f"warning: the anchor length is capped at w={args.window}, as "
               f"sigma^w < {ANCHOR_GRAIN}p = {grain}: the parse may fall short of "
-              f"|T|/p = {len(text) // args.trigger} phrases", file=sys.stderr)
+              f"|T|/p = {target} phrases", file=sys.stderr)
     return EXIT_OK
 
 

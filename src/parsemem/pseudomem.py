@@ -110,29 +110,6 @@ def _runs(present: list[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def compute_lower_bound(pm: PseudoMem, parsed_pattern: ParsedString) -> int:
-    """Certified minimum length of an f-MEM inside a phrase-derived pseudo-MEM.
-
-    Deleting one phrase from each end of an S1 pseudo-MEM leaves a phrase
-    interval inside the parse-level match, whose characters occur at least f
-    times in the text and hence sit inside some f-MEM.  S2 pairs, single
-    WHOLE phrases, and two-phrase S1 elements certify nothing.
-    """
-    if pm.phrase_start is None or pm.phrase_end is None:
-        raise ValueError("lower bounds apply only to phrase-derived pseudo-MEMs")
-    if pm.origin != ORIGIN_S1:
-        return 0
-    return _inner_length(parsed_pattern, pm.phrase_start, pm.phrase_end)
-
-
-def _inner_length(parsed_pattern: ParsedString, lo: int, hi: int) -> int:
-    """Characters of phrases lo + 1 .. hi - 1, 0 when there are none."""
-    if hi - lo < 2:
-        return 0
-    start, end = parsed_pattern.char_span(lo + 1, hi - 1)
-    return end - start + 1
-
-
 def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
                     s2_pairs: list[tuple[int, int]]) -> list[PseudoMem]:
     """Extend parse matches, clip, deduplicate, and map to characters."""
@@ -145,7 +122,10 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
             continue
         seen.add((lo, hi))
         cs, ce = parsed_pattern.char_span(lo, hi)
-        bound = _inner_length(parsed_pattern, lo, hi)
+        bound = 0  # the characters left with one phrase off each end
+        if hi - lo >= 2:
+            a, b = parsed_pattern.char_span(lo + 1, hi - 1)
+            bound = b - a + 1
         out.append(PseudoMem(cs, ce, ORIGIN_S1, bound, phrase_start=lo, phrase_end=hi))
     for lo, hi in s2_pairs:
         if (lo, hi) in seen:

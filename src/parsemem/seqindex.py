@@ -19,9 +19,11 @@ occurrences: its right growth, its count and both window-edge checks come
 from the text there, with no forward re-walk of the match.
 
 Symbols are plain non-negative integers, so the same machinery indexes byte
-strings and phrase-ID tuples alike.  Each direction of the index counts its
-search steps: one per symbol a match is grown or probed by, plus one for
-the symbol that stops a growth, whether by binary search or by direct
+strings and phrase-ID tuples alike.  An index takes queries of its own
+sequence's type, converting any other sequence once, so that slices of the
+query and the text compare.  Each direction of the index counts its search
+steps: one per symbol a match is grown or probed by, plus one for the
+symbol that stops a growth, whether by binary search or by direct
 comparison.  That is the unit of search work that ``parsemem stats``
 reports.  At the scale this package targets a suffix array with binary
 search is entirely adequate; nothing here depends on a particular
@@ -242,16 +244,14 @@ class _SuffixView:
         ``f`` rows; by bytes, it starts from the ``table`` bucket of its
         first q symbols when that holds at least ``f`` rows.  While the
         interval has more than ``NARROW`` rows each symbol is one ``extend``;
-        below that, when ``query`` is of the sequence's type, the rest is
-        read off the rows' suffixes by ``grow_at``.  Either way
+        below that, the rest is read off the rows' suffixes by ``grow_at``,
+        so ``query`` must be of the sequence's type.  Either way
         ``steps`` rises by one per symbol grown, plus one for the symbol that
         failed, if any: a bucket wider than ``NARROW`` is where q extends
         lead, and in a narrower one the f-th largest agreement is that of
         the rows ``grow_at`` would compare, as rows outside it agree on
         fewer symbols.
         """
-        direct = type(query) is type(self.seq)
-        narrow = NARROW if direct else -1
         g = 0
         if depth == 0 and limit:
             buckets, table = self.buckets, self.table
@@ -261,7 +261,7 @@ class _SuffixView:
                 if b - a < f:
                     return lo, hi, 0
                 lo, hi, g = a, b, 1
-            elif table is not None and direct and limit >= table.q:
+            elif table is not None and limit >= table.q:
                 code = table.code(query[pos:pos + table.q])
                 if code >= 0:
                     a, b = table.rows(code)
@@ -269,7 +269,7 @@ class _SuffixView:
                         lo, hi, g = a, b, table.q
                         self.steps += g
                         self.hits += 1
-        while g < limit and hi - lo > narrow:
+        while g < limit and hi - lo > NARROW:
             a, b = self.extend(lo, hi, depth + g, query[pos + g])
             if b - a < f:
                 return lo, hi, g
@@ -297,11 +297,6 @@ class _SuffixView:
         more = sorted(agree)[-f] if len(agree) >= f else 0
         self.steps += more + (more < limit)
         return agree, more
-
-    def locate(self, query: Sequence[int]) -> tuple[int, int]:
-        """The interval of ``query``, empty (``lo == hi``) if it is absent."""
-        lo, hi, g = self.grow(0, len(self.sa), 0, query, 0, len(query), 1)
-        return (lo, hi) if g == len(query) else (lo, lo)
 
 
 def _agreement(seq: Sequence[int], p: int, run: Sequence[int]) -> int:
@@ -379,11 +374,16 @@ class OccurrenceIndex:
         return self.backward.hits
 
     def count(self, query: Sequence[int]) -> int:
-        """Number of starting positions of ``query``; overlaps allowed."""
+        """Number of starting positions of ``query``; overlaps allowed.  A
+        query with a symbol the sequence cannot hold occurs 0 times."""
         if len(query) == 0:
             raise EmptyInputError("empty queries are not counted")
-        lo, hi = self.forward.locate(query)
-        return hi - lo
+        try:
+            query = type(self.sequence)(query)
+        except ValueError:
+            return 0
+        lo, hi, g = self.forward.grow(0, len(self), 0, query, 0, len(query), 1)
+        return hi - lo if g == len(query) else 0
 
 
 def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
@@ -404,10 +404,11 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     decides; on the left one backward extension of the match ending at j,
     and only if that succeeds a count of the whole match with the symbol
     before the window.  When the left growth leaves at most ``NARROW``
-    occurrences (and the pattern converts to the index's sequence type),
-    the right growth, the count and both edge checks are read off the text
-    at those occurrences; otherwise the match is walked forward again to
-    find its forward interval.  In top-t mode the threshold L rises to the t-th
+    occurrences, the right growth, the count and both edge checks are read
+    off the text at those occurrences; otherwise the match is walked forward
+    again to find its forward interval.  The pattern is converted to the
+    text's type once, so a symbol the text cannot hold (300 against bytes)
+    raises ``ValueError``.  In top-t mode the threshold L rises to the t-th
     longest length found so far, across windows, so matches tying with it
     are still found, matches left below the final threshold are dropped,
     and windows shorter than the threshold are not scanned.  Passing the
@@ -427,12 +428,8 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     n = len(index)
     back, fwd = index.backward, index.forward
     text, rsa = index.sequence, back.sa
-    try:  # the pattern as the text's type (bytes or a tuple): slices compare
-        query = type(text)(pattern)
-    except (TypeError, ValueError):  # a symbol does not fit: binary search
-        query = pattern
+    query = type(text)(pattern)  # ValueError for a symbol the text cannot hold
     rquery = query[::-1]  # backward growth from j reads rquery[m - j:]
-    direct = type(query) is type(text)
     mems: list[Mem] = []
     lengths: list[int] = []  # lengths found so far, kept sorted descending
     threshold = L or 1
@@ -451,7 +448,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
             # the symbols right of j up to the window's edge, and one past it
             # if the pattern goes on: matching that one too means crossing
             reach = hi - j + (hi < m)
-            if direct and bhi - blo <= NARROW:
+            if bhi - blo <= NARROW:
                 # occurrences of pattern[start-1:j] end at text[n - rsa[r]]
                 ends = [n - rsa[r] for r in range(blo, bhi)]
                 agree, more = fwd.grow_at(ends, query, j, reach, f)

@@ -286,6 +286,17 @@ class TestBuildQuery:
                             rf"target={1500 // p} anchor_length={l}", lines[0])
         assert [line.startswith("warning: ") for line in lines[1:]] == [True] * warned
 
+    @pytest.mark.parametrize("text, warned", [(b"A", False), (b"A" * 5000, True)])
+    def test_capped_anchor_warns_only_when_phrases_can_fall_short(
+            self, tmp_path, capsys, text, warned):
+        # every parse has a phrase, so |T|/p = 0 or 1 cannot be missed
+        text_path = tmp_path / "t.txt"
+        text_path.write_bytes(text + b"\n")
+        assert main(["build", str(text_path), "-o", str(tmp_path / "i.pmidx"),
+                     "--format", "raw"]) == 0
+        err = capsys.readouterr().err
+        assert ("\nwarning: " in err) == warned
+
     def test_dna_flag_rejects_other_bytes(self, tmp_path, capsys):
         text_path = tmp_path / "t.txt"
         text_path.write_bytes(b"HELLOWORLD\n")

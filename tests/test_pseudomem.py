@@ -7,11 +7,10 @@ from parsemem import filters as flt
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
-                                ORIGIN_WHOLE, PseudoMem, coarse_sets,
-                                compute_lower_bound, find_long_mems,
-                                kebab_pseudo_mems, parse_pseudo_mems, refine,
-                                safe_discard)
-from parsemem.seqindex import OccurrenceIndex, find_f_mems
+                                ORIGIN_WHOLE, PseudoMem, _emit_parse_pms,
+                                coarse_sets, find_long_mems, kebab_pseudo_mems,
+                                parse_pseudo_mems, refine, safe_discard)
+from parsemem.seqindex import Mem, OccurrenceIndex, find_f_mems
 
 DNA = b"ACGT"
 
@@ -168,6 +167,7 @@ class TestParsePseudoMems:
 
 
 class TestLowerBound:
+    # the bounds that emitted pseudo-MEMs carry, as safe_discard reads them
     def make(self, text, pattern, w=4, p=5):
         return parse_pair(text, pattern, w, p)
 
@@ -178,26 +178,48 @@ class TestLowerBound:
         parse_t, parse_p, pidx = self.make(text, pattern)
         pms = [pm for pm in parse_pseudo_mems(parse_p, pidx)
                if pm.origin == ORIGIN_S1]
-        assert pms
+        assert any(pm.lower_bound > 0 for pm in pms)
         for pm in pms:
             want = 0
             if pm.phrase_end - pm.phrase_start >= 2:
                 lo, hi = parse_p.char_span(pm.phrase_start + 1, pm.phrase_end - 1)
                 want = hi - lo + 1
-            assert pm.lower_bound == compute_lower_bound(pm, parse_p) == want
+            assert pm.lower_bound == want
 
     def test_non_s1_bound_is_zero(self):
-        pm = PseudoMem(1, 10, ORIGIN_S2, phrase_start=1, phrase_end=2)
-        assert compute_lower_bound(pm, None) == 0
+        rng = random.Random(132)
+        text = rand_dna(rng, 800)
+        pattern = text[300:400] + rand_dna(rng, 200)
+        parse_t, parse_p, pidx = self.make(text, pattern)
+        pms = parse_pseudo_mems(parse_p, pidx)
+        s2 = [pm for pm in pms if pm.origin == ORIGIN_S2]
+        assert s2 and all(pm.lower_bound == 0 for pm in s2)
+        parse_t, parse_p, pidx = self.make(text, text[:3])
+        [whole] = parse_pseudo_mems(parse_p, pidx)
+        assert (whole.origin, whole.lower_bound) == (ORIGIN_WHOLE, 0)
 
     def test_kebab_has_no_phrase_coordinates(self):
-        pm = PseudoMem(1, 10, ORIGIN_KEBAB)
-        with pytest.raises(ValueError):
-            compute_lower_bound(pm, None)
+        rng = random.Random(133)
+        text = rand_dna(rng, 800)
+        pms = kebab_pseudo_mems(text[100:300] + rand_dna(rng, 50),
+                                exact_kmer_filter(text, 8))
+        assert pms
+        assert all((pm.lower_bound, pm.phrase_start, pm.phrase_end) == (0, None, None)
+                   for pm in pms)
 
     def test_two_phrase_s1_bound_is_zero(self):
-        pm = PseudoMem(1, 10, ORIGIN_S1, phrase_start=3, phrase_end=4)
-        assert compute_lower_bound(pm, None) == 0
+        # a one-phrase match at either end of the pattern is clipped there
+        rng = random.Random(134)
+        text = rand_dna(rng, 800)
+        parse_t, parse_p, pidx = self.make(text, text[100:300])
+        n = len(parse_p)
+        assert n > 4
+        pms = _emit_parse_pms(parse_p, [Mem(1, 1, 1), Mem(n, n, 1), Mem(3, 3, 1)],
+                              [(n - 2, n - 1)])
+        lo, hi = parse_p.char_span(3, 3)
+        assert [(pm.phrase_start, pm.phrase_end, pm.origin, pm.lower_bound)
+                for pm in pms] == [(1, 2, ORIGIN_S1, 0), (2, 4, ORIGIN_S1, hi - lo + 1),
+                                   (n - 2, n - 1, ORIGIN_S2, 0), (n - 1, n, ORIGIN_S1, 0)]
 
 
 class TestSafeDiscard:

@@ -343,24 +343,27 @@ def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
 
 
 def test_patterns_of_any_type(monkeypatch):
-    # a list is converted to the index's type; a symbol that bytes cannot
-    # hold keeps the scan on binary search, with the same steps
+    # a pattern is converted to the index's type, and a symbol that bytes
+    # cannot hold is a ValueError for the scan and a 0 count
     rng = random.Random(197)
     founder, text = mutated_copies(rng, b"ACGT", 60, 17)
-    pattern = founder[5:45] + [300] + founder[20:55]
-    for seq, pattern, direct in (
-            (bytes(text), founder[10:] + founder[:30], True),
-            (tuple(text), founder[10:] + founder[:30], True),
-            (bytes(text), tuple(pattern), False),
-            (bytes(text), pattern, False),
-            (tuple(text), pattern, True)):
+    odd = founder[5:45] + [300] + founder[20:55]
+    for seq, pattern in ((bytes(text), founder[10:] + founder[:30]),
+                         (tuple(text), founder[10:] + founder[:30]),
+                         (tuple(text), odd)):
         index = OccurrenceIndex(seq)
         want = [(m.start, m.end, m.freq)
                 for m in brute_force_f_mems(seq, pattern, 2)]
         (got, steps), (binary, binary_steps) = scan_both_paths(
             monkeypatch, index, pattern, [(1, len(pattern))], 2, 20, None)
         assert got == binary == [w for w in want if w[1] - w[0] >= 19]
-        assert (steps < binary_steps) == direct
+        assert steps < binary_steps
+    index = OccurrenceIndex(bytes(text))
+    for pattern in (tuple(odd), odd, [65, 300]):
+        with pytest.raises(ValueError):
+            threshold_scan(index, pattern, [(1, len(pattern))], 2, L=20)
+        assert index.count(pattern) == 0
+    assert OccurrenceIndex(b"A").count((1 << 20,)) == 0
 
 
 def random_text(rng, symbols, n):
