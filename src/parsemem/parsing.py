@@ -129,9 +129,6 @@ class PhraseDictionary:
     def __len__(self) -> int:
         return len(self._phrases)
 
-    def __contains__(self, phrase: bytes) -> bool:
-        return phrase in self._id_of
-
     def ids_for(self, phrases: Iterable[bytes]) -> tuple[int, ...]:
         """The ID of each phrase, in one pass over a dict: an unseen phrase
         takes the next ID.

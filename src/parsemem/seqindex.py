@@ -9,7 +9,9 @@ windows of the pattern: with threshold L it finds exactly the f-MEMs of
 length >= L that lie inside a window, with Boyer-Moore-style skipping; at
 L=1 it finds all of them; in top-t mode it keeps raising the threshold to
 the length of the t-th longest match found so far.  The named entry points
-scan the whole pattern as one window.
+scan the whole pattern as one window.  Every growth starts from the empty
+match: the scan grows each candidate end once, as far left as its window
+allows.
 
 A match grows one symbol per binary search only while its interval is
 wide.  Once it has at most ``NARROW`` rows, the rest of the growth is read
@@ -22,29 +24,28 @@ Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID tuples alike.  An index takes queries of its own
 sequence's type, converting any other sequence once, so that slices of the
 query and the text compare.  Each direction of the index counts its search
-steps: one per symbol a match is grown or probed by, plus one for the
-symbol that stops a growth, whether by binary search or by direct
-comparison.  That is the unit of search work that ``parsemem stats``
-reports.  At the scale this package targets a suffix array with binary
-search is entirely adequate; nothing here depends on a particular
-compressed index.
+steps: one per symbol a match is grown by, plus one for the symbol that
+stops a growth, whether by binary search or by direct comparison.  That is
+the unit of search work that ``parsemem stats`` reports.  At the scale
+this package targets a suffix array with binary search is entirely
+adequate; nothing here depends on a particular compressed index.
 
 A byte text's backward view also keeps a ``PrefixTable``: the row start of
 every length-q string over the text's alphabet, q as large as leaves about
-``NARROW`` rows per string.  A growth of the empty match by at least q
-symbols starts from the table's bucket for its first q, as one table hit
-that counts the q steps the binary search would have taken, so step
-totals keep their unit.
+``NARROW`` rows per string.  A growth allowed at least q symbols starts
+from the table's bucket for its first q, when that holds at least f rows,
+as one table hit that counts the q steps the binary search would have
+taken, so step totals keep their unit.
 
 A phrase-ID index keeps its first-symbol buckets instead: each symbol's
 rows, which are the same in both suffix arrays, as a sequence and its
-reverse hold the same symbols.  A growth of the empty match takes its
-first symbol's bucket as one step, the ``extend`` it stands for, and stops
-there when the bucket has fewer than f rows.  A byte text has no buckets:
-deriving them would read every row, and its prefix table already starts
-the probes that matter.  The buckets are not a one-symbol prefix table:
-that codes bytes by a 256-entry rank list, and a miss in its bucket falls
-back to binary search, where a first symbol's miss is final.
+reverse hold the same symbols.  A growth takes its first symbol's bucket as
+one step, the ``extend`` it stands for, and stops there when the bucket has
+fewer than f rows.  A byte text has no buckets: deriving them would read
+every row, and its prefix table already starts the growths that matter.
+The buckets are not a one-symbol prefix table: that codes bytes by a
+256-entry rank list, and a miss in its bucket falls back to binary search,
+where a first symbol's miss is final.
 """
 
 from __future__ import annotations
@@ -232,45 +233,43 @@ class _SuffixView:
                 b = mid
         return lo, a
 
-    def grow(self, lo: int, hi: int, depth: int, query: Sequence[int],
-             pos: int, limit: int, f: int) -> tuple[int, int, int]:
-        """Grow the interval of a match of length ``depth`` by the symbols
-        ``query[pos:pos + limit]`` in turn, while at least ``f`` rows keep
-        matching.
+    def grow(self, query: Sequence[int], pos: int, limit: int,
+             f: int) -> tuple[int, int, int]:
+        """Grow the empty match by the symbols ``query[pos:pos + limit]`` in
+        turn, while at least ``f`` rows keep matching.
 
         Returns the last such interval and the number of symbols grown.
-        A growth of the empty match starts from the ``buckets`` entry of its
-        first symbol, one step, and stops there if that holds fewer than
-        ``f`` rows; by bytes, it starts from the ``table`` bucket of its
-        first q symbols when that holds at least ``f`` rows.  While the
-        interval has more than ``NARROW`` rows each symbol is one ``extend``;
-        below that, the rest is read off the rows' suffixes by ``grow_at``,
-        so ``query`` must be of the sequence's type.  Either way
-        ``steps`` rises by one per symbol grown, plus one for the symbol that
-        failed, if any: a bucket wider than ``NARROW`` is where q extends
-        lead, and in a narrower one the f-th largest agreement is that of
-        the rows ``grow_at`` would compare, as rows outside it agree on
-        fewer symbols.
+        The growth starts from the ``buckets`` entry of its first symbol,
+        one step, and stops there if that holds fewer than ``f`` rows; by
+        bytes, it starts from the ``table`` bucket of its first q symbols
+        when ``limit`` is at least q and that bucket holds at least ``f``
+        rows.  While the interval has more than ``NARROW`` rows each symbol
+        is one ``extend``; below that, the rest is read off the rows'
+        suffixes by ``grow_at``, so ``query`` must be of the sequence's
+        type.  Either way ``steps`` rises by one per symbol grown, plus one
+        for the symbol that failed, if any: a bucket wider than ``NARROW``
+        is where q extends lead, and in a narrower one the f-th largest
+        agreement is that of the rows ``grow_at`` would compare, as rows
+        outside it agree on fewer symbols.
         """
-        g = 0
-        if depth == 0 and limit:
-            buckets, table = self.buckets, self.table
-            if buckets is not None:  # the extend of the first symbol
-                self.steps += 1
-                a, b = buckets.get(query[pos], (0, 0))
-                if b - a < f:
-                    return lo, hi, 0
-                lo, hi, g = a, b, 1
-            elif table is not None and limit >= table.q:
-                code = table.code(query[pos:pos + table.q])
-                if code >= 0:
-                    a, b = table.rows(code)
-                    if b - a >= f:
-                        lo, hi, g = a, b, table.q
-                        self.steps += g
-                        self.hits += 1
+        lo, hi, g = 0, len(self.sa), 0
+        buckets, table = self.buckets, self.table
+        if buckets is not None and limit:  # the extend of the first symbol
+            self.steps += 1
+            a, b = buckets.get(query[pos], (0, 0))
+            if b - a < f:
+                return lo, hi, 0
+            lo, hi, g = a, b, 1
+        elif table is not None and limit >= table.q:
+            code = table.code(query[pos:pos + table.q])
+            if code >= 0:
+                a, b = table.rows(code)
+                if b - a >= f:
+                    lo, hi, g = a, b, table.q
+                    self.steps += g
+                    self.hits += 1
         while g < limit and hi - lo > NARROW:
-            a, b = self.extend(lo, hi, depth + g, query[pos + g])
+            a, b = self.extend(lo, hi, g, query[pos + g])
             if b - a < f:
                 return lo, hi, g
             lo, hi = a, b
@@ -278,7 +277,7 @@ class _SuffixView:
         if g == limit:
             return lo, hi, g
         sa = self.sa
-        agree, more = self.grow_at([sa[r] + depth + g for r in range(lo, hi)],
+        agree, more = self.grow_at([sa[r] + g for r in range(lo, hi)],
                                    query, pos + g, limit - g, f)
         rows = [r for r, a in zip(range(lo, hi), agree) if a >= more]
         return rows[0], rows[-1] + 1, g + more
@@ -300,16 +299,19 @@ class _SuffixView:
 
 
 def _agreement(seq: Sequence[int], p: int, run: Sequence[int]) -> int:
-    """Length of the longest common prefix of ``seq[p:]`` and ``run``: the
-    whole run is compared first, then a galloping search brackets the first
-    mismatch and bisection finds it."""
+    """Length of the longest common prefix of ``seq[p:]`` and ``run``: a
+    galloping search doubles a matching prefix of the run, the whole run is
+    compared only once a try would pass its end, and bisection then finds
+    the first mismatch.  A growth's run reaches the window's edge, so
+    comparing it whole first would copy it once per row."""
     n = len(run)
-    if seq[p:p + n] == run:
-        return n
     good, bad = 0, 1  # seq[p:] begins with run[:good]; bad is a longer try
     while bad < n and seq[p:p + bad] == run[:bad]:
         good, bad = bad, 2 * bad
-    bad = min(bad, n)
+    if bad >= n:
+        if seq[p:p + n] == run:
+            return n
+        bad = n
     while bad - good > 1:
         mid = (good + bad) >> 1
         if seq[p:p + mid] == run[:mid]:
@@ -382,7 +384,7 @@ class OccurrenceIndex:
             query = type(self.sequence)(query)
         except ValueError:
             return 0
-        lo, hi, g = self.forward.grow(0, len(self), 0, query, 0, len(query), 1)
+        lo, hi, g = self.forward.grow(query, 0, len(query), 1)
         return hi - lo if g == len(query) else 0
 
 
@@ -394,25 +396,26 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     included, and with neither all of them.
 
     ``windows`` are disjoint 1-based inclusive (lo, hi) character ranges of
-    the pattern.  In each, a candidate end j slides from left to right.  If
-    the length-L substring ending at j has fewer than f occurrences after
-    matching only s of its symbols, no valid match can contain the failing
-    stretch, so j can jump ahead by L - s.  A fully matching candidate is
-    grown left to the longest match ending at j, then right to a maximal
-    match, neither past the window's edges.  A match that reaches an edge is
-    kept only if it cannot cross it: on the right one more extension
-    decides; on the left one backward extension of the match ending at j,
-    and only if that succeeds a count of the whole match with the symbol
-    before the window.  When the left growth leaves at most ``NARROW``
-    occurrences, the right growth, the count and both edge checks are read
-    off the text at those occurrences; otherwise the match is walked forward
-    again to find its forward interval.  The pattern is converted to the
-    text's type once, so a symbol the text cannot hold (300 against bytes)
-    raises ``ValueError``.  In top-t mode the threshold L rises to the t-th
-    longest length found so far, across windows, so matches tying with it
-    are still found, matches left below the final threshold are dropped,
-    and windows shorter than the threshold are not scanned.  Passing the
-    windows longest first raises it soonest.  Output is sorted by start.
+    the pattern.  In each, a candidate end j slides from left to right and
+    is grown left once, from nothing, to the longest match ending at j with
+    at least f occurrences, at most to the window's left edge.  If that
+    match has s < L symbols, no valid match can contain the stretch that
+    stopped it, so j can jump ahead by L - s.  A longer one is grown right
+    to a maximal match, at most to the window's right edge.  A match that
+    reaches an edge is kept only if it cannot cross it: on the right one
+    more extension decides; on the left one backward extension of the match
+    ending at j, and only if that succeeds a count of the whole match with
+    the symbol before the window.  When the left growth leaves at most
+    ``NARROW`` occurrences, the right growth, the count and both edge checks
+    are read off the text at those occurrences; otherwise the match is
+    walked forward again to find its forward interval.  The pattern is
+    converted to the text's type once, so a symbol the text cannot hold
+    (300 against bytes) raises ``ValueError``.  In top-t mode the threshold
+    L rises to the t-th longest length found so far, across windows, so
+    matches tying with it are still found, matches left below the final
+    threshold are dropped, and windows shorter than the threshold are not
+    scanned.  Passing the windows longest first raises it soonest.  Output
+    is sorted by start.
     """
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
@@ -436,15 +439,11 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     for lo, hi in windows:
         j = lo + threshold - 1
         while j <= hi:
-            blo, bhi, s = back.grow(0, n, 0, rquery, m - j, threshold, f)
-            if s < threshold:
-                j += threshold - s
+            blo, bhi, length = back.grow(rquery, m - j, j - lo + 1, f)
+            if length < threshold:
+                j += threshold - length
                 continue
-            blo, bhi, more = back.grow(blo, bhi, threshold, rquery,
-                                       m - j + threshold,
-                                       j - threshold + 1 - lo, f)
-            start = j - threshold + 1 - more
-            length = j - start + 1
+            start = j - length + 1
             # the symbols right of j up to the window's edge, and one past it
             # if the pattern goes on: matching that one too means crossing
             reach = hi - j + (hi < m)
@@ -462,8 +461,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                     crosses = sum(e > length and text[e - length - 1] == before
                                   for e in kept) >= f
             else:  # re-walk the match forward, then grow it right
-                flo, fhi, more = fwd.grow(0, n, 0, query, start - 1,
-                                          length + reach, f)
+                flo, fhi, more = fwd.grow(query, start - 1, length + reach, f)
                 more -= length
                 end = j + min(more, hi - j)
                 freq = fhi - flo

@@ -336,9 +336,9 @@ class TestDeterminism:
     def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
         # The counted search work of each mode on this corpus at -t 3:
         # parse_backward_steps, char_backward_steps and filter_probes are
-        # the three columns before prefix_table_hits, the probes that
+        # the three columns before prefix_table_hits, the growths that
         # started from the q = 3 table (their steps are in
-        # char_backward_steps; each mode's search probes the same 31).  A
+        # char_backward_steps; each mode's search makes the same 33).  A
         # rewrite of the scan or of the filters must leave them as they
         # are, or change them here on purpose.
         build(corpus)
@@ -350,7 +350,7 @@ class TestDeterminism:
         assert lines[0] == ("pattern_id\tm\tpseudo_total\tretained_total\t"
                             "parse_len\tparse_backward_steps\t"
                             "char_backward_steps\tfilter_probes\tprefix_table_hits")
-        assert lines[1:] == [row.replace(" ", "\t") + "\t31"]
+        assert lines[1:] == [row.replace(" ", "\t") + "\t33"]
 
     def test_query_output_is_identical_across_runs(self, corpus, capsys):
         build(corpus)

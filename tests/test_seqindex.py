@@ -8,7 +8,7 @@ from parsemem import seqindex
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
-from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex,
+from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex, _agreement,
                                _build_suffix_array, bml_mems, bml_top_t,
                                find_f_mems, prefix_depth, threshold_scan)
 
@@ -253,25 +253,26 @@ def test_extend_narrows_to_sorted_suffix_rows(seq):
 
 
 # On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
-# rows d-1..39: 41 - d of them, at most NARROW = 16 from d = 25 on.
-@pytest.mark.parametrize("start, query, pos, limit, f, want", [
-    ((0, 40, 0), b"A" * 50, 0, 50, 1, (39, 40, 40, 41)),
-    ((0, 40, 0), b"A" * 50, 0, 50, 3, (37, 40, 38, 39)),
-    ((0, 40, 0), b"A" * 10, 0, 10, 1, (9, 40, 10, 10)),
-    ((0, 40, 0), b"A" * 30 + b"C", 0, 31, 1, (29, 40, 30, 31)),
-    ((19, 40, 20), b"A" * 30, 10, 20, 1, (39, 40, 20, 20)),
-    ((19, 40, 20), b"A" * 30, 0, 21, 2, (38, 40, 19, 20)),
-    ((39, 40, 40), b"A", 0, 1, 2, (39, 40, 0, 1)),
+# rows d-1..39: 41 - d of them, at most NARROW = 16 from d = 25 on.  The Cs
+# before pos are not in the text, so a growth that read them would stop.
+@pytest.mark.parametrize("query, pos, limit, f, want", [
+    (b"A" * 50, 0, 50, 1, (39, 40, 40, 41)),
+    (b"A" * 50, 0, 50, 3, (37, 40, 38, 39)),
+    (b"A" * 10, 0, 10, 1, (9, 40, 10, 10)),
+    (b"A" * 30 + b"C", 0, 31, 1, (29, 40, 30, 31)),
+    (b"C" * 10 + b"A" * 30, 10, 30, 1, (29, 40, 30, 30)),
+    (b"C" * 10 + b"A" * 45, 10, 45, 2, (38, 40, 39, 40)),
+    (b"A" * 5, 0, 5, 41, (0, 40, 0, 1)),
 ], ids=["past-the-text", "f3", "wide-only", "mismatch", "mid-match", "mid-match-f2",
         "too-few-rows"])
-def test_grow_counts_the_same_steps_on_both_paths(monkeypatch, start, query,
-                                                  pos, limit, f, want):
+def test_grow_counts_the_same_steps_on_both_paths(monkeypatch, query, pos, limit,
+                                                  f, want):
     # (lo, hi, grown, steps): one step per symbol grown plus the failing one,
     # whether the rows are narrowed by binary search or compared directly
     for narrow in (NARROW, 0):
         monkeypatch.setattr(seqindex, "NARROW", narrow)
         view = OccurrenceIndex(b"A" * 40).forward
-        lo, hi, grown = view.grow(*start, query, pos, limit, f)
+        lo, hi, grown = view.grow(query, pos, limit, f)
         assert (lo, hi, grown, view.steps) == want
 
 
@@ -410,7 +411,7 @@ def grow_both_ways(view, query, pos, limit, f):
     runs, table = [], view.table
     for view.table in (table, None):
         steps, hits = view.steps, view.hits
-        lo, hi, grown = view.grow(0, len(view.sa), 0, query, pos, limit, f)
+        lo, hi, grown = view.grow(query, pos, limit, f)
         runs.append(((lo, hi, grown, view.steps - steps), view.hits - hits))
     view.table = table
     return runs
@@ -474,21 +475,52 @@ def test_scan_with_the_table_equals_the_scan_without(monkeypatch):
     index = OccurrenceIndex(bytes(text))
     table = index.prefix_table
     assert table.q == 3
-    hits = {True: 0, False: 0}
+    cases = ((1, None, 3), (2, 12, None), (5, None, 1), (3, None, None))
+    hits = {(on, case): 0 for on in (True, False) for case in cases}
     for _ in range(10):
         a, b = sorted(rng.sample(range(200), 2))
         pattern = bytes(founder[a:] + founder[:b])
         windows = cut_windows(rng, len(pattern))
-        for f, L, t in ((1, None, 3), (2, 12, None), (5, None, 1), (3, None, None)):
+        for case in cases:
             runs = []
             for on in (True, False):
                 index.backward.table = table if on else None
                 before = index.prefix_table_hits
                 runs.append(scan_both_paths(monkeypatch, index, pattern,
-                                            windows, f, L, t))
-                hits[on] += index.prefix_table_hits - before
+                                            windows, *case))
+                hits[on, case] += index.prefix_table_hits - before
             assert runs[0] == runs[1]
-    assert hits[True] > 0 == hits[False]
+    # every growth starts from nothing, so a scan at L=1 takes table hits too
+    assert all(hits[True, case] > 0 == hits[False, case] for case in cases), hits
+
+
+@pytest.mark.parametrize("kind", [bytes, tuple])
+def test_agreement_is_the_longest_common_prefix(kind):
+    seq = kind(random.Random(408).choices(b"ACGT", k=100))
+
+    def brute(p, run):
+        k = 0
+        while k < len(run) and p + k < len(seq) and seq[p + k] == run[k]:
+            k += 1
+        return k
+
+    # runs from p that agree wholly, or up to a mismatch at 0, at a power of
+    # two, between two or at the last symbol; from p = 90 the longer ones run
+    # past the end of seq
+    for p in (0, 37, 90):
+        for n in (1, 2, 3, 8, 9, 16, 33, 64):
+            for at in (None, 0, 1, 2, 4, 8, 16, 32, 3, 5, 6, 7, 12, 20, n - 1):
+                if at is not None and at >= n:
+                    continue
+                head = list(seq[p:p + n])
+                head += [ord("A")] * (n - len(head))
+                if at is not None:
+                    head[at] = 0  # a symbol seq does not hold
+                run = kind(head)
+                want = brute(p, run)
+                if p + n <= len(seq):
+                    assert want == (n if at is None else at)
+                assert _agreement(seq, p, run) == want, (p, n, at)
 
 
 def test_left_edge_check_at_the_start_of_the_text():
@@ -579,8 +611,7 @@ def test_grow_from_the_buckets_equals_binary_search(monkeypatch, seq, queries, n
             for view in (index.forward, index.backward):
                 pos = rng.randrange(len(query))
                 for limit in {len(query) - pos, rng.randint(1, len(query) - pos)}:
-                    run, plain = both_ways(index, lambda: view.grow(
-                        0, len(seq), 0, query, pos, limit, f))
+                    run, plain = both_ways(index, lambda: view.grow(query, pos, limit, f))
                     assert run == plain, (query, pos, limit, f)
                     rows = buckets.get(query[pos], (0, 0))
                     taken["absent" if query[pos] not in buckets else
