@@ -265,10 +265,12 @@ def check_order(bundle: IndexBundle) -> None:
     anchors are the ones ``choose_trigger`` picks from the text, at the
     phrase starts of their triggers.
 
-    Searches bisect the suffix arrays and lookups the keys, so a row or key
-    out of order could hide a match or a stored item, a wrong prefix table
-    starts probes at wrong rows, and a wrong trigger or phrase start breaks
-    the text's parse where the patterns' parses do not.  Load leaves this to
+    Searches bisect the suffix arrays, so a row out of order could hide a
+    match.  Table lookups read a key -> count dict, which keeps one count
+    of a key stored twice, so that count could fall short; strictly
+    increasing keys rule duplicates out.  A wrong prefix table starts
+    probes at wrong rows, and a wrong trigger or phrase start breaks the
+    text's parse where the patterns' parses do not.  Load leaves this to
     the writer.
     """
     text, params = bundle.text_index.sequence, bundle.params

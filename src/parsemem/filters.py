@@ -13,9 +13,10 @@ table for KeBaB, and a phrase-ID table for the combined route, counted from
 the text's parse on build and on load.  An item's key is
 its value mod 2^61 - 1, a k-mer's bytes read as a big-endian integer; the
 table holds the distinct keys of its items in a sorted ``array('Q')`` and
-their counts, saturating at 255, in a ``bytearray`` beside it.  A lookup is
-one ``bisect_left``.  It never undercounts: items that share a key add up
-to one count, so a key collision can only add a false positive.  Keys of
+their counts, saturating at 255, in a ``bytearray`` beside it.  Its first
+lookup builds a key -> count dict from the two, and every lookup is one
+``dict.get``.  It never undercounts: items that share a key add up to one
+count, so a key collision can only add a false positive.  Keys of
 k-mers with k <= 7, and of phrase IDs below 2^61 - 1, are exact.
 ``kmer_keys``, a Karp-Rabin pass, computes the keys of every k-mer of a
 sequence at once, from which the table's ``kmers_at_least`` answers a whole
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -194,7 +194,7 @@ class MembershipFilter:
         return self.at_least_many([seq[i:i + k] for i in range(len(seq) - k + 1)], f)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """One ``min_count`` per item; the table bisects its keys."""
+        """One ``min_count`` per item; the table looks up its dict instead."""
         return [self.min_count(item) >= f for item in items]
 
 
@@ -258,6 +258,11 @@ class FingerprintTable(MembershipFilter):
     It keeps ``TABLE_PARAMS`` whatever params it is given.  Pass ``keys``
     and ``counts`` to restore a table: as the table writes them, the keys
     strictly increase, the counts are positive, and both have one length.
+
+    Lookups read a key -> count dict.  It is built from ``keys`` and
+    ``counts`` on the first lookup, so a build or load pays nothing for it,
+    and ``insert_many`` drops it.  On 100k keys it holds about 8.6 MB,
+    against 0.9 MB for the two arrays.
     """
 
     kind = KIND_TABLE
@@ -269,6 +274,13 @@ class FingerprintTable(MembershipFilter):
         self.counts = bytearray() if counts is None else counts
         if len(self.keys) != len(self.counts):
             raise ValueError("keys and counts differ in length")
+        self._by_key: dict[int, int] | None = None
+
+    def _key_counts(self) -> dict[int, int]:
+        """The key -> count dict, built on the first lookup."""
+        if self._by_key is None:
+            self._by_key = dict(zip(self.keys, self.counts))
+        return self._by_key
 
     def _keys(self, items: Iterable):
         """Yield each item's key; items are validated inline."""
@@ -305,20 +317,20 @@ class FingerprintTable(MembershipFilter):
         order = sorted(tally)
         self.keys = array("Q", order)
         self.counts = bytearray(map(tally.__getitem__, order))
+        self._by_key = None
 
     def query(self, item) -> bool:
         return self.min_count(item) > 0
 
     def min_count(self, item) -> int:
         (key,) = self._keys((item,))
-        i = bisect_left(self.keys, key)
-        return self.counts[i] if i < len(self.keys) and self.keys[i] == key else 0
+        return self._key_counts().get(key, 0)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
         return self._lookup(list(self._keys(items)), f)
 
     def kmers_at_least(self, seq: bytes, f: int) -> list[bool]:
-        """Keys from one rolling pass over ``seq``, then one bisect each."""
+        """Keys from one rolling pass over ``seq``, then one lookup each."""
         if f < 1:
             raise ValueError("f must be at least 1")
         answers = self._lookup(kmer_keys(seq, self.k), f)
@@ -328,10 +340,8 @@ class FingerprintTable(MembershipFilter):
     def _lookup(self, keys: list[int], f: int) -> list[bool]:
         """Whether each key is stored with a count of at least ``f``; a
         saturated count passes any threshold."""
-        table, counts, n = self.keys, self.counts, len(self.keys)
-        f = min(f, _SATURATED)
-        return [i < n and table[i] == key and counts[i] >= f
-                for key, i in zip(keys, map(bisect_left, repeat(table), keys))]
+        return list(map(min(f, _SATURATED).__le__,
+                        map(self._key_counts().get, keys, repeat(0))))
 
 
 _FILTER_CLASSES = {

@@ -302,19 +302,20 @@ def _agreement(seq: Sequence[int], p: int, run: Sequence[int]) -> int:
     """Length of the longest common prefix of ``seq[p:]`` and ``run``: a
     galloping search doubles a matching prefix of the run, the whole run is
     compared only once a try would pass its end, and bisection then finds
-    the first mismatch.  A growth's run reaches the window's edge, so
+    the first mismatch.  Each try compares only the symbols past the prefix
+    already matched.  A growth's run reaches the window's edge, so
     comparing it whole first would copy it once per row."""
     n = len(run)
     good, bad = 0, 1  # seq[p:] begins with run[:good]; bad is a longer try
-    while bad < n and seq[p:p + bad] == run[:bad]:
+    while bad < n and seq[p + good:p + bad] == run[good:bad]:
         good, bad = bad, 2 * bad
     if bad >= n:
-        if seq[p:p + n] == run:
+        if seq[p + good:p + n] == run[good:]:
             return n
         bad = n
     while bad - good > 1:
         mid = (good + bad) >> 1
-        if seq[p:p + mid] == run[:mid]:
+        if seq[p + good:p + mid] == run[good:mid]:
             good = mid
         else:
             bad = mid

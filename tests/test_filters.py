@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,74 @@ class TestFingerprintTable:
             seen.update(want)
         assert seen == {True, False}
         assert filt.at_least_many(sorted(spanning), 1) == [False] * len(spanning)
+
+
+class TestTableAgainstCounter:
+    """Every lookup of a table equals a ``Counter`` of its items' true keys,
+    counts saturating at 255, whether the table was built or restored."""
+
+    K = 4
+
+    @classmethod
+    def items(cls, item_kind, rng):
+        """What the table is built from, the items that inserts, probes
+        with absent items among them, and the key of an item."""
+        if item_kind == ITEMS_KMER:
+            records = [bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 120)))
+                       for _ in range(8)] + [b"A" * 400, b"C" * 200]  # saturated
+            inserted = [r[i:i + cls.K] for r in records
+                        for i in range(len(r) - cls.K + 1)]
+            probes = sorted({bytes(rng.choice(b"ACGN") for _ in range(cls.K))
+                             for _ in range(150)} | set(inserted[:30]) | {b"AAAA"})
+            return records, inserted, probes, table_key
+        # 5 and 5 + 2^61 - 1 share a key, and add up to one count
+        inserted = ([rng.randrange(1 << 40) for _ in range(200)] + [7] * 300
+                    + [5, 5 + KEY_MODULUS, (1 << 64) - 1] * 2)
+        probes = inserted[:40] + [rng.randrange(1 << 40) for _ in range(100)] \
+            + [5, 5 + KEY_MODULUS, KEY_MODULUS, 7, (1 << 64) - 1]
+        return inserted, inserted, probes, lambda x: x % KEY_MODULUS
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
+    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    def test_lookups_equal_the_counter(self, item_kind, restored):
+        rng = random.Random(113)
+        stream, inserted, probes, key = self.items(item_kind, rng)
+        k = self.K if item_kind == ITEMS_KMER else None
+        filt = filter_build(stream, TABLE_PARAMS, KIND_TABLE, item_kind, k)
+        if restored:  # as load_bundle restores the k-mer table
+            filt = FingerprintTable(TABLE_PARAMS, item_kind, k,
+                                    array("Q", filt.keys), bytearray(filt.counts))
+        truth = Counter(map(key, inserted))
+        count = [min(truth[key(x)], 255) for x in probes]
+        assert 0 in count and 255 in count and max(truth.values()) > 255
+        assert [filt.min_count(x) for x in probes] == count
+        for f in (1, 2, 255, 300):
+            want = [c >= min(f, 255) for c in count]
+            assert filt.at_least_many(probes, f) == want
+            if item_kind == ITEMS_KMER:
+                for seq in stream[:3] + [b"ACGNACGTTTT", b"A" * 9]:
+                    assert filt.kmers_at_least(seq, f) == [
+                        min(truth[table_key(seq[i:i + k])], 255) >= min(f, 255)
+                        for i in range(len(seq) - k + 1)]
+
+    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    def test_insert_after_a_lookup_is_seen(self, item_kind):
+        # the first lookup builds the table's dict; an insert must not leave
+        # later lookups reading it
+        if item_kind == ITEMS_KMER:
+            filt = filter_build([b"ACGTA"], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 4)
+            old, new, more = b"ACGT", b"TTTT", [b"ACGT", b"TTTT"]
+        else:
+            filt = filter_build([17], TABLE_PARAMS, KIND_TABLE, ITEMS_PHRASE)
+            old, new, more = 17, 99, [17, 99]
+        assert filt.at_least_many([old, new], 1) == [True, False]
+        assert filt.at_least_many([old, new], 2) == [False, False]
+        filt.insert_many(more)
+        assert filt.at_least_many([old, new], 1) == [True, True]
+        assert filt.at_least_many([old, new], 2) == [True, False]
+        assert (filt.min_count(old), filt.min_count(new)) == (2, 1)
+        if item_kind == ITEMS_KMER:
+            assert filt.kmers_at_least(b"ACGTTTT", 2) == [True] + [False] * 3
 
 
 def rand_kmers(rng, n, k):
