@@ -13,19 +13,21 @@ scan the whole pattern as one window.  Every growth starts from the empty
 match: the scan grows each candidate end once, as far left as its window
 allows.
 
-A match grows one symbol per binary search only while its interval is
-wide.  Once it has at most ``NARROW`` rows, the rest of the growth is read
-off the text at those rows' suffixes by comparing slices with the pattern,
-and a match whose left growth ends that narrow is finished from its
-occurrences: its right growth, its count and both window-edge checks come
-from the text there, with no forward re-walk of the match.
+A match grows by reading the text at its rows' suffixes, which lie in
+sorted order: one bisection places the rest of the pattern among the rows,
+the rows' agreements with it rise to that place and fall after it, so the
+few rows beside it, compared with the pattern by slices, give how far the
+match grows, and the rows that agree that far are one range around it.  A
+match whose left growth ends with at most ``NARROW`` rows is finished from
+its occurrences: its right growth, its count and both window-edge checks
+come from the text there, with no forward re-walk of the match.
 
 Symbols are plain non-negative integers, so the same machinery indexes byte
 strings and phrase-ID tuples alike.  An index takes queries of its own
 sequence's type, converting any other sequence once, so that slices of the
 query and the text compare.  Each direction of the index counts its search
 steps: one per symbol a match is grown by, plus one for the symbol that
-stops a growth, whether by binary search or by direct comparison.  That is
+stops a growth, as one-symbol binary searches would count them.  That is
 the unit of search work that ``parsemem stats`` reports.  At the scale
 this package targets a suffix array with binary search is entirely
 adequate; nothing here depends on a particular compressed index.
@@ -34,8 +36,8 @@ A byte text's backward view also keeps a ``PrefixTable``: the row start of
 every length-q string over the text's alphabet, q as large as leaves about
 ``NARROW`` rows per string.  A growth allowed at least q symbols starts
 from the table's bucket for its first q, when that holds at least f rows,
-as one table hit that counts the q steps the binary search would have
-taken, so step totals keep their unit.
+as one table hit that counts the q steps of q one-symbol searches, so
+step totals keep their unit.
 
 A phrase-ID index keeps its first-symbol buckets instead: each symbol's
 rows, which are the same in both suffix arrays, as a sequence and its
@@ -51,7 +53,7 @@ where a first symbol's miss is final.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -59,7 +61,8 @@ from typing import Sequence
 
 from .errors import EmptyInputError
 
-# An interval of at most this many rows grows by comparing the text itself.
+# A left growth that ends with at most this many rows is finished from the
+# text at its occurrences, with no forward re-walk.
 NARROW = 16
 # The prefix table's depth q keeps at least this many rows per string on
 # average (bound here, so that a NARROW patched in a test leaves q as it is).
@@ -243,14 +246,16 @@ class _SuffixView:
         one step, and stops there if that holds fewer than ``f`` rows; by
         bytes, it starts from the ``table`` bucket of its first q symbols
         when ``limit`` is at least q and that bucket holds at least ``f``
-        rows.  While the interval has more than ``NARROW`` rows each symbol
-        is one ``extend``; below that, the rest is read off the rows'
-        suffixes by ``grow_at``, so ``query`` must be of the sequence's
-        type.  Either way ``steps`` rises by one per symbol grown, plus one
-        for the symbol that failed, if any: a bucket wider than ``NARROW``
-        is where q extends lead, and in a narrower one the f-th largest
-        agreement is that of the rows ``grow_at`` would compare, as rows
-        outside it agree on fewer symbols.
+        rows.  The rest is read off the rows' suffixes in suffix order, so
+        ``query`` must be of the sequence's type: one bisection finds where
+        the remaining run would sort among the rows, the rows' agreements
+        with the run rise to that point and fall after it, so the f largest
+        are taken outward from it, and the f-th of them is the number of
+        symbols grown by.  The rows that agree that far are contiguous; an
+        edge is bisected for only where the row past the last one taken on
+        its side agrees that far too.  ``steps`` rises by one per symbol
+        grown, plus one for the symbol that failed, if any, as an ``extend``
+        per symbol would count them.
         """
         lo, hi, g = 0, len(self.sa), 0
         buckets, table = self.buckets, self.table
@@ -268,19 +273,56 @@ class _SuffixView:
                     lo, hi, g = a, b, table.q
                     self.steps += g
                     self.hits += 1
-        while g < limit and hi - lo > NARROW:
-            a, b = self.extend(lo, hi, g, query[pos + g])
-            if b - a < f:
-                return lo, hi, g
-            lo, hi = a, b
-            g += 1
         if g == limit:
             return lo, hi, g
-        sa = self.sa
-        agree, more = self.grow_at([sa[r] + g for r in range(lo, hi)],
-                                   query, pos + g, limit - g, f)
-        rows = [r for r, a in zip(range(lo, hi), agree) if a >= more]
-        return rows[0], rows[-1] + 1, g + more
+        if hi - lo < f:  # the next symbol cannot keep f rows
+            self.steps += 1
+            return lo, hi, g
+        seq, sa = self.seq, self.sa
+        run = query[pos + g:pos + limit]
+        n = len(run)
+        a, b = lo, hi
+        while a < b:  # the first row whose next n symbols sort at or after the run
+            mid = (a + b) >> 1
+            p = sa[mid] + g
+            if seq[p:p + n] < run:  # a suffix that runs out slices short, first
+                a = mid + 1
+            else:
+                b = mid
+        # the rows' agreements with the run rise to row a and fall after it:
+        # take the f largest outward from there, the larger side first
+        left, right = a - 1, a
+        la = _agreement(seq, sa[left] + g, run) if left >= lo else -1
+        ra = _agreement(seq, sa[right] + g, run) if right < hi else -1
+        for _ in range(f - 1):
+            if la >= ra:
+                left -= 1
+                la = _agreement(seq, sa[left] + g, run) if left >= lo else -1
+            else:
+                right += 1
+                ra = _agreement(seq, sa[right] + g, run) if right < hi else -1
+        more = max(la, ra)
+        self.steps += more + (more < n)
+        if more == 0:
+            return lo, hi, g
+        head = run[:more]
+
+        def cut(p):
+            return seq[p + g:p + g + more]
+
+        if la < more:
+            lo = left + 1
+        elif left > lo and cut(sa[left - 1]) == head:
+            lo = bisect_left(sa, head, lo, left - 1, key=cut)
+        else:
+            lo = left
+        if ra < more:
+            hi = right
+        elif right + 1 < hi and cut(sa[right + 1]) == head:
+            hi = bisect_right(sa, head, right + 2, hi, key=cut)
+        else:
+            hi = right + 1
+        return lo, hi, g + more
 
     def grow_at(self, starts: Sequence[int], query: Sequence[int], pos: int,
                 limit: int, f: int) -> tuple[list[int], int]:

@@ -255,6 +255,8 @@ def test_extend_narrows_to_sorted_suffix_rows(seq):
 # On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
 # rows d-1..39: 41 - d of them, at most NARROW = 16 from d = 25 on.  The Cs
 # before pos are not in the text, so a growth that read them would stop.
+# NARROW picks only threshold_scan's finish, so patching it moves nothing in
+# grow: the two passes run one path and must agree to the step.
 @pytest.mark.parametrize("query, pos, limit, f, want", [
     (b"A" * 50, 0, 50, 1, (39, 40, 40, 41)),
     (b"A" * 50, 0, 50, 3, (37, 40, 38, 39)),
@@ -267,8 +269,7 @@ def test_extend_narrows_to_sorted_suffix_rows(seq):
         "too-few-rows"])
 def test_grow_counts_the_same_steps_on_both_paths(monkeypatch, query, pos, limit,
                                                   f, want):
-    # (lo, hi, grown, steps): one step per symbol grown plus the failing one,
-    # whether the rows are narrowed by binary search or compared directly
+    # (lo, hi, grown, steps): one step per symbol grown plus the failing one
     for narrow in (NARROW, 0):
         monkeypatch.setattr(seqindex, "NARROW", narrow)
         view = OccurrenceIndex(b"A" * 40).forward
@@ -367,6 +368,71 @@ def test_patterns_of_any_type(monkeypatch):
     assert OccurrenceIndex(b"A").count((1 << 20,)) == 0
 
 
+def brute_intervals(heads, word):
+    """The rows of ``heads``, a sequence's sorted suffixes cut to at least
+    ``len(word)`` symbols, that begin with each prefix of ``word`` in turn,
+    from the empty one, as (lo, hi), up to the first no head begins with."""
+    rows, found = range(len(heads)), []
+    for k in range(len(word) + 1):
+        rows = [r for r in rows if heads[r][:k] == word[:k]]
+        if not rows:
+            break
+        assert len(rows) == rows[-1] + 1 - rows[0]
+        found.append((rows[0], rows[-1] + 1))
+    return found
+
+
+# bytes with NUL, as records are joined; 150 and 120 copies of a founder, so
+# a growth that stops inside them ties with 100 rows and more; phrase IDs at
+# skewed odds, so first-symbol buckets run from one row to hundreds
+GROW_SEQS = pytest.mark.parametrize("seq", [
+    bytes(random.Random(411).choices(b"ACGT\0", k=1500)),
+    bytes(mutated_copies(random.Random(412), b"ACGT", 40, 150)[1]),
+    tuple(random.Random(413).choices((0, 0, 0, 2, 5, 9, 300, 70000), k=1200)),
+    tuple(mutated_copies(random.Random(414), (256, 300, 4097, 70000), 30, 120)[1]),
+], ids=["bytes", "byte-copies", "phrase-ids", "phrase-id-copies"])
+
+
+@GROW_SEQS
+def test_grow_equals_brute_force_over_sorted_suffixes(seq):
+    rng = random.Random(len(seq))
+    n, symbols = len(seq), sorted(set(seq))
+    index = OccurrenceIndex(seq)
+    taken = {"table hit": 0, "bucket": 0, "ties": 0, "runs out": 0}
+    for view in (index.forward, index.backward):
+        s = view.seq
+        queries = []
+        for _ in range(40):  # pieces of the sequence, now and then mutated
+            a = rng.randrange(n)
+            word = list(s[a:a + rng.randint(1, 60)])
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                word[rng.randrange(len(word))] = rng.choice(symbols + [1])
+            queries.append(word)
+        # whole suffixes grown on: the rows they begin run out in the run
+        queries += [list(s[n - k:]) + [rng.choice(symbols)] * j
+                    for k in (1, 2, 5, 30) for j in (0, 3)]
+        heads = sorted(s[i:i + 70] for i in range(n))
+        for word in queries:
+            query = type(seq)(word)
+            pos = rng.randrange(min(3, len(query)))
+            found = brute_intervals(heads, query[pos:])
+            for limit in {len(query) - pos, rng.randint(0, len(query) - pos)}:
+                for f in (1, 2, 3, 17, n + 1):
+                    steps, hits = view.steps, view.hits
+                    lo, hi, grown = view.grow(query, pos, limit, f)
+                    want = max(k for k, (a, b) in enumerate(found[:limit + 1])
+                               if k == 0 or b - a >= f)
+                    assert (lo, hi, grown) == (*found[want], want), (query, pos, limit, f)
+                    assert view.steps - steps == grown + (grown < limit)
+                    taken["table hit"] += view.hits - hits
+                    taken["bucket"] += view.buckets is not None and grown > 0
+                    taken["ties"] += hi - lo >= 100 and 0 < grown < limit
+                    taken["runs out"] += any(view.sa[r] + grown == n for r in range(lo, hi))
+    kind = "table hit" if type(seq) is bytes else "bucket"
+    assert taken[kind] and taken["runs out"], taken
+    assert taken["ties"] or n < 3000, taken  # the copies are the longer two
+
+
 def random_text(rng, symbols, n):
     return bytes(rng.choice(symbols) for _ in range(n))
 
@@ -420,6 +486,7 @@ def grow_both_ways(view, query, pos, limit, f):
 @TABLE_TEXTS
 @pytest.mark.parametrize("narrow", [NARROW, 0])
 def test_grow_from_the_table_equals_binary_search(monkeypatch, text, q, narrow):
+    # NARROW picks only threshold_scan's finish: both values grow alike here
     monkeypatch.setattr(seqindex, "NARROW", narrow)
     rng = random.Random(len(text))
     view = OccurrenceIndex(text).backward
@@ -594,6 +661,7 @@ def both_ways(index, call):
 @BUCKET_SEQS
 @pytest.mark.parametrize("narrow", [NARROW, 0])
 def test_grow_from_the_buckets_equals_binary_search(monkeypatch, seq, queries, narrow):
+    # NARROW picks only threshold_scan's finish: both values grow alike here
     monkeypatch.setattr(seqindex, "NARROW", narrow)
     rng = random.Random(len(seq))
     index = OccurrenceIndex(seq)
