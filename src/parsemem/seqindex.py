@@ -1,14 +1,14 @@
 """Occurrence counting and f-MEM finding over sequences of integer symbols.
 
 The index is a pair of suffix arrays, one over the sequence and one over its
-reverse, each supporting occurrence counts and one-symbol extension of a
-match interval.  A match interval is a plain pair ``(lo, hi)`` of
-suffix-array rows, held as two local ints, so a search step builds no
-object.  On top of the two arrays sits one threshold scan over a list of
-windows of the pattern: with threshold L it finds exactly the f-MEMs of
-length >= L that lie inside a window, with Boyer-Moore-style skipping; at
-L=1 it finds all of them; in top-t mode it keeps raising the threshold to
-the length of the t-th longest match found so far.  The named entry points
+reverse, each supporting occurrence counts and the growth of a match
+interval.  A match interval is a plain pair ``(lo, hi)`` of suffix-array
+rows, held as two local ints, so a search step builds no object.  On top
+of the two arrays sits one threshold scan over a list of windows of the
+pattern: with threshold L it finds exactly the f-MEMs of length >= L that
+lie inside a window, with Boyer-Moore-style skipping; at L=1 it finds all
+of them; in top-t mode it keeps raising the threshold to the length of the
+t-th longest match found so far.  The named entry points
 scan the whole pattern as one window.  Every growth starts from the empty
 match: the scan grows each candidate end once, as far left as its window
 allows.
@@ -42,7 +42,7 @@ step totals keep their unit.
 A phrase-ID index keeps its first-symbol buckets instead: each symbol's
 rows, which are the same in both suffix arrays, as a sequence and its
 reverse hold the same symbols.  A growth takes its first symbol's bucket as
-one step, the ``extend`` it stands for, and stops there when the bucket has
+one step, the one symbol it grows by, and stops there when the bucket has
 fewer than f rows.  A byte text has no buckets: deriving them would read
 every row, and its prefix table already starts the growths that matter.
 The buckets are not a one-symbol prefix table: that codes bytes by a
@@ -191,10 +191,10 @@ class _SuffixView:
     A match interval is a pair ``(lo, hi)`` of suffix-array rows: the
     suffixes ``sa[lo:hi]`` are those that begin with the match, so ``hi - lo``
     is its count, and ``(0, len(sa))`` is the interval of the empty match.
-    ``steps`` counts the search steps made so far: one per ``extend``, and
-    as many for a direct comparison or a ``table`` hit as the extensions it
-    stands for; ``hits`` counts the table hits.  ``buckets``, when set, maps
-    each symbol to the rows of the suffixes it begins.
+    ``steps`` counts the search steps made so far: one per symbol a match
+    is grown by, a ``table`` hit's q included, plus one for the symbol that
+    stops a growth; ``hits`` counts the table hits.  ``buckets``, when set,
+    maps each symbol to the rows of the suffixes it begins.
     """
 
     def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
@@ -208,33 +208,6 @@ class _SuffixView:
         self.buckets: dict[int, tuple[int, int]] | None = None
         self.steps = 0
         self.hits = 0
-
-    def extend(self, lo: int, hi: int, depth: int, sym: int) -> tuple[int, int]:
-        """Narrow the interval of a match of length ``depth`` to the
-        suffixes whose next symbol is ``sym``.
-
-        The result may be empty (``lo == hi``); extension never raises.
-        """
-        self.steps += 1
-        seq, sa = self.seq, self.sa
-        n = len(seq)
-        top = hi
-        while lo < hi:  # first suffix whose next symbol is >= sym
-            mid = (lo + hi) >> 1
-            p = sa[mid] + depth
-            if p >= n or seq[p] < sym:  # exhausted suffixes sort first
-                lo = mid + 1
-            else:
-                hi = mid
-        a, b = lo, top
-        while a < b:  # first suffix whose next symbol is > sym
-            mid = (a + b) >> 1
-            p = sa[mid] + depth
-            if p >= n or seq[p] <= sym:
-                a = mid + 1
-            else:
-                b = mid
-        return lo, a
 
     def grow(self, query: Sequence[int], pos: int, limit: int,
              f: int) -> tuple[int, int, int]:
@@ -254,12 +227,12 @@ class _SuffixView:
         symbols grown by.  The rows that agree that far are contiguous; an
         edge is bisected for only where the row past the last one taken on
         its side agrees that far too.  ``steps`` rises by one per symbol
-        grown, plus one for the symbol that failed, if any, as an ``extend``
-        per symbol would count them.
+        grown, plus one for the symbol that failed, if any, as a one-symbol
+        binary search per symbol would count them.
         """
         lo, hi, g = 0, len(self.sa), 0
         buckets, table = self.buckets, self.table
-        if buckets is not None and limit:  # the extend of the first symbol
+        if buckets is not None and limit:  # the first symbol, one step
             self.steps += 1
             a, b = buckets.get(query[pos], (0, 0))
             if b - a < f:
@@ -445,20 +418,19 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     match has s < L symbols, no valid match can contain the stretch that
     stopped it, so j can jump ahead by L - s.  A longer one is grown right
     to a maximal match, at most to the window's right edge.  A match that
-    reaches an edge is kept only if it cannot cross it: on the right one
-    more extension decides; on the left one backward extension of the match
-    ending at j, and only if that succeeds a count of the whole match with
-    the symbol before the window.  When the left growth leaves at most
-    ``NARROW`` occurrences, the right growth, the count and both edge checks
-    are read off the text at those occurrences; otherwise the match is
-    walked forward again to find its forward interval.  The pattern is
-    converted to the text's type once, so a symbol the text cannot hold
-    (300 against bytes) raises ``ValueError``.  In top-t mode the threshold
-    L rises to the t-th longest length found so far, across windows, so
-    matches tying with it are still found, matches left below the final
-    threshold are dropped, and windows shorter than the threshold are not
-    scanned.  Passing the windows longest first raises it soonest.  Output
-    is sorted by start.
+    reaches an edge is kept only if it cannot cross it: on the right,
+    growing one symbol past the edge decides; on the left, a count of the
+    whole match with the symbol before the window.  When the left growth
+    leaves at most ``NARROW`` occurrences, the right growth, the count and
+    both edge checks are read off the text at those occurrences; otherwise
+    the match is walked forward again to find its forward interval.  The
+    pattern is converted to the text's type once, so a symbol the text
+    cannot hold (300 against bytes) raises ``ValueError``.  In top-t mode
+    the threshold L rises to the t-th longest length found so far, across
+    windows, so matches tying with it are still found, matches left below
+    the final threshold are dropped, and windows shorter than the threshold
+    are not scanned.  Passing the windows longest first raises it soonest.
+    Output is sorted by start.
     """
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
@@ -510,9 +482,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                 freq = fhi - flo
                 crosses = more > hi - j
                 if not crosses and start == lo > 1:
-                    a, b = back.extend(blo, bhi, length, query[lo - 2])
-                    crosses = (b - a >= f
-                               and index.count(query[lo - 2:end]) >= f)
+                    crosses = index.count(query[lo - 2:end]) >= f
             if not crosses:
                 mem = Mem(start=start, end=end, freq=freq)
                 mems.append(mem)

@@ -329,7 +329,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode, row", [
         ("exact", "q1 160 0 0 0 0 332 0"),
-        ("kebab", "q1 160 121 121 0 0 463 153"),
+        ("kebab", "q1 160 121 121 0 0 462 153"),
         ("parse", "q1 160 281 281 31 64 332 0"),
         ("combined", "q1 160 281 281 31 40 332 31")],
         ids=["exact", "kebab", "parse", "combined"])
@@ -340,7 +340,9 @@ class TestDeterminism:
         # started from the q = 3 table (their steps are in
         # char_backward_steps; each mode's search makes the same 33).  A
         # rewrite of the scan or of the filters must leave them as they
-        # are, or change them here on purpose.
+        # are, or change them here on purpose.  Kebab's char_backward_steps
+        # went 463 -> 462 when the re-walk's left-edge check lost the
+        # one-symbol extension it made before its count.
         build(corpus)
         capsys.readouterr()
         rc = main(["stats", corpus["pat_path"], "--index", corpus["index"],

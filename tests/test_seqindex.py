@@ -220,38 +220,6 @@ def test_suffix_array_keys_slice_by_slice(seq, monkeypatch):
     assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
 
 
-def brute_rows(seq, prefix):
-    """The rows of the sorted suffixes that begin with ``prefix``, as (lo, hi),
-    or the empty range where they would be.  Suffixes are cut to the
-    prefix's length, so one that runs out sorts before the longer ones it
-    begins."""
-    heads = sorted(seq[i:i + len(prefix)] for i in range(len(seq)))
-    return bisect_left(heads, prefix), bisect_right(heads, prefix)
-
-
-@SEQUENCES
-def test_extend_narrows_to_sorted_suffix_rows(seq):
-    rng = random.Random(len(seq))
-    view = OccurrenceIndex(seq).forward
-    n = len(seq)
-    symbols = sorted(set(seq))
-    symbols += [symbols[-1] + 1, 256]  # absent from the sequence
-    for _ in range(150):
-        if rng.random() < 0.4:  # a whole suffix: it runs out at this depth
-            start = n - rng.randint(1, min(n, 6))
-            depth = n - start
-        else:
-            start = rng.randrange(n)
-            depth = rng.randint(0, min(n - start, 10))
-        prefix = seq[start:start + depth]
-        lo, hi = brute_rows(seq, prefix)
-        sym = rng.choice(symbols)
-        before = view.steps
-        assert view.extend(lo, hi, depth, sym) == \
-            brute_rows(seq, prefix + (sym,))
-        assert view.steps == before + 1
-
-
 # On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
 # rows d-1..39: 41 - d of them, at most NARROW = 16 from d = 25 on.  The Cs
 # before pos are not in the text, so a growth that read them would stop.
@@ -461,7 +429,8 @@ def test_prefix_table_is_a_count_over_sorted_suffixes(text, q):
         assert len(table.starts) == 0
         return
     assert len(table.starts) == len(alphabet) ** q + 1
-    # every suffix cut to q symbols, as brute_rows cuts them, and the full ones
+    # every suffix cut to q symbols, so one that runs out sorts before the
+    # longer ones it begins, and the full ones
     cut = sorted(rev[i:i + q] for i in range(len(rev)))
     heads = [head for head in cut if len(head) == q]
     for code, word in enumerate(map(bytes, product(alphabet, repeat=q))):
