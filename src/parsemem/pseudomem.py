@@ -17,6 +17,18 @@ Three routes produce pseudo-MEMs over a pattern P:
 Once at least t pseudo-MEMs certify f-MEMs of some length, every pseudo-MEM
 shorter than the t-th best certified length can be discarded without losing
 any of the t longest f-MEMs.
+
+That cutoff c also starts the final top-t search.  Each of the t S1
+pseudo-MEMs with the best bounds contains an f-MEM at least as long as its
+bound (criterion 4), so at least c long, and safe discarding keeps all of
+them, as each is at least as long as its bound.  If those f-MEMs are t
+distinct ones, the t-th longest f-MEM inside the kept windows is at least c,
+and a scan whose threshold starts at c finds every f-MEM the answer holds.
+The boundary case is two of those pseudo-MEMs that overlap and owe their
+bounds to one f-MEM inside both; then fewer than t f-MEMs may reach c.  The
+scan sees that case, as it ends with fewer than t matches, and scans again
+from 1, so the answer stays exact whatever c is.  KeBaB runs and the whole
+pattern carry bound 0, so their searches start at 1.
 """
 
 from __future__ import annotations
@@ -183,9 +195,13 @@ def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    bounds = sorted((pm.lower_bound for pm in pms), reverse=True)
-    cutoff = bounds[t - 1] if len(bounds) >= t else 0
+    cutoff = _cutoff(pms, t)
     return [pm for pm in pms if pm.length >= cutoff]
+
+
+def _cutoff(pms: list[PseudoMem], t: int) -> int:
+    """The t-th largest lower bound of ``pms``, or 0 with fewer than t."""
+    return sorted([pm.lower_bound for pm in pms])[-t] if len(pms) >= t else 0
 
 
 def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
@@ -219,8 +235,11 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
     where they overlap or touch and scanned against the text in one
     threshold scan, longest first.  Of the f-MEMs of P that lie inside a
     merged window, the result holds with ``L`` those of length at least L;
-    with ``t`` the t longest, ties included; with neither, all.  Output is
-    sorted by start.
+    with ``t`` the t longest, ties included; with neither, all.  With ``t``
+    the scan's threshold starts at the t-th largest lower bound of ``pms``,
+    the cutoff safe_discard keeps, or at 1 if that is 0; only S1 bounds
+    are nonzero, so the kebab and whole-pattern searches start at 1.
+    Output is sorted by start.
     """
     runs: list[tuple[int, int]] = []
     for lo, hi in sorted((pm.char_start, pm.char_end) for pm in pms):
@@ -229,4 +248,5 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
         else:
             runs.append((lo, hi))
     runs.sort(key=lambda run: run[0] - run[1])
-    return threshold_scan(text_index, pattern, runs, f, L=L, t=t)
+    floor = max(_cutoff(pms, t), 1) if t else 1
+    return threshold_scan(text_index, pattern, runs, f, L=L, t=t, floor=floor)

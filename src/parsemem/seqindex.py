@@ -406,7 +406,8 @@ class OccurrenceIndex:
 
 def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                    windows: Sequence[tuple[int, int]], f: int = 1,
-                   L: int | None = None, t: int | None = None) -> list[Mem]:
+                   L: int | None = None, t: int | None = None,
+                   floor: int = 1) -> list[Mem]:
     """The f-MEMs of ``pattern`` that lie inside one of ``windows``: with
     ``L`` those of length at least L, with ``t`` the t longest, ties
     included, and with neither all of them.
@@ -430,6 +431,18 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     windows, so matches tying with it are still found, matches left below
     the final threshold are dropped, and windows shorter than the threshold
     are not scanned.  Passing the windows longest first raises it soonest.
+
+    In top-t mode the threshold starts at ``floor``, a length the caller
+    expects the t-th longest match to reach.  A floored scan finishes its
+    near-misses: a left growth that stops at s symbols, with 2s at least
+    the threshold, short of the window's left edge and with at most
+    ``NARROW`` occurrences, is grown right from those occurrences.  Its
+    match is left-maximal, as the growth failed, and starts inside the
+    window, so it is kept if it reaches the threshold and does not cross
+    the right edge.  Any other match ending between j and its end would lie
+    inside it or hold the stretch that stopped the growth, so j jumps past
+    it either way.  A floored scan that finds fewer than t matches scans
+    the windows again from 1, so the result does not depend on the floor.
     Output is sorted by start.
     """
     if len(pattern) == 0:
@@ -450,12 +463,15 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     rquery = query[::-1]  # backward growth from j reads rquery[m - j:]
     mems: list[Mem] = []
     lengths: list[int] = []  # lengths found so far, kept sorted descending
-    threshold = L or 1
+    finish = t is not None and floor > 1
+    threshold = L or (floor if finish else 1)
     for lo, hi in windows:
         j = lo + threshold - 1
         while j <= hi:
             blo, bhi, length = back.grow(rquery, m - j, j - lo + 1, f)
-            if length < threshold:
+            if length < threshold and not (  # unless a near-miss to finish
+                    finish and 2 * length >= threshold and length <= j - lo
+                    and bhi - blo <= NARROW):
                 j += threshold - length
                 continue
             start = j - length + 1
@@ -483,15 +499,16 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                 crosses = more > hi - j
                 if not crosses and start == lo > 1:
                     crosses = index.count(query[lo - 2:end]) >= f
-            if not crosses:
-                mem = Mem(start=start, end=end, freq=freq)
-                mems.append(mem)
+            if not crosses and end - start + 1 >= threshold:
+                mems.append(Mem(start=start, end=end, freq=freq))
                 if t is not None:
-                    lengths.append(mem.length)
+                    lengths.append(end - start + 1)
                     lengths.sort(reverse=True)
                     if len(lengths) >= t:
                         threshold = lengths[t - 1]
-            j = max(end + 1, lo + threshold - 1)
+            j = max(end + 1, j + threshold - length)
+    if finish and len(lengths) < t:
+        return threshold_scan(index, pattern, windows, f, t=t)
     return sorted((mem for mem in mems if mem.length >= threshold),
                   key=lambda mem: mem.start)
 

@@ -12,8 +12,10 @@ import pytest
 from parsemem import filters as flt
 from parsemem.bundle import load_bundle, save_bundle
 from parsemem.cli import main
-from parsemem.verify import (lemma1_counts, random_bytes, suite_kebab,
-                             suite_kebab_overlap, suite_minimizer_bounds,
+from parsemem.pseudomem import kebab_pseudo_mems
+from parsemem.verify import (kebab_split_holds, lemma1_counts, random_bytes,
+                             suite_kebab, suite_kebab_overlap,
+                             suite_minimizer_bounds,
                              suite_minimizer_consistency,
                              suite_oracle_equivalence, suite_property1,
                              suite_property2, suite_property3,
@@ -134,6 +136,23 @@ def test_criterion_07_kebab_guarantee():
                          "splits runs overlapping by k-2",
                   f"{checked} checks, " + ", ".join(details))
     assert ok, line
+
+
+def test_kebab_overlap_with_the_absent_kmer_repeated():
+    # criterion 7's overlap check at verify seed 2, instance 15: the k-mer
+    # drawn as absent at 13 occurs again at 28, so KeBaB rightly returns
+    # three runs, each neighbour overlapping the next by k-2
+    pattern = b"CACTTCTTCGACATATTACGCTCTCGCATATTACGGCAGCGAGT"
+    kmers = [pattern[i:i + 8] for i in range(len(pattern) - 7)]
+    present = [kmer for kmer in kmers if kmer != pattern[12:20]]
+    filt = flt.filter_build(present, flt.size_for(len(present), 0.01),
+                            flt.KIND_EXACT, flt.ITEMS_KMER, 8)
+    assert [(pm.char_start, pm.char_end)
+            for pm in kebab_pseudo_mems(pattern, filt, 1)] == \
+        [(1, 19), (14, 34), (29, 44)]
+    assert kebab_split_holds(pattern, 13, 8) and kebab_split_holds(pattern, 28, 8)
+    res = suite_kebab_overlap(random.Random("2:kebab-overlap"), 16)
+    assert res.ok and res.checked == 16, res.line()
 
 
 def test_kebab_guarantee_with_the_stored_kmer_table():

@@ -327,32 +327,40 @@ class TestDeterminism:
         with open(corpus["index"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
-    @pytest.mark.parametrize("mode, row", [
-        ("exact", "q1 160 0 0 0 0 332 0"),
-        ("kebab", "q1 160 121 121 0 0 462 153"),
-        ("parse", "q1 160 281 281 31 64 332 0"),
-        ("combined", "q1 160 281 281 31 40 332 31")],
-        ids=["exact", "kebab", "parse", "combined"])
-    def test_stats_work_is_pinned(self, corpus, capsys, mode, row):
-        # The counted search work of each mode on this corpus at -t 3:
-        # parse_backward_steps, char_backward_steps and filter_probes are
-        # the three columns before prefix_table_hits, the growths that
+    @pytest.mark.parametrize("mode, t, row", [
+        ("exact", "3", "q1 160 0 0 0 0 332 0 33"),
+        ("kebab", "3", "q1 160 121 121 0 0 462 153 33"),
+        ("parse", "3", "q1 160 281 281 31 64 332 0 33"),
+        ("combined", "3", "q1 160 281 281 31 40 332 31 33"),
+        ("exact", "1", "q1 160 0 0 0 0 216 0 15"),
+        ("kebab", "1", "q1 160 121 121 0 0 130 153 0"),
+        ("parse", "1", "q1 160 281 124 31 64 129 0 2"),
+        ("combined", "1", "q1 160 281 124 31 40 129 31 2")],
+        ids=["exact", "kebab", "parse", "combined",
+             "exact-t1", "kebab-t1", "parse-t1", "combined-t1"])
+    def test_stats_work_is_pinned(self, corpus, capsys, mode, t, row):
+        # The counted search work of each mode on this corpus at -t 3 and
+        # -t 1: parse_backward_steps, char_backward_steps and filter_probes
+        # are the three columns before prefix_table_hits, the growths that
         # started from the q = 3 table (their steps are in
-        # char_backward_steps; each mode's search makes the same 33).  A
-        # rewrite of the scan or of the filters must leave them as they
-        # are, or change them here on purpose.  Kebab's char_backward_steps
-        # went 463 -> 462 when the re-walk's left-edge check lost the
-        # one-symbol extension it made before its count.
+        # char_backward_steps).  A rewrite of the scan or of the filters
+        # must leave them as they are, or change them here on purpose.
+        # Kebab's char_backward_steps at -t 3 went 463 -> 462 when the
+        # re-walk's left-edge check lost the one-symbol extension it made
+        # before its count.  At -t 3 the parse route's cutoff is 0, so its
+        # scan starts at 1 like exact's; at -t 1 it starts at the cutoff and
+        # finishes its near-misses, which took its char_backward_steps from
+        # 142 to 129.
         build(corpus)
         capsys.readouterr()
         rc = main(["stats", corpus["pat_path"], "--index", corpus["index"],
-                   "--mode", mode, "-t", "3"])
+                   "--mode", mode, "-t", t])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert lines[0] == ("pattern_id\tm\tpseudo_total\tretained_total\t"
                             "parse_len\tparse_backward_steps\t"
                             "char_backward_steps\tfilter_probes\tprefix_table_hits")
-        assert lines[1:] == [row.replace(" ", "\t") + "\t33"]
+        assert lines[1:] == [row.replace(" ", "\t")]
 
     def test_query_output_is_identical_across_runs(self, corpus, capsys):
         build(corpus)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from parsemem import filters as flt
+from parsemem import pseudomem, seqindex
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
@@ -11,8 +12,10 @@ from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 coarse_sets, find_long_mems, kebab_pseudo_mems,
                                 parse_pseudo_mems, refine, safe_discard)
 from parsemem.seqindex import Mem, OccurrenceIndex, find_f_mems
+from parsemem.verify import _parse_instance
 
 DNA = b"ACGT"
+SCAN = seqindex.threshold_scan  # as imported, for spies to call through
 
 
 def rand_dna(rng, n):
@@ -392,6 +395,83 @@ class TestFindLongMems:
                      top_t_cut(inside, t))):
                 assert [(mem.start, mem.end, mem.freq) for mem in got] == \
                     [(mem.start, mem.end, mem.freq) for mem in want]
+
+    @staticmethod
+    def spy_on_the_scan(monkeypatch, index):
+        """Counts, over find_long_mems calls on ``index``: the floors its
+        scans start from, the finishes of floored scans, and the guard's
+        rescans.  A forward ``grow_at`` after a backward growth shorter
+        than the floor can only be a finish; the guard's rescan is the one
+        call that goes through seqindex's own name."""
+        seen = {"floors": [], "finishes": 0, "rescans": 0}
+        last = {"floor": 1, "length": 0}
+        grow, grow_at = index.backward.grow, index.forward.grow_at
+
+        def entry(*args, floor=1, **kwargs):
+            seen["floors"].append(floor)
+            last["floor"] = floor
+            return SCAN(*args, floor=floor, **kwargs)
+
+        def rescan(*args, **kwargs):
+            seen["rescans"] += 1
+            last["floor"] = 1
+            return SCAN(*args, **kwargs)
+
+        def spy_grow(*args):
+            interval = grow(*args)
+            last["length"] = interval[2]
+            return interval
+
+        def spy_grow_at(*args):
+            seen["finishes"] += last["length"] < last["floor"]
+            return grow_at(*args)
+
+        monkeypatch.setattr(pseudomem, "threshold_scan", entry)
+        monkeypatch.setattr(seqindex, "threshold_scan", rescan)
+        monkeypatch.setattr(index.backward, "grow", spy_grow)
+        monkeypatch.setattr(index.forward, "grow_at", spy_grow_at)
+        return seen
+
+    def test_floored_scan_over_discard_windows_equals_oracle(self, monkeypatch):
+        # the top-t scan starts at the t-th best lower bound and finishes its
+        # near-misses; over the windows safe_discard keeps it must return
+        # the oracle's top t, with the floor above 1 and the finish taken
+        # on some instances and the guard's rescan never needed
+        rng = random.Random(191)
+        floored = finished = 0
+        for _ in range(150):
+            text, pattern, *_, f, mems, pms = _parse_instance(rng, 800, 200)
+            index = char_index(text)
+            seen = self.spy_on_the_scan(monkeypatch, index)
+            for t in (1, 3, 10):
+                got = find_long_mems(index, safe_discard(pms, t), pattern, f, t=t)
+                assert [(m.start, m.end, m.freq) for m in got] == \
+                    [(m.start, m.end, m.freq) for m in top_t_cut(mems, t)]
+            floored += any(floor > 1 for floor in seen["floors"])
+            finished += seen["finishes"] > 0
+            assert seen["rescans"] == 0
+        assert floored >= 40 and finished >= 20, (floored, finished)
+
+    def test_inflated_bound_rescans_from_one(self, monkeypatch):
+        # t whole-pattern S1 pseudo-MEMs whose bound no f-MEM reaches: safe
+        # discard keeps them alone, the scan floored at the pattern's length
+        # finds no match, and the guard's rescan from 1 must return the
+        # oracle's top t
+        rng = random.Random(193)
+        for _ in range(20):
+            text, pattern, *_, f, mems, pms = _parse_instance(rng, 800, 200)
+            assert max(mem.length for mem in mems) < len(pattern)
+            index = char_index(text)
+            seen = self.spy_on_the_scan(monkeypatch, index)
+            whole = PseudoMem(1, len(pattern), ORIGIN_S1, lower_bound=len(pattern))
+            for t in (1, 3):
+                seen["floors"].clear()
+                seen["rescans"] = 0
+                kept = safe_discard([*pms, *[whole] * t], t)
+                got = find_long_mems(index, kept, pattern, f, t=t)
+                assert [(m.start, m.end, m.freq) for m in got] == \
+                    [(m.start, m.end, m.freq) for m in top_t_cut(mems, t)]
+                assert seen["floors"] == [len(pattern)] and seen["rescans"] == 1
 
     def test_overlapping_windows_are_scanned_once(self):
         rng = random.Random(181)

@@ -312,6 +312,37 @@ def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
     assert saved > 0  # the direct path ran and dropped re-walks
 
 
+@pytest.mark.parametrize("copies", [1, 4, 16])
+def test_floored_top_t_equals_oracle_at_any_floor(copies):
+    # a top-t scan's answer must not depend on its floor: a floor at or
+    # below the t-th longest match's length lets it finish near-misses,
+    # whose matches may reach either edge of a window that cuts them, and
+    # a floor above it leaves the scan short of t matches, so it scans again
+    rng = random.Random(f"floor{copies}")
+    founder, text = mutated_copies(rng, b"ACGT", 60, copies)
+    text = bytes(text)
+    index = OccurrenceIndex(text)
+    for _ in range(40):
+        a, b = sorted(rng.sample(range(60), 2))
+        pattern = founder[a:] + [rng.choice(b"ACGT")] + founder[:b]
+        pattern[rng.randrange(len(pattern))] = rng.choice(b"ACGT")
+        pattern = bytes(pattern)
+        m = len(pattern)
+        windows = cut_windows(rng, m)
+        for f in (1, 2, 3):
+            inside = [mem for mem in brute_force_f_mems(text, pattern, f)
+                      if any(lo <= mem.start and mem.end <= hi
+                             for lo, hi in windows)]
+            for t in (1, 3):
+                want = [(mem.start, mem.end, mem.freq)
+                        for mem in top_t_cut(inside, t)]
+                tth = min((end - start + 1 for start, end, _ in want), default=1)
+                for floor in {2, tth - 2, tth - 1, tth, tth + 1, rng.randint(2, m)}:
+                    got = threshold_scan(index, pattern, windows, f, t=t,
+                                         floor=max(floor, 1))
+                    assert [(mem.start, mem.end, mem.freq) for mem in got] == want
+
+
 def test_patterns_of_any_type(monkeypatch):
     # a pattern is converted to the index's type, and a symbol that bytes
     # cannot hold is a ValueError for the scan and a 0 count
