@@ -147,17 +147,20 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     the windows it searches: exact searches the whole pattern, parse and
     combined the pseudo-MEMs that survive safe discarding.  KeBaB runs hold
     every f-MEM of length >= k and certify nothing shorter, so kebab
-    searches them only while the cutoff (L, or the t-th longest length they
-    yield) is at least k, and otherwise the whole pattern.
+    searches them with L >= k, and with -t from floor k, where the search
+    itself falls back to the whole pattern if fewer than t reach k; with a
+    smaller L, or neither flag, it searches the whole pattern.
     """
     mode, f, t, L = args.mode, args.f, args.t, args.L
-    whole = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
     pms: list[pmm.PseudoMem] = []
-    retained, windows, parse_len = pms, whole, 0
+    retained, parse_len, floor = pms, 0, None
+    windows = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
     k = bundle.params["kebab_k"]
     if mode == "kebab":
         pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
-        if t is not None or (L is not None and L >= k):
+        if t is not None:
+            windows, floor = retained, k
+        elif L is not None and L >= k:
             windows = retained
     elif mode != "exact":
         parse_p = pfp_parse(pattern, bundle.trigger, bundle.dictionary)
@@ -168,10 +171,8 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
             pms = pmm.refine(coarse, parse_p, bundle.parse_index, f)
         windows = retained = pmm.safe_discard(pms, t) if t is not None else pms
         parse_len = len(parse_p)
-    mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f, t=t, L=L)
-    if mode == "kebab" and t is not None and (
-            len(mems) < t or min(m.length for m in mems) < k):
-        mems = pmm.find_long_mems(bundle.text_index, whole, pattern, f, t=t)
+    mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f, t=t, L=L,
+                              floor=floor)
     return pms, retained, mems, parse_len
 
 

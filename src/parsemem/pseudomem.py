@@ -14,21 +14,30 @@ Three routes produce pseudo-MEMs over a pattern P:
   filter-positive phrases and the per-phrase counts to those phrases; as it
   has no false negatives, the output is the parse route's.
 
-Once at least t pseudo-MEMs certify f-MEMs of some length, every pseudo-MEM
-shorter than the t-th best certified length can be discarded without losing
-any of the t longest f-MEMs.
+Once at least t pseudo-MEMs certify distinct f-MEMs of some length, every
+pseudo-MEM shorter than the t-th best certified length can be discarded
+without losing any of the t longest f-MEMs.
 
-That cutoff c also starts the final top-t search.  Each of the t S1
-pseudo-MEMs with the best bounds contains an f-MEM at least as long as its
-bound (criterion 4), so at least c long, and safe discarding keeps all of
-them, as each is at least as long as its bound.  If those f-MEMs are t
-distinct ones, the t-th longest f-MEM inside the kept windows is at least c,
-and a scan whose threshold starts at c finds every f-MEM the answer holds.
-The boundary case is two of those pseudo-MEMs that overlap and owe their
-bounds to one f-MEM inside both; then fewer than t f-MEMs may reach c.  The
-scan sees that case, as it ends with fewer than t matches, and scans again
-from 1, so the answer stays exact whatever c is.  KeBaB runs and the whole
-pattern carry bound 0, so their searches start at 1.
+A certificate is an S1 pseudo-MEM with a nonzero bound.  Its span, the
+characters left after deleting one phrase from each end, lies inside some
+f-MEM (criterion 4).  Two certificates may owe their bounds to one f-MEM,
+so the cutoff c counts a certificate only if its window does not lie inside
+another certificate's window.  Counted certificates vouch for distinct
+f-MEMs: if the spans of two of them lay in one f-MEM X, the phrases from
+the first span's start to the last span's end would be internal and inside
+X, so by criterion 2's converse they occur at least f times, and the parse
+f-MEM that covers them yields a certificate whose span, and so whose window,
+holds both.  Where two windows share the pattern's last character, the rule
+may skip a certificate that it could have counted, which can only lower c.
+
+The cutoff c also floors the final top-t search.  Safe discarding keeps the
+t counted certificates with the best bounds, each at least as long as its
+bound, so the kept windows hold t distinct f-MEMs at least c long.  The
+search finds the t longest f-MEMs inside the windows among those at least
+as long as its floor; if fewer than t reach the floor it searches the whole
+pattern from 1, so the answer is exact whatever the floor is.  KeBaB runs
+hold every f-MEM of length at least k, so kebab's search is floored at k;
+the whole pattern carries bound 0, so its search starts at 1.
 """
 
 from __future__ import annotations
@@ -187,10 +196,11 @@ def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex
 
 
 def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
-    """Keep every pseudo-MEM at least as long as the t-th best lower bound.
+    """Keep every pseudo-MEM at least as long as the cutoff: the t-th best
+    lower bound among the certificates that ``_cutoff`` counts.
 
-    With fewer than t nonzero bounds the cutoff is 0 and everything is
-    retained.  Pseudo-MEMs whose length equals the cutoff are kept (the
+    With fewer than t counted certificates the cutoff is 0 and everything
+    is retained.  Pseudo-MEMs whose length equals the cutoff are kept (the
     conservative reading), so the t longest f-MEMs always survive.
     """
     if t < 1:
@@ -200,8 +210,21 @@ def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
 
 
 def _cutoff(pms: list[PseudoMem], t: int) -> int:
-    """The t-th largest lower bound of ``pms``, or 0 with fewer than t."""
-    return sorted([pm.lower_bound for pm in pms])[-t] if len(pms) >= t else 0
+    """The t-th largest bound of the certificates that count, or 0 with
+    fewer than t.
+
+    A certificate, a pseudo-MEM with a nonzero bound, counts unless its
+    window lies inside another certificate's window: taken by start, and by
+    end downward among equal starts, one counts when its end passes the
+    furthest end so far, so each counted one vouches for its own f-MEM.
+    """
+    bounds, furthest = [], 0
+    for pm in sorted((pm for pm in pms if pm.lower_bound > 0),
+                     key=lambda pm: (pm.char_start, -pm.char_end)):
+        if pm.char_end > furthest:
+            furthest = pm.char_end
+            bounds.append(pm.lower_bound)
+    return sorted(bounds)[-t] if len(bounds) >= t else 0
 
 
 def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
@@ -228,17 +251,20 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
 
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
                    pattern: bytes, f: int = 1, t: int | None = None,
-                   L: int | None = None) -> list[Mem]:
+                   L: int | None = None, floor: int | None = None) -> list[Mem]:
     """The character-level f-MEM search of every query mode, inside windows.
 
     The windows (pseudo-MEMs' characters, or the whole pattern) are merged
     where they overlap or touch and scanned against the text in one
     threshold scan, longest first.  Of the f-MEMs of P that lie inside a
-    merged window, the result holds with ``L`` those of length at least L;
-    with ``t`` the t longest, ties included; with neither, all.  With ``t``
-    the scan's threshold starts at the t-th largest lower bound of ``pms``,
-    the cutoff safe_discard keeps, or at 1 if that is 0; only S1 bounds
-    are nonzero, so the kebab and whole-pattern searches start at 1.
+    merged window, the result holds with ``L`` those of length at least L,
+    with ``t`` the t longest, ties included, and with neither all of them.
+
+    A top-t scan starts at ``floor``: the caller's, else the cutoff
+    safe_discard keeps, else 1.  The windows must hold every f-MEM of P at
+    least ``floor`` long, so t matches that reach it are the t longest of
+    P.  If fewer than t reach a floor above 1, the whole pattern is scanned
+    again from 1.  Kebab passes k, as its runs hold every f-MEM that long.
     Output is sorted by start.
     """
     runs: list[tuple[int, int]] = []
@@ -248,5 +274,9 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
         else:
             runs.append((lo, hi))
     runs.sort(key=lambda run: run[0] - run[1])
-    floor = max(_cutoff(pms, t), 1) if t else 1
-    return threshold_scan(text_index, pattern, runs, f, L=L, t=t, floor=floor)
+    if floor is None:
+        floor = max(_cutoff(pms, t), 1) if t else 1
+    mems = threshold_scan(text_index, pattern, runs, f, L=L, t=t, floor=floor)
+    if t and floor > 1 and len(mems) < t:
+        return threshold_scan(text_index, pattern, ((1, len(pattern)),), f, t=t)
+    return mems

@@ -432,8 +432,9 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     the final threshold are dropped, and windows shorter than the threshold
     are not scanned.  Passing the windows longest first raises it soonest.
 
-    In top-t mode the threshold starts at ``floor``, a length the caller
-    expects the t-th longest match to reach.  A floored scan finishes its
+    In top-t mode the threshold starts at ``floor``, and the result is the
+    t longest matches among those at least ``floor`` long, ties included,
+    or all of those if fewer than t reach it.  A floored scan finishes its
     near-misses: a left growth that stops at s symbols, with 2s at least
     the threshold, short of the window's left edge and with at most
     ``NARROW`` occurrences, is grown right from those occurrences.  Its
@@ -441,9 +442,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     window, so it is kept if it reaches the threshold and does not cross
     the right edge.  Any other match ending between j and its end would lie
     inside it or hold the stretch that stopped the growth, so j jumps past
-    it either way.  A floored scan that finds fewer than t matches scans
-    the windows again from 1, so the result does not depend on the floor.
-    Output is sorted by start.
+    it either way.  Output is sorted by start.
     """
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
@@ -507,8 +506,6 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                     if len(lengths) >= t:
                         threshold = lengths[t - 1]
             j = max(end + 1, j + threshold - length)
-    if finish and len(lengths) < t:
-        return threshold_scan(index, pattern, windows, f, t=t)
     return sorted((mem for mem in mems if mem.length >= threshold),
                   key=lambda mem: mem.start)
 

@@ -361,6 +361,83 @@ def suite_safe_discard(rng: random.Random, instances: int,
                        checked, violations)
 
 
+def mutate(rng: random.Random, seq: bytes, subs: int,
+           alphabet: bytes = DNA) -> bytes:
+    """``seq`` with ``subs`` distinct positions (at most its length) each
+    redrawn as another symbol of ``alphabet``."""
+    out = bytearray(seq)
+    for i in rng.sample(range(len(seq)), min(subs, len(seq))):
+        out[i] = rng.choice([c for c in alphabet if c != out[i]])
+    return bytes(out)
+
+
+def copies_instance(rng: random.Random) -> tuple[bytes, bytes]:
+    """A text of 1-4 copies of a 20-150 bp founder over AC, ACG or ACGT,
+    each with 0-3 substitutions and joined by NUL as ``build`` joins
+    records, and a pattern of 1-4 founder pieces of 5-60 bp, each with 0-2
+    substitutions, with 0-6 bp of random junk between them.  Short phrases
+    over near-identical copies make S1 pseudo-MEMs whose windows nest."""
+    alphabet = rng.choice((b"AC", b"ACG", DNA))
+    founder = random_bytes(rng, rng.randint(20, 150), alphabet)
+    text = b"\0".join(mutate(rng, founder, rng.randint(0, 3), alphabet)
+                      for _ in range(rng.randint(1, 4)))
+    pattern = b""
+    for i in range(rng.randint(1, 4)):
+        length = rng.randint(5, 60)
+        a = rng.randrange(max(len(founder) - length, 0) + 1)
+        if i:
+            pattern += random_bytes(rng, rng.randint(0, 6), alphabet)
+        pattern += mutate(rng, founder[a:a + length], rng.randint(0, 2), alphabet)
+    return text, pattern
+
+
+def cutoff_counts(rng: random.Random, instances: int) -> dict[str, int]:
+    """Tallies of the parse route's top-t search on ``copies_instance``
+    texts, at w in {2,3,4}, p in {3,4,5}, f in {1,2,3} and t in
+    {1,2,3,5,8}: ``discarded`` counts the instances where safe discarding
+    drops one of the oracle's top t, ``wrong`` those where find_long_mems
+    over what it keeps does not return them, and ``fallbacks`` those where
+    fewer than t f-MEMs inside the kept windows reach a cutoff above 1, so
+    the search falls back to the whole pattern.  ``nested`` counts the
+    instances whose cutoff skipped a certificate nested in another's
+    window, which shows the generator reaches that regime."""
+    counts = dict.fromkeys(("discarded", "wrong", "fallbacks", "nested"), 0)
+    for _ in range(instances):
+        text, pattern = copies_instance(rng)
+        w, p = rng.choice((2, 3, 4)), rng.choice((3, 4, 5))
+        f, t = rng.choice((1, 2, 3)), rng.choice((1, 2, 3, 5, 8))
+        _, parse_p, parse_index = build_parse_pair(text, pattern, w, p)
+        pms = pmm.parse_pseudo_mems(parse_p, parse_index, f)
+        mems = brute_force_f_mems(text, pattern, f)
+        retained = pmm.safe_discard(pms, t)
+        want = top_t_cut(mems, t)
+        counts["discarded"] += any(
+            not any(pm.char_start <= mem.start and mem.end <= pm.char_end
+                    for pm in retained) for mem in want)
+        got = pmm.find_long_mems(OccurrenceIndex(text), retained, pattern, f, t=t)
+        counts["wrong"] += not _mems_equal(got, want)
+        cutoff = pmm._cutoff(pms, t)
+        covered = {i for pm in retained for i in range(pm.char_start, pm.char_end + 1)}
+        counts["fallbacks"] += cutoff > 1 and sum(
+            mem.length >= cutoff and covered.issuperset(range(mem.start, mem.end + 1))
+            for mem in mems) < t
+        bounds = sorted(pm.lower_bound for pm in pms if pm.lower_bound)
+        counts["nested"] += cutoff != (bounds[-t] if len(bounds) >= t else 0)
+    return counts
+
+
+def suite_cutoff(rng: random.Random, instances: int) -> SuiteResult:
+    """The cutoff vouches for t distinct f-MEMs, as ``cutoff_counts``
+    checks it: nothing of the top t discarded, no wrong answer and no
+    fallback."""
+    c = cutoff_counts(rng, instances)
+    return SuiteResult(
+        "cutoff vouches for t distinct f-MEMs", instances, 3 * instances,
+        c["discarded"] + c["wrong"] + c["fallbacks"],
+        f"{c['discarded']} discarded, {c['wrong']} wrong, {c['fallbacks']} "
+        f"fallbacks; {c['nested']} cutoffs lowered by nesting")
+
+
 def suite_kebab(rng: random.Random, instances: int, k: int = 8,
                 kind: str = flt.KIND_TABLE, max_text: int = 800,
                 max_pattern: int = 200) -> SuiteResult:
@@ -579,6 +656,7 @@ ALL_SUITES = (
     ("parsimony", suite_property2),
     ("lower-bound", suite_property3),
     ("safe-discard", suite_safe_discard),
+    ("cutoff", suite_cutoff),
     ("kebab", suite_kebab),
     ("kebab-overlap", suite_kebab_overlap),
     ("refine", suite_refine_equivalence),

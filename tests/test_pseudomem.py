@@ -8,11 +8,12 @@ from parsemem import pseudomem, seqindex
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
-                                ORIGIN_WHOLE, PseudoMem, _emit_parse_pms,
-                                coarse_sets, find_long_mems, kebab_pseudo_mems,
-                                parse_pseudo_mems, refine, safe_discard)
+                                ORIGIN_WHOLE, PseudoMem, _cutoff,
+                                _emit_parse_pms, coarse_sets, find_long_mems,
+                                kebab_pseudo_mems, parse_pseudo_mems, refine,
+                                safe_discard)
 from parsemem.seqindex import Mem, OccurrenceIndex, find_f_mems
-from parsemem.verify import _parse_instance
+from parsemem.verify import _parse_instance, cutoff_counts
 
 DNA = b"ACGT"
 SCAN = seqindex.threshold_scan  # as imported, for spies to call through
@@ -226,16 +227,16 @@ class TestLowerBound:
 
 
 class TestSafeDiscard:
-    def pm(self, length, bound):
-        return PseudoMem(1, length, ORIGIN_S1, lower_bound=bound,
+    def pm(self, start, length, bound):
+        return PseudoMem(start, start + length - 1, ORIGIN_S1, lower_bound=bound,
                          phrase_start=1, phrase_end=3)
 
     def test_fewer_bounds_than_t_keeps_everything(self):
-        pms = [self.pm(30, 0), self.pm(5, 0)]
+        pms = [self.pm(1, 30, 0), self.pm(31, 5, 0)]
         assert safe_discard(pms, 1) == pms
 
     def test_cutoff_is_tth_largest_bound(self):
-        pms = [self.pm(40, 35), self.pm(20, 12), self.pm(8, 0)]
+        pms = [self.pm(1, 40, 35), self.pm(41, 20, 12), self.pm(61, 8, 0)]
         kept = safe_discard(pms, 1)  # cutoff 35
         assert kept == [pms[0]]
         kept = safe_discard(pms, 2)  # cutoff 12
@@ -244,16 +245,72 @@ class TestSafeDiscard:
         assert kept == pms
 
     def test_duplicate_bounds_count_separately(self):
-        pms = [self.pm(40, 30), self.pm(35, 30), self.pm(10, 0)]
+        pms = [self.pm(1, 40, 30), self.pm(41, 35, 30), self.pm(76, 10, 0)]
         assert safe_discard(pms, 2) == [pms[0], pms[1]]  # cutoff is 30, not 0
 
+    def test_nested_certificates_count_once(self):
+        # a certificate whose window lies inside another's may owe its bound
+        # to the same f-MEM, so only the outer one counts; windows that
+        # overlap without nesting both count
+        outer, inner, same_start = (self.pm(1, 40, 30), self.pm(5, 20, 18),
+                                    self.pm(1, 30, 25))
+        assert _cutoff([inner, outer], 2) == _cutoff([same_start, outer], 2) == 0
+        assert _cutoff([outer, outer], 2) == 0  # one window, counted once
+        pms = [inner, outer, self.pm(41, 10, 0)]
+        assert safe_discard(pms, 2) == pms  # cutoff 0, not 18
+        assert _cutoff([outer, self.pm(20, 41, 25)], 2) == 25
+        assert _cutoff([outer, inner, self.pm(41, 12, 9)], 2) == 9
+
     def test_length_equal_to_cutoff_is_kept(self):
-        pms = [self.pm(30, 30), self.pm(30, 0)]
+        pms = [self.pm(1, 30, 30), self.pm(31, 30, 0)]
         assert safe_discard(pms, 1) == pms
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             safe_discard([], 0)
+
+    @pytest.mark.parametrize("records, w, p, pattern, s1, cutoff", [
+        # S1 (19,34), bound 9, lies inside S1 (7,34), bound 16: both owe
+        # their bounds to the f-MEM (8,34), so the cutoff at t = 2 is the
+        # bound 3 of S1 (4,20), not 9, and the S2 window (1,7) that holds
+        # the f-MEM (1,6) is kept
+        ((b"GAGACAACACAACAACCGAAACGGCGCGAGC", b"GAGACAACACAACAACCCAAACGGCGCGAGC"),
+         2, 4, b"CAACCGGCAACACAACAACCGAAACGGCGCGAGC",
+         [(4, 20, 3), (7, 34, 16), (19, 34, 9)], 3),
+        # S1 (24,50), bound 21, lies inside S1 (21,50), bound 24; the
+        # cutoff is 8, so S1 (1,18) and its f-MEM (1,15) are kept
+        ((b"AGGGGCGAGAAAGCACCAAGGCAGAAGGGGAGCAAACC",
+          b"CGGGGCGAGAAGGCACCAAGGCAGAAGGGGAGCAAACC"),
+         4, 3, b"AGAAGGCACCAAGGCCGAAGGGCAGCACCAAGGCAGAAGGGGAGCAAACC",
+         [(1, 18, 8), (21, 50, 24), (24, 50, 21)], 8)],
+        ids=["w2p4", "w4p3"])
+    def test_nested_certificates_of_one_f_mem(self, records, w, p, pattern, s1,
+                                              cutoff):
+        # two records joined as build joins them; at the old cutoff, the
+        # second largest bound, a top-2 f-MEM was discarded
+        text = b"\0".join(records)
+        _, parse_p, pidx = parse_pair(text, pattern, w, p)
+        pms = parse_pseudo_mems(parse_p, pidx)
+        assert [(pm.char_start, pm.char_end, pm.lower_bound) for pm in pms
+                if pm.origin == ORIGIN_S1] == s1
+        assert _cutoff(pms, 2) == cutoff
+        want = top_t_cut(brute_force_f_mems(text, pattern), 2)
+        kept = safe_discard(pms, 2)
+        assert all(any(pm.char_start <= mem.start and mem.end <= pm.char_end
+                       for pm in kept) for mem in want)
+        got = find_long_mems(char_index(text), kept, pattern, t=2)
+        assert [(m.start, m.end, m.freq) for m in got] == \
+            [(m.start, m.end, m.freq) for m in want]
+
+    def test_cutoff_on_mutated_copies(self):
+        # short phrases over near-identical copies nest certificates; the
+        # cutoff must still vouch for t distinct f-MEMs, so nothing of the
+        # top t is discarded, the answer is the oracle's, and the search
+        # never falls back to the whole pattern
+        counts = cutoff_counts(random.Random("2:cutoff"), 1500)
+        assert counts["nested"] > 0
+        assert (counts["discarded"], counts["wrong"], counts["fallbacks"]) == \
+            (0, 0, 0), counts
 
 
 class TestCoarseRefine:
@@ -398,23 +455,22 @@ class TestFindLongMems:
 
     @staticmethod
     def spy_on_the_scan(monkeypatch, index):
-        """Counts, over find_long_mems calls on ``index``: the floors its
-        scans start from, the finishes of floored scans, and the guard's
-        rescans.  A forward ``grow_at`` after a backward growth shorter
-        than the floor can only be a finish; the guard's rescan is the one
-        call that goes through seqindex's own name."""
-        seen = {"floors": [], "finishes": 0, "rescans": 0}
+        """Records, over find_long_mems calls on ``index``: the floor and
+        windows of each scan it makes, the finishes of floored scans, and
+        the calls of threshold_scan through seqindex's own name, which only
+        a scan calling itself would make.  A forward ``grow_at`` after a
+        backward growth shorter than the floor can only be a finish."""
+        seen = {"scans": [], "finishes": 0, "self_calls": 0}
         last = {"floor": 1, "length": 0}
         grow, grow_at = index.backward.grow, index.forward.grow_at
 
-        def entry(*args, floor=1, **kwargs):
-            seen["floors"].append(floor)
+        def entry(index, pattern, windows, *args, floor=1, **kwargs):
+            seen["scans"].append((floor, list(windows)))
             last["floor"] = floor
-            return SCAN(*args, floor=floor, **kwargs)
+            return SCAN(index, pattern, windows, *args, floor=floor, **kwargs)
 
-        def rescan(*args, **kwargs):
-            seen["rescans"] += 1
-            last["floor"] = 1
+        def self_call(*args, **kwargs):
+            seen["self_calls"] += 1
             return SCAN(*args, **kwargs)
 
         def spy_grow(*args):
@@ -427,7 +483,7 @@ class TestFindLongMems:
             return grow_at(*args)
 
         monkeypatch.setattr(pseudomem, "threshold_scan", entry)
-        monkeypatch.setattr(seqindex, "threshold_scan", rescan)
+        monkeypatch.setattr(seqindex, "threshold_scan", self_call)
         monkeypatch.setattr(index.backward, "grow", spy_grow)
         monkeypatch.setattr(index.forward, "grow_at", spy_grow_at)
         return seen
@@ -436,7 +492,7 @@ class TestFindLongMems:
         # the top-t scan starts at the t-th best lower bound and finishes its
         # near-misses; over the windows safe_discard keeps it must return
         # the oracle's top t, with the floor above 1 and the finish taken
-        # on some instances and the guard's rescan never needed
+        # on some instances and never a fallback: one scan per call
         rng = random.Random(191)
         floored = finished = 0
         for _ in range(150):
@@ -447,31 +503,43 @@ class TestFindLongMems:
                 got = find_long_mems(index, safe_discard(pms, t), pattern, f, t=t)
                 assert [(m.start, m.end, m.freq) for m in got] == \
                     [(m.start, m.end, m.freq) for m in top_t_cut(mems, t)]
-            floored += any(floor > 1 for floor in seen["floors"])
+            floors = [floor for floor, _ in seen["scans"]]
+            assert len(floors) == 3 and seen["self_calls"] == 0
+            floored += any(floor > 1 for floor in floors)
             finished += seen["finishes"] > 0
-            assert seen["rescans"] == 0
         assert floored >= 40 and finished >= 20, (floored, finished)
 
     def test_inflated_bound_rescans_from_one(self, monkeypatch):
-        # t whole-pattern S1 pseudo-MEMs whose bound no f-MEM reaches: safe
-        # discard keeps them alone, the scan floored at the pattern's length
-        # finds no match, and the guard's rescan from 1 must return the
-        # oracle's top t
+        # a floor that no f-MEM reaches: the floored scan of the kept
+        # windows finds no match, so find_long_mems scans the whole pattern
+        # from 1 once, and must return the oracle's top t
         rng = random.Random(193)
         for _ in range(20):
             text, pattern, *_, f, mems, pms = _parse_instance(rng, 800, 200)
-            assert max(mem.length for mem in mems) < len(pattern)
+            m = len(pattern)
+            assert max(mem.length for mem in mems) < m
             index = char_index(text)
             seen = self.spy_on_the_scan(monkeypatch, index)
-            whole = PseudoMem(1, len(pattern), ORIGIN_S1, lower_bound=len(pattern))
+            whole = PseudoMem(1, m, ORIGIN_S1, lower_bound=m)
             for t in (1, 3):
-                seen["floors"].clear()
-                seen["rescans"] = 0
+                seen["scans"].clear()
+                kept = safe_discard(pms, t)
+                got = find_long_mems(index, kept, pattern, f, t=t, floor=m)
+                assert [(mem.start, mem.end, mem.freq) for mem in got] == \
+                    [(mem.start, mem.end, mem.freq) for mem in top_t_cut(mems, t)]
+                assert [floor for floor, _ in seen["scans"]] == [m, 1]
+                assert seen["scans"][1][1] == [(1, m)]
+                assert seen["self_calls"] == 0
+                # t copies of one window that holds every other one count
+                # once: at t = 1 that bound inflates the cutoff to m, and
+                # the fallback repairs it; above 1 the cutoff is 0
+                seen["scans"].clear()
                 kept = safe_discard([*pms, *[whole] * t], t)
                 got = find_long_mems(index, kept, pattern, f, t=t)
-                assert [(m.start, m.end, m.freq) for m in got] == \
-                    [(m.start, m.end, m.freq) for m in top_t_cut(mems, t)]
-                assert seen["floors"] == [len(pattern)] and seen["rescans"] == 1
+                assert [(mem.start, mem.end, mem.freq) for mem in got] == \
+                    [(mem.start, mem.end, mem.freq) for mem in top_t_cut(mems, t)]
+                assert [floor for floor, _ in seen["scans"]] == \
+                    ([m, 1] if t == 1 else [1])
 
     def test_overlapping_windows_are_scanned_once(self):
         rng = random.Random(181)

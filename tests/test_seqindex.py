@@ -314,10 +314,11 @@ def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
 
 @pytest.mark.parametrize("copies", [1, 4, 16])
 def test_floored_top_t_equals_oracle_at_any_floor(copies):
-    # a top-t scan's answer must not depend on its floor: a floor at or
-    # below the t-th longest match's length lets it finish near-misses,
-    # whose matches may reach either edge of a window that cuts them, and
-    # a floor above it leaves the scan short of t matches, so it scans again
+    # a floored top-t scan returns the t longest matches inside the windows
+    # among those at least the floor long, or all of those if fewer than t
+    # reach it: a floor at or below the t-th longest match's length lets it
+    # finish near-misses, whose matches may reach either edge of a window
+    # that cuts them, and a floor above it leaves it short of t matches
     rng = random.Random(f"floor{copies}")
     founder, text = mutated_copies(rng, b"ACGT", 60, copies)
     text = bytes(text)
@@ -334,13 +335,13 @@ def test_floored_top_t_equals_oracle_at_any_floor(copies):
                       if any(lo <= mem.start and mem.end <= hi
                              for lo, hi in windows)]
             for t in (1, 3):
-                want = [(mem.start, mem.end, mem.freq)
-                        for mem in top_t_cut(inside, t)]
-                tth = min((end - start + 1 for start, end, _ in want), default=1)
+                tth = min((mem.length for mem in top_t_cut(inside, t)), default=1)
                 for floor in {2, tth - 2, tth - 1, tth, tth + 1, rng.randint(2, m)}:
-                    got = threshold_scan(index, pattern, windows, f, t=t,
-                                         floor=max(floor, 1))
-                    assert [(mem.start, mem.end, mem.freq) for mem in got] == want
+                    floor = max(floor, 1)
+                    want = top_t_cut([mem for mem in inside if mem.length >= floor], t)
+                    got = threshold_scan(index, pattern, windows, f, t=t, floor=floor)
+                    assert [(mem.start, mem.end, mem.freq) for mem in got] == \
+                        [(mem.start, mem.end, mem.freq) for mem in want]
 
 
 def test_patterns_of_any_type(monkeypatch):
