@@ -147,9 +147,10 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     the windows it searches: exact searches the whole pattern, parse and
     combined the pseudo-MEMs that survive safe discarding.  KeBaB runs hold
     every f-MEM of length >= k and certify nothing shorter, so kebab
-    searches them with L >= k, and with -t from floor k, where the search
-    itself falls back to the whole pattern if fewer than t reach k; with a
-    smaller L, or neither flag, it searches the whole pattern.
+    searches them with L >= k, and with -t passes k as the floor, the L its
+    top-t scan starts at, where the search itself falls back to the whole
+    pattern if fewer than t reach k; with a smaller L, or neither flag, it
+    searches the whole pattern.  Every scan finishes its near-misses alike.
     """
     mode, f, t, L = args.mode, args.f, args.t, args.L
     pms: list[pmm.PseudoMem] = []

@@ -260,13 +260,16 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
     merged window, the result holds with ``L`` those of length at least L,
     with ``t`` the t longest, ties included, and with neither all of them.
 
-    A top-t scan starts at ``floor``: the caller's, else the cutoff
-    safe_discard keeps, else 1.  The windows must hold every f-MEM of P at
-    least ``floor`` long, so t matches that reach it are the t longest of
-    P.  If fewer than t reach a floor above 1, the whole pattern is scanned
-    again from 1.  Kebab passes k, as its runs hold every f-MEM that long.
+    With ``t`` the scan is given ``floor`` as its L: the caller's floor,
+    else the cutoff safe_discard keeps, else 1, so it returns the t longest
+    matches at least that long.  The windows must hold every f-MEM of P at
+    least ``floor`` long, so t such matches are the t longest of P.  If
+    fewer than t reach a floor above 1, the whole pattern is scanned again
+    from 1.  Kebab passes k, as its runs hold every f-MEM that long.
     Output is sorted by start.
     """
+    if t is not None and L is not None:
+        raise ValueError("pass at most one of t and L")
     runs: list[tuple[int, int]] = []
     for lo, hi in sorted((pm.char_start, pm.char_end) for pm in pms):
         if runs and lo <= runs[-1][1] + 1:
@@ -274,9 +277,9 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
         else:
             runs.append((lo, hi))
     runs.sort(key=lambda run: run[0] - run[1])
-    if floor is None:
-        floor = max(_cutoff(pms, t), 1) if t else 1
-    mems = threshold_scan(text_index, pattern, runs, f, L=L, t=t, floor=floor)
-    if t and floor > 1 and len(mems) < t:
+    if t:
+        L = floor if floor is not None else max(_cutoff(pms, t), 1)
+    mems = threshold_scan(text_index, pattern, runs, f, L=L, t=t)
+    if t and L > 1 and len(mems) < t:
         return threshold_scan(text_index, pattern, ((1, len(pattern)),), f, t=t)
     return mems

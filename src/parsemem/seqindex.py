@@ -7,11 +7,11 @@ rows, held as two local ints, so a search step builds no object.  On top
 of the two arrays sits one threshold scan over a list of windows of the
 pattern: with threshold L it finds exactly the f-MEMs of length >= L that
 lie inside a window, with Boyer-Moore-style skipping; at L=1 it finds all
-of them; in top-t mode it keeps raising the threshold to the length of the
-t-th longest match found so far.  The named entry points
+of them; in top-t mode it keeps raising the threshold, from L or 1, to the
+length of the t-th longest match found so far.  The named entry points
 scan the whole pattern as one window.  Every growth starts from the empty
 match: the scan grows each candidate end once, as far left as its window
-allows.
+allows, and finishes the growths that stop just short of the threshold.
 
 A match grows by reading the text at its rows' suffixes, which lie in
 sorted order: one bisection places the rest of the pattern among the rows,
@@ -62,7 +62,8 @@ from typing import Sequence
 from .errors import EmptyInputError
 
 # A left growth that ends with at most this many rows is finished from the
-# text at its occurrences, with no forward re-walk.
+# text at its occurrences, with no forward re-walk: this picks how a match is
+# finished, never which candidates the scan visits.
 NARROW = 16
 # The prefix table's depth q keeps at least this many rows per string on
 # average (bound here, so that a NARROW patched in a test leaves q as it is).
@@ -406,50 +407,45 @@ class OccurrenceIndex:
 
 def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                    windows: Sequence[tuple[int, int]], f: int = 1,
-                   L: int | None = None, t: int | None = None,
-                   floor: int = 1) -> list[Mem]:
+                   L: int | None = None, t: int | None = None) -> list[Mem]:
     """The f-MEMs of ``pattern`` that lie inside one of ``windows``: with
     ``L`` those of length at least L, with ``t`` the t longest, ties
-    included, and with neither all of them.
+    included, with both the t longest of those at least L long, or all of
+    those if fewer than t reach L, and with neither all of them.
 
     ``windows`` are disjoint 1-based inclusive (lo, hi) character ranges of
-    the pattern.  In each, a candidate end j slides from left to right and
-    is grown left once, from nothing, to the longest match ending at j with
-    at least f occurrences, at most to the window's left edge.  If that
-    match has s < L symbols, no valid match can contain the stretch that
-    stopped it, so j can jump ahead by L - s.  A longer one is grown right
-    to a maximal match, at most to the window's right edge.  A match that
-    reaches an edge is kept only if it cannot cross it: on the right,
-    growing one symbol past the edge decides; on the left, a count of the
-    whole match with the symbol before the window.  When the left growth
-    leaves at most ``NARROW`` occurrences, the right growth, the count and
-    both edge checks are read off the text at those occurrences; otherwise
-    the match is walked forward again to find its forward interval.  The
-    pattern is converted to the text's type once, so a symbol the text
-    cannot hold (300 against bytes) raises ``ValueError``.  In top-t mode
-    the threshold L rises to the t-th longest length found so far, across
+    the pattern.  The scan has one threshold: it starts at L, 1 if not
+    given, and with t rises to the t-th longest length found so far, across
     windows, so matches tying with it are still found, matches left below
-    the final threshold are dropped, and windows shorter than the threshold
-    are not scanned.  Passing the windows longest first raises it soonest.
-
-    In top-t mode the threshold starts at ``floor``, and the result is the
-    t longest matches among those at least ``floor`` long, ties included,
-    or all of those if fewer than t reach it.  A floored scan finishes its
-    near-misses: a left growth that stops at s symbols, with 2s at least
-    the threshold, short of the window's left edge and with at most
-    ``NARROW`` occurrences, is grown right from those occurrences.  Its
-    match is left-maximal, as the growth failed, and starts inside the
-    window, so it is kept if it reaches the threshold and does not cross
-    the right edge.  Any other match ending between j and its end would lie
-    inside it or hold the stretch that stopped the growth, so j jumps past
-    it either way.  Output is sorted by start.
+    the final threshold are dropped, and windows shorter than it are not
+    scanned; passing the windows longest first raises it soonest.  In each
+    window a candidate end j slides from left to right and is grown left
+    once, from nothing, to the longest match ending at j with at least f
+    occurrences, at most to the window's left edge.  If that match has s
+    symbols, fewer than the threshold, no valid match can contain the
+    stretch that stopped it, so j can jump ahead by threshold - s.  A
+    longer match is grown right to a maximal match, at most to the
+    window's right edge, and so is a near-miss: a growth with 2s at least
+    the threshold that stops short of the window's left edge.  Its match is
+    left-maximal, as the growth failed, and starts inside the window, so it
+    is kept if it reaches the threshold.  Any other match ending between j
+    and its end would lie inside it or hold the stretch that stopped the
+    growth, so j jumps past it; one that falls short also shows that no
+    match of threshold length starts where it does, so j jumps one symbol
+    past threshold - s.  A match that reaches an edge is kept only if it
+    cannot cross it: on the right, growing one symbol past the edge
+    decides; on the left, a count of the whole match with the symbol
+    before the window.  When the left growth leaves at most ``NARROW``
+    occurrences, the right growth, the count and both edge checks are read
+    off the text at those occurrences; otherwise the match is walked
+    forward again to find its forward interval.  The pattern is converted
+    to the text's type once, so a symbol the text cannot hold (300 against
+    bytes) raises ``ValueError``.  Output is sorted by start.
     """
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
     if f < 1:
         raise ValueError("f must be at least 1")
-    if t is not None and L is not None:
-        raise ValueError("pass at most one of t and L")
     if L is not None and L < 1:
         raise ValueError("L must be at least 1")
     if t is not None and t < 1:
@@ -462,18 +458,15 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     rquery = query[::-1]  # backward growth from j reads rquery[m - j:]
     mems: list[Mem] = []
     lengths: list[int] = []  # lengths found so far, kept sorted descending
-    finish = t is not None and floor > 1
-    threshold = L or (floor if finish else 1)
+    threshold = L or 1
     for lo, hi in windows:
         j = lo + threshold - 1
         while j <= hi:
             blo, bhi, length = back.grow(rquery, m - j, j - lo + 1, f)
-            if length < threshold and not (  # unless a near-miss to finish
-                    finish and 2 * length >= threshold and length <= j - lo
-                    and bhi - blo <= NARROW):
-                j += threshold - length
-                continue
             start = j - length + 1
+            if length < threshold and (2 * length < threshold or start == lo):
+                j += threshold - length  # not a near-miss to finish
+                continue
             # the symbols right of j up to the window's edge, and one past it
             # if the pattern goes on: matching that one too means crossing
             reach = hi - j + (hi < m)
@@ -505,7 +498,7 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
                     lengths.sort(reverse=True)
                     if len(lengths) >= t:
                         threshold = lengths[t - 1]
-            j = max(end + 1, j + threshold - length)
+            j = max(end + 1, start + threshold)
     return sorted((mem for mem in mems if mem.length >= threshold),
                   key=lambda mem: mem.start)
 

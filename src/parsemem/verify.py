@@ -17,7 +17,8 @@ from . import pseudomem as pmm
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
                       choose_trigger, minimizer_parse, pfp_parse)
-from .seqindex import Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems
+from .seqindex import (Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems,
+                       threshold_scan)
 
 DNA = b"ACGT"
 
@@ -112,7 +113,8 @@ def suite_oracle_equivalence(rng: random.Random, instances: int,
 def suite_bml(rng: random.Random, instances: int,
               max_text: int = 1000, max_pattern: int = 120) -> SuiteResult:
     """bml_mems and bml_top_t return exactly the f-MEMs of length >= L and
-    the t longest, ties included."""
+    the t longest, ties included, and a scan given both the t longest of
+    those at least L long."""
     checked = violations = 0
     for _ in range(instances):
         text, pattern = make_instance(rng, max_text, max_pattern, plant=(15, 60))
@@ -124,10 +126,15 @@ def suite_bml(rng: random.Random, instances: int,
             checked += 1
             if not _mems_equal(got, [m for m in want if m.length >= L]):
                 violations += 1
+        long = [m for m in want if m.length >= L]
         for t in (1, 3, 10):
             got = bml_top_t(index, pattern, t, f)
             checked += 1
             if not _mems_equal(got, top_t_cut(want, t)):
+                violations += 1
+            got = threshold_scan(index, pattern, ((1, len(pattern)),), f, L=L, t=t)
+            checked += 1
+            if not _mems_equal(got, top_t_cut(long, t)):
                 violations += 1
     return SuiteResult("BML threshold and top-t modes", instances, checked, violations)
 

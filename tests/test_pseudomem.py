@@ -455,19 +455,20 @@ class TestFindLongMems:
 
     @staticmethod
     def spy_on_the_scan(monkeypatch, index):
-        """Records, over find_long_mems calls on ``index``: the floor and
-        windows of each scan it makes, the finishes of floored scans, and
-        the calls of threshold_scan through seqindex's own name, which only
-        a scan calling itself would make.  A forward ``grow_at`` after a
-        backward growth shorter than the floor can only be a finish."""
+        """Records, over find_long_mems calls on ``index``: the starting L
+        (1 if none) and windows of each scan it makes, the finishes of
+        scans started above 1, and the calls of threshold_scan through
+        seqindex's own name, which only a scan calling itself would make.
+        A forward ``grow_at`` after a backward growth shorter than the
+        starting L can only be a finish."""
         seen = {"scans": [], "finishes": 0, "self_calls": 0}
-        last = {"floor": 1, "length": 0}
+        last = {"L": 1, "length": 0}
         grow, grow_at = index.backward.grow, index.forward.grow_at
 
-        def entry(index, pattern, windows, *args, floor=1, **kwargs):
-            seen["scans"].append((floor, list(windows)))
-            last["floor"] = floor
-            return SCAN(index, pattern, windows, *args, floor=floor, **kwargs)
+        def entry(index, pattern, windows, *args, L=None, **kwargs):
+            seen["scans"].append((L or 1, list(windows)))
+            last["L"] = L or 1
+            return SCAN(index, pattern, windows, *args, L=L, **kwargs)
 
         def self_call(*args, **kwargs):
             seen["self_calls"] += 1
@@ -479,7 +480,7 @@ class TestFindLongMems:
             return interval
 
         def spy_grow_at(*args):
-            seen["finishes"] += last["length"] < last["floor"]
+            seen["finishes"] += last["length"] < last["L"]
             return grow_at(*args)
 
         monkeypatch.setattr(pseudomem, "threshold_scan", entry)

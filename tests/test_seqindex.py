@@ -303,7 +303,8 @@ def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
             L, t = rng.randint(1, 30), rng.randint(1, 4)
             for scan, want in (((None, None), inside),
                                ((L, None), [m for m in inside if m.length >= L]),
-                               ((None, t), top_t_cut(inside, t))):
+                               ((None, t), top_t_cut(inside, t)),
+                               ((L, t), top_t_cut([m for m in inside if m.length >= L], t))):
                 (got, steps), (binary, binary_steps) = scan_both_paths(
                     monkeypatch, index, pattern, windows, f, *scan)
                 assert got == binary == [(m.start, m.end, m.freq) for m in want]
@@ -314,11 +315,12 @@ def test_direct_comparison_equals_binary_search_and_oracle(monkeypatch, kind,
 
 @pytest.mark.parametrize("copies", [1, 4, 16])
 def test_floored_top_t_equals_oracle_at_any_floor(copies):
-    # a floored top-t scan returns the t longest matches inside the windows
-    # among those at least the floor long, or all of those if fewer than t
-    # reach it: a floor at or below the t-th longest match's length lets it
-    # finish near-misses, whose matches may reach either edge of a window
-    # that cuts them, and a floor above it leaves it short of t matches
+    # a top-t scan given a floor as L returns the t longest matches inside
+    # the windows among those at least L long, or all of those if fewer
+    # than t reach it: a floor at or below the t-th longest match's length
+    # finishes near-misses from the first candidate, whose matches may
+    # reach either edge of a window that cuts them, and a floor above it
+    # leaves it short of t matches
     rng = random.Random(f"floor{copies}")
     founder, text = mutated_copies(rng, b"ACGT", 60, copies)
     text = bytes(text)
@@ -339,9 +341,80 @@ def test_floored_top_t_equals_oracle_at_any_floor(copies):
                 for floor in {2, tth - 2, tth - 1, tth, tth + 1, rng.randint(2, m)}:
                     floor = max(floor, 1)
                     want = top_t_cut([mem for mem in inside if mem.length >= floor], t)
-                    got = threshold_scan(index, pattern, windows, f, t=t, floor=floor)
+                    got = threshold_scan(index, pattern, windows, f, L=floor, t=t)
                     assert [(mem.start, mem.end, mem.freq) for mem in got] == \
                         [(mem.start, mem.end, mem.freq) for mem in want]
+
+
+def spy_on_finishes(monkeypatch, index, L, t):
+    """Counts the near-miss finishes of scans on ``index`` started at ``L``
+    with ``t``, by path: a forward growth after a backward growth shorter
+    than the threshold, which the spy follows from L and the matches the
+    scan records.  A near-miss starts inside its window, so its re-walk
+    makes no left-edge count."""
+    finishes = {"narrow": 0, "wide": 0}
+    lengths, last = [], {"length": None}
+    grow, fwd_grow, grow_at = (index.backward.grow, index.forward.grow,
+                               index.forward.grow_at)
+
+    def threshold():
+        return lengths[t - 1] if t and len(lengths) >= t else L or 1
+
+    def record(**fields):
+        mem = Mem(**fields)
+        lengths.append(mem.length)
+        lengths.sort(reverse=True)
+        return mem
+
+    def spy_grow(*args):
+        interval = grow(*args)
+        last["length"] = interval[2]
+        return interval
+
+    def spy_forward(path, call):
+        def spy(*args):
+            if last["length"] is not None and last["length"] < threshold():
+                finishes[path] += 1
+            last["length"] = None
+            return call(*args)
+        return spy
+
+    monkeypatch.setattr(seqindex, "Mem", record)
+    monkeypatch.setattr(index.backward, "grow", spy_grow)
+    monkeypatch.setattr(index.forward, "grow_at", spy_forward("narrow", grow_at))
+    monkeypatch.setattr(index.forward, "grow", spy_forward("wide", fwd_grow))
+    return finishes, lengths
+
+
+@pytest.mark.parametrize("copies, path", [(4, "narrow"), (48, "wide")])
+def test_unfloored_scan_finishes_near_misses(monkeypatch, copies, path):
+    # exact's scan, from L or, with t alone, from 1, finishes near-misses
+    # too: from their occurrences when at most NARROW rows are left, and by
+    # the forward re-walk when 48 copies leave more; either way it must
+    # return the oracle's rows
+    rng = random.Random(f"near{copies}")
+    founder, text = mutated_copies(rng, b"ACGT", 200, copies)
+    text = bytes(text)
+    index = OccurrenceIndex(text)
+    taken = 0
+    for _ in range(15):
+        a = rng.randrange(100)
+        pattern = bytearray(founder[a:a + 100])
+        for i in rng.sample(range(100), 3):
+            pattern[i] = rng.choice(b"ACGT")
+        pattern = bytes(pattern)
+        mems = brute_force_f_mems(text, pattern, 1)
+        L = rng.randint(10, 40)
+        for scan, want in (((None, 1), top_t_cut(mems, 1)),
+                           ((None, 3), top_t_cut(mems, 3)),
+                           ((L, None), [m for m in mems if m.length >= L])):
+            finishes, lengths = spy_on_finishes(monkeypatch, index, *scan)
+            got = threshold_scan(index, pattern, [(1, len(pattern))], 1,
+                                 L=scan[0], t=scan[1])
+            assert [(m.start, m.end, m.freq) for m in got] == \
+                [(m.start, m.end, m.freq) for m in want]
+            taken += finishes[path] > 0
+    assert taken >= 20, taken
 
 
 def test_patterns_of_any_type(monkeypatch):
