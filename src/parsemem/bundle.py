@@ -8,8 +8,9 @@ code: params as JSON, the text, the suffix arrays of the text and its
 reverse, the reversed text's prefix table (its row starts and the text's
 alphabet, one byte per symbol), the text parse's phrase starts and the
 trigger's anchors (the l-grams, joined in increasing order), then the
-k-mer table as its sorted u64 keys and one-byte counts.  Each integer
-section is one little-endian typed array, u32 unless named.  Load derives
+k-mer table as the increasing text starts of distinct separator-free
+k-mers and their one-byte counts.  Each integer section is one
+little-endian typed array of u32s.  Load derives
 the reversed sequences, the parse's phrase IDs and the phrase dictionary
 (the text cut at the phrase starts, each new phrase taking the next ID),
 the parse's two suffix arrays, the phrase table, and starts step, hit and
@@ -18,11 +19,11 @@ Load checks every value it reads and rejects other versions, as results
 are only meaningful with the build-time parsing parameters, which the
 params record: the window w >= 1, phrase period p >= 2, anchor length
 1 <= l <= w and k-mer length k >= 1, which queries take from the index
-alone.  The version pins the k-mer hash and the trigger rule, and the
-prefix table's depth q is derived from the text's length and alphabet.
-What the writer guarantees and only a pass over the text could confirm is
-not checked on load: the order of the text's suffix arrays and of the
-k-mer keys, the prefix table, the anchors and the phrase starts.
+alone.  The version pins the trigger rule, and the prefix table's depth q
+is derived from the text's length and alphabet.  What the writer
+guarantees and only a pass over the text could confirm is not checked on
+load: the order of the text's suffix arrays, the k-mer table's k-mers and
+counts, the prefix table, the anchors and the phrase starts.
 ``check_order`` checks it all for ``verify --check-index``.
 """
 
@@ -33,22 +34,23 @@ import json
 import struct
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from operator import le, lt
 from typing import Any
 
 from . import filters as flt
 from .errors import IndexFormatError
-from .filters import ITEMS_KMER, TABLE_PARAMS, FingerprintTable
+from .filters import ITEMS_KMER, SEPARATOR, TABLE_PARAMS, FingerprintTable
 from .parsing import (ParsedString, PhraseDictionary, Trigger, choose_trigger,
                       pfp_phrases)
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
-FORMAT_VERSION = 10  # 10: the parse's trigger is a stored set of anchors
+FORMAT_VERSION = 11  # 11: the k-mer table stores a text start per k-mer
 SECTIONS = ("params", "text", "text_sa", "text_rsa", "prefix_rows", "alphabet",
-            "phrase_start", "anchors", "kmer_keys", "kmer_counts")
+            "phrase_start", "anchors", "kmer_starts", "kmer_counts")
 
 
 @dataclass
@@ -90,7 +92,7 @@ def save_bundle(bundle: IndexBundle, path: str) -> None:
              text.prefix_table.alphabet,
              _little_endian(array("I", bundle.parse_text.phrase_start)).tobytes(),
              b"".join(bundle.trigger.anchors),
-             _little_endian(array("Q", kmers.keys)).tobytes(), bytes(kmers.counts)]
+             _little_endian(array("I", kmers.starts)).tobytes(), bytes(kmers.counts)]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(SECTIONS)))
@@ -105,56 +107,56 @@ def _check(ok: bool, what: str) -> None:
         raise IndexFormatError(f"malformed index: {what}")
 
 
-def _at_most(raw: bytes, size: int, most: int) -> bool:
-    """Whether every unsigned little-endian ``size``-byte entry of ``raw``
-    is at most ``most``.
+_SLICE = 2048  # u32s per integer in _below: few enough to stay in cache
 
-    Compares one byte plane at a time, most significant first, without an
-    int per entry: an entry still equal to ``most`` on the planes above (a
-    tie) fails if its byte here is above the bound's, and stays a tie if
-    equal.  Ties are one byte per entry, 1 or 0, in an int narrowed by ``&``.
+
+def _below(raw: bytes, bound: int | None = None) -> bool:
+    """Whether each little-endian u32 of ``raw`` is below ``bound``, or,
+    with no bound, below the next one, so that they strictly increase.
+
+    Without an int per entry while all are below 2^31 and 0 <= bound <=
+    2^31, a slice at a time: read as an integer s with 32-bit digits s_i,
+    bound - s, or (s >> 32) - s less its top digit, has digits b_i - s_i.
+    Plus 2^31 - 1 each, they lie in [0, 2^32), so none borrows from the
+    next, and a digit's top bit is set exactly when s_i < b_i.
     """
-    if most < 0 or most >= 1 << 8 * size:
-        return most >= 0 or not raw
-    ties = None  # None while every entry ties, as on planes the bound has as 0
-    for shift in reversed(range(size)):
-        plane, top = raw[shift::size], most >> 8 * shift & 0xFF
-        if ties is None:
-            if plane.translate(None, bytes(range(top + 1))):
-                return False  # some entry's byte is above the bound's
-            if top == 0:
-                continue
-        else:
-            above = bytes(top + 1) + b"\x01" * (255 - top)
-            if ties & int.from_bytes(plane.translate(above), "big"):
-                return False
-        equal = int.from_bytes(plane.translate(bytes(top) + b"\x01" + bytes(255 - top)), "big")
-        ties = equal if ties is None else ties & equal
-        if not ties:
-            return True
+    rising = bound is None
+    if (not rising and not 0 <= bound <= 1 << 31
+            or raw[3::4].translate(None, bytes(range(0x80)))):  # an entry of 2^31 or more
+        values = _little_endian(array("I", raw))
+        return all(map(lt, values, values[1:] if rising else repeat(bound)))
+    view, width, step = memoryview(raw), -1, 4 * _SLICE
+    for at in range(0, len(raw) - 4 * rising, step):
+        part = view[at:at + step + 4 * rising]
+        if len(part) != width:  # the first slice, or a shorter last one
+            width = len(part)
+            tops = int.from_bytes(b"\0\0\0\x80" * (width // 4 - rising), "little")
+            ones = tops >> 31
+            lift = tops - ones + (0 if rising else bound * ones)
+        s = int.from_bytes(part, "little")
+        if ((s >> 32) if rising else 0) - s + lift & tops != tops:
+            return False
     return True
 
 
-def _array(sections: dict[str, memoryview], name: str, typecode: str = "I",
-           most: int | None = None) -> array:
-    """Section ``name`` as one array of ``typecode`` values, each at most
-    ``most`` when given."""
-    raw, values = sections[name], array(typecode)
-    _check(len(raw) % values.itemsize == 0,
-           f"{name} is not a whole number of u{8 * values.itemsize}s")
-    _check(most is None or _at_most(bytes(raw), values.itemsize, most),
-           f"{name} entry out of range")
+def _array(sections: dict[str, memoryview], name: str, most: int | None = None) -> array:
+    """Section ``name`` as an array of u32s, each at most ``most`` if given."""
+    raw, values = sections[name], array("I")
+    _check(len(raw) % 4 == 0, f"{name} is not a whole number of u32s")
+    _check(most is None or _below(bytes(raw), most + 1), f"{name} entry out of range")
     values.frombytes(raw)
     return _little_endian(values)
 
 
-def _kmer_table(sections: dict[str, memoryview], k: int) -> FingerprintTable:
-    """The table stored as sections ``kmer_keys`` and ``kmer_counts``."""
-    keys = _array(sections, "kmer_keys", "Q")
+def _kmer_table(sections: dict[str, memoryview], text: bytes, k: int) -> FingerprintTable:
+    """The table stored as sections ``kmer_starts`` and ``kmer_counts``."""
+    raw, starts = bytes(sections["kmer_starts"]), _array(sections, "kmer_starts")
+    _check(_below(raw), "kmer_starts do not strictly increase")
+    _check(not starts or starts[-1] <= len(text) - k, "kmer_starts entry out of range")
     counts = bytearray(sections["kmer_counts"])
-    _check(len(counts) == len(keys), "kmer_counts and kmer_keys differ in length")
+    _check(len(counts) == len(starts), "kmer_counts and kmer_starts differ in length")
     _check(0 not in counts, "kmer_counts holds a zero count")
-    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k, keys, counts)
+    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, k, counts, starts=starts, text=text)
 
 
 def _prefix_table(sections: dict[str, memoryview], text: bytes) -> PrefixTable:
@@ -242,7 +244,7 @@ def load_bundle(path: str) -> IndexBundle:
     return IndexBundle(params, trigger, dictionary,
                        ParsedString(n, symbols, starts, w, dictionary),
                        OccurrenceIndex(text, text_sa, text_rsa, _prefix_table(sections, text)),
-                       OccurrenceIndex(symbols), _kmer_table(sections, k))
+                       OccurrenceIndex(symbols), _kmer_table(sections, text, k))
 
 
 def _check_suffix_array(seq: bytes, sa: array, name: str) -> None:
@@ -258,20 +260,20 @@ def _check_suffix_array(seq: bytes, sa: array, name: str) -> None:
 
 def check_order(bundle: IndexBundle) -> None:
     """Check that ``text_sa`` and ``text_rsa`` are the suffix arrays of the
-    text and its reverse, that the k-mer table's keys strictly increase, as
-    the table writes them, that the prefix table is the one the text and
+    text and its reverse, that the k-mer table holds the distinct k-mers of
+    the text free of separators with their counts (recounted from the
+    text), that the prefix table is the one the text and
     ``text_rsa`` give (recounted from the text, and with every row of each
     bucket a suffix that begins with the bucket's string), and that the
     anchors are the ones ``choose_trigger`` picks from the text, at the
     phrase starts of their triggers.
 
     Searches bisect the suffix arrays, so a row out of order could hide a
-    match.  Table lookups read a key -> count dict, which keeps one count
-    of a key stored twice, so that count could fall short; strictly
-    increasing keys rule duplicates out.  A wrong prefix table starts
-    probes at wrong rows, and a wrong trigger or phrase start breaks the
-    text's parse where the patterns' parses do not.  Load leaves this to
-    the writer.
+    match.  A k-mer the table lacks or undercounts breaks a KeBaB run
+    where an f-MEM passes, and one stored twice has its counts read apart.
+    A wrong prefix table starts probes at wrong rows, and a wrong trigger
+    or phrase start breaks the text's parse where the patterns' parses do
+    not.  Load leaves this to the writer.
     """
     text, params = bundle.text_index.sequence, bundle.params
     fresh = choose_trigger(text, params["w"], params["p"])
@@ -281,8 +283,16 @@ def check_order(bundle: IndexBundle) -> None:
     for view, name in ((bundle.text_index.forward, "text_sa"),
                        (bundle.text_index.backward, "text_rsa")):
         _check_suffix_array(view.seq, view.sa, name)
-    keys = bundle.kmer_filter.keys
-    _check(all(map(lt, keys, keys[1:])), "kmer_keys do not strictly increase")
+    k, table = params["kebab_k"], bundle.kmer_filter  # its counts cap at 255
+    truth = Counter(text[i:i + k] for i in range(len(text) - k + 1))
+    stored = [text[start:start + k] for start in table.starts]
+    _check(all(SEPARATOR not in kmer for kmer in stored),
+           "a kmer_starts k-mer holds a separator")
+    _check(len(set(stored)) == len(stored), "kmer_starts repeat a k-mer")
+    _check(sum(SEPARATOR not in kmer for kmer in truth) == len(stored),
+           "kmer_starts lack a k-mer of the text")
+    _check(all(min(truth[kmer], 255) == n for kmer, n in zip(stored, table.counts)),
+           "kmer_counts do not match the text")
     view, stored = bundle.text_index.backward, bundle.text_index.prefix_table
     fresh = PrefixTable.build(view.seq)
     _check(stored.alphabet == fresh.alphabet, "alphabet is not the text's")

@@ -1,16 +1,17 @@
 """Command-line surface: build an index, query patterns, verify, report stats.
 
-``build`` stores a fingerprint table of every record's k-mers, for kebab
-mode, beside the text index and the parse's phrase starts; the parse's
-phrase IDs, suffix arrays and phrase table, for combined mode, are derived
-from the text on load.  Neither table has a size or seed.  The parse
-window ``-w``, phrase period ``-p`` and k-mer length ``-k`` are build flags
-only: ``build`` picks the parse's trigger, the l-grams that end a phrase's
-first window, so that the text has about one phrase per p characters, and
-``query`` and ``stats`` parse each pattern with the index's trigger.
-``verify --check-index`` checks what load leaves to the writer: the orders
-of the text's suffix arrays, and the trigger and phrase starts against the
-text, among others.
+``build`` stores a table of every record's k-mers, for kebab mode, as one
+text start and a count per distinct k-mer, beside the text index and the
+parse's phrase starts; the parse's phrase IDs, suffix arrays and phrase
+table, for combined mode, are derived from the text on load.  Neither
+table has a size or seed.  The parse window ``-w``, phrase period ``-p``
+and k-mer length ``-k`` are build flags only: ``build`` picks the parse's
+trigger, the l-grams that end a phrase's first window, so that the text
+has about one phrase per p characters, and ``query`` and ``stats`` parse
+each pattern with the index's trigger.  ``verify --check-index`` checks
+what load leaves to the writer: the orders of the text's suffix arrays,
+the k-mer table and the trigger and phrase starts against the text, among
+others.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -33,6 +34,7 @@ from . import pseudomem as pmm
 from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
+from .filters import SEPARATOR
 from .parsing import (ANCHOR_GRAIN, PhraseDictionary, choose_trigger, pfp_parse,
                       text_sigma)
 from .seqindex import OccurrenceIndex
@@ -40,7 +42,6 @@ from .seqindex import OccurrenceIndex
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
 from .verify import run_all
 
-SEPARATOR = 0  # joins multi-record texts; outside every sequence alphabet
 ENV_INDEX = "PARSEMEM_INDEX"
 
 DEFAULT_W = 10

@@ -10,17 +10,14 @@ the effect of false positives.
 
 The fingerprint table is the one filter kind an index holds: a stored k-mer
 table for KeBaB, and a phrase-ID table for the combined route, counted from
-the text's parse on build and on load.  An item's key is
-its value mod 2^61 - 1, a k-mer's bytes read as a big-endian integer; the
-table holds the distinct keys of its items in a sorted ``array('Q')`` and
-their counts, saturating at 255, in a ``bytearray`` beside it.  Its first
-lookup builds a key -> count dict from the two, and every lookup is one
-``dict.get``.  It never undercounts: items that share a key add up to one
-count, so a key collision can only add a false positive.  Keys of
-k-mers with k <= 7, and of phrase IDs below 2^61 - 1, are exact.
-``kmer_keys``, a Karp-Rabin pass, computes the keys of every k-mer of a
-sequence at once, from which the table's ``kmers_at_least`` answers a whole
-pattern.
+the text's parse on build and on load.  It stores each distinct item once,
+with its count, saturating at 255, in a ``bytearray``: a phrase ID by its
+key, the ID mod 2^61 - 1 (IDs that share a key add up to one count, so a
+collision can only add a false positive), and a k-mer, exactly, by its
+first start in ``text``, the records joined by ``SEPARATOR``.  The first
+lookup at a threshold f gathers the items counted at least min(f, 255)
+times into a set, and ``kmers_at_least`` slices a whole pattern into its
+k-mers and tests them against it with no Python code run per k-mer.
 
 The Bloom filter takes probe positions from double hashing: two seeded
 64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
@@ -32,7 +29,7 @@ Lookups go through ``at_least_many``, which answers a whole batch of items in
 one call (a pattern's parse's phrase IDs, say); ``at_least`` is its one-item
 case, and ``kmers_at_least`` its case of every k-mer of one sequence.
 ``filter_build`` fills a filter with one ``insert_many`` call; a k-mer
-table takes whole records there and keys them by ``kmer_keys``.
+table takes whole records there.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, islice, repeat
 from typing import Iterable
 
 from .errors import ItemKindMismatch
@@ -60,29 +57,8 @@ _SATURATED = 255  # the largest count one byte holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
 _ID_LIMIT = 1 << 64  # a phrase ID encodes as 8 unsigned bytes
 _H1_MASK = (1 << 64) - 1
-_KEY_BATCH = 4096  # k-mers keyed per list in a table build: bounds its memory
-KEY_BASE = 256  # keys read a k-mer's bytes as one big-endian integer
-KEY_MODULUS = (1 << 61) - 1  # a key is that integer mod this prime
-
-
-def kmer_keys(seq: bytes, k: int) -> list[int]:
-    """The fingerprint-table key of every k-mer of ``seq``, first to last.
-
-    One rolling Karp-Rabin pass: v = (v*256 + c - c_out*256^k) mod 2^61 - 1,
-    which equals ``int.from_bytes(kmer, "big") % (2^61 - 1)`` for each
-    k-mer.  A sequence shorter than k has no k-mer and gets no key.
-    """
-    if len(seq) < k:
-        return []
-    base, mod = KEY_BASE, KEY_MODULUS
-    drop = pow(base, k, mod)
-    v = int.from_bytes(seq[:k], "big") % mod
-    keys = [v]
-    append = keys.append
-    for c, c_out in zip(seq[k:], seq):
-        v = (v * base + c - c_out * drop) % mod
-        append(v)
-    return keys
+KEY_MODULUS = (1 << 61) - 1  # a phrase ID's key is the ID mod this prime
+SEPARATOR = 0  # joins multi-record texts; outside every sequence alphabet
 
 
 @dataclass(frozen=True)
@@ -100,9 +76,9 @@ class FilterParams:
             raise ValueError("seed must be in [0, 2^64)")
 
 
-# A table has no size to choose.  Its params give its key space as the bits
-# of one hash, so expected_fpr reads the chance that the key of an item the
-# table lacks equals one of n stored keys: 1 - e^(-n / (2^61 - 1)).
+# A table has no size to choose.  Its params give the phrase-ID key space
+# as the bits of one hash, so expected_fpr reads the chance that the key of
+# an ID the table lacks equals one of n stored keys: 1 - e^(-n / (2^61 - 1)).
 TABLE_PARAMS = FilterParams(bits=KEY_MODULUS, hash_count=1)
 
 
@@ -170,7 +146,7 @@ class MembershipFilter:
 
     def query(self, item) -> bool:
         """True for every inserted item; may be a false positive."""
-        raise NotImplementedError
+        return self.min_count(item) > 0
 
     def min_count(self, item) -> int:
         """At least the true multiplicity of ``item``, or a saturated count."""
@@ -194,7 +170,7 @@ class MembershipFilter:
         return self.at_least_many([seq[i:i + k] for i in range(len(seq) - k + 1)], f)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """One ``min_count`` per item; the table looks up its dict instead."""
+        """One ``min_count`` per item; the table looks up its set instead."""
         return [self.min_count(item) >= f for item in items]
 
 
@@ -245,103 +221,119 @@ class ExactFilter(MembershipFilter):
         key = self._encode(item)
         self._counts[key] = self._counts.get(key, 0) + 1
 
-    def query(self, item) -> bool:
-        return self._encode(item) in self._counts
-
     def min_count(self, item) -> int:
         return self._counts.get(self._encode(item), 0)
 
 
 class FingerprintTable(MembershipFilter):
-    """Sorted distinct item keys and their saturating one-byte counts.
+    """Distinct items, each stored once, and their saturating one-byte counts.
 
-    It keeps ``TABLE_PARAMS`` whatever params it is given.  Pass ``keys``
-    and ``counts`` to restore a table: as the table writes them, the keys
-    strictly increase, the counts are positive, and both have one length.
+    It keeps ``TABLE_PARAMS`` whatever params it is given.  A phrase-ID
+    table stores its keys in ``keys``, a k-mer table a start of each k-mer
+    in ``text`` in ``starts``.  Pass them and ``counts`` to restore a table:
+    as the table writes them, the keys or starts strictly increase, the
+    counts are positive, and both have one length.
 
-    Lookups read a key -> count dict.  It is built from ``keys`` and
-    ``counts`` on the first lookup, so a build or load pays nothing for it,
-    and ``insert_many`` drops it.  On 100k keys it holds about 8.6 MB,
-    against 0.9 MB for the two arrays.
+    Lookups read a set of the items counted at least min(f, 255) times,
+    gathered on the first lookup at f, so a build or load pays nothing for
+    it; ``insert_many`` drops it.  On 100k 20-mers it holds about 9.5 MB.
     """
 
     kind = KIND_TABLE
 
     def __init__(self, params: FilterParams, item_kind: str, k: int | None = None,
-                 keys: array | None = None, counts: bytearray | None = None):
+                 counts: bytearray | None = None, keys: array | None = None,
+                 starts: array | None = None, text: bytes = b""):
         super().__init__(TABLE_PARAMS, item_kind, k)
-        self.keys = array("Q") if keys is None else keys
         self.counts = bytearray() if counts is None else counts
-        if len(self.keys) != len(self.counts):
-            raise ValueError("keys and counts differ in length")
-        self._by_key: dict[int, int] | None = None
+        if item_kind == ITEMS_KMER:
+            self.text, self.starts = text, array("I") if starts is None else starts
+        else:
+            self.keys = array("Q") if keys is None else keys
+        if len(self.starts if self.k else self.keys) != len(self.counts):
+            raise ValueError("keys or starts and counts differ in length")
+        self._present_at: dict[int, set] = {}
+        self._slices: list[slice] = []  # kmers_at_least's, kept from call to call
 
-    def _key_counts(self) -> dict[int, int]:
-        """The key -> count dict, built on the first lookup."""
-        if self._by_key is None:
-            self._by_key = dict(zip(self.keys, self.counts))
-        return self._by_key
+    def _stored(self):
+        """The stored items' keys, a k-mer's being itself, in stored order."""
+        k = self.k
+        return [self.text[start:start + k] for start in self.starts] if k else self.keys
+
+    def _present(self, f: int) -> set:
+        """The keys counted at least min(f, 255) times, gathered on the
+        first lookup at that threshold; a saturated count passes any f."""
+        least = min(f, _SATURATED)
+        if least not in self._present_at:
+            self._present_at[least] = {key for key, count in zip(self._stored(), self.counts)
+                                       if count >= least}
+        return self._present_at[least]
 
     def _keys(self, items: Iterable):
         """Yield each item's key; items are validated inline."""
-        kmers, k, from_bytes = self.item_kind == ITEMS_KMER, self.k, int.from_bytes
+        kmers, k = self.item_kind == ITEMS_KMER, self.k
         for item in items:
             if not (isinstance(item, (bytes, bytearray)) and len(item) == k if kmers
                     else type(item) is int and 0 <= item < _ID_LIMIT):
                 self._encode(item)  # raises on an item of the wrong kind
-            yield (from_bytes(item, "big") if kmers else item) % KEY_MODULUS
+            yield bytes(item) if kmers else item % KEY_MODULUS
 
     def insert(self, item):
         self.insert_many((item,))
 
     def insert_many(self, items: Iterable):
-        """Count the items' keys into the table and sort it again.
+        """Count the items into the table and store it again.
 
-        A k-mer table takes records, not k-mers: it counts every k-mer of
-        each record, keyed by one rolling pass (``kmer_keys``), so a k-mer
-        is inserted as a record of length k.
+        A k-mer table takes records, not k-mers: it appends them to its
+        text and counts every k-mer inside each, so a k-mer is inserted as a
+        record of length k.
         """
-        if self.item_kind == ITEMS_KMER:
-            k, tally = self.k, Counter()
-            for record in items:
-                if not isinstance(record, (bytes, bytearray)):
-                    raise ItemKindMismatch("k-mer table expects bytes records")
-                for i in range(0, len(record) - k + 1, _KEY_BATCH):
-                    tally.update(kmer_keys(record[i:i + _KEY_BATCH + k - 1], k))
-        else:
+        self._present_at = {}
+        if self.item_kind == ITEMS_PHRASE:
             tally = Counter(self._keys(items))
-        tally.update(dict(zip(self.keys, self.counts)))
-        for key, count in tally.items():
-            if count > _SATURATED:
-                tally[key] = _SATURATED
-        order = sorted(tally)
-        self.keys = array("Q", order)
-        self.counts = bytearray(map(tally.__getitem__, order))
-        self._by_key = None
-
-    def query(self, item) -> bool:
-        return self.min_count(item) > 0
+            tally.update(dict(zip(self.keys, self.counts)))
+            self.keys = array("Q", sorted(tally))
+        else:
+            records = list(items)
+            if not all(isinstance(record, (bytes, bytearray)) for record in records):
+                raise ItemKindMismatch("k-mer table expects bytes records")
+            k, at = self.k, len(self.text) + 1 if self.text else 0
+            text = bytes([SEPARATOR]).join([self.text, *records] if self.text else records)
+            first = dict(zip(self._stored(), self.starts))
+            firsts = []  # for each k-mer inserted, the first start of its k-mer
+            for record in records:
+                end = at + len(record)
+                starts = range(at, end - k + 1)
+                kmers = map(text.__getitem__, map(slice, starts, range(at + k, end + 1)))
+                firsts += map(first.setdefault, kmers, starts)
+                at = end + 1
+            del first  # frees the k-mers before the count: a lower peak memory
+            tally = Counter(dict(zip(self.starts, self.counts)))
+            tally.update(firsts)
+            self.text, self.starts = text, array("I", sorted(tally))
+        order = self.starts if self.k else self.keys
+        self.counts = bytearray(map(min, map(tally.__getitem__, order), repeat(_SATURATED)))
 
     def min_count(self, item) -> int:
+        """The stored count of ``item``, found by a scan of the table."""
         (key,) = self._keys((item,))
-        return self._key_counts().get(key, 0)
+        return next(compress(self.counts, map(key.__eq__, self._stored())), 0)
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
-        return self._lookup(list(self._keys(items)), f)
+        return list(map(self._present(f).__contains__, self._keys(items)))
 
     def kmers_at_least(self, seq: bytes, f: int) -> list[bool]:
-        """Keys from one rolling pass over ``seq``, then one lookup each."""
+        """Every k-mer of ``seq`` sliced out at C speed and tested against
+        the set, through slices made once for the longest ``seq`` so far."""
         if f < 1:
             raise ValueError("f must be at least 1")
-        answers = self._lookup(kmer_keys(seq, self.k), f)
-        self.probes += len(answers)
+        seq, n = bytes(seq), max(len(seq) - self.k + 1, 0)
+        if len(self._slices) < n:
+            self._slices = list(map(slice, range(n), range(self.k, n + self.k)))
+        answers = list(map(self._present(f).__contains__,
+                           map(seq.__getitem__, islice(self._slices, n))))
+        self.probes += n
         return answers
-
-    def _lookup(self, keys: list[int], f: int) -> list[bool]:
-        """Whether each key is stored with a count of at least ``f``; a
-        saturated count passes any threshold."""
-        return list(map(min(f, _SATURATED).__le__,
-                        map(self._key_counts().get, keys, repeat(0))))
 
 
 _FILTER_CLASSES = {

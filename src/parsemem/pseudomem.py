@@ -43,6 +43,7 @@ the whole pattern carries bound 0, so its search starts at 1.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,19 +117,12 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
     return [PseudoMem(a, b + k - 1, ORIGIN_KEBAB) for a, b in _runs(present)]
 
 
-def _runs(present: list[bool]) -> list[tuple[int, int]]:
+_RUN = re.compile(b"\x01+")  # a maximal run of true flags, one byte each
+
+
+def _runs(present: Sequence[bool]) -> list[tuple[int, int]]:
     """Maximal runs of true entries, as 1-based inclusive intervals."""
-    runs = []
-    start = None
-    for i, hit in enumerate(present, 1):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(present)))
-    return runs
+    return [(run.start() + 1, run.end()) for run in _RUN.finditer(bytes(present))]
 
 
 def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],

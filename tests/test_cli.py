@@ -1,4 +1,5 @@
 import argparse
+import bisect
 import hashlib
 import importlib
 import inspect
@@ -15,7 +16,7 @@ import pytest
 import parsemem
 from parsemem import cli
 from parsemem import filters as flt
-from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, _at_most,
+from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, _below,
                              load_bundle, save_bundle)
 from parsemem.cli import main
 from parsemem.errors import IndexFormatError
@@ -142,7 +143,7 @@ class TestBuildQuery:
             for i in range(len(record) - 7):
                 truth[record[i:i + 8]] = truth.get(record[i:i + 8], 0) + 1
         table = load_bundle(index).kmer_filter
-        assert len(table.keys) == len(truth)
+        assert len(table.starts) == len(truth)
         assert all(table.min_count(kmer) == count for kmer, count in truth.items())
         joined = b"\x00".join(records)
         assert not any(table.query(joined[i:i + 8]) for i in range(len(joined) - 7)
@@ -343,11 +344,11 @@ class TestDeterminism:
             assert f1.read() == f2.read()
 
     @pytest.mark.parametrize("kmer, digest", [
-        ("8", "4a6bd1692ab1e5a81d97d8e10030f17192ad12d2a1d937fe4202961b65600e91"),
-        ("12", "27c57ae458ac4791d25edc99592319f88456777102053f5b5a04a6d271e2ffa2")],
+        ("8", "16fa38116c25851c554e22a0da4fc15b7ce71e2b532918db51e42308a6b3e3c0"),
+        ("12", "20365336c6d7c2df28acf13c15913ea922f33a755a61617e4018b1b010c55995")],
         ids=["k8", "k12"])
     def test_index_bytes_are_pinned(self, corpus, kmer, digest):
-        # Format 10's bytes for this corpus: a change to the table keys, the
+        # Format 11's bytes for this corpus: a change to the k-mer table, the
         # prefix table, the trigger or the parse, suffix-array order or the
         # set of sections must bump FORMAT_VERSION and this digest with it.
         build(corpus, "-k", kmer)
@@ -409,12 +410,12 @@ class TestBundleFormat:
         with open(corpus["index"], "rb") as fh:
             header = fh.read(len(MAGIC) + 4)
         assert header == MAGIC + struct.pack("<I", FORMAT_VERSION)
-        assert FORMAT_VERSION == 10
+        assert FORMAT_VERSION == 11
         bundle = load_bundle(corpus["index"])
         # n is the text section's length: no text_length param; the parse's
         # phrase IDs are cut from the text at the phrase starts and its
         # suffix arrays built from them: no parse, parse_sa or parse_rsa;
-        # the format version pins the k-mer hash: no base or modulus
+        # the k-mer table stores text starts, not hashes: no base or modulus
         assert len(SECTIONS) == 10
         assert not {"parse", "parse_sa", "parse_rsa"} & set(SECTIONS)
         assert not {"text_length", "base", "modulus"} & set(bundle.params)
@@ -486,24 +487,27 @@ class TestBundleFormat:
             assert f1.read() == f2.read()
 
     def test_range_check_matches_max(self):
-        # the byte-plane check answers as max() would, on entries near the
-        # bound in every byte (ties down to the last plane) and at random
+        # the u32 checks answer as max() and a pairwise comparison would, on
+        # entries near the bound in every byte and at random, risen or not,
+        # through both the one-integer path and the one past 2^31
         rng = random.Random(31)
-        for typecode in ("I", "Q"):
-            size = array(typecode).itemsize
-            top = (1 << 8 * size) - 1
-            for most in (0, 1, 255, 256, 65535, 2 ** 32 - 1, 2 ** 40 + 7):
-                near = {top} | {most + d for d in (-1, 0, 1)} | {
-                    most ^ 1 << bit for bit in range(0, 8 * size, 7)}
-                near = sorted(v for v in near if 0 <= v <= top)
-                for _ in range(40):
-                    values = array(typecode, (
-                        rng.choice(near) if rng.random() < 0.9 else rng.randint(0, top)
-                        for _ in range(rng.choice((0, 1, rng.randint(2, 300))))))
-                    if sys.byteorder == "big":
-                        values.byteswap()
-                    assert _at_most(values.tobytes(), size, most) == (
-                        not values or max(values) <= most), (typecode, most)
+        top = (1 << 32) - 1
+        for most in (0, 1, 255, 256, 65535, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 40 + 7):
+            near = {top} | {most + d for d in (-1, 0, 1)} | {
+                most ^ 1 << bit for bit in range(0, 32, 7)}
+            near = sorted(v for v in near if 0 <= v <= top)
+            for _ in range(40):
+                values = array("I", (
+                    rng.choice(near) if rng.random() < 0.9 else rng.randint(0, top)
+                    for _ in range(rng.choice((0, 1, rng.randint(2, 300))))))
+                if rng.random() < 0.5:
+                    values = array("I", sorted(set(values)))
+                little = array("I", values)
+                if sys.byteorder == "big":
+                    little.byteswap()
+                raw = little.tobytes()
+                assert _below(raw, most + 1) == (not values or max(values) <= most), most
+                assert _below(raw) == all(a < b for a, b in zip(values, values[1:])), most
 
     def test_queries_leave_the_saved_bundle_unchanged(self, corpus, tmp_path):
         # counters, the frozen flag and derived copies are not in the file
@@ -518,6 +522,23 @@ class TestBundleFormat:
         save_bundle(bundle, again)
         with open(corpus["index"], "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_only_kebab_queries_gather_the_kmer_set(self, corpus, capsys, monkeypatch):
+        # the k-mer set costs a pass over the table per process: exact,
+        # parse and combined queries must never pay it
+        build(corpus)
+        gathered = []
+        present = flt.FingerprintTable._present
+
+        def spy(table, f):
+            gathered.append(table.item_kind)
+            return present(table, f)
+        monkeypatch.setattr(flt.FingerprintTable, "_present", spy)
+        for mode in ("exact", "parse", "combined", "kebab"):
+            for flags in (["-t", "3"], ["-L", "10"], ["-f", "2", "-t", "1"]):
+                _, out = query(corpus, capsys, "--mode", mode, *flags)
+                assert mem_rows(out), (mode, flags)
+            assert (flt.ITEMS_KMER in gathered) == (mode == "kebab"), mode
 
     def test_no_module_binds_a_code_running_loader(self):
         banned = {"pickle", "_pickle", "marshal", "shelve"}
@@ -539,8 +560,15 @@ class TestBundleFormat:
         ("text_sa", lambda p: p[:-4] + struct.pack("<i", 10 ** 6),
          "text_sa entry out of range"),
         ("text_rsa", lambda p: p[:-2], "text_rsa is not a whole number of u32s"),
-        ("kmer_keys", lambda p: p[:-3], "kmer_keys is not a whole number of u64s"),
-        ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_keys differ"),
+        ("kmer_starts", lambda p: p[:-3], "kmer_starts is not a whole number of u32s"),
+        # the last k-mer of 1,500 symbols starts at 1492
+        ("kmer_starts", lambda p: p[:-4] + struct.pack("<I", 1493),
+         "kmer_starts entry out of range"),
+        ("kmer_starts", lambda p: p[:4] + p[8:12] + p[4:8] + p[12:],
+         "kmer_starts do not strictly increase"),
+        ("kmer_starts", lambda p: p[:4] + p[:4] + p[8:],
+         "kmer_starts do not strictly increase"),
+        ("kmer_counts", lambda p: p[:-1], "kmer_counts and kmer_starts differ"),
         ("kmer_counts", lambda p: b"\x00" + p[1:], "kmer_counts holds a zero count"),
         # the last phrase starts at n = 1500, so the one before ends past it
         ("phrase_start", lambda p: p[:-4] + struct.pack("<I", 1500),
@@ -558,7 +586,8 @@ class TestBundleFormat:
         (None, repeat_first_section, "section 'params' appears twice"),
         (None, lambda data: data + b"\x00", "data after the last section")],
         ids=["missing_kebab_k", "window_zero", "trigger_modulus_one",
-             "sa_out_of_range", "rsa_not_whole_u32s", "keys_not_whole_u64s",
+             "sa_out_of_range", "rsa_not_whole_u32s", "starts_not_whole_u32s",
+             "starts_out_of_range", "starts_swapped", "starts_repeated",
              "counts_length_differs", "zero_count", "phrase_past_text",
              "prefix_rows_wrong_length", "prefix_rows_fall",
              "prefix_rows_out_of_range", "alphabet_not_increasing",
@@ -583,15 +612,50 @@ class TestBundleFormat:
         assert rc == 1
         assert "FAIL index integrity" in capsys.readouterr().out
 
-    def test_check_index_rejects_unsorted_kmer_keys(self, corpus, capsys):
-        # key order is the writer's to keep: load takes the table as it is,
-        # and verify --check-index is what catches keys out of order
-        build(corpus)
-        rewrite_section(corpus["index"], "kmer_keys", lambda p: p[8:16] + p[:8] + p[16:])
-        load_bundle(corpus["index"])
+    @staticmethod
+    def kmer_entries(corpus):
+        """The k-mer table's starts and counts, as the corpus index stores them."""
+        table = load_bundle(corpus["index"]).kmer_filter
+        return list(table.starts), list(table.counts)
+
+    @staticmethod
+    def rewrite_kmer_table(corpus, starts, counts):
+        rewrite_section(corpus["index"], "kmer_starts",
+                        lambda _: struct.pack(f"<{len(starts)}I", *starts))
+        rewrite_section(corpus["index"], "kmer_counts", lambda _: bytes(counts))
+
+    def check_index_fails(self, corpus, capsys, why):
+        load_bundle(corpus["index"])  # well formed: load leaves it to the writer
         rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
         assert rc == 1
-        assert "kmer_keys do not strictly increase" in capsys.readouterr().out
+        assert why in capsys.readouterr().out
+
+    def test_check_index_rejects_a_dropped_kmer(self, corpus, capsys):
+        # one entry gone, starts still rising: a k-mer of the text is missing
+        build(corpus)
+        starts, counts = self.kmer_entries(corpus)
+        self.rewrite_kmer_table(corpus, starts[:5] + starts[6:], counts[:5] + counts[6:])
+        self.check_index_fails(corpus, capsys, "kmer_starts lack a k-mer of the text")
+
+    def test_check_index_rejects_a_wrong_kmer_count(self, corpus, capsys):
+        build(corpus)
+        starts, counts = self.kmer_entries(corpus)
+        counts[7] += 1
+        self.rewrite_kmer_table(corpus, starts, counts)
+        self.check_index_fails(corpus, capsys, "kmer_counts do not match the text")
+
+    def test_check_index_rejects_a_duplicated_kmer(self, corpus, capsys):
+        # a second start of a stored k-mer, put in its place among the
+        # starts: they still rise, but the k-mer is stored twice
+        build(corpus)
+        text, k = corpus["text"], 8
+        starts, counts = self.kmer_entries(corpus)
+        again = next(i for i in range(len(text) - k + 1)
+                     if i not in starts and text[i:i + k] in text[:i + k - 1])
+        at = bisect.bisect(starts, again)
+        self.rewrite_kmer_table(corpus, starts[:at] + [again] + starts[at:],
+                                counts[:at] + [1] + counts[at:])
+        self.check_index_fails(corpus, capsys, "kmer_starts repeat a k-mer")
 
     def test_check_index_rejects_a_moved_phrase_start(self, corpus, capsys):
         # one phrase start one place on, still rising and inside the text:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from parsemem.errors import ItemKindMismatch
 from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KEY_MODULUS,
-                              KIND_BLOOM, KIND_EXACT, KIND_TABLE, TABLE_PARAMS,
-                              BloomFilter, ExactFilter, FilterParams,
-                              FingerprintTable, expected_fpr, filter_build,
-                              kmer_keys, size_for)
+                              KIND_BLOOM, KIND_EXACT, KIND_TABLE, SEPARATOR,
+                              TABLE_PARAMS, BloomFilter, ExactFilter,
+                              FilterParams, FingerprintTable, expected_fpr,
+                              filter_build, size_for)
 
 
 class TestSizing:
@@ -150,30 +150,26 @@ class TestExact:
             assert filt.query(probe) == (probe in inserted)
 
 
-def table_key(kmer):
-    return int.from_bytes(kmer, "big") % KEY_MODULUS
+def stored(table):
+    """A k-mer table's (k-mer, count) entries, in stored order."""
+    k = table.k
+    return [(table.text[s:s + k], c) for s, c in zip(table.starts, table.counts)]
 
 
 class TestFingerprintTable:
-    def test_rolling_keys_equal_per_item_keys(self):
-        rng = random.Random(89)
-        for k in (1, 3, 7, 8, 20, 31):
-            for size in (0, k - 1, k, k + 1, 300):
-                seq = bytes(rng.randrange(256) for _ in range(max(size, 0)))
-                assert kmer_keys(seq, k) == [table_key(seq[i:i + k])
-                                             for i in range(len(seq) - k + 1)]
-        assert kmer_keys(b"\xff" * 40, 30) == [table_key(b"\xff" * 30)] * 11
-
     def test_build_sorts_distinct_keys_with_saturating_counts(self):
+        # the k-mer table stores each distinct k-mer once, at its first
+        # start in the records joined by SEPARATOR, in start order
         items = [b"CAT"] * 3 + [b"ACG"] + [b"TTT"] * 300
         filt = filter_build(iter(items), FilterParams(64, 2), KIND_TABLE, ITEMS_KMER, 3)
-        want = sorted((table_key(x), min(items.count(x), 255)) for x in set(items))
-        assert list(zip(filt.keys, filt.counts)) == want
+        assert filt.text == bytes([SEPARATOR]).join(items)
+        assert list(filt.starts) == [0, 12, 16]
+        assert stored(filt) == [(b"CAT", 3), (b"ACG", 1), (b"TTT", 255)]
         assert filt.probes == 0  # building is not lookup work
         filt.insert_many([b"ACG", b"GGG"])  # counts merge with the stored ones
         assert filt.min_count(b"ACG") == 2 and filt.min_count(b"GGG") == 1
         assert filt.min_count(b"TTT") == 255
-        assert list(filt.keys) == sorted(filt.keys)
+        assert stored(filt)[-1] == (b"GGG", 1) and list(filt.starts) == sorted(filt.starts)
 
     def test_records_count_their_kmers(self):
         # a k-mer table takes whole records and counts every k-mer of each
@@ -181,21 +177,19 @@ class TestFingerprintTable:
         k = 5
         records = [b"", b"ACGT", b"ACGTA", bytearray(b"ACGTACGTAC"),
                    bytes(rng.choice(b"AC") for _ in range(400)), b"T" * 300,
-                   bytes(rng.choice(b"ACGT") for _ in range(9000))]  # > a batch
+                   bytes(rng.choice(b"ACGT") for _ in range(9000))]
         filt = filter_build(iter(records), TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
-        tally = {}
-        for record in records:
-            for i in range(len(record) - k + 1):
-                key = table_key(bytes(record[i:i + k]))
-                tally[key] = tally.get(key, 0) + 1
-        assert list(zip(filt.keys, filt.counts)) == \
-            sorted((key, min(count, 255)) for key, count in tally.items())
-        assert max(tally.values()) > 255
+        tally = Counter(bytes(record[i:i + k]) for record in records
+                        for i in range(len(record) - k + 1))
+        assert dict(stored(filt)) == {x: min(n, 255) for x, n in tally.items()}
+        assert len(filt.starts) == len(tally) and max(tally.values()) > 255
+        text = filt.text
+        assert list(filt.starts) == sorted(text.index(x) for x in tally)
         with pytest.raises(ItemKindMismatch):
             filter_build([b"ACGTA", "ACGTA"], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
 
     def test_short_keys_are_exact(self):
-        # k <= 7: a k-mer's big-endian value is below 2^61 - 1, its own key
+        # a k-mer table compares whole k-mers: no two share a key
         rng = random.Random(97)
         stored = {bytes(rng.randrange(256) for _ in range(7)) for _ in range(300)}
         filt = filter_build(stored, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 7)
@@ -212,8 +206,11 @@ class TestFingerprintTable:
 
     def test_restore_needs_one_count_per_key(self):
         with pytest.raises(ValueError):
-            FingerprintTable(TABLE_PARAMS, ITEMS_KMER, 4, array("Q", [1, 2]),
-                             bytearray(b"\x01"))
+            FingerprintTable(TABLE_PARAMS, ITEMS_PHRASE, None, bytearray(b"\x01"),
+                             keys=array("Q", [1, 2]))
+        with pytest.raises(ValueError):
+            FingerprintTable(TABLE_PARAMS, ITEMS_KMER, 4, bytearray(b"\x01"),
+                             starts=array("I", [0, 5]), text=b"ACGTACGTA")
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_pattern_kmers_answer_the_true_multiset(self, f):
@@ -248,6 +245,20 @@ class TestFingerprintTable:
         assert filt.at_least_many(sorted(spanning), 1) == [False] * len(spanning)
 
 
+def restore(table):
+    """``table`` rebuilt from its stored arrays, as ``load_bundle`` does."""
+    if table.item_kind == ITEMS_KMER:
+        return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, table.k, bytearray(table.counts),
+                                starts=array("I", table.starts), text=bytes(table.text))
+    return FingerprintTable(TABLE_PARAMS, ITEMS_PHRASE, None, bytearray(table.counts),
+                            keys=array("Q", table.keys))
+
+
+def kmer_truth(records, k):
+    """A ``Counter`` of the k-mers inside the records."""
+    return Counter(bytes(r[i:i + k]) for r in records for i in range(len(r) - k + 1))
+
+
 class TestTableAgainstCounter:
     """Every lookup of a table equals a ``Counter`` of its items' true keys,
     counts saturating at 255, whether the table was built or restored."""
@@ -265,7 +276,7 @@ class TestTableAgainstCounter:
                         for i in range(len(r) - cls.K + 1)]
             probes = sorted({bytes(rng.choice(b"ACGN") for _ in range(cls.K))
                              for _ in range(150)} | set(inserted[:30]) | {b"AAAA"})
-            return records, inserted, probes, table_key
+            return records, inserted, probes, bytes
         # 5 and 5 + 2^61 - 1 share a key, and add up to one count
         inserted = ([rng.randrange(1 << 40) for _ in range(200)] + [7] * 300
                     + [5, 5 + KEY_MODULUS, (1 << 64) - 1] * 2)
@@ -280,9 +291,8 @@ class TestTableAgainstCounter:
         stream, inserted, probes, key = self.items(item_kind, rng)
         k = self.K if item_kind == ITEMS_KMER else None
         filt = filter_build(stream, TABLE_PARAMS, KIND_TABLE, item_kind, k)
-        if restored:  # as load_bundle restores the k-mer table
-            filt = FingerprintTable(TABLE_PARAMS, item_kind, k,
-                                    array("Q", filt.keys), bytearray(filt.counts))
+        if restored:
+            filt = restore(filt)
         truth = Counter(map(key, inserted))
         count = [min(truth[key(x)], 255) for x in probes]
         assert 0 in count and 255 in count and max(truth.values()) > 255
@@ -293,12 +303,45 @@ class TestTableAgainstCounter:
             if item_kind == ITEMS_KMER:
                 for seq in stream[:3] + [b"ACGNACGTTTT", b"A" * 9]:
                     assert filt.kmers_at_least(seq, f) == [
-                        min(truth[table_key(seq[i:i + k])], 255) >= min(f, 255)
+                        min(truth[seq[i:i + k]], 255) >= min(f, 255)
                         for i in range(len(seq) - k + 1)]
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
+    @pytest.mark.parametrize("k", [1, 4, 20])
+    def test_kmer_lookups_equal_the_counter_at_any_k(self, k, restored):
+        # records over 200 byte values, some shorter than k, one with a
+        # k-mer 300 times; probes with bytes outside the records' alphabet
+        # and k-mers across the separator, which the table must not hold
+        rng = random.Random(127 + k)
+        alphabet = bytes(range(14, 214))
+        records = [bytes(rng.choice(alphabet[:3]) for _ in range(rng.randint(0, 3 * k)))
+                   for _ in range(12)]
+        records += [alphabet[:1] * (k + 299), bytes(rng.choices(alphabet, k=500)),
+                    bytes(rng.choices(alphabet[:2], k=k - 1))]
+        filt = filter_build(records, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+        if restored:
+            filt = restore(filt)
+        truth = kmer_truth(records, k)
+        joined = bytes([SEPARATOR]).join(records)
+        across = {joined[i:i + k] for i in range(len(joined) - k + 1)} - set(truth)
+        foreign = bytes(rng.choice(b"\x01\xff\xfe") for _ in range(3 * k))
+        assert across and all(SEPARATOR in x for x in across)
+        assert max(truth.values()) > 255 and min(map(len, records)) < k
+        probes = sorted(truth) + sorted(across) + [foreign[:k]]
+        count = [min(truth[x], 255) for x in probes]
+        assert [filt.min_count(x) for x in probes] == count
+        assert [filt.query(x) for x in probes] == [c > 0 for c in count]
+        for f in (1, 2, 3, 255, 300):
+            assert filt.at_least_many(probes, f) == [c >= min(f, 255) for c in count]
+            for seq in [*records[-4:], joined, foreign, joined[:k - 1]]:
+                assert filt.kmers_at_least(seq, f) == [
+                    min(truth[seq[i:i + k]], 255) >= min(f, 255)
+                    for i in range(len(seq) - k + 1)]
+
 
     @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
     def test_insert_after_a_lookup_is_seen(self, item_kind):
-        # the first lookup builds the table's dict; an insert must not leave
+        # the first lookup gathers the table's set; an insert must not leave
         # later lookups reading it
         if item_kind == ITEMS_KMER:
             filt = filter_build([b"ACGTA"], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 4)
@@ -314,6 +357,21 @@ class TestTableAgainstCounter:
         assert (filt.min_count(old), filt.min_count(new)) == (2, 1)
         if item_kind == ITEMS_KMER:
             assert filt.kmers_at_least(b"ACGTTTT", 2) == [True] + [False] * 3
+
+
+@given(st.lists(st.binary(max_size=40), max_size=12), st.integers(1, 6),
+       st.integers(1, 4), st.binary(max_size=60))
+@settings(max_examples=120, deadline=None)
+def test_kmer_table_equals_the_counter_of_random_records(records, k, f, pattern):
+    # any bytes, the separator among them: a record's k-mers count, and
+    # nothing across two records does
+    truth = kmer_truth(records, k)
+    built = filter_build(records, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+    for filt in (built, restore(built)):
+        assert dict(stored(filt)) == {x: min(n, 255) for x, n in truth.items()}
+        for seq in (pattern, filt.text):
+            assert filt.kmers_at_least(seq, f) == [
+                truth[seq[i:i + k]] >= f for i in range(len(seq) - k + 1)]
 
 
 def rand_kmers(rng, n, k):

@@ -7,19 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemem.errors import EmptyInputError
-from parsemem.filters import KEY_BASE, KEY_MODULUS, kmer_keys
 from parsemem.parsing import (MinimizerParams, PhraseDictionary, Trigger,
                               anchor_length, choose_trigger, minimizer_parse,
                               pfp_parse)
-
-MOD = (1 << 61) - 1
-
-
-def direct_hash(chunk: bytes, base=256, mod=MOD) -> int:
-    h = 0
-    for c in chunk:
-        h = (h * base + c) % mod
-    return h
 
 
 def self_parse(text: bytes, w: int, p: int, dictionary=None):
@@ -51,25 +41,6 @@ def naive_anchors(text: bytes, w: int, p: int) -> tuple[bytes, ...]:
             kept.append(gram)
             total += counts[gram]
     return tuple(sorted(kept))
-
-
-class TestRollWindows:
-    def test_rolled_equals_direct(self):
-        assert kmer_keys(b"ABCD", 2) == [
-            direct_hash(b"AB"), direct_hash(b"BC"), direct_hash(b"CD")]
-
-    def test_too_short_has_no_keys(self):
-        assert kmer_keys(b"A", 2) == []
-
-    def test_single_window(self):
-        assert kmer_keys(b"ACG", 3) == [direct_hash(b"ACG")]
-
-    @given(st.binary(min_size=6, max_size=200), st.integers(2, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_rolling_identity(self, text, w):
-        got = kmer_keys(text, w)
-        assert got == [direct_hash(text[i:i + w], KEY_BASE, KEY_MODULUS)
-                       for i in range(len(text) - w + 1)]
 
 
 class TestPfpParse:

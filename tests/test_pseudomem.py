@@ -98,7 +98,7 @@ class TestKebab:
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_table_runs_equal_exact_filter_runs(self, f):
-        # k <= 7 gives the table exact keys, so its runs are the multiset's
+        # the table compares whole k-mers, so its runs are the multiset's
         rng = random.Random(107 + f)
         k = 6
         for _ in range(30):
