@@ -13,8 +13,9 @@ k-mers and their one-byte counts.  Each integer section is one
 little-endian typed array of u32s.  Load derives
 the reversed sequences, the parse's phrase IDs and the phrase dictionary
 (the text cut at the phrase starts, each new phrase taking the next ID),
-the parse's two suffix arrays, the phrase table, and starts step, hit and
-probe counters at 0; a prefix-table hit counts the q steps it stands for.
+the parse's two suffix arrays, whose first-symbol buckets give the phrase
+filter its counts, and starts step, hit and probe counters at 0; a
+prefix-table hit counts the q steps it stands for.
 Load checks every value it reads and rejects other versions, as results
 are only meaningful with the build-time parsing parameters, which the
 params record: the window w >= 1, phrase period p >= 2, anchor length
@@ -40,9 +41,9 @@ from itertools import product, repeat
 from operator import le, lt
 from typing import Any
 
-from . import filters as flt
 from .errors import IndexFormatError
-from .filters import ITEMS_KMER, SEPARATOR, TABLE_PARAMS, FingerprintTable
+from .filters import (ITEMS_KMER, SEPARATOR, TABLE_PARAMS, FingerprintTable,
+                      PhraseCounts)
 from .parsing import (ParsedString, PhraseDictionary, Trigger, choose_trigger,
                       pfp_phrases)
 from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
@@ -58,9 +59,8 @@ class IndexBundle:
     """Built structures over one text, plus the parameters that shaped them.
 
     Queries parse patterns with ``trigger``, the text's, whose w and l
-    ``params`` records beside p.  The phrase table counts the IDs of
-    ``parse_text`` (through ``filters``, so a wrapper set there sees the
-    call).
+    ``params`` records beside p.  The phrase filter reads each ID's count
+    off ``parse_index``: nothing counts the parse's IDs a second time.
     """
 
     params: dict[str, Any]
@@ -70,11 +70,10 @@ class IndexBundle:
     text_index: OccurrenceIndex
     parse_index: OccurrenceIndex
     kmer_filter: FingerprintTable
-    phrase_filter: FingerprintTable = field(init=False)
+    phrase_filter: PhraseCounts = field(init=False)
 
     def __post_init__(self):
-        self.phrase_filter = flt.filter_build(self.parse_text.symbols, flt.TABLE_PARAMS,
-                                              flt.KIND_TABLE, flt.ITEMS_PHRASE)
+        self.phrase_filter = PhraseCounts(self.parse_index.forward.buckets)
 
 
 def _little_endian(values: array) -> array:

@@ -2,16 +2,16 @@
 
 ``build`` stores a table of every record's k-mers, for kebab mode, as one
 text start and a count per distinct k-mer, beside the text index and the
-parse's phrase starts; the parse's phrase IDs, suffix arrays and phrase
-table, for combined mode, are derived from the text on load.  Neither
-table has a size or seed.  The parse window ``-w``, phrase period ``-p``
-and k-mer length ``-k`` are build flags only: ``build`` picks the parse's
-trigger, the l-grams that end a phrase's first window, so that the text
-has about one phrase per p characters, and ``query`` and ``stats`` parse
-each pattern with the index's trigger.  ``verify --check-index`` checks
-what load leaves to the writer: the orders of the text's suffix arrays,
-the k-mer table and the trigger and phrase starts against the text, among
-others.
+parse's phrase starts; the parse's phrase IDs and suffix arrays are
+derived from the text on load, and combined mode reads its phrase counts
+off them.  The table has no size or seed.  The parse window ``-w``,
+phrase period ``-p`` and k-mer length ``-k`` are build flags only:
+``build`` picks the parse's trigger, the l-grams that end a phrase's
+first window, so that the text has about one phrase per p characters,
+and ``query`` and ``stats`` parse each pattern with the index's trigger.
+``verify --check-index`` checks what load leaves to the writer: the
+orders of the text's suffix arrays, the k-mer table and the trigger and
+phrase starts against the text, among others.
 
 Output is TSV on standard output.  Rows are type-tagged in the first column:
 
@@ -145,25 +145,18 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     """Run one pattern in one mode; returns (pms, retained, mems, parse_len).
 
     Every mode ends in the same find_long_mems search and differs only in
-    the windows it searches: exact searches the whole pattern, parse and
-    combined the pseudo-MEMs that survive safe discarding.  KeBaB runs hold
-    every f-MEM of length >= k and certify nothing shorter, so kebab
-    searches them with L >= k, and with -t passes k as the floor, the L its
-    top-t scan starts at, where the search itself falls back to the whole
-    pattern if fewer than t reach k; with a smaller L, or neither flag, it
-    searches the whole pattern.  Every scan finishes its near-misses alike.
+    the windows it gives it and their floor, the length from which they
+    hold every f-MEM: the whole pattern for exact and the pseudo-MEMs that
+    survive safe discarding for parse and combined, from 1, and the KeBaB
+    runs for kebab, from k.
     """
     mode, f, t, L = args.mode, args.f, args.t, args.L
     pms: list[pmm.PseudoMem] = []
-    retained, parse_len, floor = pms, 0, None
+    retained, parse_len, floor = pms, 0, 1
     windows = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
-    k = bundle.params["kebab_k"]
     if mode == "kebab":
-        pms = retained = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
-        if t is not None:
-            windows, floor = retained, k
-        elif L is not None and L >= k:
-            windows = retained
+        pms = retained = windows = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
+        floor = bundle.params["kebab_k"]
     elif mode != "exact":
         parse_p = pfp_parse(pattern, bundle.trigger, bundle.dictionary)
         if mode == "parse":

@@ -8,16 +8,14 @@ threshold).  The exact variant, backed by a real multiset, satisfies the
 same interface with zero false positives; it exists so tests can isolate
 the effect of false positives.
 
-The fingerprint table is the one filter kind an index holds: a stored k-mer
-table for KeBaB, and a phrase-ID table for the combined route, counted from
-the text's parse on build and on load.  It stores each distinct item once,
-with its count, saturating at 255, in a ``bytearray``: a phrase ID by its
-key, the ID mod 2^61 - 1 (IDs that share a key add up to one count, so a
-collision can only add a false positive), and a k-mer, exactly, by its
-first start in ``text``, the records joined by ``SEPARATOR``.  The first
-lookup at a threshold f gathers the items counted at least min(f, 255)
-times into a set, and ``kmers_at_least`` slices a whole pattern into its
-k-mers and tests them against it with no Python code run per k-mer.
+The fingerprint table is the k-mer table an index stores for KeBaB.  It
+stores each distinct k-mer once, exactly, by its first start in ``text``,
+the records joined by ``SEPARATOR``, with its count, saturating at 255, in a
+``bytearray``.  The first lookup at a threshold f gathers the k-mers counted
+at least min(f, 255) times into a set, and ``kmers_at_least`` slices a whole
+pattern into its k-mers and tests them against it with no Python code run
+per k-mer.  An index's phrase filter, ``PhraseCounts``, reads each phrase
+ID's exact count off the parse's index.
 
 The Bloom filter takes probe positions from double hashing: two seeded
 64-bit digests combined as h1 + i*h2 mod m, so a filter is reproducible bit
@@ -55,9 +53,7 @@ _MIN_BITS = 8
 _MAX_HASHES = 16
 _SATURATED = 255  # the largest count one byte holds
 _SEED_LIMIT = 1 << 64  # a seed keys the hash as 8 little-endian bytes
-_ID_LIMIT = 1 << 64  # a phrase ID encodes as 8 unsigned bytes
 _H1_MASK = (1 << 64) - 1
-KEY_MODULUS = (1 << 61) - 1  # a phrase ID's key is the ID mod this prime
 SEPARATOR = 0  # joins multi-record texts; outside every sequence alphabet
 
 
@@ -76,10 +72,9 @@ class FilterParams:
             raise ValueError("seed must be in [0, 2^64)")
 
 
-# A table has no size to choose.  Its params give the phrase-ID key space
-# as the bits of one hash, so expected_fpr reads the chance that the key of
-# an ID the table lacks equals one of n stored keys: 1 - e^(-n / (2^61 - 1)).
-TABLE_PARAMS = FilterParams(bits=KEY_MODULUS, hash_count=1)
+# A table, like the phrase counts, has no size to choose and holds its items
+# exactly; its params make expected_fpr read 1 - e^(-n / (2^61 - 1)).
+TABLE_PARAMS = FilterParams(bits=(1 << 61) - 1, hash_count=1)
 
 
 def size_for(n_items: int, target_fpr: float) -> FilterParams:
@@ -226,15 +221,14 @@ class ExactFilter(MembershipFilter):
 
 
 class FingerprintTable(MembershipFilter):
-    """Distinct items, each stored once, and their saturating one-byte counts.
+    """Distinct k-mers, each stored once, and their saturating one-byte counts.
 
-    It keeps ``TABLE_PARAMS`` whatever params it is given.  A phrase-ID
-    table stores its keys in ``keys``, a k-mer table a start of each k-mer
-    in ``text`` in ``starts``.  Pass them and ``counts`` to restore a table:
-    as the table writes them, the keys or starts strictly increase, the
-    counts are positive, and both have one length.
+    It keeps ``TABLE_PARAMS`` whatever params it is given.  It stores a
+    start of each k-mer in ``text`` in ``starts``; pass them and ``counts``
+    to restore a table: as the table writes them, the starts strictly
+    increase, the counts are positive, and both have one length.
 
-    Lookups read a set of the items counted at least min(f, 255) times,
+    Lookups read a set of the k-mers counted at least min(f, 255) times,
     gathered on the first lookup at f, so a build or load pays nothing for
     it; ``insert_many`` drops it.  On 100k 20-mers it holds about 9.5 MB.
     """
@@ -242,77 +236,67 @@ class FingerprintTable(MembershipFilter):
     kind = KIND_TABLE
 
     def __init__(self, params: FilterParams, item_kind: str, k: int | None = None,
-                 counts: bytearray | None = None, keys: array | None = None,
-                 starts: array | None = None, text: bytes = b""):
+                 counts: bytearray | None = None, starts: array | None = None,
+                 text: bytes = b""):
+        if item_kind != ITEMS_KMER:
+            raise ItemKindMismatch("a fingerprint table holds k-mers only")
         super().__init__(TABLE_PARAMS, item_kind, k)
         self.counts = bytearray() if counts is None else counts
-        if item_kind == ITEMS_KMER:
-            self.text, self.starts = text, array("I") if starts is None else starts
-        else:
-            self.keys = array("Q") if keys is None else keys
-        if len(self.starts if self.k else self.keys) != len(self.counts):
-            raise ValueError("keys or starts and counts differ in length")
+        self.text, self.starts = text, array("I") if starts is None else starts
+        if len(self.starts) != len(self.counts):
+            raise ValueError("starts and counts differ in length")
         self._present_at: dict[int, set] = {}
         self._slices: list[slice] = []  # kmers_at_least's, kept from call to call
 
-    def _stored(self):
-        """The stored items' keys, a k-mer's being itself, in stored order."""
-        k = self.k
-        return [self.text[start:start + k] for start in self.starts] if k else self.keys
+    def _stored(self) -> list[bytes]:
+        """The stored k-mers, in stored order."""
+        return [self.text[start:start + self.k] for start in self.starts]
 
     def _present(self, f: int) -> set:
-        """The keys counted at least min(f, 255) times, gathered on the
+        """The k-mers counted at least min(f, 255) times, gathered on the
         first lookup at that threshold; a saturated count passes any f."""
         least = min(f, _SATURATED)
         if least not in self._present_at:
-            self._present_at[least] = {key for key, count in zip(self._stored(), self.counts)
+            self._present_at[least] = {kmer for kmer, count in zip(self._stored(), self.counts)
                                        if count >= least}
         return self._present_at[least]
 
     def _keys(self, items: Iterable):
-        """Yield each item's key; items are validated inline."""
-        kmers, k = self.item_kind == ITEMS_KMER, self.k
+        """Yield each item as bytes; items are validated inline."""
         for item in items:
-            if not (isinstance(item, (bytes, bytearray)) and len(item) == k if kmers
-                    else type(item) is int and 0 <= item < _ID_LIMIT):
+            if not (isinstance(item, (bytes, bytearray)) and len(item) == self.k):
                 self._encode(item)  # raises on an item of the wrong kind
-            yield bytes(item) if kmers else item % KEY_MODULUS
+            yield bytes(item)
 
     def insert(self, item):
         self.insert_many((item,))
 
     def insert_many(self, items: Iterable):
-        """Count the items into the table and store it again.
+        """Count the records' k-mers into the table and store it again.
 
-        A k-mer table takes records, not k-mers: it appends them to its
-        text and counts every k-mer inside each, so a k-mer is inserted as a
-        record of length k.
+        The table takes records, not k-mers: it appends them to its text and
+        counts every k-mer inside each, so a k-mer is inserted as a record
+        of length k.
         """
         self._present_at = {}
-        if self.item_kind == ITEMS_PHRASE:
-            tally = Counter(self._keys(items))
-            tally.update(dict(zip(self.keys, self.counts)))
-            self.keys = array("Q", sorted(tally))
-        else:
-            records = list(items)
-            if not all(isinstance(record, (bytes, bytearray)) for record in records):
-                raise ItemKindMismatch("k-mer table expects bytes records")
-            k, at = self.k, len(self.text) + 1 if self.text else 0
-            text = bytes([SEPARATOR]).join([self.text, *records] if self.text else records)
-            first = dict(zip(self._stored(), self.starts))
-            firsts = []  # for each k-mer inserted, the first start of its k-mer
-            for record in records:
-                end = at + len(record)
-                starts = range(at, end - k + 1)
-                kmers = map(text.__getitem__, map(slice, starts, range(at + k, end + 1)))
-                firsts += map(first.setdefault, kmers, starts)
-                at = end + 1
-            del first  # frees the k-mers before the count: a lower peak memory
-            tally = Counter(dict(zip(self.starts, self.counts)))
-            tally.update(firsts)
-            self.text, self.starts = text, array("I", sorted(tally))
-        order = self.starts if self.k else self.keys
-        self.counts = bytearray(map(min, map(tally.__getitem__, order), repeat(_SATURATED)))
+        records = list(items)
+        if not all(isinstance(record, (bytes, bytearray)) for record in records):
+            raise ItemKindMismatch("k-mer table expects bytes records")
+        k, at = self.k, len(self.text) + 1 if self.text else 0
+        text = bytes([SEPARATOR]).join([self.text, *records] if self.text else records)
+        first = dict(zip(self._stored(), self.starts))
+        firsts = []  # for each k-mer inserted, the first start of its k-mer
+        for record in records:
+            end = at + len(record)
+            starts = range(at, end - k + 1)
+            kmers = map(text.__getitem__, map(slice, starts, range(at + k, end + 1)))
+            firsts += map(first.setdefault, kmers, starts)
+            at = end + 1
+        del first  # frees the k-mers before the count: a lower peak memory
+        tally = Counter(dict(zip(self.starts, self.counts)))
+        tally.update(firsts)
+        self.text, self.starts = text, array("I", sorted(tally))
+        self.counts = bytearray(map(min, map(tally.__getitem__, self.starts), repeat(_SATURATED)))
 
     def min_count(self, item) -> int:
         """The stored count of ``item``, found by a scan of the table."""
@@ -334,6 +318,30 @@ class FingerprintTable(MembershipFilter):
                            map(seq.__getitem__, islice(self._slices, n))))
         self.probes += n
         return answers
+
+
+class PhraseCounts(MembershipFilter):
+    """A parse's exact phrase-ID counts, read off its index, never inserted:
+    ``rows`` maps an ID to the suffix-array rows (lo, hi) of the suffixes it
+    begins (``seqindex.first_symbol_buckets``), so it occurs hi - lo times."""
+
+    kind = KIND_EXACT
+
+    def __init__(self, rows: dict[int, tuple[int, int]]):
+        super().__init__(TABLE_PARAMS, ITEMS_PHRASE)
+        self._rows = rows
+
+    def _counts(self, items: Iterable) -> list[int]:
+        items = list(items)
+        if not set(map(type, items)) <= {int}:
+            list(map(self._encode, items))  # raises on an item of the wrong kind
+        return [hi - lo for lo, hi in map(self._rows.get, items, repeat((0, 0)))]
+
+    def min_count(self, item) -> int:
+        return self._counts((item,))[0]
+
+    def _answer(self, items: Iterable, f: int) -> list[bool]:
+        return [count >= f for count in self._counts(items)]
 
 
 _FILTER_CLASSES = {

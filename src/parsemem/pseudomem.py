@@ -32,12 +32,12 @@ may skip a certificate that it could have counted, which can only lower c.
 
 The cutoff c also floors the final top-t search.  Safe discarding keeps the
 t counted certificates with the best bounds, each at least as long as its
-bound, so the kept windows hold t distinct f-MEMs at least c long.  The
-search finds the t longest f-MEMs inside the windows among those at least
-as long as its floor; if fewer than t reach the floor it searches the whole
-pattern from 1, so the answer is exact whatever the floor is.  KeBaB runs
-hold every f-MEM of length at least k, so kebab's search is floored at k;
-the whole pattern carries bound 0, so its search starts at 1.
+bound, so the kept windows hold t distinct f-MEMs at least c long.  Before
+discarding, the windows hold every f-MEM at least the search's floor long:
+1, or k for KeBaB runs.  With t the search returns the t longest f-MEMs in
+the windows at least max(floor, c) long, or, if fewer than t reach that,
+the t longest of the whole pattern, so the answer is exact whatever the
+floor is; without t, an L below the floor searches the whole pattern.
 """
 
 from __future__ import annotations
@@ -245,22 +245,20 @@ def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
 
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
                    pattern: bytes, f: int = 1, t: int | None = None,
-                   L: int | None = None, floor: int | None = None) -> list[Mem]:
+                   L: int | None = None, floor: int = 1) -> list[Mem]:
     """The character-level f-MEM search of every query mode, inside windows.
 
     The windows (pseudo-MEMs' characters, or the whole pattern) are merged
     where they overlap or touch and scanned against the text in one
-    threshold scan, longest first.  Of the f-MEMs of P that lie inside a
-    merged window, the result holds with ``L`` those of length at least L,
-    with ``t`` the t longest, ties included, and with neither all of them.
+    threshold scan, longest first.  Of the f-MEMs of P inside a merged
+    window, the result holds, by start, with ``L`` those of length at least
+    L, with ``t`` the t longest, ties included, and with neither all of them.
 
-    With ``t`` the scan is given ``floor`` as its L: the caller's floor,
-    else the cutoff safe_discard keeps, else 1, so it returns the t longest
-    matches at least that long.  The windows must hold every f-MEM of P at
-    least ``floor`` long, so t such matches are the t longest of P.  If
-    fewer than t reach a floor above 1, the whole pattern is scanned again
-    from 1.  Kebab passes k, as its runs hold every f-MEM that long.
-    Output is sorted by start.
+    ``floor`` is the length from which the windows, before safe discarding,
+    hold every f-MEM of P.  With ``t`` the scan starts at max(floor, the
+    cutoff safe_discard keeps), and if fewer than t matches reach an L
+    above 1, the whole pattern is scanned again from 1.  Without ``t``, an
+    L below the floor (1 when L is not given) scans the whole pattern.
     """
     if t is not None and L is not None:
         raise ValueError("pass at most one of t and L")
@@ -272,7 +270,9 @@ def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],
             runs.append((lo, hi))
     runs.sort(key=lambda run: run[0] - run[1])
     if t:
-        L = floor if floor is not None else max(_cutoff(pms, t), 1)
+        L = max(floor, _cutoff(pms, t))
+    elif (L or 1) < floor:
+        runs = [(1, len(pattern))]
     mems = threshold_scan(text_index, pattern, runs, f, L=L, t=t)
     if t and L > 1 and len(mems) < t:
         return threshold_scan(text_index, pattern, ((1, len(pattern)),), f, t=t)

@@ -511,7 +511,7 @@ def suite_kebab_overlap(rng: random.Random, instances: int, k: int = 8
 
 
 def suite_refine_equivalence(rng: random.Random, instances: int,
-                             kind: str = flt.KIND_TABLE, fpr: float = 0.01,
+                             kind: str = flt.KIND_EXACT, fpr: float = 0.01,
                              max_text: int = 800, max_pattern: int = 200,
                              w: int = 4, p: int = 5) -> SuiteResult:
     """Coarse-then-refine reproduces direct parse pseudo-MEMs exactly."""

@@ -12,8 +12,11 @@ import pytest
 from parsemem import filters as flt
 from parsemem.bundle import load_bundle, save_bundle
 from parsemem.cli import main
-from parsemem.pseudomem import kebab_pseudo_mems
-from parsemem.verify import (kebab_split_holds, lemma1_counts, random_bytes,
+from parsemem.filters import PhraseCounts
+from parsemem.pseudomem import (coarse_sets, kebab_pseudo_mems,
+                                parse_pseudo_mems, refine)
+from parsemem.verify import (build_parse_pair, kebab_split_holds,
+                             lemma1_counts, make_instance, random_bytes,
                              suite_kebab, suite_kebab_overlap,
                              suite_minimizer_bounds,
                              suite_minimizer_consistency,
@@ -188,10 +191,21 @@ def test_criterion_09_refine_equals_direct():
     assert ok, line
 
 
-def test_refine_equivalence_with_the_stored_phrase_table():
-    # criterion 9's check with the phrase-ID table an index stores, f in {1,2}
-    res = suite_refine_equivalence(rng_for("c9t"), 500, kind=flt.KIND_TABLE)
-    assert res.ok and res.checked > 0, res.line()
+def test_refine_equivalence_with_the_parse_index_counts():
+    # criterion 9's check with the phrase filter an index holds, its parse
+    # index's own counts, f in {1,2,3}: each answer is the exact count's
+    rng = rng_for("c9t")
+    for _ in range(300):
+        text, pattern = make_instance(rng, 800, 200,
+                                      plant=(40, 120) if rng.random() < 0.7 else None)
+        _, parse_p, parse_index = build_parse_pair(text, pattern, 4, 5)
+        filt = PhraseCounts(parse_index.forward.buckets)
+        for f in (1, 2, 3):
+            coarse = coarse_sets(parse_p, filt, f)
+            assert list(coarse.present) == [parse_index.count((sym,)) >= f
+                                            for sym in parse_p.symbols]
+            assert refine(coarse, parse_p, parse_index, f) == \
+                parse_pseudo_mems(parse_p, parse_index, f)
 
 
 def test_criterion_10_bloom_statistics():

@@ -10,6 +10,7 @@ import re
 import struct
 import sys
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from parsemem import filters as flt
 from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, _below,
                              load_bundle, save_bundle)
 from parsemem.cli import main
-from parsemem.errors import IndexFormatError
+from parsemem.errors import IndexFormatError, ItemKindMismatch
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.seqindex import OccurrenceIndex, PrefixTable
@@ -433,11 +434,11 @@ class TestBundleFormat:
         assert bundle.parse_text.reconstruct() == corpus["text"]
         assert (bundle.text_index.steps, bundle.kmer_filter.probes,
                 bundle.phrase_filter.probes) == (0, 0, 0)
-        # the phrase table holds each phrase ID of the text's parse, counted
+        # the phrase filter reads each phrase ID's count off the parse index
         symbols = bundle.parse_text.symbols
-        assert list(bundle.phrase_filter.keys) == sorted(set(symbols))
-        assert list(bundle.phrase_filter.counts) == [
-            min(symbols.count(key), 255) for key in bundle.phrase_filter.keys]
+        assert bundle.phrase_filter.kind == flt.KIND_EXACT
+        ids = range(len(bundle.dictionary) + 1)  # the last one absent
+        assert [bundle.phrase_filter.min_count(i) for i in ids] == list(map(symbols.count, ids))
         # the reversed text's prefix table, at q = 3 for 1,500 symbols of ACGT
         table = bundle.text_index.prefix_table
         fresh = PrefixTable.build(corpus["text"][::-1])
@@ -457,18 +458,19 @@ class TestBundleFormat:
          lambda phrases, m: 1 < len(phrases) < m)],
         ids=["nul_joined_copies", "shorter_than_w", "no_trigger", "w1_p3",
              "w10_p50"])
-    def test_load_derives_the_dictionary_and_phrase_table(self, tmp_path, records,
-                                                          w, p, shape):
+    def test_load_derives_the_dictionary_and_phrase_table(self, tmp_path, monkeypatch,
+                                                          records, w, p, shape):
         fasta = tmp_path / "text.fa"
         fasta.write_bytes(b"".join(b">r%d\n%s\n" % (i, seq)
                                    for i, seq in enumerate(records)))
         index = str(tmp_path / "index.pmidx")
         assert main(["build", str(fasta), "-o", index, "-w", str(w), "-p", str(p)]) == 0
+        builds = []  # the k-mer table is stored and the phrase counts read: no build
+        monkeypatch.setattr(flt, "filter_build", lambda *args: builds.append(args))
         bundle = load_bundle(index)
+        assert builds == []
         dictionary, text = PhraseDictionary(), b"\0".join(records)
         fresh = pfp_parse(text, choose_trigger(text, w, p), dictionary)
-        table = flt.filter_build(fresh.symbols, flt.TABLE_PARAMS, flt.KIND_TABLE,
-                                 flt.ITEMS_PHRASE)
         phrases = [dictionary.string_of(i) for i in range(len(dictionary))]
         assert shape(phrases, len(fresh))
         assert [bundle.dictionary.string_of(i)
@@ -479,12 +481,46 @@ class TestBundleFormat:
         for loaded, built in ((bundle.parse_index.forward, parse_index.forward),
                               (bundle.parse_index.backward, parse_index.backward)):
             assert list(loaded.sa) == list(built.sa)
-        assert bundle.phrase_filter.keys == table.keys
-        assert bundle.phrase_filter.counts == table.counts
+        ids, truth = range(len(dictionary) + 1), Counter(fresh.symbols)
+        assert [bundle.phrase_filter.min_count(i) for i in ids] == [truth[i] for i in ids]
         again = str(tmp_path / "again.pmidx")
         save_bundle(bundle, again)
         with open(index, "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_phrase_filter_answers_like_the_counter(self, tmp_path, monkeypatch, loaded):
+        # 400 copies of a 40 bp founder, a few redrawn: phrase IDs counted
+        # from 1 to past 300, each answered exactly, with no saturation
+        rng = random.Random(41)
+        founder, copies = rand_dna(rng, 40), []
+        for _ in range(400):
+            seq = bytearray(founder)
+            if rng.random() < 0.3:
+                seq[rng.randrange(40)] = rng.choice(b"ACGT")
+            copies.append(bytes(seq))
+        fasta, index = tmp_path / "text.fa", str(tmp_path / "index.pmidx")
+        fasta.write_bytes(b">r\n" + b"".join(copies) + b"\n")
+        built = []
+        if not loaded:  # the bundle build queries with, as it goes to disk
+            monkeypatch.setattr(cli, "save_bundle", lambda bundle, path: built.append(bundle))
+        assert main(["build", str(fasta), "-o", index, "-w", "4", "-p", "5"]) == 0
+        bundle = load_bundle(index) if loaded else built[0]
+        truth, filt = Counter(bundle.parse_text.symbols), bundle.phrase_filter
+        probes = [*range(len(bundle.dictionary) + 2), 1 << 70, -1]  # absent IDs too
+        counts = [truth[sym] for sym in probes]
+        assert {1, 2, 3} <= set(counts) and max(counts) > 300 and 0 in counts
+        assert [filt.min_count(sym) for sym in probes] == counts
+        for f in (1, 2, 3, 255, 300):
+            want = [count >= f for count in counts]
+            assert filt.at_least_many(iter(probes), f) == want
+            assert [filt.at_least(sym, f) for sym in probes] == want
+        assert filt.probes == 10 * len(probes)
+        for bad in (True, 1.0, b"A"):
+            with pytest.raises(ItemKindMismatch):
+                filt.at_least_many([0, bad], 1)
+        with pytest.raises(NotImplementedError):  # the counts take no inserts
+            filt.insert(0)
 
     def test_range_check_matches_max(self):
         # the u32 checks answer as max() and a pairwise comparison would, on

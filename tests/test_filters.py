@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsemem.errors import ItemKindMismatch
-from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KEY_MODULUS,
-                              KIND_BLOOM, KIND_EXACT, KIND_TABLE, SEPARATOR,
+from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KIND_BLOOM,
+                              KIND_EXACT, KIND_TABLE, SEPARATOR,
                               TABLE_PARAMS, BloomFilter, ExactFilter,
                               FilterParams, FingerprintTable, expected_fpr,
                               filter_build, size_for)
@@ -201,13 +201,10 @@ class TestFingerprintTable:
         filt = filter_build([b"ACGT"], FilterParams(64, 4, seed=3), KIND_TABLE,
                             ITEMS_KMER, 4)
         assert filt.params == TABLE_PARAMS
-        assert TABLE_PARAMS.bits == KEY_MODULUS and TABLE_PARAMS.hash_count == 1
+        assert TABLE_PARAMS == FilterParams(bits=(1 << 61) - 1, hash_count=1)
         assert 0 < expected_fpr(filt.params, 10 ** 5) < 1e-13
 
     def test_restore_needs_one_count_per_key(self):
-        with pytest.raises(ValueError):
-            FingerprintTable(TABLE_PARAMS, ITEMS_PHRASE, None, bytearray(b"\x01"),
-                             keys=array("Q", [1, 2]))
         with pytest.raises(ValueError):
             FingerprintTable(TABLE_PARAMS, ITEMS_KMER, 4, bytearray(b"\x01"),
                              starts=array("I", [0, 5]), text=b"ACGTACGTA")
@@ -247,11 +244,8 @@ class TestFingerprintTable:
 
 def restore(table):
     """``table`` rebuilt from its stored arrays, as ``load_bundle`` does."""
-    if table.item_kind == ITEMS_KMER:
-        return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, table.k, bytearray(table.counts),
-                                starts=array("I", table.starts), text=bytes(table.text))
-    return FingerprintTable(TABLE_PARAMS, ITEMS_PHRASE, None, bytearray(table.counts),
-                            keys=array("Q", table.keys))
+    return FingerprintTable(TABLE_PARAMS, ITEMS_KMER, table.k, bytearray(table.counts),
+                            starts=array("I", table.starts), text=bytes(table.text))
 
 
 def kmer_truth(records, k):
@@ -260,51 +254,35 @@ def kmer_truth(records, k):
 
 
 class TestTableAgainstCounter:
-    """Every lookup of a table equals a ``Counter`` of its items' true keys,
-    counts saturating at 255, whether the table was built or restored."""
+    """Every lookup of a table equals a ``Counter`` of its k-mers, counts
+    saturating at 255, whether the table was built or restored."""
 
     K = 4
 
-    @classmethod
-    def items(cls, item_kind, rng):
-        """What the table is built from, the items that inserts, probes
-        with absent items among them, and the key of an item."""
-        if item_kind == ITEMS_KMER:
-            records = [bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 120)))
-                       for _ in range(8)] + [b"A" * 400, b"C" * 200]  # saturated
-            inserted = [r[i:i + cls.K] for r in records
-                        for i in range(len(r) - cls.K + 1)]
-            probes = sorted({bytes(rng.choice(b"ACGN") for _ in range(cls.K))
-                             for _ in range(150)} | set(inserted[:30]) | {b"AAAA"})
-            return records, inserted, probes, bytes
-        # 5 and 5 + 2^61 - 1 share a key, and add up to one count
-        inserted = ([rng.randrange(1 << 40) for _ in range(200)] + [7] * 300
-                    + [5, 5 + KEY_MODULUS, (1 << 64) - 1] * 2)
-        probes = inserted[:40] + [rng.randrange(1 << 40) for _ in range(100)] \
-            + [5, 5 + KEY_MODULUS, KEY_MODULUS, 7, (1 << 64) - 1]
-        return inserted, inserted, probes, lambda x: x % KEY_MODULUS
-
     @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
-    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    @pytest.mark.parametrize("item_kind", [ITEMS_KMER])
     def test_lookups_equal_the_counter(self, item_kind, restored):
         rng = random.Random(113)
-        stream, inserted, probes, key = self.items(item_kind, rng)
-        k = self.K if item_kind == ITEMS_KMER else None
-        filt = filter_build(stream, TABLE_PARAMS, KIND_TABLE, item_kind, k)
+        k = self.K
+        records = [bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 120)))
+                   for _ in range(8)] + [b"A" * 400, b"C" * 200]  # saturated
+        inserted = [r[i:i + k] for r in records for i in range(len(r) - k + 1)]
+        probes = sorted({bytes(rng.choice(b"ACGN") for _ in range(k))
+                         for _ in range(150)} | set(inserted[:30]) | {b"AAAA"})
+        filt = filter_build(records, TABLE_PARAMS, KIND_TABLE, item_kind, k)
         if restored:
             filt = restore(filt)
-        truth = Counter(map(key, inserted))
-        count = [min(truth[key(x)], 255) for x in probes]
+        truth = Counter(inserted)
+        count = [min(truth[x], 255) for x in probes]
         assert 0 in count and 255 in count and max(truth.values()) > 255
         assert [filt.min_count(x) for x in probes] == count
         for f in (1, 2, 255, 300):
             want = [c >= min(f, 255) for c in count]
             assert filt.at_least_many(probes, f) == want
-            if item_kind == ITEMS_KMER:
-                for seq in stream[:3] + [b"ACGNACGTTTT", b"A" * 9]:
-                    assert filt.kmers_at_least(seq, f) == [
-                        min(truth[seq[i:i + k]], 255) >= min(f, 255)
-                        for i in range(len(seq) - k + 1)]
+            for seq in records[:3] + [b"ACGNACGTTTT", b"A" * 9]:
+                assert filt.kmers_at_least(seq, f) == [
+                    min(truth[seq[i:i + k]], 255) >= min(f, 255)
+                    for i in range(len(seq) - k + 1)]
 
     @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
     @pytest.mark.parametrize("k", [1, 4, 20])
@@ -339,24 +317,19 @@ class TestTableAgainstCounter:
                     for i in range(len(seq) - k + 1)]
 
 
-    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    @pytest.mark.parametrize("item_kind", [ITEMS_KMER])
     def test_insert_after_a_lookup_is_seen(self, item_kind):
         # the first lookup gathers the table's set; an insert must not leave
         # later lookups reading it
-        if item_kind == ITEMS_KMER:
-            filt = filter_build([b"ACGTA"], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 4)
-            old, new, more = b"ACGT", b"TTTT", [b"ACGT", b"TTTT"]
-        else:
-            filt = filter_build([17], TABLE_PARAMS, KIND_TABLE, ITEMS_PHRASE)
-            old, new, more = 17, 99, [17, 99]
+        filt = filter_build([b"ACGTA"], TABLE_PARAMS, KIND_TABLE, item_kind, 4)
+        old, new = b"ACGT", b"TTTT"
         assert filt.at_least_many([old, new], 1) == [True, False]
         assert filt.at_least_many([old, new], 2) == [False, False]
-        filt.insert_many(more)
+        filt.insert_many([old, new])
         assert filt.at_least_many([old, new], 1) == [True, True]
         assert filt.at_least_many([old, new], 2) == [True, False]
         assert (filt.min_count(old), filt.min_count(new)) == (2, 1)
-        if item_kind == ITEMS_KMER:
-            assert filt.kmers_at_least(b"ACGTTTT", 2) == [True] + [False] * 3
+        assert filt.kmers_at_least(b"ACGTTTT", 2) == [True] + [False] * 3
 
 
 @given(st.lists(st.binary(max_size=40), max_size=12), st.integers(1, 6),
@@ -386,8 +359,9 @@ class TestBatchLookup:
         cap = min(f, 255) if filt.kind == KIND_TABLE else f
         return [filt.min_count(x) >= cap for x in items]
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
-    @pytest.mark.parametrize("item_kind", [ITEMS_KMER, ITEMS_PHRASE])
+    @pytest.mark.parametrize("item_kind, kind", [  # a table holds k-mers only
+        (ITEMS_KMER, KIND_BLOOM), (ITEMS_KMER, KIND_EXACT), (ITEMS_KMER, KIND_TABLE),
+        (ITEMS_PHRASE, KIND_BLOOM), (ITEMS_PHRASE, KIND_EXACT)])
     def test_equals_one_min_count_per_item(self, kind, item_kind):
         rng = random.Random(83)
         if item_kind == ITEMS_KMER:
@@ -426,11 +400,15 @@ class TestBatchLookup:
         for bad in (17, b"ACG", b"ACGTA", "ACGT"):
             with pytest.raises(ItemKindMismatch):
                 kfilt.at_least_many([b"ACGT", bad], 1)
+        assert kfilt.at_least_many([bytearray(b"ACGT")], 1) == [True]
+        if kind == KIND_TABLE:  # a table holds k-mers only
+            with pytest.raises(ItemKindMismatch):
+                filter_build([17], FilterParams(64, 2), kind, ITEMS_PHRASE)
+            return
         pfilt = filter_build([17], FilterParams(64, 2), kind, ITEMS_PHRASE)
         for bad in (b"ACGT", True, 1.0):
             with pytest.raises(ItemKindMismatch):
                 pfilt.at_least_many([17, bad], 1)
-        assert kfilt.at_least_many([bytearray(b"ACGT")], 1) == [True]
 
     @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
     def test_threshold_errors_stay(self, kind):

@@ -23,6 +23,14 @@ def rand_dna(rng, n):
     return bytes(rng.choice(DNA) for _ in range(n))
 
 
+def redrawn(rng, seq, n):
+    """``seq`` with ``n`` of its positions redrawn from DNA."""
+    seq = bytearray(seq)
+    for i in rng.sample(range(len(seq)), n):
+        seq[i] = rng.choice(DNA)
+    return bytes(seq)
+
+
 def char_index(text):
     return OccurrenceIndex(text)
 
@@ -541,6 +549,33 @@ class TestFindLongMems:
                     [(mem.start, mem.end, mem.freq) for mem in top_t_cut(mems, t)]
                 assert [floor for floor, _ in seen["scans"]] == \
                     ([m, 1] if t == 1 else [1])
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_kebab_runs_with_floor_k_equal_the_oracle(self, f):
+        # KeBaB runs hold every f-MEM at least k long and certify nothing
+        # shorter: with floor k, a top-t search scans them from k and falls
+        # back to the whole pattern, and an L below k, or no flag, scans the
+        # whole pattern, where f-MEMs outside the runs lie
+        rng, k = random.Random(197 + f), 8
+        outside = 0
+        for _ in range(30):
+            founder = rand_dna(rng, 150)
+            text = b"".join(redrawn(rng, founder, 4) for _ in range(3))
+            pattern = rand_dna(rng, 12) + redrawn(rng, founder[20:120], 3) + rand_dna(rng, 12)
+            table = flt.filter_build([text], flt.TABLE_PARAMS, flt.KIND_TABLE,
+                                     flt.ITEMS_KMER, k)
+            runs = kebab_pseudo_mems(pattern, table, f)
+            index, mems = char_index(text), brute_force_f_mems(text, pattern, f)
+            outside += any(not any(run.char_start <= mem.start and mem.end <= run.char_end
+                                   for run in runs) for mem in mems)
+            cases = [({"t": t}, top_t_cut(mems, t)) for t in (1, 3, 20)]
+            cases += [({"L": L}, [mem for mem in mems if mem.length >= L])
+                      for L in (k, k + 6, k - 3, 1)]
+            for flags, want in [*cases, ({}, mems)]:
+                got = find_long_mems(index, runs, pattern, f, floor=k, **flags)
+                assert [(mem.start, mem.end, mem.freq) for mem in got] == \
+                    [(mem.start, mem.end, mem.freq) for mem in want], flags
+        assert outside >= 10, outside
 
     def test_overlapping_windows_are_scanned_once(self):
         rng = random.Random(181)
