@@ -120,8 +120,9 @@ def kebab_pseudo_mems(pattern: bytes, filt: MembershipFilter,
 _RUN = re.compile(b"\x01+")  # a maximal run of true flags, one byte each
 
 
-def _runs(present: Sequence[bool]) -> list[tuple[int, int]]:
-    """Maximal runs of true entries, as 1-based inclusive intervals."""
+def _runs(present: bytes | Sequence[bool]) -> list[tuple[int, int]]:
+    """Maximal runs of true entries, as 1-based inclusive intervals; flag
+    bytes, as ``kmers_at_least`` returns them, are read as they are."""
     return [(run.start() + 1, run.end()) for run in _RUN.finditer(bytes(present))]
 
 

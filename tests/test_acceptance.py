@@ -124,7 +124,7 @@ def test_criterion_07_kebab_guarantee():
     checked = violations = 0
     details = []
     for k in (8, 20):
-        for kind in (flt.KIND_BLOOM, flt.KIND_EXACT):
+        for kind in (flt.KIND_BLOOM, flt.KIND_EXACT, flt.KIND_TABLE):
             res = suite_kebab(rng_for(f"c7:{k}:{kind}"), 125, k=k, kind=kind)
             checked += res.checked
             violations += res.violations
@@ -135,8 +135,8 @@ def test_criterion_07_kebab_guarantee():
         details.append(f"k={k}/overlap: {res.violations}")
     ok = violations == 0
     line = report(7, ok, "KeBaB misses no MEM of length >= k for k in {8,20} "
-                         "with Bloom and exact filters, and one absent k-mer "
-                         "splits runs overlapping by k-2",
+                         "with Bloom and exact filters and the k-mer table, "
+                         "and one absent k-mer splits runs overlapping by k-2",
                   f"{checked} checks, " + ", ".join(details))
     assert ok, line
 
@@ -156,13 +156,6 @@ def test_kebab_overlap_with_the_absent_kmer_repeated():
     assert kebab_split_holds(pattern, 13, 8) and kebab_split_holds(pattern, 28, 8)
     res = suite_kebab_overlap(random.Random("2:kebab-overlap"), 16)
     assert res.ok and res.checked == 16, res.line()
-
-
-def test_kebab_guarantee_with_the_stored_kmer_table():
-    # criterion 7's check with the k-mer table an index stores, f in {1,2,3}
-    for k in (8, 20):
-        res = suite_kebab(rng_for(f"c7t:{k}"), 125, k=k, kind=flt.KIND_TABLE)
-        assert res.ok and res.checked > 0, res.line()
 
 
 def test_criterion_08_minimizer_guarantees():

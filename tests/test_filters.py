@@ -234,12 +234,31 @@ class TestFingerprintTable:
             items = [pattern[i:i + k] for i in range(len(pattern) - k + 1)]
             want = [truth.get(x, 0) >= f for x in items]
             before = filt.probes
-            assert filt.kmers_at_least(pattern, f) == want
-            assert filt.probes == before + len(items)
+            assert filt.kmers_at_least(pattern, f) == bytes(want)
+            probes = filt.probes - before  # fewer at f = 1, where runs extend
+            assert probes <= len(items) and (f == 1 or probes == len(items))
             assert filt.at_least_many(items, f) == want
             seen.update(want)
         assert seen == {True, False}
         assert filt.at_least_many(sorted(spanning), 1) == [False] * len(spanning)
+
+    def test_lookups_past_a_match_with_the_text(self):
+        # at f = 1 the table looks up k + 1 k-mers, then compares the pattern
+        # with the text from the last present one: a copy of the record takes
+        # 5 lookups for its 37 k-mers, and a substituted symbol or a NUL 5
+        # more, past the 4 k-mers that hold it; f = 2 looks up every k-mer
+        record = b"CAGAGCAGACAACTAAGTGCTATCAACTAGGCGAAAGCCGCCTGAGGT"
+        filt = filter_build([record], TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 4)
+        copy = record[4:44]
+        for pattern, probes in ((copy, 5), (copy[:16] + b"A" + copy[17:], 10),
+                                (copy[:16] + b"\0" + copy[17:], 10)):
+            flags = bytes(pattern[i:i + 4] in record for i in range(37))
+            before = filt.probes
+            assert filt.kmers_at_least(pattern, 1) == flags
+            assert filt.probes - before == probes
+            assert filt.kmers_at_least(pattern, 2) == bytes(
+                record.count(pattern[i:i + 4]) >= 2 for i in range(37))
+            assert filt.probes - before == probes + 37
 
 
 def restore(table):
@@ -280,9 +299,9 @@ class TestTableAgainstCounter:
             want = [c >= min(f, 255) for c in count]
             assert filt.at_least_many(probes, f) == want
             for seq in records[:3] + [b"ACGNACGTTTT", b"A" * 9]:
-                assert filt.kmers_at_least(seq, f) == [
+                assert filt.kmers_at_least(seq, f) == bytes(
                     min(truth[seq[i:i + k]], 255) >= min(f, 255)
-                    for i in range(len(seq) - k + 1)]
+                    for i in range(len(seq) - k + 1))
 
     @pytest.mark.parametrize("restored", [False, True], ids=["built", "restored"])
     @pytest.mark.parametrize("k", [1, 4, 20])
@@ -312,9 +331,9 @@ class TestTableAgainstCounter:
         for f in (1, 2, 3, 255, 300):
             assert filt.at_least_many(probes, f) == [c >= min(f, 255) for c in count]
             for seq in [*records[-4:], joined, foreign, joined[:k - 1]]:
-                assert filt.kmers_at_least(seq, f) == [
+                assert filt.kmers_at_least(seq, f) == bytes(
                     min(truth[seq[i:i + k]], 255) >= min(f, 255)
-                    for i in range(len(seq) - k + 1)]
+                    for i in range(len(seq) - k + 1))
 
 
     @pytest.mark.parametrize("item_kind", [ITEMS_KMER])
@@ -329,7 +348,7 @@ class TestTableAgainstCounter:
         assert filt.at_least_many([old, new], 1) == [True, True]
         assert filt.at_least_many([old, new], 2) == [True, False]
         assert (filt.min_count(old), filt.min_count(new)) == (2, 1)
-        assert filt.kmers_at_least(b"ACGTTTT", 2) == [True] + [False] * 3
+        assert filt.kmers_at_least(b"ACGTTTT", 2) == bytes([True] + [False] * 3)
 
 
 @given(st.lists(st.binary(max_size=40), max_size=12), st.integers(1, 6),
@@ -343,8 +362,42 @@ def test_kmer_table_equals_the_counter_of_random_records(records, k, f, pattern)
     for filt in (built, restore(built)):
         assert dict(stored(filt)) == {x: min(n, 255) for x, n in truth.items()}
         for seq in (pattern, filt.text):
-            assert filt.kmers_at_least(seq, f) == [
-                truth[seq[i:i + k]] >= f for i in range(len(seq) - k + 1)]
+            assert filt.kmers_at_least(seq, f) == bytes(
+                truth[seq[i:i + k]] >= f for i in range(len(seq) - k + 1))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_extended_lookups_equal_the_counter_on_mutated_copies(k, f):
+    # copies of a founder with a few substitutions each, joined by NUL, and
+    # patterns cut from that text, across records too, with substitutions
+    # and NULs: where the table extends a present k-mer along the text, its
+    # flags must still be the counter's, with no k-mer looked up twice
+    rng = random.Random(f"copies:{k}:{f}")
+    looked = kmers = 0
+    for _ in range(30):
+        alphabet = rng.choice((b"AC", b"ACGT"))
+        founder = bytes(rng.choices(alphabet, k=rng.randint(1, 120)))
+        records = []
+        for _ in range(rng.randint(1, 4)):
+            copy = bytearray(founder)
+            for i in rng.sample(range(len(copy)), min(len(copy), rng.randint(0, 3))):
+                copy[i] = rng.choice(alphabet)
+            records.append(bytes(copy))
+        truth, joined = kmer_truth(records, k), bytes([SEPARATOR]).join(records)
+        built = filter_build(records, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, k)
+        for filt in (built, restore(built)):
+            for _ in range(5):
+                a = rng.randrange(len(joined) + 1)
+                seq = bytearray(joined[a:rng.randint(a, len(joined))])
+                for i in rng.sample(range(len(seq)), min(len(seq), rng.randint(0, 3))):
+                    seq[i] = rng.choice(alphabet + bytes([SEPARATOR]))
+                n, before = max(len(seq) - k + 1, 0), filt.probes
+                assert filt.kmers_at_least(seq, f) == bytes(
+                    truth[bytes(seq[i:i + k])] >= f for i in range(n))
+                assert filt.probes - before <= n
+                looked, kmers = looked + filt.probes - before, kmers + n
+    assert looked < kmers if f == 1 else looked == kmers
 
 
 def rand_kmers(rng, n, k):
@@ -392,7 +445,7 @@ class TestBatchLookup:
             assert filt.at_least_many(items, f) == self.reference(filt, items, f)
         # a saturated count may stand for any larger one; the exact count may not
         assert filt.at_least_many(items, 301) == [kind != KIND_EXACT, False, False]
-        assert filt.kmers_at_least(b"AAAAAA", 301) == [kind != KIND_EXACT] * 4
+        assert filt.kmers_at_least(b"AAAAAA", 301) == bytes([kind != KIND_EXACT] * 4)
 
     @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
     def test_wrong_item_kind_raises(self, kind):
@@ -420,7 +473,7 @@ class TestBatchLookup:
                 filt.kmers_at_least(b"ACGTA", f)
         assert filt.probes == 0
         assert filt.at_least_many([], 1) == []
-        assert filt.kmers_at_least(b"ACG", 1) == []
+        assert filt.kmers_at_least(b"ACG", 1) == b""
 
 
 def textbook_positions(item, params):
