@@ -158,6 +158,13 @@ def test_kebab_overlap_with_the_absent_kmer_repeated():
     assert res.ok and res.checked == 16, res.line()
 
 
+def test_kebab_guarantee_with_the_stored_kmer_table():
+    # criterion 7's check with the k-mer table an index stores, f in {1,2,3}
+    for k in (8, 20):
+        res = suite_kebab(rng_for(f"c7t:{k}"), 125, k=k, kind=flt.KIND_TABLE)
+        assert res.ok and res.checked > 0, res.line()
+
+
 def test_criterion_08_minimizer_guarantees():
     bound = suite_minimizer_bounds(rng_for("c8a"), 10000)
     consistency = suite_minimizer_consistency(rng_for("c8b"), 2000)
