@@ -3,8 +3,10 @@
 ``build`` stores a table of every record's k-mers, for kebab mode, as one
 text start and a count per distinct k-mer, beside the text index and the
 parse's phrase starts; the parse's phrase IDs and suffix arrays are
-derived from the text on load, and combined mode reads its phrase counts
-off them.  The table has no size or seed.  The parse window ``-w``,
+derived from the text on load.  ``--mode combined`` runs the parse route
+as it is: that route reads each phrase's count off the parse index before
+it scans, so a phrase filter in front would ask the same question again.
+The table has no size or seed.  The parse window ``-w``,
 phrase period ``-p`` and k-mer length ``-k`` are build flags only:
 ``build`` picks the parse's trigger, the l-grams that end a phrase's
 first window, so that the text has about one phrase per p characters,
@@ -148,22 +150,21 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     the windows it gives it and their floor, the length from which they
     hold every f-MEM: the whole pattern for exact and the pseudo-MEMs that
     survive safe discarding for parse and combined, from 1, and the KeBaB
-    runs for kebab, from k.
+    runs for kebab, from k.  Parse and combined are one route: the parse
+    route counts every phrase before its scan, so a phrase filter in front
+    of it, as ``coarse_sets`` and ``refine`` put one, would only ask again.
     """
     mode, f, t, L = args.mode, args.f, args.t, args.L
     pms: list[pmm.PseudoMem] = []
     retained, parse_len, floor = pms, 0, 1
-    windows = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
-    if mode == "kebab":
+    if mode == "exact":
+        windows = [pmm.PseudoMem(1, len(pattern), pmm.ORIGIN_WHOLE)]
+    elif mode == "kebab":
         pms = retained = windows = pmm.kebab_pseudo_mems(pattern, bundle.kmer_filter, f)
         floor = bundle.params["kebab_k"]
-    elif mode != "exact":
+    else:  # parse and combined
         parse_p = pfp_parse(pattern, bundle.trigger, bundle.dictionary)
-        if mode == "parse":
-            pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
-        else:  # combined
-            coarse = pmm.coarse_sets(parse_p, bundle.phrase_filter, f)
-            pms = pmm.refine(coarse, parse_p, bundle.parse_index, f)
+        pms = pmm.parse_pseudo_mems(parse_p, bundle.parse_index, f)
         windows = retained = pmm.safe_discard(pms, t) if t is not None else pms
         parse_len = len(parse_p)
     mems = pmm.find_long_mems(bundle.text_index, windows, pattern, f, t=t, L=L,
@@ -210,11 +211,10 @@ def cmd_query(args) -> int:
 
 
 def _work(bundle: IndexBundle) -> tuple[int, int, int, int]:
-    """Search work so far: parse-index steps, text-index steps, filter
+    """Search work so far: parse-index steps, text-index steps, k-mer table
     probes, and the text's prefix-table hits (whose steps are in the second)."""
     return (bundle.parse_index.steps, bundle.text_index.steps,
-            bundle.kmer_filter.probes + bundle.phrase_filter.probes,
-            bundle.text_index.prefix_table_hits)
+            bundle.kmer_filter.probes, bundle.text_index.prefix_table_hits)
 
 
 def cmd_stats(args) -> int:

@@ -9,10 +9,12 @@ Three routes produce pseudo-MEMs over a pattern P:
   where neither phrase clears the occurrence threshold (origin S2).  An S1
   pseudo-MEM certifies an f-MEM at least as long as the characters left after
   deleting one phrase from each end.
-* Coarse-then-refine: the parse route with a phrase-ID filter in front.  The
-  filter's one batch of answers limits the parse-level scan to runs of
-  filter-positive phrases and the per-phrase counts to those phrases; as it
-  has no false negatives, the output is the parse route's.
+* Coarse-then-refine: the query mode runs the parse route as it is, since
+  the route counts each phrase before its scan, one bucket read each, and
+  so already scans only the runs of phrases that occur.  ``coarse_sets``
+  and ``refine`` remain as library functions that put a phrase-ID filter's
+  answers in front of that route; as a filter has no false negatives,
+  their output is the parse route's.
 
 Once at least t pseudo-MEMs certify distinct f-MEMs of some length, every
 pseudo-MEM shorter than the t-th best certified length can be discarded
@@ -130,6 +132,10 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
                     s2_pairs: list[tuple[int, int]]) -> list[PseudoMem]:
     """Extend parse matches, clip, deduplicate, and map to characters."""
     n = len(parsed_pattern)
+    starts, o = parsed_pattern.phrase_start, parsed_pattern.overlap
+    # phrase i ends at ends[i - 1]: o characters into the next phrase
+    ends = [start - 1 + o for start in starts[1:]]
+    ends.append(parsed_pattern.source_length)
     out: list[PseudoMem] = []
     seen: set[tuple[int, int]] = set()
     for mem in s1_matches:
@@ -137,29 +143,30 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
         if (lo, hi) in seen:
             continue
         seen.add((lo, hi))
-        cs, ce = parsed_pattern.char_span(lo, hi)
-        bound = 0  # the characters left with one phrase off each end
-        if hi - lo >= 2:
-            a, b = parsed_pattern.char_span(lo + 1, hi - 1)
-            bound = b - a + 1
-        out.append(PseudoMem(cs, ce, ORIGIN_S1, bound, phrase_start=lo, phrase_end=hi))
+        # the characters left with one phrase off each end
+        bound = ends[hi - 2] - starts[lo] + 1 if hi - lo >= 2 else 0
+        out.append(PseudoMem(starts[lo - 1], ends[hi - 1], ORIGIN_S1, bound,
+                             phrase_start=lo, phrase_end=hi))
     for lo, hi in s2_pairs:
         if (lo, hi) in seen:
             continue
         seen.add((lo, hi))
-        cs, ce = parsed_pattern.char_span(lo, hi)
-        out.append(PseudoMem(cs, ce, ORIGIN_S2, phrase_start=lo, phrase_end=hi))
+        out.append(PseudoMem(starts[lo - 1], ends[hi - 1], ORIGIN_S2,
+                             phrase_start=lo, phrase_end=hi))
     out.sort(key=lambda pm: (pm.char_start, pm.char_end))
     return out
 
 
 def _parse_pms(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
                f: int, present: Sequence[bool] | None = None) -> list[PseudoMem]:
-    """The body of both parse routes, as parse_pseudo_mems describes it.
+    """The body of the parse route, as parse_pseudo_mems describes it.
 
-    The parse-level scan covers the runs of ``present`` phrases, all of them
-    when no filter answers are given, and a phrase occurs only if it is
-    present and counted at least f times in the text's parse.
+    A phrase occurs if it is counted at least f times in the text's parse,
+    and ``present``, a filter's answers, also says so where given.  Every
+    phrase is counted first, one bucket read each, and the parse-level
+    scan then covers only the runs of phrases that occur: every phrase of
+    a parse f-MEM occurs at least f times, so the scan finds the same
+    matches as one over the whole parse.
     """
     n = len(parsed_pattern)
     if n == 0:
@@ -167,12 +174,12 @@ def _parse_pms(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
     if n == 1:
         return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
                           phrase_start=1, phrase_end=1)]
-    symbols = parsed_pattern.symbols
+    symbols, count = parsed_pattern.symbols, parse_index.count
     if present is None:
-        present = [True] * n
-    matches = threshold_scan(parse_index, symbols, _runs(present), f)
-    occurs = [hit and parse_index.count((sym,)) >= f
-              for hit, sym in zip(present, symbols)]
+        occurs = [count((sym,)) >= f for sym in symbols]
+    else:
+        occurs = [hit and count((sym,)) >= f for hit, sym in zip(present, symbols)]
+    matches = threshold_scan(parse_index, symbols, _runs(occurs), f)
     pairs = [(i, i + 1) for i in range(1, n) if not occurs[i - 1] and not occurs[i]]
     return _emit_parse_pms(parsed_pattern, matches, pairs)
 
@@ -232,12 +239,13 @@ def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
 
 def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
            parse_index: OccurrenceIndex, f: int = 1) -> list[PseudoMem]:
-    """The parse route with the filter's answers in front.
+    """The parse route with the filter's answers in front: a library
+    function, not a query mode, as combined runs parse_pseudo_mems itself.
 
-    Every parse f-MEM lies inside a run of filter-positive phrases, and a
-    filter-negative phrase occurs fewer than f times, so scanning only those
-    runs and counting only positive phrases gives exactly the output of
-    parse_pseudo_mems.
+    A filter-negative phrase occurs fewer than f times, so it is not
+    counted, and every parse f-MEM lies inside a run of phrases that are
+    filter-positive and counted at least f times, so scanning only those
+    runs gives exactly the output of parse_pseudo_mems.
     """
     if coarse.f != f:
         raise ValueError("coarse sets were built for a different f")

@@ -43,7 +43,8 @@ A phrase-ID index keeps its first-symbol buckets instead: each symbol's
 rows, which are the same in both suffix arrays, as a sequence and its
 reverse hold the same symbols.  A growth takes its first symbol's bucket as
 one step, the one symbol it grows by, and stops there when the bucket has
-fewer than f rows.  A byte text has no buckets: deriving them would read
+fewer than f rows; a one-symbol count is that bucket's size, the same one
+step, with no growth.  A byte text has no buckets: deriving them would read
 every row, and its prefix table already starts the growths that matter.
 The buckets are not a one-symbol prefix table: that codes bytes by a
 256-entry rank list, and a miss in its bucket falls back to binary search,
@@ -394,9 +395,16 @@ class OccurrenceIndex:
 
     def count(self, query: Sequence[int]) -> int:
         """Number of starting positions of ``query``; overlaps allowed.  A
-        query with a symbol the sequence cannot hold occurs 0 times."""
+        query with a symbol the sequence cannot hold occurs 0 times.  On a
+        phrase-ID index a one-symbol query is its first-symbol bucket's
+        size, read as the one step ``grow`` takes for that bucket."""
         if len(query) == 0:
             raise EmptyInputError("empty queries are not counted")
+        buckets = self.forward.buckets
+        if buckets is not None and len(query) == 1:
+            self.forward.steps += 1
+            lo, hi = buckets.get(query[0], (0, 0))
+            return hi - lo
         try:
             query = type(self.sequence)(query)
         except ValueError:

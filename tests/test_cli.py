@@ -102,6 +102,12 @@ def repeat_first_section(data):
             + data[start:start + 2 + name_len + 40 + size])
 
 
+# -L 5 sits below k=8, where KeBaB runs need not hold every match
+LONG_MEM_FLAGS = pytest.mark.parametrize(
+    "flags", [("-L", "25"), ("-L", "5"), ("-t", "1"), ("-t", "3"), ()],
+    ids=["L25", "L5", "t1", "t3", "none"])
+
+
 def mem_rows(output):
     rows = []
     for line in output.splitlines():
@@ -170,11 +176,8 @@ class TestBuildQuery:
             assert int(cols[5]) >= 0
             assert cols[6] in ("0", "1")
 
-    @pytest.mark.parametrize("flags", [("-L", "25"), ("-L", "5"), ("-t", "1"),
-                                       ("-t", "3"), ()],
-                             ids=["L25", "L5", "t1", "t3", "none"])
+    @LONG_MEM_FLAGS
     def test_modes_agree_on_long_mems(self, corpus, capsys, flags):
-        # -L 5 sits below k=8, where KeBaB runs need not hold every match
         build(corpus)
         want = brute_force_f_mems(corpus["text"], corpus["pattern"])
         if flags and flags[0] == "-L":
@@ -187,6 +190,26 @@ class TestBuildQuery:
             rc, out = query(corpus, capsys, "--mode", mode, *flags)
             assert rc == 0
             assert mem_rows(out) == want_rows, mode
+
+    @LONG_MEM_FLAGS
+    def test_parse_and_combined_are_one_route(self, corpus, capsys, flags):
+        # combined runs the parse route as it is: the same pmem rows, the
+        # same mem rows once their mode column is masked, and the same
+        # stats row, counted work included
+        build(corpus)
+        capsys.readouterr()
+        printed = {}
+        for mode in ("parse", "combined"):
+            lines = []
+            for command in ("query", "stats"):
+                assert main([command, corpus["pat_path"], "--index", corpus["index"],
+                             "--mode", mode, *flags]) == 0
+                lines += capsys.readouterr().out.splitlines()
+            rows = [line.split("\t") for line in lines if not line.startswith("#")]
+            printed[mode] = [row[:2] + ["-"] + row[3:] if row[0] == "mem" else row
+                             for row in rows]
+        assert printed["parse"] == printed["combined"]
+        assert {row[0] for row in printed["parse"]} >= {"pmem", "mem", "q1"}
 
     @pytest.mark.parametrize("records, flags, pattern", [
         ((b"GAGACAACACAACAACCGAAACGGCGCGAGC", b"GAGACAACACAACAACCCAAACGGCGCGAGC"),
@@ -359,12 +382,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode, t, row", [
         ("exact", "3", "q1 160 0 0 0 0 274 0 21"),
         ("kebab", "3", "q1 160 121 121 0 0 397 47 22"),
-        ("parse", "3", "q1 160 281 281 31 64 274 0 21"),
-        ("combined", "3", "q1 160 281 281 31 40 274 31 21"),
+        ("parse", "3", "q1 160 281 281 31 52 274 0 21"),
+        ("combined", "3", "q1 160 281 281 31 52 274 0 21"),
         ("exact", "1", "q1 160 0 0 0 0 207 0 12"),
         ("kebab", "1", "q1 160 121 121 0 0 123 47 1"),
-        ("parse", "1", "q1 160 281 124 31 64 129 0 2"),
-        ("combined", "1", "q1 160 281 124 31 40 129 31 2")],
+        ("parse", "1", "q1 160 281 124 31 52 129 0 2"),
+        ("combined", "1", "q1 160 281 124 31 52 129 0 2")],
         ids=["exact", "kebab", "parse", "combined",
              "exact-t1", "kebab-t1", "parse-t1", "combined-t1"])
     def test_stats_work_is_pinned(self, corpus, capsys, mode, t, row):
@@ -389,7 +412,12 @@ class TestDeterminism:
         # rows did not move.  Kebab's filter_probes went 153 -> 47 when the
         # table, at f = 1, came to look up only the k-mers past a mismatch
         # and to prove the others present by comparing the pattern with the
-        # text at a present k-mer's start; its flags did not change.
+        # text at a present k-mer's start; its flags did not change.  The
+        # parse route's parse_backward_steps went 64 -> 52 when it came to
+        # count every phrase first, one step each, and to scan only the runs
+        # of phrases that occur; combined, which had scanned the runs of
+        # phrases its phrase filter reported and counted only those (40
+        # steps, 31 probes), became that same route: 52 steps, 0 probes.
         build(corpus)
         capsys.readouterr()
         rc = main(["stats", corpus["pat_path"], "--index", corpus["index"],

@@ -775,3 +775,26 @@ def test_parse_scan_with_the_buckets_equals_the_scan_without(monkeypatch, seq, q
             scans, plain = both_ways(index, lambda: scan_both_paths(
                 monkeypatch, index, query, windows, f, L, t))
             assert scans[0] == plain[0], (query, windows, f, L, t)
+
+
+def test_one_symbol_counts_read_the_buckets():
+    # a phrase-ID index counts one ID by its bucket's size, one step, for
+    # every ID of the parse, the frozen dictionary's reserved ID and an ID
+    # above it; a byte text has no buckets and counts by binary search
+    seq, pieces = phrase_ids_of_copies()
+    reserved = max(seq) + 1
+    assert any(reserved in piece for piece in pieces)
+    index = OccurrenceIndex(seq)
+    for sym in sorted(set(seq)) + [reserved, reserved + 1]:
+        steps = index.steps
+        assert index.count((sym,)) == brute_force_count(seq, (sym,)), sym
+        assert index.steps - steps == 1, sym
+    text = bytes(random.Random(408).choice(b"ACGT\0") for _ in range(600))
+    index = OccurrenceIndex(text)
+    assert index.forward.buckets is None and index.backward.buckets is None
+    for sym in b"ACGT\0N":
+        steps = index.steps
+        assert index.count(bytes([sym])) == brute_force_count(text, bytes([sym]))
+        assert index.count((sym,)) == brute_force_count(text, bytes([sym]))
+        assert index.steps - steps == 2
+    assert index.count((300,)) == 0
