@@ -131,7 +131,7 @@ def cmd_build(args) -> int:
 
 # The least value each integer flag accepts.
 _LEAST = {"f": 1, "t": 1, "L": 1, "window": 1, "trigger": 2, "kmer": 1,
-          "instances": 0, "max_text": 50, "max_pattern": 20}
+          "instances": 0}
 
 
 def _check_ranges(args):
@@ -139,7 +139,7 @@ def _check_ranges(args):
     for dest, least in _LEAST.items():
         given = getattr(args, dest, None)
         if given is not None and given < least:
-            flag = f"-{dest}" if len(dest) == 1 else "--" + dest.replace("_", "-")
+            flag = f"-{dest}" if len(dest) == 1 else f"--{dest}"
             raise ParameterMismatch(f"{flag}={given} must be at least {least}")
 
 
@@ -248,8 +248,7 @@ def cmd_verify(args) -> int:
             return EXIT_VERIFY
         if args.instances == 0:
             return EXIT_OK
-    results = run_all(args.seed, args.instances,
-                      max_text=args.max_text, max_pattern=args.max_pattern)
+    results = run_all(args.seed, args.instances)
     failed = False
     for res in results:
         print(res.line())
@@ -306,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the randomized property suites")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--instances", type=int, default=1000)
-    v.add_argument("--max-text", type=int, default=800)
-    v.add_argument("--max-pattern", type=int, default=200)
     v.add_argument("--check-index", default=None,
                    help="also verify the integrity of an index file")
     v.set_defaults(func=cmd_verify)

@@ -30,7 +30,7 @@ Lookups go through ``at_least_many``, which answers a whole batch of items in
 one call (a pattern's parse's phrase IDs, say); ``at_least`` is its one-item
 case, and ``kmers_at_least`` answers every k-mer of one sequence with one
 flag byte each.  ``filter_build`` fills a filter with one ``insert_many``
-call; a k-mer table takes whole records there.
+call; a k-mer table takes whole records there, and is built once.
 """
 
 from __future__ import annotations
@@ -236,8 +236,9 @@ class FingerprintTable(MembershipFilter):
 
     Lookups read a dict from each k-mer counted at least min(f, 255) times
     to its stored start, gathered on the first lookup at f, so a build or
-    load pays nothing for it; ``insert_many`` drops it.  On 100k 20-mers it
-    holds about 13 MB, against 9.5 MB for a set of the same k-mers.
+    load pays nothing for it.  On 100k 20-mers it holds about 13 MB, against
+    9.5 MB for a set of the same k-mers.  Like ``PhraseCounts``, a built
+    table takes no inserts.
     """
 
     kind = KIND_TABLE
@@ -277,23 +278,23 @@ class FingerprintTable(MembershipFilter):
                 self._encode(item)  # raises on an item of the wrong kind
             yield bytes(item)
 
-    def insert(self, item):
-        self.insert_many((item,))
-
     def insert_many(self, items: Iterable):
-        """Count the records' k-mers into the table and store it again.
+        """Build the empty table from records, once: a table that holds a
+        text raises ``ValueError``.
 
-        The table takes records, not k-mers: it appends them to its text and
+        The table takes records, not k-mers: it joins them into its text and
         counts every k-mer inside each, so a k-mer is inserted as a record
         of length k.
         """
-        self._present_at = {}
+        if self.text:
+            raise ValueError("a k-mer table is built once")
+        self._present_at = {}  # a lookup before the build found nothing
         records = list(items)
         if not all(isinstance(record, (bytes, bytearray)) for record in records):
             raise ItemKindMismatch("k-mer table expects bytes records")
-        k, at = self.k, len(self.text) + 1 if self.text else 0
-        text = bytes([SEPARATOR]).join([self.text, *records] if self.text else records)
-        first = dict(zip(self._stored(), self.starts))
+        k, at = self.k, 0
+        text = bytes([SEPARATOR]).join(records)
+        first: dict[bytes, int] = {}
         firsts = []  # for each k-mer inserted, the first start of its k-mer
         for record in records:
             end = at + len(record)
@@ -302,8 +303,7 @@ class FingerprintTable(MembershipFilter):
             firsts += map(first.setdefault, kmers, starts)
             at = end + 1
         del first  # frees the k-mers before the count: a lower peak memory
-        tally = Counter(dict(zip(self.starts, self.counts)))
-        tally.update(firsts)
+        tally = Counter(firsts)
         self.text, self.starts = text, array("I", sorted(tally))
         self.counts = bytearray(map(min, map(tally.__getitem__, self.starts), repeat(_SATURATED)))
 

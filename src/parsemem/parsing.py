@@ -145,9 +145,6 @@ class PhraseDictionary:
         self._phrases.extend(islice(ids, before, None))
         return out
 
-    def id_of(self, phrase: bytes) -> int:
-        return self._id_of[phrase]
-
     def string_of(self, pid: int) -> bytes:
         return self._phrases[pid]
 

@@ -2,13 +2,12 @@
 
 Each suite generates seeded random instances, runs the real implementation
 and the oracle side by side, and reports how many checks were made and how
-many violated the property.  The CLI's verify command drives these, and the
-acceptance tests reuse them with the criterion parameters.
+many violated the property.  ``parsemem verify`` runs each suite at its
+defaults, and the acceptance tests reuse them with the criterion parameters.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass
 
@@ -92,7 +91,7 @@ def _mems_equal(got: list[Mem], want: list[Mem]) -> bool:
 
 
 def suite_oracle_equivalence(rng: random.Random, instances: int,
-                             max_text: int = 2000, max_pattern: int = 200,
+                             max_text: int = 800, max_pattern: int = 200,
                              fs=(1, 2, 3, 5)) -> SuiteResult:
     """find_f_mems output equals the brute-force oracle, interval for interval."""
     checked = violations = 0
@@ -111,7 +110,7 @@ def suite_oracle_equivalence(rng: random.Random, instances: int,
 
 
 def suite_bml(rng: random.Random, instances: int,
-              max_text: int = 1000, max_pattern: int = 120) -> SuiteResult:
+              max_text: int = 800, max_pattern: int = 200) -> SuiteResult:
     """bml_mems and bml_top_t return exactly the f-MEMs of length >= L and
     the t longest, ties included, and a scan given both the t longest of
     those at least L long."""
@@ -264,7 +263,7 @@ def lemma1_counts(rng: random.Random, instances: int, w: int = 4, p: int = 5,
 
 
 def suite_lemma1(rng: random.Random, instances: int, w: int = 4, p: int = 5,
-                 max_text: int = 600, max_pattern: int = 100,
+                 max_text: int = 800, max_pattern: int = 200,
                  max_parse_len: int = 30) -> SuiteResult:
     """Parse-interval occurrence vs f-MEM containment, as ``lemma1_counts``
     states it: forward on every interval, the exact converse on internal
@@ -680,17 +679,7 @@ ALL_SUITES = (
 )
 
 
-def run_all(seed: int, instances: int, max_text: int = 800,
-            max_pattern: int = 200) -> list[SuiteResult]:
-    """Run every suite with its own deterministic RNG stream."""
-    results = []
-    for name, suite in ALL_SUITES:
-        rng = random.Random(f"{seed}:{name}")
-        accepted = inspect.signature(suite).parameters
-        kwargs = {}
-        if "max_text" in accepted:
-            kwargs["max_text"] = max_text
-        if "max_pattern" in accepted:
-            kwargs["max_pattern"] = max_pattern
-        results.append(suite(rng, instances, **kwargs))
-    return results
+def run_all(seed: int, instances: int) -> list[SuiteResult]:
+    """Run every suite at its defaults with its own deterministic RNG stream."""
+    return [suite(random.Random(f"{seed}:{name}"), instances)
+            for name, suite in ALL_SUITES]

@@ -182,8 +182,8 @@ class TestPfpParse:
         d, trigger = PhraseDictionary(), choose_trigger(text, 3, 3)
         pt = pfp_parse(text, trigger, d)
         pp = pfp_parse(pattern, trigger, d)
-        for i in range(1, len(pp) + 1):
-            assert d.id_of(pp.phrase_bytes(i)) == pp.symbols[i - 1]
+        phrases = [pp.phrase_bytes(i) for i in range(1, len(pp) + 1)]
+        assert d.ids_for(phrases) == pp.symbols
         # same contents, same IDs across both parses
         assert set(pp.symbols) & set(pt.symbols), "expected some shared phrases"
 
