@@ -184,19 +184,32 @@ def _load_for_query(args) -> tuple[IndexBundle, list[tuple[str, bytes]]]:
     return bundle, _read_records(args.patterns, args.format)
 
 
+def _run_patterns(bundle: IndexBundle, records: list[tuple[str, bytes]], args):
+    """Run each pattern record: yields (name, pattern, status, found).
+
+    A pattern that is empty or holds NUL is not run: ``status`` says why
+    and ``found`` is None.  Otherwise ``status`` is None and ``found`` is
+    ``_query_one``'s (pms, retained, mems, parse_len).  Between one yield
+    and the next the index does that pattern's work alone."""
+    for name, pattern in records:
+        if not pattern:
+            yield name, pattern, "empty pattern", None
+        elif SEPARATOR in pattern:
+            yield name, pattern, "pattern contains the reserved NUL byte", None
+        else:
+            yield name, pattern, None, _query_one(bundle, pattern, args)
+
+
 def cmd_query(args) -> int:
     bundle, records = _load_for_query(args)
     out = sys.stdout
     out.write("# parsemem query mode=%s f=%d t=%s L=%s\n"
               % (args.mode, args.f, args.t, args.L))
-    for name, pattern in records:
-        if not pattern:
-            out.write(f"status\t{name}\tempty pattern\n")
+    for name, _, status, found in _run_patterns(bundle, records, args):
+        if status is not None:
+            out.write(f"status\t{name}\t{status}\n")
             continue
-        if SEPARATOR in pattern:
-            out.write(f"status\t{name}\tpattern contains the reserved NUL byte\n")
-            continue
-        pms, retained, mems, _ = _query_one(bundle, pattern, args)
+        pms, retained, mems, _ = found
         kept = {(pm.char_start, pm.char_end) for pm in retained}
         for pm in pms:
             out.write("pmem\t%s\t%s\t%d\t%d\t%d\t%d\n" % (
@@ -223,12 +236,12 @@ def cmd_stats(args) -> int:
     out.write("pattern_id\tm\tpseudo_total\tretained_total\tparse_len\t"
               "parse_backward_steps\tchar_backward_steps\tfilter_probes\t"
               "prefix_table_hits\n")
-    for name, pattern in records:
-        pms, retained, parse_len, work = [], [], 0, [0, 0, 0, 0]
-        if pattern and SEPARATOR not in pattern:
-            before = _work(bundle)
-            pms, retained, _, parse_len = _query_one(bundle, pattern, args)
-            work = [now - then for now, then in zip(_work(bundle), before)]
+    before = _work(bundle)
+    for name, pattern, _, found in _run_patterns(bundle, records, args):
+        pms, retained, _, parse_len = found or ([], [], [], 0)
+        now = _work(bundle)
+        work = [a - b for a, b in zip(now, before)]
+        before = now
         out.write("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n" % (
             name, len(pattern),
             sum(pm.length for pm in pms),

@@ -57,6 +57,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from itertools import accumulate
 from typing import Sequence
 
@@ -226,11 +227,13 @@ class _SuffixView:
         the remaining run would sort among the rows, the rows' agreements
         with the run rise to that point and fall after it, so the f largest
         are taken outward from it, and the f-th of them is the number of
-        symbols grown by.  The rows that agree that far are contiguous; an
-        edge is bisected for only where the row past the last one taken on
-        its side agrees that far too.  ``steps`` rises by one per symbol
-        grown, plus one for the symbol that failed, if any, as a one-symbol
-        binary search per symbol would count them.
+        symbols grown by.  Each is an ``_agreement`` taken exactly, but at
+        f = 1 the second row's is exact only if it reaches the first's, as
+        only then can it be the largest.  The rows that agree that far are
+        contiguous; an edge is bisected for only where the row past the
+        last one taken on its side agrees that far too.  ``steps`` rises by
+        one per symbol grown, plus one for the symbol that failed, if any,
+        as a one-symbol binary search per symbol would count them.
         """
         lo, hi, g = 0, len(self.sa), 0
         buckets, table = self.buckets, self.table
@@ -265,10 +268,12 @@ class _SuffixView:
             else:
                 b = mid
         # the rows' agreements with the run rise to row a and fall after it:
-        # take the f largest outward from there, the larger side first
+        # take the f largest outward from there, the larger side first; at
+        # f = 1 the right row's counts only if it reaches the left one's
         left, right = a - 1, a
         la = _agreement(seq, sa[left] + g, run) if left >= lo else -1
-        ra = _agreement(seq, sa[right] + g, run) if right < hi else -1
+        ra = (_agreement(seq, sa[right] + g, run, la if f == 1 else 0)
+              if right < hi else -1)
         for _ in range(f - 1):
             if la >= ra:
                 left -= 1
@@ -304,26 +309,45 @@ class _SuffixView:
         """Grow a match that continues at each of ``starts`` in the sequence
         by ``query[pos:pos + limit]``, comparing slices directly.
 
-        Returns each start's agreement, the length of its common prefix with
-        that run, and the f-th largest of them (0 with fewer than f starts):
-        the symbols the match grows by.  ``steps`` rises as ``grow``'s does.
+        Returns the f-th largest agreement of a start, the length of its
+        common prefix with that run (0 with fewer than f starts): the
+        symbols the match grows by.  Only the f largest are taken exactly:
+        the first f starts' by a gallop each, and every later start's only
+        if it passes the f-th largest so far, which costs the others one
+        slice comparison each.  ``steps`` rises as ``grow``'s does.
         """
         seq, run = self.seq, query[pos:pos + limit]
-        agree = [_agreement(seq, p, run) for p in starts]
-        more = sorted(agree)[-f] if len(agree) >= f else 0
+        top = []  # the f largest so far, the least first
+        for p in starts:
+            if len(top) < f:
+                heappush(top, _agreement(seq, p, run))
+            else:
+                a = _agreement(seq, p, run, top[0] + 1)
+                if a > top[0]:
+                    heapreplace(top, a)
+        more = top[0] if len(top) == f else 0
         self.steps += more + (more < limit)
-        return agree, more
+        return more
 
 
-def _agreement(seq: Sequence[int], p: int, run: Sequence[int]) -> int:
-    """Length of the longest common prefix of ``seq[p:]`` and ``run``: a
-    galloping search doubles a matching prefix of the run, the whole run is
-    compared only once a try would pass its end, and bisection then finds
-    the first mismatch.  Each try compares only the symbols past the prefix
-    already matched.  A growth's run reaches the window's edge, so
-    comparing it whole first would copy it once per row."""
+def _agreement(seq: Sequence[int], p: int, run: Sequence[int], least: int = 0) -> int:
+    """Length of the longest common prefix of ``seq[p:]`` and ``run`` when
+    that is at least ``least``, and ``least - 1`` otherwise.
+
+    One slice comparison of ``least`` symbols decides which, with none at
+    all when ``least`` exceeds the run, so a caller that needs only the
+    agreements above some value pays one comparison for each of the rest.
+    Past that a galloping search doubles the matching prefix, the whole run
+    is compared only once a try would pass its end, and bisection then
+    finds the first mismatch.  Each try compares only the symbols past
+    the prefix already matched.  A growth's run reaches the window's edge,
+    so comparing it whole first would copy it once per row."""
     n = len(run)
     good, bad = 0, 1  # seq[p:] begins with run[:good]; bad is a longer try
+    if least > 0:
+        if least > n or seq[p:p + least] != run[:least]:
+            return least - 1
+        good, bad = least, 2 * least
     while bad < n and seq[p + good:p + bad] == run[good:bad]:
         good, bad = bad, 2 * bad
     if bad >= n:
@@ -445,10 +469,13 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
     decides; on the left, a count of the whole match with the symbol
     before the window.  When the left growth leaves at most ``NARROW``
     occurrences, the right growth, the count and both edge checks are read
-    off the text at those occurrences; otherwise the match is walked
-    forward again to find its forward interval.  The pattern is converted
-    to the text's type once, so a symbol the text cannot hold (300 against
-    bytes) raises ``ValueError``.  Output is sorted by start.
+    off the text at those occurrences: only the f largest agreements there
+    are taken exactly, one gallop each, and an occurrence is counted when
+    the text after it equals the pattern up to the match's end, one slice
+    comparison each.  Otherwise the match is walked forward again to find
+    its forward interval.  The pattern is converted to the text's type
+    once, so a symbol the text cannot hold (300 against bytes) raises
+    ``ValueError``.  Output is sorted by start.
     """
     if len(pattern) == 0:
         raise EmptyInputError("pattern must be nonempty")
@@ -481,9 +508,10 @@ def threshold_scan(index: OccurrenceIndex, pattern: Sequence[int],
             if bhi - blo <= NARROW:
                 # occurrences of pattern[start-1:j] end at text[n - rsa[r]]
                 ends = [n - rsa[r] for r in range(blo, bhi)]
-                agree, more = fwd.grow_at(ends, query, j, reach, f)
+                more = fwd.grow_at(ends, query, j, reach, f)
                 end = j + min(more, hi - j)
-                kept = [e for e, a in zip(ends, agree) if a >= end - j]
+                head = query[j:end]
+                kept = [e for e in ends if text[e:e + end - j] == head]
                 freq = len(kept)
                 crosses = more > hi - j
                 if not crosses and start == lo > 1:

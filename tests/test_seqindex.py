@@ -635,15 +635,16 @@ def test_scan_with_the_table_equals_the_scan_without(monkeypatch):
     assert all(hits[True, case] > 0 == hits[False, case] for case in cases), hits
 
 
+def brute_agreement(seq, p, run):
+    k = 0
+    while k < len(run) and p + k < len(seq) and seq[p + k] == run[k]:
+        k += 1
+    return k
+
+
 @pytest.mark.parametrize("kind", [bytes, tuple])
 def test_agreement_is_the_longest_common_prefix(kind):
     seq = kind(random.Random(408).choices(b"ACGT", k=100))
-
-    def brute(p, run):
-        k = 0
-        while k < len(run) and p + k < len(seq) and seq[p + k] == run[k]:
-            k += 1
-        return k
 
     # runs from p that agree wholly, or up to a mismatch at 0, at a power of
     # two, between two or at the last symbol; from p = 90 the longer ones run
@@ -658,10 +659,142 @@ def test_agreement_is_the_longest_common_prefix(kind):
                 if at is not None:
                     head[at] = 0  # a symbol seq does not hold
                 run = kind(head)
-                want = brute(p, run)
+                want = brute_agreement(seq, p, run)
                 if p + n <= len(seq):
                     assert want == (n if at is None else at)
                 assert _agreement(seq, p, run) == want, (p, n, at)
+
+
+class Unread:
+    """A sequence that fails the test if any symbol of it is read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read {key!r}")
+
+
+# 12 mutated copies of a founder, so agreements at the copies tie, as bytes
+# and as phrase IDs
+COPY_SEQS = pytest.mark.parametrize("kind", [bytes, tuple])
+
+
+def copies_and_runs(kind, seed):
+    """A text of 12 mutated copies of a 50-symbol founder and runs cut
+    from the founder, mutated now and then: ``(seq, runs)``."""
+    rng = random.Random(seed)
+    symbols = b"ACGT" if kind is bytes else (256, 300, 4097, 70000)
+    founder, text = mutated_copies(rng, symbols, 50, 12)
+    runs = []
+    for _ in range(60):
+        a = rng.randrange(50)
+        run = founder[a:a + rng.randint(0, 60)]
+        if run and rng.random() < 0.5:
+            run[rng.randrange(len(run))] = rng.choice(symbols)
+        runs.append(kind(run))
+    return kind(text), runs
+
+
+@COPY_SEQS
+def test_agreement_is_exact_from_least_on(kind):
+    # the exact agreement when it is at least least, least - 1 below it;
+    # starts at the copies' aligned offsets tie, and starts near the end
+    # run out inside the run
+    seq, runs = copies_and_runs(kind, f"least{kind.__name__}")
+    rng = random.Random(409)
+    n, taken = len(seq), {"exact": 0, "below": 0, "past the run": 0}
+    for run in runs:
+        starts = {rng.randrange(n), n - 1, n, 51 * rng.randrange(12)}
+        for p in starts:
+            exact = brute_agreement(seq, p, run)
+            for least in range(-1, len(run) + 3):
+                want = exact if exact >= least else least - 1
+                assert _agreement(seq, p, run, least) == want, (p, run, least)
+                taken["exact" if exact >= least else
+                      "past the run" if least > len(run) else "below"] += 1
+    assert all(taken.values()), taken
+    # past the run, the answer is known without reading a symbol
+    for run in (kind(), kind(b"AC")):
+        for least in (len(run) + 1, len(run) + 5):
+            assert _agreement(Unread(), 3, run, least) == least - 1
+
+
+@COPY_SEQS
+def test_grow_at_takes_the_f_largest_agreement(kind):
+    # more is sorted(agreements)[-f], 0 with fewer than f starts, and steps
+    # rise by more plus one unless the run is used up; a run of 0 symbols
+    # (a pattern's last symbol) with a start at the text's end reads 0
+    seq, runs = copies_and_runs(kind, f"grow_at{kind.__name__}")
+    rng = random.Random(410)
+    view = OccurrenceIndex(seq).forward
+    n, ties = len(seq), 0
+    query = kind(seq[:40])
+    for run in runs + [kind()]:
+        query_at = query + run
+        for f in (1, 2, 3, 5):
+            aligned = 51 * rng.randrange(12) + rng.randrange(50)
+            starts = [aligned % 51 + 51 * c for c in rng.sample(range(12), rng.randint(1, 8))]
+            starts += rng.sample(range(n + 1), rng.randint(0, 6)) + [n] * rng.randint(0, 2)
+            rng.shuffle(starts)
+            agree = [brute_agreement(seq, p, run) for p in starts]
+            want = sorted(agree)[-f] if len(agree) >= f else 0
+            steps = view.steps
+            assert view.grow_at(starts, query_at, len(query), len(run), f) == want, \
+                (starts, run, f)
+            assert view.steps - steps == want + (want < len(run))
+            ties += agree.count(want) > 1 and want > 0
+    assert ties > 20, ties
+
+
+@COPY_SEQS
+def test_narrow_finish_keeps_the_rows_that_agree_to_the_end(monkeypatch, kind):
+    # every match the scan finishes from its occurrences: more is the f-th
+    # largest agreement there, and freq counts the occurrences agreeing at
+    # least min(more, window reach), as the eager definitions give them
+    rng = random.Random(f"kept{kind.__name__}")
+    symbols = b"ACGT" if kind is bytes else (256, 300, 4097, 70000)
+    founder, text = mutated_copies(rng, symbols, 80, 12)
+    text = kind(text)
+    index = OccurrenceIndex(text)
+    grow_at, last = index.forward.grow_at, {}
+    finished = 0
+
+    def spy_grow_at(starts, query, pos, limit, f):
+        run = query[pos:pos + limit]
+        agree = [brute_agreement(text, p, run) for p in starts]
+        more = grow_at(starts, query, pos, limit, f)
+        assert more == (sorted(agree)[-f] if len(agree) >= f else 0)
+        last.update(agree=agree, pos=pos)
+        return more
+
+    def spy_mem(start, end, freq):
+        nonlocal finished
+        if last:  # the last finish was from the occurrences
+            assert freq == sum(a >= end - last["pos"] for a in last["agree"])
+            finished += 1
+        return Mem(start=start, end=end, freq=freq)
+
+    def spy_forward_grow(*args):
+        last.clear()
+        return fwd_grow(*args)
+
+    fwd_grow = index.forward.grow
+    monkeypatch.setattr(index.forward, "grow_at", spy_grow_at)
+    monkeypatch.setattr(index.forward, "grow", spy_forward_grow)
+    monkeypatch.setattr(seqindex, "Mem", spy_mem)
+    for _ in range(12):
+        a, b = sorted(rng.sample(range(80), 2))
+        pattern = founder[a:] + [rng.choice(symbols)] + founder[:b]
+        pattern[rng.randrange(len(pattern))] = rng.choice(symbols)
+        pattern = kind(pattern)
+        windows = cut_windows(rng, len(pattern))
+        for f in (1, 2, 3, 5):
+            want = [(m.start, m.end, m.freq) for m in brute_force_f_mems(text, pattern, f)
+                    if any(lo <= m.start and m.end <= hi for lo, hi in windows)]
+            for L in (None, rng.randint(2, 20)):
+                last.clear()
+                got = threshold_scan(index, pattern, windows, f, L=L)
+                assert [(m.start, m.end, m.freq) for m in got] == \
+                    [w for w in want if L is None or w[1] - w[0] + 1 >= L]
+    assert finished > 100, finished
 
 
 def test_left_edge_check_at_the_start_of_the_text():
