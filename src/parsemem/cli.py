@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from time import perf_counter
 
 from . import filters as flt
 from . import pseudomem as pmm
@@ -104,21 +105,33 @@ def cmd_build(args) -> int:
 
     # The k-mer table first: its build peaks before the suffix arrays are held.
     k = args.kmer
+    laps = [perf_counter()]  # the start, then each stage's end
     kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
                                    flt.KIND_TABLE, flt.ITEMS_KMER, k)
-
+    laps.append(perf_counter())
     trigger = choose_trigger(text, args.window, args.trigger)
+    laps.append(perf_counter())
     dictionary = PhraseDictionary()
     parse_text = pfp_parse(text, trigger, dictionary)
+    parse_index = OccurrenceIndex(parse_text.symbols)
+    laps.append(perf_counter())
+    text_index = OccurrenceIndex(text)
+    laps.append(perf_counter())
     params = {"w": args.window, "p": args.trigger, "anchor_length": trigger.length,
               "kebab_k": k, "records": [n for n, _ in records]}
-    bundle = IndexBundle(params, trigger, dictionary, parse_text, OccurrenceIndex(text),
-                         OccurrenceIndex(parse_text.symbols), kmer_filter)
+    bundle = IndexBundle(params, trigger, dictionary, parse_text, text_index,
+                         parse_index, kmer_filter)
     save_bundle(bundle, args.out)
+    laps.append(perf_counter())
     target = len(text) // args.trigger
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
           f"dict={len(dictionary)} target={target} "
           f"anchor_length={trigger.length}", file=sys.stderr)
+    # parse holds the parse's suffix arrays; text_index the text's two and
+    # its prefix table
+    stages = ("kmer_table", "trigger", "parse", "text_index", "save")
+    print("# seconds:", *(f"{stage}={end - start:.3f}" for stage, start, end
+                          in zip(stages, laps, laps[1:])), file=sys.stderr)
     # a parse has at least one phrase, so it meets a target below 2
     grain = ANCHOR_GRAIN * args.trigger
     if (target >= 2 and trigger.length == args.window

@@ -58,7 +58,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import or_, xor
 from typing import Sequence
 
 from .errors import EmptyInputError
@@ -73,25 +74,96 @@ BUCKET_ROWS = NARROW
 # Ranks a suffix-array round turns into keys per slice: bounds the ints held
 # twice, as rank and as key, to keep the build's peak memory down.
 _KEY_SLICE = 4096
+# Bytes of a byte sequence's seed key: two 4-bit symbol ranks a byte under 16
+# distinct symbols, one 8-bit rank a byte from 16 to 255 of them.
+SEED_BYTES = 16
+
+
+def _seed_order(seq: bytes) -> tuple[list[int], list[int], int, int] | None:
+    """The suffixes of ``seq`` sorted by their first k symbols, as
+    ``(sa, rank, r, k)``: ``rank[i]`` numbers suffix i's first k symbols
+    among the ``r`` distinct ones, from 1, and is empty when all n differ,
+    as the order is then final.  None if ``seq`` holds all 256 byte values,
+    whose ranks from 1 fit no byte.
+
+    Symbols are ranked from 1 and the end is padded with 0, so a suffix that
+    runs out sorts before every longer one sharing its symbols.  Under 16
+    distinct symbols the ranks are packed two a byte, r[i] << 4 | r[i + 1],
+    and every other byte from i makes suffix i's key: k = 2 * SEED_BYTES
+    symbols, else k = SEED_BYTES.  Each key is one slice and one
+    ``int.from_bytes``, with no loop over its symbols, and holds the
+    suffix's start in its low bits, so one plain sort of the keys orders
+    the suffixes and no second list of n ints is held.
+    """
+    table = bytearray(256)
+    symbols = sorted(set(seq))
+    if len(symbols) == 256:
+        return None
+    for r, sym in enumerate(symbols, 1):
+        table[sym] = r
+    pad = bytes(2 * SEED_BYTES)
+    ranks = seq.translate(table) + pad
+    if len(symbols) < 16:
+        high = bytes(r << 4 for r in table)
+        packed = bytes(map(or_, seq.translate(high) + pad, ranks[1:]))
+        k, step = 2 * SEED_BYTES, 2
+    else:
+        packed, k, step = ranks, SEED_BYTES, 1
+    n, span = len(seq), SEED_BYTES * step
+    shift = n.bit_length()
+    sa = [int.from_bytes(packed[i:i + span:step]) << shift | i for i in range(n)]
+    sa.sort()
+    mask = (1 << shift) - 1
+    # a row starts a new seed where its key differs from the last one's
+    # above the start bits
+    r = 1 + sum(map(mask.__lt__, map(xor, sa, islice(sa, 1, None))))
+    if r == n:  # no ties: the order is final, and no rank is held
+        for row, key in enumerate(sa):
+            sa[row] = key & mask
+        return sa, [], r, k
+    rank = [0] * n
+    r = prev = 0  # every key is at least 1
+    for row, key in enumerate(sa):
+        pos = key & mask
+        key >>= shift
+        if key != prev:
+            r += 1
+            prev = key
+        rank[pos] = r
+        sa[row] = pos
+    return sa, rank, r, k
 
 
 def _build_suffix_array(seq: Sequence[int]) -> list[int]:
-    """Suffix array by prefix doubling, O(n log^2 n).
+    """Suffix array by prefix doubling (Manber & Myers), seeded for bytes.
+
+    A byte sequence starts from every suffix's first k = 32 symbols (16 over
+    16 or more distinct bytes), sorted once by ``_seed_order``, as in the
+    first step of Larsson & Sadakane; so random text is sorted by the seed
+    alone, and the rounds below only separate repeats longer than k.  Any
+    other sequence, a parse's phrase IDs among them, starts from one symbol:
+    the ranks of its values.
 
     Each round turns every rank, in place, into the key rank * (n + 1) +
     the rank k symbols on (0 past the end), one slice at a time so that few
     ranks and keys are held at once; it then sorts the last round's order by
-    the key, once and stably, and ranks off the key in place.  Ranks start
-    at 1, so a suffix that runs out sorts before every longer suffix sharing
-    its first k symbols.  Once every rank differs, the order is the
-    suffixes'.
+    the key, once and stably, ranks off the key in place, and doubles k.
+    Ranks start at 1, so a suffix that runs out sorts before every longer
+    suffix sharing its first k symbols.  Once every rank differs, the order
+    is the suffixes'.  Each round is one sort, O(n log n), and a sequence
+    whose longest repeat has h symbols takes about log2(h / k) rounds.
     """
     n = len(seq)
-    order = sorted(set(seq))
-    rank_of = {v: r for r, v in enumerate(order, 1)}
-    rank = [rank_of[v] for v in seq]
-    sa = sorted(range(n), key=rank.__getitem__)
-    r, k, m = len(order), 1, n + 1
+    seeded = _seed_order(seq) if type(seq) is bytes else None
+    if seeded is not None:
+        sa, rank, r, k = seeded
+    else:
+        order = sorted(set(seq))
+        rank_of = {v: r for r, v in enumerate(order, 1)}
+        rank = [rank_of[v] for v in seq]
+        sa = sorted(range(n), key=rank.__getitem__)
+        r, k = len(order), 1
+    m = n + 1
     while r < n:
         rank += [0] * k  # the ranks past the end
         for lo in range(0, n, _KEY_SLICE):

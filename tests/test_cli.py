@@ -336,7 +336,10 @@ class TestBuildQuery:
         p = int(flags[-1]) if flags else 50
         assert re.fullmatch(r"# wrote \S+: \|T\|=1500 phrases=\d+ dict=\d+ "
                             rf"target={1500 // p} anchor_length={l}", lines[0])
-        assert [line.startswith("warning: ") for line in lines[1:]] == [True] * warned
+        assert re.fullmatch(r"# seconds: kmer_table=\d+\.\d{3} trigger=\d+\.\d{3} "
+                            r"parse=\d+\.\d{3} text_index=\d+\.\d{3} save=\d+\.\d{3}",
+                            lines[1])
+        assert [line.startswith("warning: ") for line in lines[2:]] == [True] * warned
 
     @pytest.mark.parametrize("text, warned", [(b"A", False), (b"A" * 5000, True)])
     def test_capped_anchor_warns_only_when_phrases_can_fall_short(

@@ -3,6 +3,8 @@ from bisect import bisect_left, bisect_right
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parsemem import seqindex
 from parsemem.errors import EmptyInputError
@@ -198,18 +200,50 @@ class TestBml:
             bml_mems(index, b"", L=1)
 
 
+def recurring_words(seed: int) -> bytes:
+    """Words of 20 to 40 DNA symbols recurring between runs of 3 random ones:
+    suffixes that agree for fewer symbols than a seed key holds, and more."""
+    rng = random.Random(seed)
+    words = [bytes(rng.choices(b"ACGT", k=n)) for n in (20, 24, 28, 40)]
+    return b"".join(rng.choice(words) + bytes(rng.choices(b"ACGT", k=3))
+                    for _ in range(60))
+
+
+# Tuples start from one symbol; bytes from a seed key of their first
+# seqindex.SEED_BYTES bytes, 32 symbols under 16 distinct ones, else 16.
 SEQUENCES = pytest.mark.parametrize("seq", [
-    tuple(random.Random(191).choice(b"ACGT\0") for _ in range(2000)),
+    tuple(random.Random(191).choices(b"ACGT\0", k=2000)),
     tuple(b"A" * 300),  # every round ties: the most doubling rounds
     (7,),
-    tuple(random.Random(193).choice((3, 256, 70000, 1 << 33)) for _ in range(500)),
-], ids=["bytes-with-nul", "A300", "n1", "phrase-ids"])
+    tuple(random.Random(193).choices((3, 256, 70000, 1 << 33), k=500)),
+    bytes(random.Random(191).choices(b"ACGT\0", k=2000)),
+    b"A" * 300,  # every seed key ties
+    # lengths around the 32-symbol seed, periodic so that keys tie
+    *((b"ACA" * 22)[:n] for n in (1, 31, 32, 33, 65)),
+    # 16 byte values, the fewest for 8-bit ranks, 0 and 255 among them:
+    # 16-symbol keys; the piece twice, so that ties outlast the seed
+    bytes(random.Random(197).choices(bytes([0, 255, *range(100, 114)]), k=250)) * 2,
+    bytes(range(256)) * 2,  # every byte value: no seed, one symbol
+    recurring_words(199),
+], ids=["bytes-with-nul", "A300", "n1", "phrase-ids", "real-bytes-with-nul",
+        "real-A300", "real-n1", "real-n31", "real-n32", "real-n33", "real-n65",
+        "real-wide", "real-all-256", "real-words"])
 
 
 @SEQUENCES
 def test_suffix_array_sorts_suffixes(seq):
     n = len(seq)
     assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
+
+
+@given(st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), max_size=16), st.integers(1, 24))
+@settings(max_examples=300, deadline=None)
+def test_suffix_array_of_any_bytes(words, picks, sigma):
+    # words of up to 40 bytes, strung together, repeat across the seed's
+    # length; sigma from 1 to 24 values, 0 among them, takes both seed widths
+    seq = bytes(b % sigma for b in b"".join(words[i % len(words)] for i in picks))
+    assert _build_suffix_array(seq) == sorted(range(len(seq)), key=lambda i: seq[i:])
 
 
 @SEQUENCES
@@ -922,7 +956,7 @@ def test_one_symbol_counts_read_the_buckets():
         steps = index.steps
         assert index.count((sym,)) == brute_force_count(seq, (sym,)), sym
         assert index.steps - steps == 1, sym
-    text = bytes(random.Random(408).choice(b"ACGT\0") for _ in range(600))
+    text = bytes(random.Random(408).choices(b"ACGT\0", k=600))
     index = OccurrenceIndex(text)
     assert index.forward.buckets is None and index.backward.buckets is None
     for sym in b"ACGT\0N":
