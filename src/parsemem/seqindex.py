@@ -90,7 +90,7 @@ def _seed_order(seq: bytes) -> tuple[list[int], list[int], int, int] | None:
     runs out sorts before every longer one sharing its symbols.  Under 16
     distinct symbols the ranks are packed two a byte, r[i] << 4 | r[i + 1],
     and every other byte from i makes suffix i's key: k = 2 * SEED_BYTES
-    symbols, else k = SEED_BYTES.  Each key is one slice and one
+    symbols, else k = SEED_BYTES.  Each key is one slice and one big-endian
     ``int.from_bytes``, with no loop over its symbols, and holds the
     suffix's start in its low bits, so one plain sort of the keys orders
     the suffixes and no second list of n ints is held.
@@ -111,7 +111,7 @@ def _seed_order(seq: bytes) -> tuple[list[int], list[int], int, int] | None:
         packed, k, step = ranks, SEED_BYTES, 1
     n, span = len(seq), SEED_BYTES * step
     shift = n.bit_length()
-    sa = [int.from_bytes(packed[i:i + span:step]) << shift | i for i in range(n)]
+    sa = [int.from_bytes(packed[i:i + span:step], "big") << shift | i for i in range(n)]
     sa.sort()
     mask = (1 << shift) - 1
     # a row starts a new seed where its key differs from the last one's

@@ -25,3 +25,17 @@ def test_package_imports_only_itself_and_the_standard_library():
                for name in absolute_imports(path)
                if name.split(".")[0] not in {"parsemem", *sys.stdlib_module_names}]
     assert foreign == []
+
+
+def test_every_int_byte_conversion_names_its_byte_order():
+    """``int.from_bytes`` and ``int.to_bytes`` default the byte order only
+    from Python 3.11, and the package supports 3.10."""
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"from_bytes", "to_bytes"}
+                    and len(node.args) < 2
+                    and "byteorder" not in {kw.arg for kw in node.keywords}):
+                unnamed.append((path.name, node.lineno))
+    assert unnamed == []
