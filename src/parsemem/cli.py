@@ -4,9 +4,9 @@
 text start and a count per distinct k-mer, beside the text index and the
 parse's phrase starts; the parse's phrase IDs and suffix arrays are
 derived from the text on load.  ``--mode combined`` runs the parse route
-as it is: that route reads each phrase's count off the parse index before
-it scans, so a phrase filter in front would ask the same question again.
-The table has no size or seed.  The parse window ``-w``,
+as it is, as ``pseudomem.refine`` does: that route reads each phrase's
+count off the parse index before it scans, so a phrase filter's answers
+would add nothing.  The table has no size or seed.  The parse window ``-w``,
 phrase period ``-p`` and k-mer length ``-k`` are build flags only:
 ``build`` picks the parse's trigger, the l-grams that end a phrase's
 first window, so that the text has about one phrase per p characters,
@@ -164,8 +164,9 @@ def _query_one(bundle: IndexBundle, pattern: bytes, args):
     hold every f-MEM: the whole pattern for exact and the pseudo-MEMs that
     survive safe discarding for parse and combined, from 1, and the KeBaB
     runs for kebab, from k.  Parse and combined are one route: the parse
-    route counts every phrase before its scan, so a phrase filter in front
-    of it, as ``coarse_sets`` and ``refine`` put one, would only ask again.
+    route counts every phrase before its scan, so the phrase filter's
+    answers, which ``coarse_sets`` gives and ``refine`` takes, would only
+    ask again.
     """
     mode, f, t, L = args.mode, args.f, args.t, args.L
     pms: list[pmm.PseudoMem] = []

@@ -38,9 +38,10 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable
 
 from .errors import ItemKindMismatch
@@ -256,10 +257,6 @@ class FingerprintTable(MembershipFilter):
         self._present_at: dict[int, dict[bytes, int]] = {}
         self._slices: list[slice] = []  # kmers_at_least's, kept from call to call
 
-    def _stored(self) -> list[bytes]:
-        """The stored k-mers, in stored order."""
-        return [self.text[start:start + self.k] for start in self.starts]
-
     def _present(self, f: int) -> dict[bytes, int]:
         """Each k-mer counted at least min(f, 255) times, mapped to its
         stored start, gathered on the first lookup at that threshold; a
@@ -308,9 +305,11 @@ class FingerprintTable(MembershipFilter):
         self.counts = bytearray(map(min, map(tally.__getitem__, self.starts), repeat(_SATURATED)))
 
     def min_count(self, item) -> int:
-        """The stored count of ``item``, found by a scan of the table."""
+        """The stored count of ``item``, at its stored start's place in
+        ``starts``; every stored k-mer is in the dict at f = 1."""
         (key,) = self._keys((item,))
-        return next(compress(self.counts, map(key.__eq__, self._stored())), 0)
+        start = self._present(1).get(key)
+        return 0 if start is None else self.counts[bisect_left(self.starts, start)]
 
     def _answer(self, items: Iterable, f: int) -> list[bool]:
         return list(map(self._present(f).__contains__, self._keys(items)))

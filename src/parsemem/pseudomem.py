@@ -1,6 +1,6 @@
 """Pseudo-MEM construction, lower bounds, safe discarding, and final search.
 
-Three routes produce pseudo-MEMs over a pattern P:
+Two routes produce pseudo-MEMs over a pattern P:
 
 * KeBaB: maximal runs of k-mers a filter reports present (at least f times);
   no length guarantee comes with them, so their lower bound is always 0.
@@ -8,13 +8,14 @@ Three routes produce pseudo-MEMs over a pattern P:
   extended by one phrase each way (origin S1), plus adjacent phrase pairs
   where neither phrase clears the occurrence threshold (origin S2).  An S1
   pseudo-MEM certifies an f-MEM at least as long as the characters left after
-  deleting one phrase from each end.
-* Coarse-then-refine: the query mode runs the parse route as it is, since
-  the route counts each phrase before its scan, one bucket read each, and
-  so already scans only the runs of phrases that occur.  ``coarse_sets``
-  and ``refine`` remain as library functions that put a phrase-ID filter's
-  answers in front of that route; as a filter has no false negatives,
-  their output is the parse route's.
+  deleting one phrase from each end.  The route counts each phrase before
+  its scan, one bucket read each, and scans only the runs of phrases that
+  occur, so the parse and combined query modes both run it as it is.
+
+``coarse_sets`` and ``refine`` keep the paper's coarse-then-refine form as
+library functions: a phrase-ID filter's answers, then the parse route.  A
+filter has no false negatives, so ``refine`` returns the parse route's
+output.
 
 Once at least t pseudo-MEMs certify distinct f-MEMs of some length, every
 pseudo-MEM shorter than the t-th best certified length can be discarded
@@ -130,7 +131,12 @@ def _runs(present: bytes | Sequence[bool]) -> list[tuple[int, int]]:
 
 def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
                     s2_pairs: list[tuple[int, int]]) -> list[PseudoMem]:
-    """Extend parse matches, clip, deduplicate, and map to characters."""
+    """Extend parse matches, clip, deduplicate, and map to characters.
+
+    Parse f-MEMs [1, n - 1] and [2, n] both clip to (1, n), so an S1
+    interval is emitted once.  An S2 pair cannot equal one: its phrases
+    count below f, and an S1 interval holds phrases counted at least f.
+    """
     n = len(parsed_pattern)
     starts, o = parsed_pattern.phrase_start, parsed_pattern.overlap
     # phrase i ends at ends[i - 1]: o characters into the next phrase
@@ -148,25 +154,25 @@ def _emit_parse_pms(parsed_pattern: ParsedString, s1_matches: list[Mem],
         out.append(PseudoMem(starts[lo - 1], ends[hi - 1], ORIGIN_S1, bound,
                              phrase_start=lo, phrase_end=hi))
     for lo, hi in s2_pairs:
-        if (lo, hi) in seen:
-            continue
-        seen.add((lo, hi))
         out.append(PseudoMem(starts[lo - 1], ends[hi - 1], ORIGIN_S2,
                              phrase_start=lo, phrase_end=hi))
     out.sort(key=lambda pm: (pm.char_start, pm.char_end))
     return out
 
 
-def _parse_pms(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
-               f: int, present: Sequence[bool] | None = None) -> list[PseudoMem]:
-    """The body of the parse route, as parse_pseudo_mems describes it.
+def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
+                      f: int = 1) -> list[PseudoMem]:
+    """Pseudo-MEMs of the pattern from its parse against the text's parse.
 
-    A phrase occurs if it is counted at least f times in the text's parse,
-    and ``present``, a filter's answers, also says so where given.  Every
-    phrase is counted first, one bucket read each, and the parse-level
-    scan then covers only the runs of phrases that occur: every phrase of
-    a parse f-MEM occurs at least f times, so the scan finds the same
-    matches as one over the whole parse.
+    A single-phrase parse makes all of the pattern one WHOLE pseudo-MEM.
+    Otherwise a phrase occurs if it is counted at least f times in the
+    text's parse, one bucket read each.  Every f-MEM of the phrase-ID
+    sequence, extended one phrase each way and clipped at the pattern ends,
+    becomes an S1 element, and every adjacent pair of phrases that both fail
+    to occur becomes an S2 element.  Every phrase of a parse f-MEM occurs,
+    so the parse-level scan covers only the runs of phrases that occur and
+    finds the same matches as one over the whole parse.  Identical phrase
+    intervals are emitted once.
     """
     n = len(parsed_pattern)
     if n == 0:
@@ -175,26 +181,10 @@ def _parse_pms(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
         return [PseudoMem(1, parsed_pattern.source_length, ORIGIN_WHOLE,
                           phrase_start=1, phrase_end=1)]
     symbols, count = parsed_pattern.symbols, parse_index.count
-    if present is None:
-        occurs = [count((sym,)) >= f for sym in symbols]
-    else:
-        occurs = [hit and count((sym,)) >= f for hit, sym in zip(present, symbols)]
+    occurs = [count((sym,)) >= f for sym in symbols]
     matches = threshold_scan(parse_index, symbols, _runs(occurs), f)
     pairs = [(i, i + 1) for i in range(1, n) if not occurs[i - 1] and not occurs[i]]
     return _emit_parse_pms(parsed_pattern, matches, pairs)
-
-
-def parse_pseudo_mems(parsed_pattern: ParsedString, parse_index: OccurrenceIndex,
-                      f: int = 1) -> list[PseudoMem]:
-    """Pseudo-MEMs of the pattern from its parse against the text's parse.
-
-    A single-phrase parse makes all of the pattern one WHOLE pseudo-MEM.
-    Otherwise every f-MEM of the phrase-ID sequence, extended one phrase each
-    way and clipped at the pattern ends, becomes an S1 element, and every
-    adjacent pair of phrases that both fail the occurrence test becomes an S2
-    element.  Identical phrase intervals are emitted once.
-    """
-    return _parse_pms(parsed_pattern, parse_index, f)
 
 
 def safe_discard(pms: list[PseudoMem], t: int) -> list[PseudoMem]:
@@ -239,17 +229,16 @@ def coarse_sets(parsed_pattern: ParsedString, phrase_filter: MembershipFilter,
 
 def refine(coarse: CoarseSets, parsed_pattern: ParsedString,
            parse_index: OccurrenceIndex, f: int = 1) -> list[PseudoMem]:
-    """The parse route with the filter's answers in front: a library
+    """The parse route once a phrase filter has answered: a library
     function, not a query mode, as combined runs parse_pseudo_mems itself.
 
-    A filter-negative phrase occurs fewer than f times, so it is not
-    counted, and every parse f-MEM lies inside a run of phrases that are
-    filter-positive and counted at least f times, so scanning only those
-    runs gives exactly the output of parse_pseudo_mems.
+    The route counts every phrase, and a filter has no false negatives, so
+    a phrase the filter rejects is one the route leaves out anyway: refine
+    checks that the answers were taken at f and returns the route's output.
     """
     if coarse.f != f:
         raise ValueError("coarse sets were built for a different f")
-    return _parse_pms(parsed_pattern, parse_index, f, coarse.present)
+    return parse_pseudo_mems(parsed_pattern, parse_index, f)
 
 
 def find_long_mems(text_index: OccurrenceIndex, pms: list[PseudoMem],

@@ -8,12 +8,12 @@ from parsemem import pseudomem, seqindex
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
-                                ORIGIN_WHOLE, PseudoMem, _cutoff,
+                                ORIGIN_WHOLE, CoarseSets, PseudoMem, _cutoff,
                                 _emit_parse_pms, coarse_sets, find_long_mems,
                                 kebab_pseudo_mems, parse_pseudo_mems, refine,
                                 safe_discard)
 from parsemem.seqindex import Mem, OccurrenceIndex, find_f_mems
-from parsemem.verify import _parse_instance, cutoff_counts
+from parsemem.verify import _parse_instance, copies_instance, cutoff_counts
 
 DNA = b"ACGT"
 SCAN = seqindex.threshold_scan  # as imported, for spies to call through
@@ -176,6 +176,54 @@ class TestParsePseudoMems:
         assert len(keys) == len(set(keys))
         spans = [(pm.char_start, pm.char_end) for pm in pms]
         assert spans == sorted(spans)
+
+    def test_matches_clipped_to_one_interval_emit_one_s1(self):
+        rng = random.Random(128)
+        text = rand_dna(rng, 500)
+        _, parse_p, _ = parse_pair(text, text[100:300])
+        n = len(parse_p)
+        assert n > 3
+        lo, hi = parse_p.char_span(2, n - 1)
+        pms = _emit_parse_pms(parse_p, [Mem(1, n - 1, 1), Mem(2, n, 1)], [])
+        assert [(pm.phrase_start, pm.phrase_end, pm.origin, pm.lower_bound)
+                for pm in pms] == [(1, n, ORIGIN_S1, hi - lo + 1)]
+
+    def test_real_parse_f_mems_clipped_to_one_interval(self, monkeypatch):
+        # the pattern is the first of three copies; its parse's f-MEMs are
+        # phrases 1..8 and 2..9 of 9, and both extend to the whole pattern
+        copy = b"GGACGAACACCAGCGCGAGGCCCGCCC"
+        text = b"\0".join((copy, b"GGACGAACACAGGCGCGAGGCCCGCCC", copy))
+        _, parse_p, pidx = parse_pair(text, copy, w=4, p=3)
+        seen = []
+
+        def spy(parsed, s1_matches, s2_pairs):
+            seen.append([(m.start, m.end) for m in s1_matches])
+            return _emit_parse_pms(parsed, s1_matches, s2_pairs)
+
+        monkeypatch.setattr(pseudomem, "_emit_parse_pms", spy)
+        pms = parse_pseudo_mems(parse_p, pidx)
+        assert seen == [[(1, 8), (2, 9)]]
+        lo, hi = parse_p.char_span(2, 8)
+        assert [(pm.phrase_start, pm.phrase_end, pm.origin, pm.lower_bound)
+                for pm in pms] == [(1, 9, ORIGIN_S1, hi - lo + 1)]
+
+    def test_s2_phrases_count_below_f_and_intervals_are_distinct(self):
+        # no S2 pair can equal an S1 interval, whose parse f-MEM's phrases
+        # each count at least f, so S2 pairs are emitted untested
+        rng, s2 = random.Random("s2-distinct"), 0
+        for _ in range(1000):
+            text, pattern = copies_instance(rng)
+            w, p, f = rng.choice((2, 3, 4)), rng.choice((3, 4, 5)), rng.choice((1, 2, 3))
+            _, parse_p, pidx = parse_pair(text, pattern, w, p)
+            pms = parse_pseudo_mems(parse_p, pidx, f)
+            for pm in pms:
+                if pm.origin == ORIGIN_S2:
+                    s2 += 1
+                    ids = parse_p.symbols[pm.phrase_start - 1:pm.phrase_end]
+                    assert all(pidx.count((sym,)) < f for sym in ids)
+            intervals = [(pm.phrase_start, pm.phrase_end) for pm in pms]
+            assert len(intervals) == len(set(intervals))
+        assert s2 > 0
 
 
 class TestLowerBound:
@@ -365,6 +413,21 @@ class TestCoarseRefine:
             assert list(coarse.present) == filt.at_least_many(parse_p.symbols, f)
             for hit, sym in zip(coarse.present, parse_p.symbols):
                 assert hit or pidx.count((sym,)) < f
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_refine_ignores_what_the_sets_say(self, f):
+        # any sets built for f, all false included, give the parse route's
+        # list
+        rng = random.Random(153 + f)
+        text = rand_dna(rng, 500)
+        pattern = text[100:200] + rand_dna(rng, 20) + text[100:160]
+        _, parse_p, pidx = parse_pair(text + text[100:200], pattern, w=4, p=3)
+        n = len(parse_p)
+        direct = parse_pseudo_mems(parse_p, pidx, f)
+        assert any(pm.origin == ORIGIN_S1 for pm in direct)
+        for present in ((False,) * n, (True,) * n,
+                        tuple(rng.random() < 0.5 for _ in range(n))):
+            assert refine(CoarseSets(present, f), parse_p, pidx, f) == direct
 
     def test_mismatched_f_rejected(self):
         rng = random.Random(151)
