@@ -1,16 +1,20 @@
 import argparse
 import bisect
+import contextlib
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
 import random
 import re
 import struct
+import subprocess
 import sys
 from array import array
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -25,24 +29,36 @@ from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.seqindex import OccurrenceIndex, PrefixTable
 
+MODES = ("exact", "kebab", "parse", "combined")
+
 
 def rand_dna(rng, n):
     return bytes(rng.choice(b"ACGT") for _ in range(n))
 
 
-@pytest.fixture
-def corpus(tmp_path):
-    """A text, a pattern sharing a long substring with it, and their files."""
+def corpus_records():
+    """The corpus's text and pattern records."""
     rng = random.Random(201)
     text = rand_dna(rng, 1500)
     pattern = rand_dna(rng, 20) + text[300:420] + rand_dna(rng, 20)
-    text_path = tmp_path / "text.fa"
-    text_path.write_bytes(b">chr1\n" + text + b"\n")
-    pat_path = tmp_path / "patterns.fa"
-    pat_path.write_bytes(b">q1\n" + pattern + b"\n")
-    index_path = tmp_path / "index.pmidx"
-    return {"text": text, "pattern": pattern, "text_path": str(text_path),
-            "pat_path": str(pat_path), "index": str(index_path)}
+    return [("chr1", text)], [("q1", pattern)]
+
+
+def write_records(path, records, raw):
+    """Write (name, sequence) records as FASTA, or as raw lines when ``raw``."""
+    path.write_bytes(b"".join(seq + b"\n" if raw else b">%s\n%s\n" % (name.encode(), seq)
+                              for name, seq in records))
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """A text, a pattern sharing a long substring with it, and their files."""
+    records, patterns = corpus_records()
+    text_path, pat_path = tmp_path / "text.fa", tmp_path / "patterns.fa"
+    write_records(text_path, records, False)
+    write_records(pat_path, patterns, False)
+    return {"text": records[0][1], "pattern": patterns[0][1], "text_path": str(text_path),
+            "pat_path": str(pat_path), "index": str(tmp_path / "index.pmidx")}
 
 
 def build(corpus, *extra):
@@ -57,17 +73,183 @@ def query(corpus, capsys, *extra):
     return rc, out
 
 
+def mutate(rng, seq, n, differ, alphabet=b"ACGT"):
+    """``seq`` with ``n`` positions redrawn from ``alphabet``; when
+    ``differ``, each from the symbols other than the one it replaces."""
+    seq = bytearray(seq)
+    for i in rng.sample(range(len(seq)), n):
+        seq[i] = rng.choice([c for c in alphabet if c != seq[i]] if differ else alphabet)
+    return bytes(seq)
+
+
 def mutated_copies(rng, length, copies):
     """``copies`` copies of one random DNA founder, 1% of each copy's
     positions redrawn."""
     founder = rand_dna(rng, length)
+    return [mutate(rng, founder, length // 100, False) for _ in range(copies)]
+
+
+def pieces(rng, seq, count, size, subs, differ, alphabet=b"ACGT"):
+    """``count`` pattern records, each ``size`` symbols of ``seq`` from a
+    random start with ``subs`` of them redrawn."""
     out = []
-    for _ in range(copies):
-        seq = bytearray(founder)
-        for i in rng.sample(range(length), length // 100):
-            seq[i] = rng.choice(b"ACGT")
-        out.append(bytes(seq))
+    for i in range(count):
+        a = rng.randrange(len(seq) - size)
+        out.append((f"q{i + 1}", mutate(rng, seq[a:a + size], subs, differ, alphabet)))
     return out
+
+
+def copies_records(seed, length, count, subs, differ, queries, size):
+    """``count`` copies of a random DNA founder of ``length``, ``subs``
+    positions of each redrawn, and ``queries`` pieces of the founder."""
+    rng = random.Random(seed)
+    founder = bytes(rng.choices(b"ACGT", k=length))
+    haps = [(f"hap{i + 1}", mutate(rng, founder, subs, differ)) for i in range(count)]
+    return haps, pieces(rng, founder, queries, size, 2, differ)
+
+
+def piece_records():
+    """A 3 kb text and a pattern of two of its pieces joined by ACGT."""
+    text = rand_dna(random.Random(1), 3000)
+    return [("r1", text)], [("q1", text[500:700] + b"ACGT" + text[900:1000])]
+
+
+def protein_records():
+    """3,000 protein letters as two records, and a pattern across them."""
+    rng = random.Random(2)
+    text = bytes(rng.choice(b"ACDEFGHIKLMNPQRSTVWY") for _ in range(3000))
+    return ([("p1", text[:1200]), ("p2", text[1200:])],
+            [("q1", text[1100:1300] + b"WWW" + text[2000:2100])])
+
+
+def random_dna_records():
+    """20 kb of random DNA and 8 pieces of it with 10 substitutions each."""
+    rng = random.Random(7)
+    text = bytes(rng.choices(b"ACGT", k=20000))
+    return [("r1", text)], pieces(rng, text, 8, 1000, 10, True)
+
+
+def byte_records():
+    """100 kb over the 200 byte values 14..213 (no NUL or line break) and
+    8 pieces of it with two bytes redrawn, as raw lines."""
+    rng = random.Random(5)
+    alphabet = bytes(range(14, 214))
+    text = bytes(rng.choice(alphabet) for _ in range(100000))
+    patterns = pieces(rng, text, 8, 2000, 2, False, alphabet)
+    # the raw reader names lines p1, p2, ...
+    return [("r1", text)], [(f"p{i}", seq) for i, (_, seq) in enumerate(patterns, 1)]
+
+
+def dna_records():
+    """100 kb of random DNA, and no patterns."""
+    return [("r1", rand_dna(random.Random(4), 100000))], []
+
+
+def numbered(*seqs):
+    """Text records ``r0``, ``r1``, ... and no patterns."""
+    return [(f"r{i}", seq) for i, seq in enumerate(seqs)], []
+
+
+# Each scenario's inputs, build flags and format flags; the fixture
+# ``scenarios`` builds each index once per module.
+SCENARIOS = {
+    "corpus": (corpus_records, ("-w", "6", "-p", "5", "-k", "8"), ()),
+    "pieces": (piece_records, (), ()),
+    # 24 copies of a 600 bp founder, 3 redrawn each: a match's left growth
+    # ends with more or fewer rows than seqindex.NARROW (16), so the scan
+    # both re-walks matches forward and finishes them from their
+    # occurrences, near-misses included
+    "copies24": (lambda: copies_records(3, 600, 24, 3, False, 6, 200), (), ()),
+    # 3,859 phrases over 108 distinct IDs, all derived on load
+    "copies24_w1p3": (lambda: copies_records(3, 600, 24, 3, False, 6, 200),
+                      ("-w", "1", "-p", "3"), ()),
+    # 6 copies, 12 substitutions each: left growths end with 2 to 16 rows,
+    # so at f >= 2 the scan finishes matches from their occurrences by the
+    # f-th largest agreement
+    "copies6": (lambda: copies_records(8, 600, 6, 12, True, 6, 200), (), ()),
+    # 100 copies of a 300 bp founder, one substitution each: a growth that
+    # stops inside them ties with about 100 rows, so grow bisects for its
+    # interval's edges; the text suffix array takes five doubling rounds
+    # after the 32-symbol seed
+    "copies100": (lambda: copies_records(6, 300, 100, 1, True, 4, 150), (), ()),
+    # kebab's runs and the parse windows start inside the pattern, so
+    # matches that reach a window's left edge are checked by a count after
+    # a forward re-walk, or by the text before their occurrences; the
+    # 32-symbol seed alone sorts the suffix array, as its 32-mers all differ
+    "random20k": (random_dna_records, (), ()),
+    # a text outside ACGT, no --dna, through the same k-mer table
+    "protein": (protein_records, (), ()),
+    # a one-symbol text has no prefix table
+    "one_symbol": (lambda: ([("a", b"A" * 5000)], [("q1", b"A" * 40 + b"C" + b"A" * 70)]),
+                   (), ()),
+    # l = 2 at -p 60 and about 600 anchors, each found by its own search
+    "bytes200": (byte_records, ("-p", "60"), ("--format", "raw")),
+    "dna100k_p4": (dna_records, ("-p", "4"), ()),
+    "dna100k_p8": (dna_records, ("-p", "8"), ()),
+    "dna100k_w4p8": (dna_records, ("-w", "4", "-p", "8"), ()),
+    # TestBundleFormat.PHRASE_SHAPES says what these five show
+    "nul_joined_copies": (lambda: numbered(*mutated_copies(random.Random(5), 300, 6)),
+                          ("-w", "4", "-p", "7"), ()),
+    "shorter_than_w": (lambda: numbered(b"ACG", b"T"), ("-w", "6", "-p", "5"), ()),
+    "no_trigger": (lambda: numbered(b"ACGTTGCA" * 40), ("-w", "6", "-p", str(1 << 50)), ()),
+    "w1_p3": (lambda: numbered(b"ACGT" * 30, b"TTGCA" * 40), ("-w", "1", "-p", "3"), ()),
+    "w10_p50": (lambda: numbered(*mutated_copies(random.Random(8), 900, 2)),
+                ("-w", "10", "-p", "50"), ()),
+}
+
+
+class Scenario(NamedTuple):
+    text: bytes  # the text's records joined by NUL, as the index holds it
+    patterns: list  # the patterns' (name, sequence) records
+    pat_path: str
+    index: str
+    fmt: tuple  # the format flags its files are read with
+    log: str  # what the build printed to standard error
+
+
+@pytest.fixture(scope="module")
+def scenarios(tmp_path_factory):
+    """The scenario of a name, its files written and its index built on
+    first use."""
+    built = {}
+
+    def scenario(name):
+        if name not in built:
+            make, flags, fmt = SCENARIOS[name]
+            records, patterns = make()
+            work = tmp_path_factory.mktemp(name)
+            text_path, pat_path = work / "text", work / "patterns"
+            write_records(text_path, records, bool(fmt))
+            write_records(pat_path, patterns, bool(fmt))
+            index, log = str(work / "index.pmidx"), io.StringIO()
+            with contextlib.redirect_stderr(log):
+                assert main(["build", str(text_path), "-o", index, *fmt, *flags]) == 0
+            built[name] = Scenario(b"\0".join(seq for _, seq in records), patterns,
+                                   str(pat_path), index, fmt, log.getvalue())
+        return built[name]
+    return scenario
+
+
+def scenario_output(capsys, command, scenario, *flags):
+    """What ``command`` prints for the scenario's patterns."""
+    assert main([command, scenario.pat_path, "--index", scenario.index,
+                 *scenario.fmt, *flags]) == 0
+    return capsys.readouterr().out
+
+
+def cases(name, *flag_sets):
+    """A parameter set on scenario ``name`` per query flag set, named by the
+    scenario and the flags; the corpus's by the flags alone."""
+    out = []
+    for flags in flag_sets:
+        tag = "-".join(flag[1:] + value for flag, value
+                       in zip(flags[::2], flags[1::2])) or "none"
+        out.append(pytest.param(name, flags, id=tag if name == "corpus" else f"{name}-{tag}"))
+    return out
+
+
+# -L 5 sits below k=8, where KeBaB runs need not hold every match
+CORPUS_CASES = cases("corpus", ("-L", "25"), ("-L", "5"), ("-t", "1"), ("-t", "3"), ())
 
 
 def rewrite_section(path, name, change):
@@ -102,12 +284,6 @@ def repeat_first_section(data):
             + data[start:start + 2 + name_len + 40 + size])
 
 
-# -L 5 sits below k=8, where KeBaB runs need not hold every match
-LONG_MEM_FLAGS = pytest.mark.parametrize(
-    "flags", [("-L", "25"), ("-L", "5"), ("-t", "1"), ("-t", "3"), ()],
-    ids=["L25", "L5", "t1", "t3", "none"])
-
-
 def mem_rows(output):
     rows = []
     for line in output.splitlines():
@@ -115,6 +291,22 @@ def mem_rows(output):
         if cols[0] == "mem":
             # drop the mode column so rows compare across modes
             rows.append((cols[1], cols[3], cols[4], cols[5], cols[6]))
+    return sorted(rows)
+
+
+def oracle_rows(text, patterns, flags):
+    """The brute-force oracle's mem rows for ``patterns`` under the query
+    ``flags``, as ``mem_rows`` gives them."""
+    opts = dict(zip(flags[::2], map(int, flags[1::2])))
+    rows = []
+    for name, pattern in patterns:
+        mems = brute_force_f_mems(text, pattern, opts.get("-f", 1))
+        if "-t" in opts:
+            mems = top_t_cut(mems, opts["-t"])
+        elif "-L" in opts:
+            mems = [m for m in mems if m.length >= opts["-L"]]
+        rows += [(name, str(m.start), str(m.end), str(m.length), str(m.freq))
+                 for m in mems]
     return sorted(rows)
 
 
@@ -176,40 +368,71 @@ class TestBuildQuery:
             assert int(cols[5]) >= 0
             assert cols[6] in ("0", "1")
 
-    @LONG_MEM_FLAGS
-    def test_modes_agree_on_long_mems(self, corpus, capsys, flags):
-        build(corpus)
-        want = brute_force_f_mems(corpus["text"], corpus["pattern"])
-        if flags and flags[0] == "-L":
-            want = [m for m in want if m.length >= int(flags[1])]
-        elif flags:
-            want = top_t_cut(want, int(flags[1]))
-        want_rows = sorted(("q1", str(m.start), str(m.end), str(m.length),
-                            str(m.freq)) for m in want)
-        for mode in ("exact", "kebab", "parse", "combined"):
-            rc, out = query(corpus, capsys, "--mode", mode, *flags)
-            assert rc == 0
-            assert mem_rows(out) == want_rows, mode
+    @pytest.mark.parametrize("name, flags", [
+        *CORPUS_CASES,
+        *cases("pieces", ("-t", "3")),
+        # at -t 1 the parse route's cutoff (17-176 here; 0 at -t 3) is the L
+        # its scan starts at; with neither -t nor -L every f-MEM is printed
+        # and every growth of at least q symbols starts from the table; at
+        # -f 2 kebab reads the k-mer table's counts and parse and combined
+        # the parse index's phrase counts; at f = 5 a match finished from its
+        # occurrences grows by the 5th largest of their agreements: at -L 20
+        # every left growth here keeps more than 16 rows, and at -t 1 the
+        # parse route's scan, started at its cutoff, finishes three matches
+        # from 9-14 occurrences
+        *cases("copies24", ("-t", "3"), ("-t", "1"), ("-L", "30"), (),
+               ("-f", "2", "-t", "3"), ("-f", "5", "-L", "20"), ("-f", "5", "-t", "1")),
+        *cases("copies24_w1p3", ("-t", "3")),
+        # 30-37 finishes from occurrences per mode at -f 2 -t 3 and 58-60 at
+        # -f 3 -L 20, where the 24 copies reach one and none
+        *cases("copies6", ("-f", "2", "-t", "3"), ("-f", "3", "-L", "20")),
+        # at -L 12 near-misses with about 100 rows are finished by the
+        # forward re-walk
+        *cases("copies100", ("-t", "3"), ("-L", "30"), ("-L", "12"), ("-f", "40", "-t", "3")),
+        *cases("random20k", ("-t", "3"), ("-L", "30")),
+        *cases("protein", ("-t", "3")),
+        *cases("one_symbol", ("-t", "3"))])
+    def test_modes_agree_on_long_mems(self, scenarios, capsys, name, flags):
+        scenario = scenarios(name)
+        want = oracle_rows(scenario.text, scenario.patterns, flags)
+        assert want
+        for mode in MODES:
+            out = scenario_output(capsys, "query", scenario, "--mode", mode, *flags)
+            assert mem_rows(out) == want, mode
 
-    @LONG_MEM_FLAGS
-    def test_parse_and_combined_are_one_route(self, corpus, capsys, flags):
+    # kebab looks up k-mers over all 200 byte values, sliced from the text
+    # at the table's starts; at -f 2 it looks up every k-mer, where at -f 1
+    # it extends present k-mers along the text
+    @pytest.mark.parametrize("name, flags", cases("bytes200", ("-t", "3"), ("-f", "2", "-t", "3")))
+    def test_modes_print_exacts_mem_rows(self, scenarios, capsys, name, flags):
+        # a text too long for the oracle to judge within the suite's time
+        scenario = scenarios(name)
+        want = mem_rows(scenario_output(capsys, "query", scenario, "--mode", "exact", *flags))
+        assert want
+        for mode in MODES[1:]:
+            out = scenario_output(capsys, "query", scenario, "--mode", mode, *flags)
+            assert mem_rows(out) == want, mode
+
+    # bytes200 parses into many distinct phrase IDs
+    @pytest.mark.parametrize("name, flags", [*CORPUS_CASES, *cases("pieces", ("-t", "3")),
+                                             *cases("bytes200", ("-t", "3"))])
+    def test_parse_and_combined_are_one_route(self, scenarios, capsys, name, flags):
         # combined runs the parse route as it is: the same pmem rows, the
         # same mem rows once their mode column is masked, and the same
         # stats row, counted work included
-        build(corpus)
-        capsys.readouterr()
+        scenario = scenarios(name)
         printed = {}
         for mode in ("parse", "combined"):
             lines = []
             for command in ("query", "stats"):
-                assert main([command, corpus["pat_path"], "--index", corpus["index"],
-                             "--mode", mode, *flags]) == 0
-                lines += capsys.readouterr().out.splitlines()
+                lines += scenario_output(capsys, command, scenario, "--mode", mode,
+                                         *flags).splitlines()
             rows = [line.split("\t") for line in lines if not line.startswith("#")]
             printed[mode] = [row[:2] + ["-"] + row[3:] if row[0] == "mem" else row
                              for row in rows]
         assert printed["parse"] == printed["combined"]
-        assert {row[0] for row in printed["parse"]} >= {"pmem", "mem", "q1"}
+        assert {row[0] for row in printed["parse"]} >= {"pmem", "mem",
+                                                         scenario.patterns[0][0]}
 
     @pytest.mark.parametrize("records, flags, pattern", [
         ((b"GAGACAACACAACAACCGAAACGGCGCGAGC", b"GAGACAACACAACAACCCAAACGGCGCGAGC"),
@@ -229,11 +452,9 @@ class TestBuildQuery:
         pat_path.write_bytes(b">q\n" + pattern + b"\n")
         index = str(tmp_path / "i.pmidx")
         assert main(["build", str(text_path), "-o", index, *flags]) == 0
-        want = top_t_cut(brute_force_f_mems(b"\0".join(records), pattern), 2)
-        want_rows = sorted(("q", str(m.start), str(m.end), str(m.length),
-                            str(m.freq)) for m in want)
+        want_rows = oracle_rows(b"\0".join(records), [("q", pattern)], ("-t", "2"))
         capsys.readouterr()
-        for mode in ("exact", "kebab", "parse", "combined"):
+        for mode in MODES:
             assert main(["query", str(pat_path), "--index", index,
                          "--mode", mode, "-t", "2"]) == 0
             assert mem_rows(capsys.readouterr().out) == want_rows, mode
@@ -340,6 +561,18 @@ class TestBuildQuery:
                             r"parse=\d+\.\d{3} text_index=\d+\.\d{3} save=\d+\.\d{3}",
                             lines[1])
         assert [line.startswith("warning: ") for line in lines[2:]] == [True] * warned
+
+    @pytest.mark.parametrize("name, l", [("dna100k_p4", 2), ("dna100k_p8", 3),
+                                         ("dna100k_w4p8", 3), ("bytes200", 2)])
+    def test_anchored_trigger_keeps_phrases_near_the_target(self, scenarios, name, l):
+        # the phrase count stays within 15 % of |T|/p, where a hash trigger
+        # had given one phrase
+        scenario = scenarios(name)
+        p = load_bundle(scenario.index).params["p"]
+        n, phrases, anchor_length = map(int, re.search(
+            r"\|T\|=(\d+) phrases=(\d+) .* anchor_length=(\d+)", scenario.log).groups())
+        assert anchor_length == l
+        assert abs(phrases - n / p) <= 0.15 * n / p
 
     @pytest.mark.parametrize("text, warned", [(b"A", False), (b"A" * 5000, True)])
     def test_capped_anchor_warns_only_when_phrases_can_fall_short(
@@ -480,30 +713,29 @@ class TestBundleFormat:
         assert table.starts == fresh.starts and len(table.starts) == 4 ** 3 + 1
         assert bundle.text_index.backward.table is table
 
-    @pytest.mark.parametrize("records, w, p, shape", [
+    # what each scenario's distinct phrases and its parse's length m show
+    PHRASE_SHAPES = {
         # phrases repeat, and some span a record join
-        (mutated_copies(random.Random(5), 300, 6), 4, 7,
-         lambda phrases, m: len(phrases) < m and any(b"\0" in x for x in phrases)),
-        ([b"ACG", b"T"], 6, 5, lambda phrases, m: m == 1),  # 5 bytes, w = 6
+        "nul_joined_copies":
+            lambda phrases, m: len(phrases) < m and any(b"\0" in x for x in phrases),
+        "shorter_than_w": lambda phrases, m: m == 1,  # 5 bytes, w = 6
         # n // p is 0, so no l-gram is rare enough to be an anchor
-        ([b"ACGTTGCA" * 40], 6, 1 << 50, lambda phrases, m: m == 1),
-        ([b"ACGT" * 30, b"TTGCA" * 40], 1, 3, lambda phrases, m: len(phrases) < m),
-        (mutated_copies(random.Random(8), 900, 2), 10, 50,
-         lambda phrases, m: 1 < len(phrases) < m)],
-        ids=["nul_joined_copies", "shorter_than_w", "no_trigger", "w1_p3",
-             "w10_p50"])
-    def test_load_derives_the_dictionary_and_phrase_table(self, tmp_path, monkeypatch,
-                                                          records, w, p, shape):
-        fasta = tmp_path / "text.fa"
-        fasta.write_bytes(b"".join(b">r%d\n%s\n" % (i, seq)
-                                   for i, seq in enumerate(records)))
-        index = str(tmp_path / "index.pmidx")
-        assert main(["build", str(fasta), "-o", index, "-w", str(w), "-p", str(p)]) == 0
+        "no_trigger": lambda phrases, m: m == 1,
+        "w1_p3": lambda phrases, m: len(phrases) < m,
+        "w10_p50": lambda phrases, m: 1 < len(phrases) < m,
+        "copies24": lambda phrases, m: len(phrases) < m and any(b"\0" in x for x in phrases),
+        "copies24_w1p3": lambda phrases, m: (len(phrases), m) == (108, 3859)}
+
+    @pytest.mark.parametrize("name, shape", PHRASE_SHAPES.items(), ids=PHRASE_SHAPES)
+    def test_load_derives_the_dictionary_and_phrase_table(self, scenarios, tmp_path,
+                                                          monkeypatch, name, shape):
+        scenario = scenarios(name)
+        index, text = scenario.index, scenario.text
         builds = []  # the k-mer table is stored and the phrase counts read: no build
         monkeypatch.setattr(flt, "filter_build", lambda *args: builds.append(args))
         bundle = load_bundle(index)
         assert builds == []
-        dictionary, text = PhraseDictionary(), b"\0".join(records)
+        dictionary, w, p = PhraseDictionary(), bundle.params["w"], bundle.params["p"]
         fresh = pfp_parse(text, choose_trigger(text, w, p), dictionary)
         phrases = [dictionary.string_of(i) for i in range(len(dictionary))]
         assert shape(phrases, len(fresh))
@@ -828,12 +1060,18 @@ class TestBundleFormat:
 
 class TestParameterChecks:
     def test_build_flags_are_unknown_at_query_time(self, corpus, capsys):
-        # w, p and k come from the index alone: argparse rejects the flags
+        # w, p and k come from the index alone: argparse rejects the flags;
+        # neither the k-mer table nor the phrase counts have a size to
+        # choose, and verify runs each suite at its own sizes
         build(corpus)
-        for argv in (["query", corpus["pat_path"], "-w", "10"],
-                     ["stats", corpus["pat_path"], "-k", "20"]):
+        index = ["--index", corpus["index"]]
+        for argv in (["query", corpus["pat_path"], *index, "-w", "10"],
+                     ["stats", corpus["pat_path"], *index, "-k", "20"],
+                     ["build", corpus["text_path"], "-o", corpus["index"],
+                      "--filter-fpr", "0.01"],
+                     ["verify", "--max-text", "800"]):
             with pytest.raises(SystemExit) as exc:
-                main([*argv, "--index", corpus["index"]])
+                main(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -916,9 +1154,16 @@ class TestStatsAndVerify:
         assert out.count("PASS") >= 16  # 15 suites plus the total line
         assert out.splitlines()[-1] == "PASS total: 487 checks"
 
-    def test_verify_check_index(self, corpus, capsys):
-        build(corpus)
-        rc = main(["verify", "--check-index", corpus["index"], "--instances", "0"])
+    # copies24 has a q = 4 prefix table over ACGT and NUL, checked against
+    # the text and its reverse suffix array; copies100's text suffix array
+    # is sorted by doubling rounds after the 32-symbol seed and random20k's
+    # by the seed alone; bytes200's anchors are chosen again from the text,
+    # its phrase starts from them and its k-mer table recounted
+    @pytest.mark.parametrize("name", ["corpus", "copies24", "copies100", "random20k",
+                                      "bytes200", "protein"])
+    def test_verify_check_index(self, scenarios, capsys, name):
+        index = scenarios(name).index
+        rc = main(["verify", "--check-index", index, "--instances", "0"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS index integrity" in out
@@ -934,3 +1179,27 @@ class TestStatsAndVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL index integrity" in out
+
+
+class TestSeparateProcesses:
+    def test_module_entry_point_exit_codes(self, corpus, tmp_path, capsys):
+        # the exit codes of ``python -m parsemem.cli`` as another process
+        # sees them, which calls to main() in this one cannot show
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "parsemem.cli", *argv],
+                                  capture_output=True, text=True, timeout=120)
+        assert run("build", corpus["text_path"], "-o", corpus["index"]).returncode == 0
+        done = run("query", corpus["pat_path"], "--index", corpus["index"], "-t", "3")
+        assert done.returncode == 0
+        assert mem_rows(done.stdout) == mem_rows(query(corpus, capsys, "-t", "3")[1])
+        assert mem_rows(done.stdout)
+        done = run("verify", "--check-index", corpus["index"], "--instances", "0")
+        assert done.returncode == 0 and "PASS index integrity" in done.stdout
+        corrupted = tmp_path / "corrupted.pmidx"
+        with open(corpus["index"], "rb") as fh:
+            data = bytearray(fh.read())
+        data[-1] ^= 0xFF
+        corrupted.write_bytes(data)
+        assert run("query", corpus["pat_path"], "--index", str(corrupted)).returncode == 3
+        assert run("query", corpus["pat_path"], "--index", corpus["index"],
+                   "--window", "10").returncode == 2
