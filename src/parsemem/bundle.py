@@ -46,7 +46,7 @@ from .filters import (ITEMS_KMER, SEPARATOR, TABLE_PARAMS, FingerprintTable,
                       PhraseCounts)
 from .parsing import (ParsedString, PhraseDictionary, Trigger, choose_trigger,
                       pfp_phrases)
-from .seqindex import OccurrenceIndex, PrefixTable, prefix_depth
+from .seqindex import OccurrenceIndex, PrefixTable, is_suffix_array, prefix_depth
 
 MAGIC = b"PMEMIDX\x00"
 FORMAT_VERSION = 11  # 11: the k-mer table stores a text start per k-mer
@@ -246,17 +246,6 @@ def load_bundle(path: str) -> IndexBundle:
                        OccurrenceIndex(symbols), _kmer_table(sections, text, k))
 
 
-def _check_suffix_array(seq: bytes, sa: array, name: str) -> None:
-    """Check that ``sa`` is the suffix array of ``seq`` in linear time: each
-    suffix sorts before the next by its first symbol, then by the row of the
-    suffix one symbol on, so no row repeats and the order is the suffixes'."""
-    rank = [0] * (len(seq) + 1)  # rank[n] = 0: the empty suffix sorts first
-    for r, i in enumerate(sa, 1):
-        rank[i] = r
-    keys = [(seq[i], rank[i + 1]) for i in sa]
-    _check(all(map(lt, keys, keys[1:])), f"{name} is not in suffix order")
-
-
 def check_order(bundle: IndexBundle) -> None:
     """Check that ``text_sa`` and ``text_rsa`` are the suffix arrays of the
     text and its reverse, that the k-mer table holds the distinct k-mers of
@@ -281,7 +270,7 @@ def check_order(bundle: IndexBundle) -> None:
            "phrase starts are not the text's triggers")
     for view, name in ((bundle.text_index.forward, "text_sa"),
                        (bundle.text_index.backward, "text_rsa")):
-        _check_suffix_array(view.seq, view.sa, name)
+        _check(is_suffix_array(view.seq, view.sa), f"{name} is not in suffix order")
     k, table = params["kebab_k"], bundle.kmer_filter  # its counts cap at 255
     truth = Counter(text[i:i + k] for i in range(len(text) - k + 1))
     stored = [text[start:start + k] for start in table.starts]

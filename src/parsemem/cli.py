@@ -115,7 +115,7 @@ def cmd_build(args) -> int:
     parse_text = pfp_parse(text, trigger, dictionary)
     parse_index = OccurrenceIndex(parse_text.symbols)
     laps.append(perf_counter())
-    text_index = OccurrenceIndex(text)
+    text_index = OccurrenceIndex(text, parse=parse_text, trigger=trigger)
     laps.append(perf_counter())
     params = {"w": args.window, "p": args.trigger, "anchor_length": trigger.length,
               "kebab_k": k, "records": [n for n, _ in records]}
@@ -126,7 +126,8 @@ def cmd_build(args) -> int:
     target = len(text) // args.trigger
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
           f"dict={len(dictionary)} target={target} "
-          f"anchor_length={trigger.length}", file=sys.stderr)
+          f"anchor_length={trigger.length} text_sa={text_index.forward.built_by} "
+          f"text_rsa={text_index.backward.built_by}", file=sys.stderr)
     # parse holds the parse's suffix arrays; text_index the text's two and
     # its prefix table
     stages = ("kmer_table", "trigger", "parse", "text_index", "save")

@@ -80,6 +80,13 @@ class Trigger:
         starts.sort()
         return starts
 
+    def reversed(self) -> Trigger:
+        """The trigger of a reversed sequence: the anchors reversed, sorted.
+        It breaks the reverse at the anchors' occurrences, as this trigger
+        breaks the sequence, but for those in either one's first window."""
+        return Trigger(self.width, self.length,
+                       tuple(sorted(anchor[::-1] for anchor in self.anchors)))
+
 
 def text_sigma(text: bytes) -> int:
     """The anchor rule's alphabet size: the text's distinct bytes other than

@@ -32,6 +32,13 @@ the unit of search work that ``parsemem stats`` reports.  At the scale
 this package targets a suffix array with binary search is entirely
 adequate; nothing here depends on a particular compressed index.
 
+A byte text indexed with its prefix-free parse and trigger builds each
+suffix array from a parse (its own, or its reverse's) when the distinct
+phrases are short in total, and by prefix doubling from 32-symbol seeds
+otherwise: a repetitive text then sorts its phrase dictionary and its
+parse, not its repeats, whose length sets the doubling's rounds.  Both
+routes give the same array, so nothing stored says which one ran.
+
 A byte text's backward view also keeps a ``PrefixTable``: the row start of
 every length-q string over the text's alphabet, q as large as leaves about
 ``NARROW`` rows per string.  A growth allowed at least q symbols starts
@@ -58,11 +65,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from itertools import accumulate, islice
-from operator import or_, xor
+from itertools import accumulate, chain, islice
+from operator import lt, or_, xor
 from typing import Sequence
 
 from .errors import EmptyInputError
+from .parsing import ParsedString, PhraseDictionary, Trigger, pfp_parse
 
 # A left growth that ends with at most this many rows is finished from the
 # text at its occurrences, with no forward re-walk: this picks how a match is
@@ -77,6 +85,13 @@ _KEY_SLICE = 4096
 # Bytes of a byte sequence's seed key: two 4-bit symbol ranks a byte under 16
 # distinct symbols, one 8-bit rank a byte from 16 to 255 of them.
 SEED_BYTES = 16
+# A byte text given its parse has its suffix array built from it when the
+# distinct phrases total at most this fraction of its length; otherwise,
+# and for any text given none, by the seeded doubling.  The parse route costs
+# about a doubling of the phrases' total, so on copies of a founder it breaks
+# even near 0.8 and takes half the time at 0.5; random DNA's phrases total
+# 1.19 of it.
+PARSE_FRACTION = 0.5
 
 
 def _seed_order(seq: bytes) -> tuple[list[int], list[int], int, int] | None:
@@ -182,6 +197,94 @@ def _build_suffix_array(seq: Sequence[int]) -> list[int]:
     return sa
 
 
+def parse_suffix_array(parse: ParsedString,
+                       most: float = PARSE_FRACTION) -> list[int] | None:
+    """The suffix array of a byte text from its prefix-free ``parse``
+    (Boucher et al. 2019), or None if the parse's distinct phrases total
+    more than ``most`` times the text's length.  The parse's dictionary
+    must hold its phrases alone, in first-seen order, as ``pfp_parse``
+    fills an empty one; the last phrase equals no other, so it is last.
+
+    Phrase j owns the positions from its start up to the next phrase's
+    start, and the last phrase all of its own.  The suffix at an owned
+    position begins with the rest of its phrase, its tail.  A tail of any
+    phrase but the last is over w long and ends with the w-symbol window
+    that opens phrase j + 1; no window inside a phrase triggers, so no such
+    tail is a prefix of another.  Two suffixes thus sort by their tails,
+    and two with equal tails by the suffixes at phrase j + 1's start, which
+    sort as the parse's suffixes from j + 1 do with phrases ranked by their
+    bytes (no phrase but the last is a prefix of another, and the last
+    equals none).  The last phrase's tails are suffixes of the text already,
+    and sort before everything they begin.
+
+    The tails are ranked through one suffix array of D, the distinct
+    phrases joined with the last at the very end, so that its suffixes run
+    out there: D's rows in order, but those in a phrase's last w symbols,
+    visit the tails in order, and a run of rows whose tails have the same
+    length and bytes is one tail.  Each phrase's occurrences are ordered
+    once, by the parse's suffix array; a tail adds its phrase's, or merges
+    those of the phrases that share it, each at the occurrence's end less
+    the tail's length.  This holds D, the parse and the output, with no key
+    per position.
+    """
+    n, w, starts, ids = parse.source_length, parse.overlap, parse.phrase_start, parse.symbols
+    phrases = list(map(parse.dictionary.string_of, range(len(parse.dictionary))))
+    if ids[-1] != len(phrases) - 1 or len(set(ids)) != len(phrases):
+        raise ValueError("the parse's dictionary holds other phrases")
+    ends = list(accumulate(map(len, phrases), initial=0))
+    if ends[-1] > most * n:
+        return None
+    rank = [0] * len(phrases)
+    for r, k in enumerate(sorted(range(len(phrases)), key=phrases.__getitem__)):
+        rank[k] = r
+    # rows[k]: the rows of the parse suffixes that follow phrase k's
+    # occurrences, in order, where row 0 is the empty suffix past the last
+    # phrase; stop[row]: where the phrase occurrence before it ends
+    last = len(phrases) - 1
+    rows: list[list[int]] = [[] for _ in phrases]
+    rows[last].append(0)
+    stop = [n]
+    for m in _build_suffix_array([rank[k] for k in ids]):
+        if m:
+            rows[ids[m - 1]].append(len(stop))
+        stop.append(starts[m] - 1 + w)  # unread where m = 0
+    text = b"".join(phrases)
+    sa: list[int] = []
+
+    def add(tail, length):  # the positions of a tail of the phrases ``tail``
+        order = rows[tail[0]] if len(tail) == 1 else sorted(chain.from_iterable(
+            map(rows.__getitem__, tail)))
+        sa.extend(map((-length).__add__, map(stop.__getitem__, order)))
+
+    tail: list[int] = []
+    prev = size = 0
+    for d in _build_suffix_array(text):
+        k = bisect_right(ends, d) - 1
+        length = ends[k + 1] - d
+        if length <= w and k < last:  # in the phrase's last w symbols
+            continue
+        if length != size or text[d:d + length] != text[prev:prev + length]:
+            add(tail, size)
+            tail, prev, size = [], d, length
+        tail.append(k)
+    add(tail, size)
+    return sa
+
+
+def is_suffix_array(seq: Sequence[int], sa: Sequence[int]) -> bool:
+    """Whether ``sa`` is the suffix array of ``seq``, checked in linear time:
+    it has a row per suffix, and each suffix sorts before the next by its
+    first symbol, then by the row of the suffix one symbol on, so no row
+    repeats and the order is the suffixes'."""
+    if len(sa) != len(seq):
+        return False
+    rank = [0] * (len(seq) + 1)  # rank[n] = 0: the empty suffix sorts first
+    for r, i in enumerate(sa, 1):
+        rank[i] = r
+    keys = [(seq[i], rank[i + 1]) for i in sa]
+    return all(map(lt, keys, keys[1:]))
+
+
 def prefix_depth(n: int, sigma: int) -> int:
     """The prefix table's depth q for a text of ``n`` symbols over ``sigma``
     distinct ones: the largest q with sigma**q <= n // BUCKET_ROWS, and 0 (no
@@ -269,13 +372,22 @@ class _SuffixView:
     ``steps`` counts the search steps made so far: one per symbol a match
     is grown by, a ``table`` hit's q included, plus one for the symbol that
     stops a growth; ``hits`` counts the table hits.  ``buckets``, when set,
-    maps each symbol to the rows of the suffixes it begins.
+    maps each symbol to the rows of the suffixes it begins.  ``built_by``
+    names how the array was built here, "parse" (``parse_suffix_array`` of
+    ``parse``, the sequence's prefix-free parse) or "doubling", and is None
+    for an array passed in.
     """
 
-    def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
+    def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None,
+                 parse: ParsedString | None = None):
         self.seq = seq
+        self.built_by = None
         if sa is None:
-            sa = _build_suffix_array(seq)
+            if parse is not None:
+                sa = parse_suffix_array(parse)
+            self.built_by = "doubling" if sa is None else "parse"
+            if sa is None:
+                sa = _build_suffix_array(seq)
             if type(seq) is bytes:  # a text's: u32s, as load reads them, not an int per row
                 sa = array("I", sa)
         self.sa = sa
@@ -459,17 +571,25 @@ class OccurrenceIndex:
     as u32 arrays, the form load reads), never change; nor does the
     reversed bytes' ``prefix_table``, built unless passed, nor the
     first-symbol buckets of any other sequence, derived here and shared by
-    both views.  ``steps`` counts the search steps made in either direction
-    so far, so callers measure a unit of work as the difference around it.
+    both views.  Given a byte text's ``parse`` under ``trigger`` (from
+    ``pfp_parse`` with an empty dictionary), the text's array may come from
+    that parse, and its reverse's from the reverse's parse under
+    ``trigger.reversed()``, as ``parse_suffix_array`` decides.  ``steps``
+    counts the search steps made in either direction so far, so callers
+    measure a unit of work as the difference around it.
     """
 
     def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None,
-                 prefix_table: PrefixTable | None = None):
+                 prefix_table: PrefixTable | None = None,
+                 parse: ParsedString | None = None, trigger: Trigger | None = None):
         if len(seq) == 0:
             raise EmptyInputError("cannot index an empty sequence")
         self.sequence = seq
-        self.forward = _SuffixView(seq, sa)
-        self.backward = _SuffixView(seq[::-1], reverse_sa)
+        self.forward = _SuffixView(seq, sa, parse)
+        reverse = seq[::-1]
+        reverse_parse = None if trigger is None else pfp_parse(
+            reverse, trigger.reversed(), PhraseDictionary())
+        self.backward = _SuffixView(reverse, reverse_sa, reverse_parse)
         if type(seq) is not bytes:
             self.forward.buckets = self.backward.buckets = first_symbol_buckets(seq)
         elif prefix_table is None:

@@ -17,7 +17,7 @@ from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary,
                       choose_trigger, minimizer_parse, pfp_parse)
 from .seqindex import (Mem, OccurrenceIndex, bml_mems, bml_top_t, find_f_mems,
-                       threshold_scan)
+                       is_suffix_array, parse_suffix_array, threshold_scan)
 
 DNA = b"ACGT"
 
@@ -444,6 +444,23 @@ def suite_cutoff(rng: random.Random, instances: int) -> SuiteResult:
         f"fallbacks; {c['nested']} cutoffs lowered by nesting")
 
 
+def suite_suffix_array(rng: random.Random, instances: int) -> SuiteResult:
+    """The suffix arrays built from the prefix-free parse, forced at any
+    phrase total, sort the suffixes of ``copies_instance`` texts and of
+    their reverses (under the reversed trigger), at w in 1..6 and p in
+    2..8, as ``is_suffix_array`` checks them in linear time."""
+    checked = violations = 0
+    for _ in range(instances):
+        text, _ = copies_instance(rng)
+        trigger = choose_trigger(text, rng.randint(1, 6), rng.randint(2, 8))
+        for seq, trig in ((text, trigger), (text[::-1], trigger.reversed())):
+            checked += 1
+            parse = pfp_parse(seq, trig, PhraseDictionary())
+            violations += not is_suffix_array(seq, parse_suffix_array(parse, most=float("inf")))
+    return SuiteResult("parse-route suffix arrays sort the suffixes", instances,
+                       checked, violations)
+
+
 def suite_kebab(rng: random.Random, instances: int, k: int = 8,
                 kind: str = flt.KIND_TABLE, max_text: int = 800,
                 max_pattern: int = 200) -> SuiteResult:
@@ -675,6 +692,7 @@ ALL_SUITES = (
     ("lower-bound", suite_property3),
     ("safe-discard", suite_safe_discard),
     ("cutoff", suite_cutoff),
+    ("suffix-array", suite_suffix_array),
     ("kebab", suite_kebab),
     ("kebab-overlap", suite_kebab_overlap),
     ("refine", suite_refine_equivalence),

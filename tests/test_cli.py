@@ -27,7 +27,7 @@ from parsemem.cli import main
 from parsemem.errors import IndexFormatError, ItemKindMismatch
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
-from parsemem.seqindex import OccurrenceIndex, PrefixTable
+from parsemem.seqindex import OccurrenceIndex, PrefixTable, _build_suffix_array
 
 MODES = ("exact", "kebab", "parse", "combined")
 
@@ -556,7 +556,8 @@ class TestBuildQuery:
         lines = capsys.readouterr().err.splitlines()
         p = int(flags[-1]) if flags else 50
         assert re.fullmatch(r"# wrote \S+: \|T\|=1500 phrases=\d+ dict=\d+ "
-                            rf"target={1500 // p} anchor_length={l}", lines[0])
+                            rf"target={1500 // p} anchor_length={l} "
+                            r"text_sa=(parse|doubling) text_rsa=(parse|doubling)", lines[0])
         assert re.fullmatch(r"# seconds: kmer_table=\d+\.\d{3} trigger=\d+\.\d{3} "
                             r"parse=\d+\.\d{3} text_index=\d+\.\d{3} save=\d+\.\d{3}",
                             lines[1])
@@ -753,6 +754,23 @@ class TestBundleFormat:
         save_bundle(bundle, again)
         with open(index, "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_text_suffix_arrays_equal_the_doubling(self, scenarios, name):
+        # the build may take either array from the text's parse; the loaded
+        # arrays equal the doubling's, which a call with no trigger runs
+        scenario = scenarios(name)
+        index = load_bundle(scenario.index).text_index
+        assert list(index.forward.sa) == _build_suffix_array(scenario.text)
+        assert list(index.backward.sa) == _build_suffix_array(scenario.text[::-1])
+
+    def test_scenarios_take_both_routes(self, scenarios):
+        # the build line names each array's route; the scenarios hold
+        # repetitive texts sorted from the parse and others doubled
+        routes = [re.search(r" text_sa=(\w+) text_rsa=(\w+)$", scenarios(name).log,
+                            re.MULTILINE).groups() for name in SCENARIOS]
+        assert {forward for forward, _ in routes} == {"parse", "doubling"}
+        assert {backward for _, backward in routes} == {"parse", "doubling"}
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     def test_phrase_filter_answers_like_the_counter(self, tmp_path, monkeypatch, loaded):
@@ -1151,8 +1169,8 @@ class TestStatsAndVerify:
         rc = main(["verify", "--instances", "2", "--seed", "5"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") >= 16  # 15 suites plus the total line
-        assert out.splitlines()[-1] == "PASS total: 487 checks"
+        assert out.count("PASS") >= 17  # 16 suites plus the total line
+        assert out.splitlines()[-1] == "PASS total: 491 checks"
 
     # copies24 has a q = 4 prefix table over ACGT and NUL, checked against
     # the text and its reverse suffix array; copies100's text suffix array

@@ -293,3 +293,25 @@ def test_reconstruction_roundtrip(text, w, p):
     starts = parse.phrase_start
     assert starts[0] == 1
     assert all(a < b for a, b in zip(starts, starts[1:]))
+
+
+@given(st.lists(st.sampled_from(b"ACGT"), min_size=1, max_size=300).map(bytes),
+       st.integers(1, 8), st.integers(2, 9))
+@settings(max_examples=300, deadline=None)
+def test_reversed_trigger_breaks_at_the_same_anchors(text, w, p):
+    # an anchor at 0-based g opens a phrase of the reverse at n - g - w + 1,
+    # unless it lies in the reverse's first window, within w of the end
+    trigger = choose_trigger(text, w, p)
+    n, hits = len(text), []
+    for anchor in trigger.anchors:
+        g = text.find(anchor)
+        while g >= 0:
+            hits.append(g)
+            g = text.find(anchor, g + 1)
+    reverse = trigger.reversed()
+    assert reverse.anchors == tuple(sorted(a[::-1] for a in trigger.anchors))
+    assert (reverse.width, reverse.length) == (trigger.width, trigger.length)
+    assert reverse.phrase_starts(text[::-1])[1:] == sorted(
+        n - g - w + 1 for g in hits if g <= n - w - 1)
+    assert reverse.reversed() == trigger
+

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from parsemem import seqindex
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
-from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
+from parsemem.parsing import PhraseDictionary, Trigger, choose_trigger, pfp_parse
 from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex, _agreement,
                                _build_suffix_array, bml_mems, bml_top_t,
-                               find_f_mems, prefix_depth, threshold_scan)
+                               find_f_mems, parse_suffix_array, prefix_depth,
+                               threshold_scan)
 
 
 def index_of(text: bytes) -> OccurrenceIndex:
@@ -252,6 +253,87 @@ def test_suffix_array_keys_slice_by_slice(seq, monkeypatch):
     monkeypatch.setattr(seqindex, "_KEY_SLICE", 3)
     n = len(seq)
     assert _build_suffix_array(seq) == sorted(range(n), key=lambda i: seq[i:])
+
+
+def assert_sorted_from_the_parse(text, trigger):
+    """Both of the text's arrays, built from its parse at any phrase total,
+    sort its suffixes: the text's under ``trigger``, the reverse's under
+    ``trigger.reversed()``."""
+    for seq, trig in ((text, trigger), (text[::-1], trigger.reversed())):
+        parse = pfp_parse(seq, trig, PhraseDictionary())
+        assert parse_suffix_array(parse, most=float("inf")) == sorted(
+            range(len(seq)), key=lambda i: seq[i:])
+
+
+@st.composite
+def copies_and_trigger(draw):
+    """1-5 copies of a founder of up to 80 symbols over 2, 4 or 40 values,
+    up to 3 positions of each redrawn, joined by NUL; and the trigger
+    ``choose_trigger`` picks for them at w in 1..6 and p in 2..8."""
+    symbol = st.sampled_from(draw(st.sampled_from((b"AC", b"ACGT", bytes(range(1, 41))))))
+    founder = draw(st.lists(symbol, min_size=1, max_size=80))
+    copies = []
+    for _ in range(draw(st.integers(1, 5))):
+        copy = list(founder)
+        for i, sym in draw(st.lists(st.tuples(st.integers(0, len(founder) - 1), symbol),
+                                    max_size=3)):
+            copy[i] = sym
+        copies.append(bytes(copy))
+    text = b"\0".join(copies)
+    return text, choose_trigger(text, draw(st.integers(1, 6)), draw(st.integers(2, 8)))
+
+
+@given(copies_and_trigger())
+@settings(max_examples=300, deadline=None)
+def test_suffix_array_from_the_parse(case):
+    assert_sorted_from_the_parse(*case)
+
+
+# Each text's phrase starts (1-based) and w show the edge it is named for.
+@pytest.mark.parametrize("text, trigger, shape", [
+    (b"ACGTTGCAACGT", Trigger(3, 2, ()), lambda text, starts, w: starts == [1]),
+    (b"CCAGTCCAGT", Trigger(3, 2, (b"GT",)),
+     lambda text, starts, w: starts == [1, 3, len(text) - w + 1]),
+    (b"ACG", Trigger(5, 2, (b"CG",)), lambda text, starts, w: len(text) < w),
+    # phrases AAGT, GTACCGT and GTA: the last one's suffixes GTA, TA and A
+    # begin the tails GTACCGT, TACCGT and ACCGT
+    (b"AAGTACCGTA", Trigger(2, 2, (b"GT",)), lambda text, starts, w: starts == [1, 3, 8]),
+    # D holds every phrase's bytes, so all 256 values: the seed ranks none
+    (bytes(range(256)) * 2, Trigger(2, 1, (b"\x80",)),
+     lambda text, starts, w: starts == [1, 128, 384] and seqindex._seed_order(text) is None),
+], ids=["no-anchors", "window-at-the-end", "shorter-than-w", "last-phrase-begins-tails",
+        "all-256-bytes"])
+def test_suffix_array_from_the_parse_at_the_edges(text, trigger, shape):
+    assert shape(text, trigger.phrase_starts(text), trigger.width)
+    assert_sorted_from_the_parse(text, trigger)
+
+
+def test_suffix_array_from_the_parse_takes_its_phrases_alone():
+    # a dictionary that also holds another string's phrases would put them
+    # among the text's in D, so it is refused
+    trigger = Trigger(2, 1, (b"G",))
+    dictionary = PhraseDictionary()
+    pfp_parse(b"TTGAAGT", trigger, dictionary)
+    parse = pfp_parse(b"ACGTACGTTA", trigger, dictionary)
+    with pytest.raises(ValueError):
+        parse_suffix_array(parse)
+
+
+def test_index_sorts_from_the_parse_where_phrases_repeat():
+    # 8 copies of 400 bp, one symbol redrawn in each, share most phrases and
+    # sort from the parse; the founder alone is all distinct phrases and
+    # keeps the doubling, as does an index given no trigger
+    rng = random.Random(211)
+    founder = bytes(rng.choices(b"ACGT", k=400))
+    copies = b"\0".join(founder[:i] + b"T" + founder[i + 1:] for i in range(0, 400, 50))
+    for text, route in ((copies, "parse"), (founder, "doubling")):
+        trigger = choose_trigger(text, 10, 20)
+        index = OccurrenceIndex(text, parse=pfp_parse(text, trigger, PhraseDictionary()),
+                                trigger=trigger)
+        assert (index.forward.built_by, index.backward.built_by) == (route, route)
+        for view, seq in ((index.forward, text), (index.backward, text[::-1])):
+            assert list(view.sa) == sorted(range(len(seq)), key=lambda i: seq[i:])
+    assert OccurrenceIndex(copies).forward.built_by == "doubling"
 
 
 # On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
