@@ -2,14 +2,14 @@
 
 Public surface: parsing (prefix-free and minimizer parses over a shared
 phrase dictionary), seqindex (occurrence counting and f-MEM search over
-integer sequences), filters (Bloom / fingerprint table / exact membership),
+integer sequences), filters (Bloom filter, k-mer table, phrase counts),
 pseudomem (pseudo-MEM construction, lower bounds, discarding, final search),
 oracle (brute-force ground truth), and the command-line interface in cli.
 """
 
 from .errors import (EmptyInputError, IndexFormatError, ItemKindMismatch,
                      ParameterMismatch, ParsememError)
-from .filters import (BloomFilter, ExactFilter, FilterParams, FingerprintTable,
+from .filters import (BloomFilter, FilterParams, FingerprintTable,
                       MembershipFilter, expected_fpr, filter_build, size_for)
 from .oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from .parsing import (MinimizerParams, ParsedString, PhraseDictionary, Trigger,

@@ -1,12 +1,12 @@
-"""Bloom, fingerprint-table and exact membership filters over k-mers or
-phrase IDs.
+"""Bloom and fingerprint-table membership filters over k-mers or phrase IDs,
+and a parse's exact phrase-ID counts.
 
 The pseudo-MEM constructions rely on one guarantee only: a Bloom filter never
-returns a false negative, and a filter that counts never undercounts
-(insertions only; a one-byte count stops at 255, which passes any
-threshold).  The exact variant, backed by a real multiset, satisfies the
-same interface with zero false positives; it exists so tests can isolate
-the effect of false positives.
+returns a false negative, and a filter that counts never undercounts (a
+one-byte count stops at 255, which passes any threshold).  Exact counts
+come from two places: the k-mer table, which takes a lone k-mer as a record
+of length k, and ``PhraseCounts``, which reads a parse's first-symbol
+buckets.  The Bloom filter alone has false positives.
 
 The fingerprint table is the k-mer table an index stores for KeBaB.  It
 stores each distinct k-mer once, exactly, by its first start in ``text``,
@@ -106,7 +106,8 @@ def expected_fpr(params: FilterParams, n_items: int) -> float:
 
 
 class MembershipFilter:
-    """Common surface of the three filter kinds.
+    """Common surface of the Bloom filter, the k-mer table and the phrase
+    counts; each answers ``min_count`` and a batch's ``_answer``.
 
     ``probes`` counts the items looked up by ``at_least_many``, ``at_least``
     and ``kmers_at_least`` so far; the table's ``kmers_at_least`` at f = 1
@@ -137,14 +138,6 @@ class MembershipFilter:
             raise ItemKindMismatch("phrase-ID filter expects int items")
         return item.to_bytes(8, "little", signed=False)
 
-    def insert(self, item):
-        raise NotImplementedError
-
-    def insert_many(self, items: Iterable):
-        """Insert each item in turn; the table counts them all at once."""
-        for item in items:
-            self.insert(item)
-
     def query(self, item) -> bool:
         """True for every inserted item; may be a false positive."""
         return self.min_count(item) > 0
@@ -171,10 +164,6 @@ class MembershipFilter:
         k = self.k
         return bytes(self.at_least_many([seq[i:i + k] for i in range(len(seq) - k + 1)], f))
 
-    def _answer(self, items: Iterable, f: int) -> list[bool]:
-        """One ``min_count`` per item; the table looks up its dict instead."""
-        return [self.min_count(item) >= f for item in items]
-
 
 class BloomFilter(MembershipFilter):
     kind = KIND_BLOOM
@@ -198,6 +187,10 @@ class BloomFilter(MembershipFilter):
         for pos in self._probes(item):
             self._bits[pos >> 3] |= 1 << (pos & 7)
 
+    def insert_many(self, items: Iterable):
+        for item in items:
+            self.insert(item)
+
     def query(self, item) -> bool:
         return all(self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._probes(item))
 
@@ -209,22 +202,8 @@ class BloomFilter(MembershipFilter):
             raise ValueError("a plain Bloom filter cannot answer thresholds above 1")
         return super().at_least_many(items, f)
 
-
-class ExactFilter(MembershipFilter):
-    """A real multiset behind the filter interface: zero false positives."""
-
-    kind = KIND_EXACT
-
-    def __init__(self, params: FilterParams, item_kind: str, k: int | None = None):
-        super().__init__(params, item_kind, k)
-        self._counts: dict[bytes, int] = {}
-
-    def insert(self, item):
-        key = self._encode(item)
-        self._counts[key] = self._counts.get(key, 0) + 1
-
-    def min_count(self, item) -> int:
-        return self._counts.get(self._encode(item), 0)
+    def _answer(self, items: Iterable, f: int) -> list[bool]:
+        return list(map(self.query, items))
 
 
 class FingerprintTable(MembershipFilter):
@@ -380,7 +359,6 @@ class PhraseCounts(MembershipFilter):
 
 _FILTER_CLASSES = {
     KIND_BLOOM: BloomFilter,
-    KIND_EXACT: ExactFilter,
     KIND_TABLE: FingerprintTable,
 }
 

@@ -467,7 +467,7 @@ def suite_kebab(rng: random.Random, instances: int, k: int = 8,
     """Every oracle f-MEM of length >= k sits inside a KeBaB pseudo-MEM.
 
     The table counts the whole text as one record, as ``build`` counts
-    each, so its lookups can extend along the text; the other kinds take
+    each, so its lookups can extend along the text; the Bloom filter takes
     the text's k-mers one by one.
     """
     checked = violations = 0
@@ -492,7 +492,8 @@ def suite_kebab(rng: random.Random, instances: int, k: int = 8,
 
 def kebab_split_holds(pattern: bytes, gap: int, k: int) -> bool:
     """Whether KeBaB, given every k-mer of ``pattern`` but the one at
-    ``gap``, splits the pattern at each position that holds that k-mer.
+    ``gap`` in a k-mer table, each k-mer a record of its own, splits the
+    pattern at each position that holds that k-mer.
 
     The expected runs are the stretches of k-mer positions between those
     positions, the pattern's ends included; neighbouring runs with one such
@@ -503,8 +504,7 @@ def kebab_split_holds(pattern: bytes, gap: int, k: int) -> bool:
     kmers = [pattern[i - 1:i - 1 + k] for i in range(1, m - k + 2)]
     holes = [i for i, kmer in enumerate(kmers, 1) if kmer == absent]
     present = [kmer for kmer in kmers if kmer != absent]
-    filt = flt.filter_build(present, flt.size_for(max(len(present), 1), 0.01),
-                            flt.KIND_EXACT, flt.ITEMS_KMER, k)
+    filt = flt.filter_build(present, flt.TABLE_PARAMS, flt.KIND_TABLE, flt.ITEMS_KMER, k)
     got = [(pm.char_start, pm.char_end)
            for pm in pmm.kebab_pseudo_mems(pattern, filt, 1)]
     edges = [0, *holes, m - k + 2]
@@ -532,16 +532,15 @@ def suite_kebab_overlap(rng: random.Random, instances: int, k: int = 8
                        instances, checked, violations)
 
 
-def suite_refine_equivalence(rng: random.Random, instances: int,
-                             kind: str = flt.KIND_EXACT, fpr: float = 0.01,
+def suite_refine_equivalence(rng: random.Random, instances: int, fpr: float = 0.01,
                              max_text: int = 800, max_pattern: int = 200,
                              w: int = 4, p: int = 5) -> SuiteResult:
-    """Coarse-then-refine reproduces direct parse pseudo-MEMs exactly.
+    """No phrase a Bloom phrase filter rejects occurs in the text's parse,
+    which is why ``refine``, which runs the parse route itself, may leave
+    the coarse sets' answers out.
 
-    ``refine`` runs the parse route itself, so its first check, equal
-    output, holds by construction.  The real check is the second: no
-    phrase the filter rejects occurs f times in the text's parse, which is
-    why the filter's answers may be left out.
+    The phrase filter an index holds, ``PhraseCounts``, answers from the
+    parse index's own counts, so the check cannot fail with it.
     """
     checked = violations = 0
     for _ in range(instances):
@@ -549,21 +548,15 @@ def suite_refine_equivalence(rng: random.Random, instances: int,
             rng, max_text, max_pattern,
             plant=(40, 120) if rng.random() < 0.7 else None)
         parse_t, parse_p, parse_index = build_parse_pair(text, pattern, w, p)
-        f = 1 if kind == flt.KIND_BLOOM else rng.choice((1, 2))
         params = flt.size_for(max(len(set(parse_t.symbols)), 1), fpr)
-        phrase_filter = flt.filter_build(parse_t.symbols, params, kind,
+        phrase_filter = flt.filter_build(parse_t.symbols, params, flt.KIND_BLOOM,
                                          flt.ITEMS_PHRASE)
-        direct = pmm.parse_pseudo_mems(parse_p, parse_index, f)
-        coarse = pmm.coarse_sets(parse_p, phrase_filter, f)
-        refined = pmm.refine(coarse, parse_p, parse_index, f)
+        coarse = pmm.coarse_sets(parse_p, phrase_filter, 1)
         checked += 1
-        if refined != direct:
-            violations += 1
-        checked += 1
-        if any(not hit and parse_index.count((sym,)) >= f
+        if any(not hit and parse_index.count((sym,))
                for hit, sym in zip(coarse.present, parse_p.symbols)):
             violations += 1  # the filter rejected a phrase that occurs
-    return SuiteResult(f"refine equals direct parse pseudo-MEMs ({kind})",
+    return SuiteResult("coarse sets reject no phrase the text's parse holds (Bloom)",
                        instances, checked, violations)
 
 
@@ -653,10 +646,11 @@ def suite_pipeline(rng: random.Random, instances: int,
 
 
 def suite_filters(rng: random.Random, instances: int) -> SuiteResult:
-    """No false negatives, no undercounts, across random insert/query mixes."""
+    """No false negatives, no undercounts, across random insert/query mixes,
+    and no false positives from the k-mer table."""
     checked = violations = 0
     for _ in range(instances):
-        kind = rng.choice((flt.KIND_BLOOM, flt.KIND_EXACT, flt.KIND_TABLE))
+        kind = rng.choice((flt.KIND_BLOOM, flt.KIND_TABLE))
         k = rng.randint(4, 12)
         n = rng.randint(1, 200)
         items = [random_bytes(rng, k) for _ in range(n)]
@@ -669,11 +663,11 @@ def suite_filters(rng: random.Random, instances: int) -> SuiteResult:
             checked += 1
             if not filt.query(item):
                 violations += 1
-            if kind != flt.KIND_BLOOM:
+            if kind == flt.KIND_TABLE:
                 checked += 1
                 if filt.min_count(item) < count:
                     violations += 1
-        if kind == flt.KIND_EXACT:
+        if kind == flt.KIND_TABLE:  # its k-mers are stored exactly
             for _ in range(20):
                 probe = random_bytes(rng, k)
                 checked += 1

@@ -673,6 +673,9 @@ class TestDeterminism:
         assert first == second
 
 
+TABLE_MISMATCH = "kmer_starts or kmer_counts do not match the text"
+
+
 class TestBundleFormat:
     def test_load_round_trip(self, corpus):
         build(corpus)
@@ -803,8 +806,7 @@ class TestBundleFormat:
         for bad in (True, 1.0, b"A"):
             with pytest.raises(ItemKindMismatch):
                 filt.at_least_many([0, bad], 1)
-        with pytest.raises(NotImplementedError):  # the counts take no inserts
-            filt.insert(0)
+        assert not hasattr(filt, "insert")  # the counts take no inserts
 
     def test_range_check_matches_max(self):
         # the u32 checks answer as max() and a pairwise comparison would, on
@@ -955,14 +957,14 @@ class TestBundleFormat:
         build(corpus)
         starts, counts = self.kmer_entries(corpus)
         self.rewrite_kmer_table(corpus, starts[:5] + starts[6:], counts[:5] + counts[6:])
-        self.check_index_fails(corpus, capsys, "kmer_starts lack a k-mer of the text")
+        self.check_index_fails(corpus, capsys, TABLE_MISMATCH)
 
     def test_check_index_rejects_a_wrong_kmer_count(self, corpus, capsys):
         build(corpus)
         starts, counts = self.kmer_entries(corpus)
         counts[7] += 1
         self.rewrite_kmer_table(corpus, starts, counts)
-        self.check_index_fails(corpus, capsys, "kmer_counts do not match the text")
+        self.check_index_fails(corpus, capsys, TABLE_MISMATCH)
 
     def test_check_index_rejects_a_duplicated_kmer(self, corpus, capsys):
         # a second start of a stored k-mer, put in its place among the
@@ -975,7 +977,26 @@ class TestBundleFormat:
         at = bisect.bisect(starts, again)
         self.rewrite_kmer_table(corpus, starts[:at] + [again] + starts[at:],
                                 counts[:at] + [1] + counts[at:])
-        self.check_index_fails(corpus, capsys, "kmer_starts repeat a k-mer")
+        self.check_index_fails(corpus, capsys, TABLE_MISMATCH)
+
+    def test_check_index_rejects_a_kmer_across_records(self, scenarios, tmp_path, capsys):
+        # the last stored start before the first NUL moved to one symbol
+        # before it: that k-mer holds the NUL that joins two records, which
+        # no record holds, and the starts still rise
+        scenario = scenarios("copies24")
+        index = tmp_path / "index.pmidx"
+        with open(scenario.index, "rb") as fh:
+            index.write_bytes(fh.read())
+        corpus = {"index": str(index)}
+        starts, counts = self.kmer_entries(corpus)
+        k = load_bundle(corpus["index"]).params["kebab_k"]
+        across = scenario.text.index(0) - 1
+        assert 0 in scenario.text[across:across + k]
+        at = bisect.bisect(starts, across)
+        assert starts[at - 1] < across < starts[at]
+        starts[at - 1] = across
+        self.rewrite_kmer_table(corpus, starts, counts)
+        self.check_index_fails(corpus, capsys, TABLE_MISMATCH)
 
     def test_check_index_rejects_a_moved_phrase_start(self, corpus, capsys):
         # one phrase start one place on, still rising and inside the text:
@@ -1170,7 +1191,7 @@ class TestStatsAndVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") >= 17  # 16 suites plus the total line
-        assert out.splitlines()[-1] == "PASS total: 491 checks"
+        assert out.splitlines()[-1] == "PASS total: 543 checks"
 
     # copies24 has a q = 4 prefix table over ACGT and NUL, checked against
     # the text and its reverse suffix array; copies100's text suffix array

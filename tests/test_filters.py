@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from parsemem.errors import ItemKindMismatch
 from parsemem.filters import (ITEMS_KMER, ITEMS_PHRASE, KIND_BLOOM,
                               KIND_EXACT, KIND_TABLE, SEPARATOR,
-                              TABLE_PARAMS, BloomFilter, ExactFilter,
-                              FilterParams, FingerprintTable, expected_fpr,
+                              TABLE_PARAMS, BloomFilter, FilterParams,
+                              FingerprintTable, PhraseCounts, expected_fpr,
                               filter_build, size_for)
+from parsemem.seqindex import first_symbol_buckets
 
 
 class TestSizing:
@@ -131,10 +132,12 @@ class TestBloom:
 
 
 class TestExact:
+    """Exact counts: a parse's phrase counts, and a k-mer table whose
+    records are the k-mers themselves."""
+
     def test_true_multiset(self):
-        filt = ExactFilter(FilterParams(8, 1), ITEMS_PHRASE)
-        for pid in (4, 4, 9):
-            filt.insert(pid)
+        filt = PhraseCounts(first_symbol_buckets([4, 9, 4]))
+        assert filt.kind == KIND_EXACT
         assert filt.min_count(4) == 2
         assert filt.min_count(9) == 1
         assert filt.min_count(5) == 0
@@ -143,7 +146,7 @@ class TestExact:
     def test_zero_false_positives(self):
         rng = random.Random(79)
         items = [bytes(rng.choice(b"ACGT") for _ in range(5)) for _ in range(100)]
-        filt = filter_build(items, FilterParams(8, 1), KIND_EXACT, ITEMS_KMER, 5)
+        filt = filter_build(items, TABLE_PARAMS, KIND_TABLE, ITEMS_KMER, 5)
         inserted = set(items)
         for _ in range(500):
             probe = bytes(rng.choice(b"ACGT") for _ in range(5))
@@ -406,7 +409,7 @@ class TestBatchLookup:
         return [filt.min_count(x) >= cap for x in items]
 
     @pytest.mark.parametrize("item_kind, kind", [  # a table holds k-mers only
-        (ITEMS_KMER, KIND_BLOOM), (ITEMS_KMER, KIND_EXACT), (ITEMS_KMER, KIND_TABLE),
+        (ITEMS_KMER, KIND_BLOOM), (ITEMS_KMER, KIND_TABLE),
         (ITEMS_PHRASE, KIND_BLOOM), (ITEMS_PHRASE, KIND_EXACT)])
     def test_equals_one_min_count_per_item(self, kind, item_kind):
         rng = random.Random(83)
@@ -417,8 +420,11 @@ class TestBatchLookup:
             inserted = [rng.randrange(1 << 40) for _ in range(300)]
             probes = [rng.randrange(1 << 40) for _ in range(200)] + inserted[:50]
         inserted += inserted[:40] * 3  # some items present 4 times
-        filt = filter_build(inserted, FilterParams(1024, 3, seed=9), kind,
-                            item_kind, 5 if item_kind == ITEMS_KMER else None)
+        if kind == KIND_EXACT:  # a parse's phrase counts
+            filt = PhraseCounts(first_symbol_buckets(inserted))
+        else:
+            filt = filter_build(inserted, FilterParams(1024, 3, seed=9), kind,
+                                item_kind, 5 if item_kind == ITEMS_KMER else None)
         thresholds = (1,) if kind == KIND_BLOOM else (1, 2, 4, 5, 300)
         for f in thresholds:
             want = self.reference(filt, probes, f)
@@ -429,18 +435,18 @@ class TestBatchLookup:
             if f == 1:
                 assert any(want) and not all(want)
 
-    @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_TABLE])
     def test_threshold_above_a_saturated_counter(self, kind):
         filt = filter_build([b"AAA"] * 300 + [b"CCC"], FilterParams(64, 2), kind,
                             ITEMS_KMER, 3)
         items = [b"AAA", b"CCC", b"GGG"]
         for f in (255, 256, 300):
             assert filt.at_least_many(items, f) == self.reference(filt, items, f)
-        # a saturated count may stand for any larger one; the exact count may not
-        assert filt.at_least_many(items, 301) == [kind != KIND_EXACT, False, False]
-        assert filt.kmers_at_least(b"AAAAAA", 301) == bytes([kind != KIND_EXACT] * 4)
+        # a saturated count may stand for any larger one
+        assert filt.at_least_many(items, 301) == [True, False, False]
+        assert filt.kmers_at_least(b"AAAAAA", 301) == bytes([True] * 4)
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_TABLE])
     def test_wrong_item_kind_raises(self, kind):
         kfilt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
         for bad in (17, b"ACG", b"ACGTA", "ACGT"):
@@ -456,7 +462,7 @@ class TestBatchLookup:
             with pytest.raises(ItemKindMismatch):
                 pfilt.at_least_many([17, bad], 1)
 
-    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_EXACT, KIND_TABLE])
+    @pytest.mark.parametrize("kind", [KIND_BLOOM, KIND_TABLE])
     def test_threshold_errors_stay(self, kind):
         filt = filter_build([b"ACGT"], FilterParams(64, 2), kind, ITEMS_KMER, 4)
         for f in (0, 2) if kind == KIND_BLOOM else (0,):
@@ -526,7 +532,7 @@ def test_kmer_filter_requires_k():
 @settings(max_examples=80, deadline=None)
 def test_no_false_negatives_any_kind(items, seed):
     params = FilterParams(bits=128, hash_count=3, seed=seed)
-    for kind in (KIND_BLOOM, KIND_EXACT, KIND_TABLE):
+    for kind in (KIND_BLOOM, KIND_TABLE):
         filt = filter_build(items, params, kind, ITEMS_KMER, 4)
         counts = {}
         for item in items:

@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,9 @@ from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.pseudomem import (ORIGIN_KEBAB, ORIGIN_S1, ORIGIN_S2,
                                 ORIGIN_WHOLE, CoarseSets, PseudoMem, _cutoff,
-                                _emit_parse_pms, coarse_sets, find_long_mems,
-                                kebab_pseudo_mems, parse_pseudo_mems, refine,
-                                safe_discard)
+                                _emit_parse_pms, _runs, coarse_sets,
+                                find_long_mems, kebab_pseudo_mems,
+                                parse_pseudo_mems, refine, safe_discard)
 from parsemem.seqindex import Mem, OccurrenceIndex, find_f_mems
 from parsemem.verify import _parse_instance, copies_instance, cutoff_counts
 
@@ -44,9 +45,7 @@ def parse_pair(text, pattern, w=4, p=5):
 
 
 def exact_kmer_filter(text, k):
-    kmers = [text[i:i + k] for i in range(len(text) - k + 1)]
-    params = flt.FilterParams(bits=8, hash_count=1)
-    return flt.filter_build(kmers, params, flt.KIND_EXACT, flt.ITEMS_KMER, k)
+    return flt.filter_build([text], flt.TABLE_PARAMS, flt.KIND_TABLE, flt.ITEMS_KMER, k)
 
 
 class TestKebab:
@@ -76,7 +75,7 @@ class TestKebab:
         absent = pattern[gap - 1:gap - 1 + k]
         kmers = [pattern[i:i + k] for i in range(len(pattern) - k + 1)
                  if pattern[i:i + k] != absent]
-        filt = flt.filter_build(kmers, flt.FilterParams(8, 1), flt.KIND_EXACT,
+        filt = flt.filter_build(kmers, flt.TABLE_PARAMS, flt.KIND_TABLE,
                                 flt.ITEMS_KMER, k)
         pms = kebab_pseudo_mems(pattern, filt)
         spans = [(pm.char_start, pm.char_end) for pm in pms]
@@ -95,7 +94,7 @@ class TestKebab:
             kebab_pseudo_mems(b"ACGTACGT", filt, f=2)
 
     def test_phrase_filter_rejected(self):
-        filt = flt.ExactFilter(flt.FilterParams(8, 1), flt.ITEMS_PHRASE)
+        filt = flt.PhraseCounts({})
         with pytest.raises(ValueError):
             kebab_pseudo_mems(b"ACGTACGT", filt)
 
@@ -106,18 +105,21 @@ class TestKebab:
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_table_runs_equal_exact_filter_runs(self, f):
-        # the table compares whole k-mers, so its runs are the multiset's
+        # the table extends present k-mers along the text; its runs are
+        # those of one plain lookup per k-mer in the same table
         rng = random.Random(107 + f)
         k = 6
         for _ in range(30):
             text = rand_dna(rng, 400)
             pattern = text[50:150] + rand_dna(rng, 60) + text[200:260]
-            kmers = [text[i:i + k] for i in range(len(text) - k + 1)]
-            table, exact = (flt.filter_build(kmers, flt.TABLE_PARAMS, kind,
-                                             flt.ITEMS_KMER, k)
-                            for kind in (flt.KIND_TABLE, flt.KIND_EXACT))
-            assert (kebab_pseudo_mems(pattern, table, f)
-                    == kebab_pseudo_mems(pattern, exact, f))
+            table = exact_kmer_filter(text, k)
+            plain = flt.MembershipFilter.kmers_at_least(table, pattern, f)
+            truth = Counter(text[i:i + k] for i in range(len(text) - k + 1))
+            assert plain == bytes(truth[pattern[i:i + k]] >= f
+                                  for i in range(len(pattern) - k + 1))
+            assert [(pm.char_start, pm.char_end)
+                    for pm in kebab_pseudo_mems(pattern, table, f)] == \
+                [(a, b + k - 1) for a, b in _runs(plain)]
 
 
 class TestParsePseudoMems:
@@ -370,9 +372,8 @@ class TestSafeDiscard:
 
 
 class TestCoarseRefine:
-    def exact_phrase_filter(self, parse_t, dictionary_size):
-        return flt.filter_build(parse_t.symbols, flt.FilterParams(8, 1),
-                                flt.KIND_EXACT, flt.ITEMS_PHRASE)
+    def exact_phrase_filter(self, parse_t):
+        return flt.PhraseCounts(seqindex.first_symbol_buckets(parse_t.symbols))
 
     def test_refine_reproduces_direct_with_exact_filter(self):
         rng = random.Random(137)
@@ -382,7 +383,7 @@ class TestCoarseRefine:
                 text[rng.randrange(0, len(text) // 2):][:90] + rand_dna(rng, 10)
             f = rng.choice((1, 2))
             parse_t, parse_p, pidx = parse_pair(text, pattern)
-            filt = self.exact_phrase_filter(parse_t, 0)
+            filt = self.exact_phrase_filter(parse_t)
             direct = parse_pseudo_mems(parse_p, pidx, f)
             refined = refine(coarse_sets(parse_p, filt, f), parse_p, pidx, f)
             assert refined == direct
@@ -406,7 +407,7 @@ class TestCoarseRefine:
         text = rand_dna(rng, 500)
         pattern = rand_dna(rng, 10) + text[100:200] + rand_dna(rng, 10)
         parse_t, parse_p, pidx = parse_pair(text, pattern)
-        filt = self.exact_phrase_filter(parse_t, 0)
+        filt = self.exact_phrase_filter(parse_t)
         for f in (1, 2):
             coarse = coarse_sets(parse_p, filt, f)
             assert coarse.f == f
@@ -433,7 +434,7 @@ class TestCoarseRefine:
         rng = random.Random(151)
         text = rand_dna(rng, 300)
         parse_t, parse_p, pidx = parse_pair(text, rand_dna(rng, 60))
-        filt = self.exact_phrase_filter(parse_t, 0)
+        filt = self.exact_phrase_filter(parse_t)
         coarse = coarse_sets(parse_p, filt, f=2)
         with pytest.raises(ValueError):
             refine(coarse, parse_p, pidx, f=1)
