@@ -21,8 +21,16 @@ Output is TSV on standard output.  Rows are type-tagged in the first column:
     mem     pattern_id  mode    start       end       length       freq
     status  pattern_id  message
 
+``build`` sorts the text and its reverse at once where it can fork: one
+child process builds the reversed text's suffix array and prefix table
+(``seqindex.reverse_half``) while the build goes on with the k-mer table,
+the parse and the text's own array, and sends them back as u32 bytes.
+A process with a thread running, or a platform without fork, builds them
+inline; either way the index file is the same.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-format error.
+format error, a ``build`` whose child process died without sending its
+arrays included.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
+from array import array
+from contextlib import contextmanager
 from time import perf_counter
 
 from . import filters as flt
@@ -38,9 +49,9 @@ from .bundle import IndexBundle, check_order, load_bundle, save_bundle
 from .errors import (EmptyInputError, IndexFormatError, ParameterMismatch,
                      ParsememError)
 from .filters import SEPARATOR
-from .parsing import (ANCHOR_GRAIN, PhraseDictionary, choose_trigger, pfp_parse,
-                      text_sigma)
-from .seqindex import OccurrenceIndex
+from .parsing import (ANCHOR_GRAIN, PhraseDictionary, Trigger, choose_trigger,
+                      pfp_parse, text_sigma)
+from .seqindex import OccurrenceIndex, PrefixTable, reverse_half, suffix_array
 # Not called here; bench/tracing.py wraps these names on this module.
 from .seqindex import bml_mems, bml_top_t, find_f_mems  # noqa: F401
 from .verify import run_all
@@ -94,6 +105,78 @@ def _check_alphabet(records: list[tuple[str, bytes]], dna: bool):
             raise EmptyInputError(f"record {name!r} has non-ACGT characters")
 
 
+def _timed_reverse_half(text: bytes,
+                        trigger: Trigger) -> tuple[array, str, PrefixTable, float]:
+    """``reverse_half(text, trigger)`` and the seconds it took."""
+    start = perf_counter()
+    return (*reverse_half(text, trigger), perf_counter() - start)
+
+
+def _send_reverse_half(reader, conn, text: bytes, trigger: Trigger) -> None:
+    """The child's work: build the reversed text's half and send the route,
+    the prefix table's alphabet and the seconds, then the suffix array and
+    the table's starts as u32 bytes; or send the exception that stopped it.
+    ``reader`` is the pipe's other end, which the fork copied: closed here,
+    so that a send the parent no longer reads fails, not blocks."""
+    reader.close()
+    try:
+        sa, route, table, seconds = _timed_reverse_half(text, trigger)
+    except Exception as exc:  # the parent raises it
+        conn.send(exc)
+        return
+    conn.send((route, table.alphabet, seconds))
+    conn.send_bytes(sa)
+    conn.send_bytes(table.starts)
+
+
+def _receive_reverse_half(conn, text: bytes) -> tuple[array, str, PrefixTable, float]:
+    """What ``_send_reverse_half`` sent, as ``_timed_reverse_half`` gives it."""
+    try:
+        head = conn.recv()
+        if isinstance(head, Exception):
+            raise head
+        sa, starts = conn.recv_bytes(), conn.recv_bytes()
+    except EOFError:
+        raise ChildProcessError("the build's child process ended without sending "
+                                "the reversed text's suffix array") from None
+    route, alphabet, seconds = head
+    table = PrefixTable(memoryview(text)[::-1], alphabet, array("I", starts))
+    return array("I", sa), route, table, seconds
+
+
+@contextmanager
+def _reverse_half_beside(text: bytes, trigger: Trigger):
+    """Start the reversed text's half of the index in a forked child; yields
+    a function that waits for it and returns ``_timed_reverse_half``'s
+    tuple.  On leaving, the child is stopped if the caller failed, and
+    joined.  Where fork is missing, or a thread runs (a forked child gets
+    only the forking thread, so a lock another held stays held), the
+    function builds the half inline."""
+    import multiprocessing  # here, not at the top: only build forks
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        yield lambda: _timed_reverse_half(text, trigger)
+        return
+    # forkserver or spawn would import the package again and pickle the text
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_send_reverse_half,
+                            args=(reader, writer, text, trigger), daemon=True)
+    try:
+        child.start()
+        writer.close()  # so a child that dies leaves the reader at its end
+        yield lambda: _receive_reverse_half(reader, text)
+    except BaseException:
+        if child.pid is not None:
+            child.terminate()
+        raise
+    finally:
+        reader.close()  # a child still sending stops at the broken pipe
+        writer.close()
+        if child.pid is not None:
+            child.join()
+
+
 def cmd_build(args) -> int:
     _check_ranges(args)
     records = _read_records(args.text, args.format)
@@ -103,20 +186,24 @@ def cmd_build(args) -> int:
     _check_alphabet(records, args.dna)
     text = bytes([SEPARATOR]).join(seq for _, seq in records)
 
-    # The k-mer table first: its build peaks before the suffix arrays are held.
     k = args.kmer
     laps = [perf_counter()]  # the start, then each stage's end
-    kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
-                                   flt.KIND_TABLE, flt.ITEMS_KMER, k)
-    laps.append(perf_counter())
     trigger = choose_trigger(text, args.window, args.trigger)
     laps.append(perf_counter())
-    dictionary = PhraseDictionary()
-    parse_text = pfp_parse(text, trigger, dictionary)
-    parse_index = OccurrenceIndex(parse_text.symbols)
+    with _reverse_half_beside(text, trigger) as reversed_text:
+        # The k-mer table first: its build peaks before the suffix arrays are held.
+        kmer_filter = flt.filter_build((seq for _, seq in records), flt.TABLE_PARAMS,
+                                       flt.KIND_TABLE, flt.ITEMS_KMER, k)
+        laps.append(perf_counter())
+        dictionary = PhraseDictionary()
+        parse_text = pfp_parse(text, trigger, dictionary)
+        parse_index = OccurrenceIndex(parse_text.symbols)
+        laps.append(perf_counter())
+        sa, sa_route = suffix_array(text, parse_text)
+        laps.append(perf_counter())
+        reverse_sa, rsa_route, prefix_table, reverse_seconds = reversed_text()
     laps.append(perf_counter())
-    text_index = OccurrenceIndex(text, parse=parse_text, trigger=trigger)
-    laps.append(perf_counter())
+    text_index = OccurrenceIndex(text, sa, reverse_sa, prefix_table)
     params = {"w": args.window, "p": args.trigger, "anchor_length": trigger.length,
               "kebab_k": k, "records": [n for n, _ in records]}
     bundle = IndexBundle(params, trigger, dictionary, parse_text, text_index,
@@ -126,13 +213,16 @@ def cmd_build(args) -> int:
     target = len(text) // args.trigger
     print(f"# wrote {args.out}: |T|={len(text)} phrases={len(parse_text)} "
           f"dict={len(dictionary)} target={target} "
-          f"anchor_length={trigger.length} text_sa={text_index.forward.built_by} "
-          f"text_rsa={text_index.backward.built_by}", file=sys.stderr)
-    # parse holds the parse's suffix arrays; text_index the text's two and
-    # its prefix table
-    stages = ("kmer_table", "trigger", "parse", "text_index", "save")
+          f"anchor_length={trigger.length} text_sa={sa_route} "
+          f"text_rsa={rsa_route}", file=sys.stderr)
+    # parse holds the parse's suffix arrays and text_sa the text's; wait is
+    # how long the reversed text's half, built in the child where one
+    # forked, then held the build, and text_rsa the time it took
+    stages = ("trigger", "kmer_table", "parse", "text_sa", "wait", "save")
     print("# seconds:", *(f"{stage}={end - start:.3f}" for stage, start, end
-                          in zip(stages, laps, laps[1:])), file=sys.stderr)
+                          in zip(stages, laps, laps[1:])),
+          f"text_rsa={reverse_seconds:.3f} wall={laps[-1] - laps[0]:.3f}",
+          file=sys.stderr)
     # a parse has at least one phrase, so it meets a target below 2
     grain = ANCHOR_GRAIN * args.trigger
     if (target >= 2 and trigger.length == args.window

@@ -32,12 +32,14 @@ the unit of search work that ``parsemem stats`` reports.  At the scale
 this package targets a suffix array with binary search is entirely
 adequate; nothing here depends on a particular compressed index.
 
-A byte text indexed with its prefix-free parse and trigger builds each
-suffix array from a parse (its own, or its reverse's) when the distinct
-phrases are short in total, and by prefix doubling from 32-symbol seeds
-otherwise: a repetitive text then sorts its phrase dictionary and its
-parse, not its repeats, whose length sets the doubling's rounds.  Both
-routes give the same array, so nothing stored says which one ran.
+``suffix_array`` sorts a byte text from its prefix-free parse when the
+distinct phrases are short in total, and by prefix doubling from 32-symbol
+seeds otherwise: a repetitive text then sorts its phrase dictionary and
+its parse, not its repeats, whose length sets the doubling's rounds.
+``reverse_half`` sorts the reversed text the same way from the reverse's
+own parse, apart from the forward array, so that a caller can build the
+two at once and hand both to the index.  Both routes give the same array,
+so nothing stored says which one ran.
 
 A byte text's backward view also keeps a ``PrefixTable``: the row start of
 every length-q string over the text's alphabet, q as large as leaves about
@@ -271,6 +273,31 @@ def parse_suffix_array(parse: ParsedString,
     return sa
 
 
+def suffix_array(seq: Sequence[int],
+                 parse: ParsedString | None = None) -> tuple[Sequence[int], str]:
+    """The suffix array of ``seq`` and how it was sorted: "parse", from
+    ``parse``, the sequence's prefix-free parse, as ``parse_suffix_array``
+    decides, or else "doubling".  A byte sequence's array is u32s, as load
+    reads it, not an int per row."""
+    sa = None if parse is None else parse_suffix_array(parse)
+    route = "doubling" if sa is None else "parse"
+    if sa is None:
+        sa = _build_suffix_array(seq)
+    return (array("I", sa) if type(seq) is bytes else sa), route
+
+
+def reverse_half(text: bytes, trigger: Trigger) -> tuple[array, str, PrefixTable]:
+    """The reversed ``text``'s half of its index: its suffix array, sorted
+    from its parse under ``trigger.reversed()`` where ``suffix_array``
+    takes that route, the route's name, and its prefix table.  The first
+    and last go to ``OccurrenceIndex`` as ``reverse_sa`` and
+    ``prefix_table``."""
+    reverse = text[::-1]
+    sa, route = suffix_array(reverse, pfp_parse(reverse, trigger.reversed(),
+                                                PhraseDictionary()))
+    return sa, route, PrefixTable.build(reverse)
+
+
 def is_suffix_array(seq: Sequence[int], sa: Sequence[int]) -> bool:
     """Whether ``sa`` is the suffix array of ``seq``, checked in linear time:
     it has a row per suffix, and each suffix sorts before the next by its
@@ -372,25 +399,13 @@ class _SuffixView:
     ``steps`` counts the search steps made so far: one per symbol a match
     is grown by, a ``table`` hit's q included, plus one for the symbol that
     stops a growth; ``hits`` counts the table hits.  ``buckets``, when set,
-    maps each symbol to the rows of the suffixes it begins.  ``built_by``
-    names how the array was built here, "parse" (``parse_suffix_array`` of
-    ``parse``, the sequence's prefix-free parse) or "doubling", and is None
-    for an array passed in.
+    maps each symbol to the rows of the suffixes it begins.  The array is
+    the doubling's unless passed as ``sa``.
     """
 
-    def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None,
-                 parse: ParsedString | None = None):
+    def __init__(self, seq: Sequence[int], sa: Sequence[int] | None = None):
         self.seq = seq
-        self.built_by = None
-        if sa is None:
-            if parse is not None:
-                sa = parse_suffix_array(parse)
-            self.built_by = "doubling" if sa is None else "parse"
-            if sa is None:
-                sa = _build_suffix_array(seq)
-            if type(seq) is bytes:  # a text's: u32s, as load reads them, not an int per row
-                sa = array("I", sa)
-        self.sa = sa
+        self.sa = suffix_array(seq)[0] if sa is None else sa
         self.table: PrefixTable | None = None
         self.buckets: dict[int, tuple[int, int]] | None = None
         self.steps = 0
@@ -571,25 +586,19 @@ class OccurrenceIndex:
     as u32 arrays, the form load reads), never change; nor does the
     reversed bytes' ``prefix_table``, built unless passed, nor the
     first-symbol buckets of any other sequence, derived here and shared by
-    both views.  Given a byte text's ``parse`` under ``trigger`` (from
-    ``pfp_parse`` with an empty dictionary), the text's array may come from
-    that parse, and its reverse's from the reverse's parse under
-    ``trigger.reversed()``, as ``parse_suffix_array`` decides.  ``steps``
-    counts the search steps made in either direction so far, so callers
-    measure a unit of work as the difference around it.
+    both views.  The arrays built here are the doubling's; ``suffix_array``
+    and ``reverse_half`` give a byte text's from its parse where that route
+    is shorter.  ``steps`` counts the search steps made in either direction
+    so far, so callers measure a unit of work as the difference around it.
     """
 
     def __init__(self, seq: Sequence[int], sa=None, reverse_sa=None,
-                 prefix_table: PrefixTable | None = None,
-                 parse: ParsedString | None = None, trigger: Trigger | None = None):
+                 prefix_table: PrefixTable | None = None):
         if len(seq) == 0:
             raise EmptyInputError("cannot index an empty sequence")
         self.sequence = seq
-        self.forward = _SuffixView(seq, sa, parse)
-        reverse = seq[::-1]
-        reverse_parse = None if trigger is None else pfp_parse(
-            reverse, trigger.reversed(), PhraseDictionary())
-        self.backward = _SuffixView(reverse, reverse_sa, reverse_parse)
+        self.forward = _SuffixView(seq, sa)
+        self.backward = _SuffixView(seq[::-1], reverse_sa)
         if type(seq) is not bytes:
             self.forward.buckets = self.backward.buckets = first_symbol_buckets(seq)
         elif prefix_table is None:

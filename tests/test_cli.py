@@ -6,12 +6,16 @@ import importlib
 import inspect
 import io
 import json
+import multiprocessing
+import os
 import pkgutil
 import random
 import re
 import struct
 import subprocess
 import sys
+import threading
+import warnings
 from array import array
 from collections import Counter
 from typing import NamedTuple
@@ -24,7 +28,7 @@ from parsemem import filters as flt
 from parsemem.bundle import (FORMAT_VERSION, MAGIC, SECTIONS, _below,
                              load_bundle, save_bundle)
 from parsemem.cli import main
-from parsemem.errors import IndexFormatError, ItemKindMismatch
+from parsemem.errors import IndexFormatError, ItemKindMismatch, ParameterMismatch
 from parsemem.oracle import brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, choose_trigger, pfp_parse
 from parsemem.seqindex import OccurrenceIndex, PrefixTable, _build_suffix_array
@@ -141,13 +145,25 @@ def byte_records():
 
 
 def dna_records():
-    """100 kb of random DNA, and no patterns."""
-    return [("r1", rand_dna(random.Random(4), 100000))], []
+    """100 kb of random DNA and 2 pieces of it with 5 substitutions each."""
+    rng = random.Random(4)
+    text = rand_dna(rng, 100000)
+    return [("r1", text)], pieces(rng, text, 2, 400, 5, True)
 
 
-def numbered(*seqs):
-    """Text records ``r0``, ``r1``, ... and no patterns."""
-    return [(f"r{i}", seq) for i, seq in enumerate(seqs)], []
+def numbered(seqs, *patterns):
+    """Text records ``r0``, ``r1``, ... and pattern records ``q1``, ``q2``, ..."""
+    return ([(f"r{i}", seq) for i, seq in enumerate(seqs)],
+            [(f"q{i}", seq) for i, seq in enumerate(patterns, 1)])
+
+
+def copies_numbered(seed, length, count):
+    """``mutated_copies`` as numbered records, with a pattern of a piece of
+    one copy and one of two copies' pieces joined."""
+    seqs = mutated_copies(random.Random(seed), length, count)
+    third = length // 3
+    return numbered(seqs, seqs[1][third:2 * third],
+                    seqs[0][:third] + seqs[-1][third:2 * third])
 
 
 # Each scenario's inputs, build flags and format flags; the fixture
@@ -188,13 +204,15 @@ SCENARIOS = {
     "dna100k_p8": (dna_records, ("-p", "8"), ()),
     "dna100k_w4p8": (dna_records, ("-w", "4", "-p", "8"), ()),
     # TestBundleFormat.PHRASE_SHAPES says what these five show
-    "nul_joined_copies": (lambda: numbered(*mutated_copies(random.Random(5), 300, 6)),
-                          ("-w", "4", "-p", "7"), ()),
-    "shorter_than_w": (lambda: numbered(b"ACG", b"T"), ("-w", "6", "-p", "5"), ()),
-    "no_trigger": (lambda: numbered(b"ACGTTGCA" * 40), ("-w", "6", "-p", str(1 << 50)), ()),
-    "w1_p3": (lambda: numbered(b"ACGT" * 30, b"TTGCA" * 40), ("-w", "1", "-p", "3"), ()),
-    "w10_p50": (lambda: numbered(*mutated_copies(random.Random(8), 900, 2)),
-                ("-w", "10", "-p", "50"), ()),
+    "nul_joined_copies": (lambda: copies_numbered(5, 300, 6), ("-w", "4", "-p", "7"), ()),
+    "shorter_than_w": (lambda: numbered((b"ACG", b"T"), b"ACGT", b"GT"),
+                       ("-w", "6", "-p", "5"), ()),
+    "no_trigger": (lambda: numbered((b"ACGTTGCA" * 40,), b"TTGCAACGTTGCAAC" + b"CAT" * 4),
+                   ("-w", "6", "-p", str(1 << 50)), ()),
+    "w1_p3": (lambda: numbered((b"ACGT" * 30, b"TTGCA" * 40), b"ACGT" * 5 + b"TTGCA" * 6,
+                               b"GCATTGCAACGTAC"),
+              ("-w", "1", "-p", "3"), ()),
+    "w10_p50": (lambda: copies_numbered(8, 900, 2), ("-w", "10", "-p", "50"), ()),
 }
 
 
@@ -558,8 +576,11 @@ class TestBuildQuery:
         assert re.fullmatch(r"# wrote \S+: \|T\|=1500 phrases=\d+ dict=\d+ "
                             rf"target={1500 // p} anchor_length={l} "
                             r"text_sa=(parse|doubling) text_rsa=(parse|doubling)", lines[0])
-        assert re.fullmatch(r"# seconds: kmer_table=\d+\.\d{3} trigger=\d+\.\d{3} "
-                            r"parse=\d+\.\d{3} text_index=\d+\.\d{3} save=\d+\.\d{3}",
+        # the build's own stages, then the reversed text's half, timed where
+        # it ran, and the build's wall time
+        assert re.fullmatch(r"# seconds: trigger=\d+\.\d{3} kmer_table=\d+\.\d{3} "
+                            r"parse=\d+\.\d{3} text_sa=\d+\.\d{3} wait=\d+\.\d{3} "
+                            r"save=\d+\.\d{3} text_rsa=\d+\.\d{3} wall=\d+\.\d{3}",
                             lines[1])
         assert [line.startswith("warning: ") for line in lines[2:]] == [True] * warned
 
@@ -671,6 +692,114 @@ class TestDeterminism:
         _, first = query(corpus, capsys, "--mode", "combined", "-t", "5")
         _, second = query(corpus, capsys, "--mode", "combined", "-t", "5")
         assert first == second
+
+
+def raising(error):
+    """A function that raises ``error``, whatever it is called with."""
+    def fail(*args):
+        raise error
+    return fail
+
+
+def exit_at_once(*args):
+    """End this process at once, as a crash or a kill would."""
+    os._exit(1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The start methods ``multiprocessing.get_context`` is asked for."""
+    asked, get_context = [], multiprocessing.get_context
+
+    def spy(method=None):
+        asked.append(method)
+        return get_context(method)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return asked
+
+
+class TestTwoProcessBuild:
+    # build sorts the reversed text in a forked child where it can, and
+    # inline where fork is not a start method or a thread runs
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_forked_build_writes_the_inline_bytes(self, scenarios, tmp_path, monkeypatch,
+                                                  capsys, forks, name):
+        # the same index file, and so the same query and stats output, which
+        # has matches for every pattern
+        scenario = scenarios(name)
+        _, flags, fmt = SCENARIOS[name]
+        text_path = os.path.join(os.path.dirname(scenario.pat_path), "text")
+        built = []
+        for inline in (False, True):
+            if inline:
+                monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                    lambda: ["spawn"])
+            forks.clear()
+            index = str(tmp_path / ("inline.pmidx" if inline else "forked.pmidx"))
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["build", text_path, "-o", index, *fmt, *flags]) == 0
+            assert forks == ([] if inline else ["fork"])
+            with open(index, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            built.append((digest, *(scenario_output(capsys, command,
+                                                    scenario._replace(index=index),
+                                                    "--mode", "parse", "-t", "3")
+                                    for command in ("query", "stats"))))
+        assert built[0] == built[1]
+        with open(scenario.index, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == built[0][0]
+        assert {row[0] for row in mem_rows(built[0][1])} == {
+            pattern_name for pattern_name, _ in scenario.patterns}
+
+    def test_a_running_thread_keeps_the_build_inline(self, corpus, tmp_path, forks):
+        # a forked child would get this thread's locks but not the thread
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait, args=(60,))
+        waiter.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build(corpus)
+        finally:
+            done.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+        assert forks == [] and caught == []
+        forked = str(tmp_path / "forked.pmidx")
+        assert main(["build", corpus["text_path"], "-o", forked,
+                     "-w", "6", "-p", "5", "-k", "8"]) == 0
+        assert forks == ["fork"]
+        with open(corpus["index"], "rb") as f1, open(forked, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("where, fail, code, message", [
+        (None, None, 0, None),
+        ("filter_build", raising(OSError("no room for the k-mer table")), 3,
+         "no room for the k-mer table"),
+        ("reverse_half", raising(ParameterMismatch("the child's own error")), 2,
+         "the child's own error"),
+        ("reverse_half", exit_at_once, 3, "child process ended without sending")],
+        ids=["succeeds", "parent-raises", "child-raises", "child-dies"])
+    def test_no_process_outlives_a_build(self, corpus, capsys, monkeypatch, forks,
+                                         where, fail, code, message):
+        # the child is joined, and stopped first if the parent fails; a
+        # failure on either side exits with the code of its error
+        if where is not None:
+            monkeypatch.setattr(flt if where == "filter_build" else cli, where, fail)
+        # 3.12+ warns on a fork with threads running; that warning cannot
+        # be made an error, as the fork has happened, so it is recorded
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["build", corpus["text_path"], "-o", corpus["index"]])
+        assert forks == ["fork"] and caught == []
+        assert multiprocessing.active_children() == []
+        assert rc == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err.startswith("# wrote ")
+        else:
+            assert err.startswith("error: ") and message in err
 
 
 TABLE_MISMATCH = "kmer_starts or kmer_counts do not match the text"

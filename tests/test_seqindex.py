@@ -10,9 +10,10 @@ from parsemem import seqindex
 from parsemem.errors import EmptyInputError
 from parsemem.oracle import brute_force_count, brute_force_f_mems, top_t_cut
 from parsemem.parsing import PhraseDictionary, Trigger, choose_trigger, pfp_parse
-from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex, _agreement,
-                               _build_suffix_array, bml_mems, bml_top_t,
-                               find_f_mems, parse_suffix_array, prefix_depth,
+from parsemem.seqindex import (NARROW, Mem, OccurrenceIndex, PrefixTable,
+                               _agreement, _build_suffix_array, bml_mems,
+                               bml_top_t, find_f_mems, parse_suffix_array,
+                               prefix_depth, reverse_half, suffix_array,
                                threshold_scan)
 
 
@@ -321,19 +322,21 @@ def test_suffix_array_from_the_parse_takes_its_phrases_alone():
 
 def test_index_sorts_from_the_parse_where_phrases_repeat():
     # 8 copies of 400 bp, one symbol redrawn in each, share most phrases and
-    # sort from the parse; the founder alone is all distinct phrases and
-    # keeps the doubling, as does an index given no trigger
+    # sort from the parse, forward and reversed; the founder alone is all
+    # distinct phrases and keeps the doubling, as does a text given no parse
     rng = random.Random(211)
     founder = bytes(rng.choices(b"ACGT", k=400))
     copies = b"\0".join(founder[:i] + b"T" + founder[i + 1:] for i in range(0, 400, 50))
     for text, route in ((copies, "parse"), (founder, "doubling")):
         trigger = choose_trigger(text, 10, 20)
-        index = OccurrenceIndex(text, parse=pfp_parse(text, trigger, PhraseDictionary()),
-                                trigger=trigger)
-        assert (index.forward.built_by, index.backward.built_by) == (route, route)
+        sa, forward = suffix_array(text, pfp_parse(text, trigger, PhraseDictionary()))
+        reverse_sa, backward, table = reverse_half(text, trigger)
+        assert (forward, backward) == (route, route)
+        index = OccurrenceIndex(text, sa, reverse_sa, table)
         for view, seq in ((index.forward, text), (index.backward, text[::-1])):
             assert list(view.sa) == sorted(range(len(seq)), key=lambda i: seq[i:])
-    assert OccurrenceIndex(copies).forward.built_by == "doubling"
+        assert table.starts == PrefixTable.build(text[::-1]).starts
+    assert suffix_array(copies)[1] == "doubling"
 
 
 # On A^40 the suffix of length l sits at row l - 1, so the match A^d has the
